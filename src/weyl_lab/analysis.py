@@ -10,8 +10,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError
-from .manifolds import ZERO_DERIV, DerivIndex, ModelManifold, RoundSphere2
-from . import lattice as lat
+from .manifolds import ZERO_DERIV, DerivIndex, ModelManifold, RoundSphere2, spectral_window
 
 
 @dataclass(frozen=True)
@@ -161,22 +160,18 @@ def cluster_sup_scan(m: ModelManifold, lambda_grid, A_rule,
         A = 1.0 / np.log(lam) if one_over_log else float(A_rule)
         if A <= 0.0:
             raise DomainError("window width must be positive")
+        win = spectral_window(m, lam, lam + A)
         if isinstance(m, RoundSphere2):
-            total = 0.0
-            l = 0
-            while m.level_sqrt_eigenvalue(l) <= lam + A:
-                if m.level_sqrt_eigenvalue(l) > lam:
-                    total += (2 * l + 1) / (4.0 * np.pi * m.radius**2)
-                l += 1
-            values[i] = total
+            # a running sum over ascending degrees (np.sum would pair terms
+            # and change the last bits)
+            weights = win.mults / m.volume
+            values[i] = np.cumsum(weights)[-1] if weights.size else 0.0
         else:
             alpha, _ = d.padded(n)
-            _, vectors, norms = lat.dual_vectors(m.lattice, lam + A)
-            sel = vectors[norms > lam]
-            mono = np.ones(sel.shape[0])
+            mono = np.ones(win.roots.size)
             for j, a in enumerate(alpha):
                 if a:
-                    mono = mono * sel[:, j] ** (2 * a)
+                    mono = mono * win.vectors[:, j] ** (2 * a)
             values[i] = np.sum(mono) / m.lattice.covolume
     normalized = None
     if one_over_log:

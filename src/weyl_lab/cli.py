@@ -3,16 +3,13 @@ data file plus a JSON run manifest; `replay` re-runs a manifest and must
 reproduce the CSV byte-for-byte.
 
 Floats are printed with 17 significant digits so reproducibility is
-checkable by byte comparison.  WEYL_LAB_THREADS caps internal parallelism
-(default: machine parallelism); results never depend on the schedule.
+checkable by byte comparison.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -57,19 +54,6 @@ from .smoothing import MollifierSpec, SmoothedProjector
 EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
-
-
-def thread_count() -> int:
-    env = os.environ.get("WEYL_LAB_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise DomainError("WEYL_LAB_THREADS must be an integer, got %r" % env)
-        if n < 1:
-            raise DomainError("WEYL_LAB_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
 
 
 def fmt(value) -> str:
@@ -318,17 +302,10 @@ def run_smooth_compare(config: dict):
     for lam in grid:
         for a in a_values:
             proj = SmoothedProjector(m, spec, float(lam), a, rel_tol=rel_tol)
-
-            def one(pair):
-                x, y = pair
+            worst = 0.0
+            for i, (x, y) in enumerate(pairs):
                 s = proj.spectral(x, y)
                 im = proj.images(x, y)
-                return s, im
-
-            with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-                values = list(pool.map(one, pairs))
-            worst = 0.0
-            for i, ((x, y), (s, im)) in enumerate(zip(pairs, values)):
                 diff = abs(s - im)
                 worst = max(worst, diff / (1.0 + abs(s)))
                 rows.append((lam, a, i, x[0], x[1], y[0], y[1], s, im, diff))

@@ -67,15 +67,6 @@ class Lattice:
         return cls.from_basis(b)
 
 
-@dataclass(frozen=True, eq=False)
-class DualPoint:
-    """One dual-lattice point: integer coefficients, vector, Euclidean norm."""
-
-    coeffs: tuple
-    vector: np.ndarray
-    norm: float
-
-
 def _coefficient_box(generator_matrix: np.ndarray, radius: float) -> np.ndarray:
     """Per-coordinate integer bounds M_i with |c_i| <= M_i for all lattice
     points |G c| <= radius (rows of G^{-1} give the exact sup)."""
@@ -110,16 +101,9 @@ def _lattice_vectors(generator_matrix: np.ndarray, radius: float, cap: int):
 
 
 def dual_vectors(lattice: Lattice, radius: float, cap: int = DEFAULT_ENUM_CAP):
-    """Array form of enumerate_dual: (coeffs, vectors, norms) sorted by
-    (norm, lexicographic coeffs)."""
+    """All dual-lattice points with norm <= radius as arrays (coeffs, vectors,
+    norms), sorted by (norm, lexicographic coeffs)."""
     return _lattice_vectors(lattice.dual_basis, radius, cap)
-
-
-def enumerate_dual(lattice: Lattice, radius: float, cap: int = DEFAULT_ENUM_CAP):
-    """All dual-lattice points with norm <= radius, sorted by (norm, coeffs)."""
-    coeffs, vectors, norms = dual_vectors(lattice, radius, cap)
-    return [DualPoint(tuple(int(c) for c in cs), v, float(n))
-            for cs, v, n in zip(coeffs, vectors, norms)]
 
 
 def shell_count(lattice: Lattice, lo: float, hi: float, cap: int = DEFAULT_ENUM_CAP) -> int:

@@ -1,8 +1,10 @@
 """Model-manifold eigendata and exact kernel evaluation.
 
-Flat tori: mode sums over dual-lattice points (with exact monomial
-derivative factors).  Round 2-sphere: addition theorem through Legendre
-polynomials, so kernels carry no quadrature error.
+Every kernel is a mode sum over one `SpectralWindow`: the sqrt-eigenvalues
+in (lo, hi] with their multiplicities and mode data.  Flat tori: mode sums
+over dual-lattice points (with exact monomial derivative factors).  Round
+2-sphere: addition theorem through Legendre polynomials, so kernels carry
+no quadrature error.
 
 Eigenfunction conventions: torus modes e^{i<k,x>}/sqrt(covol) with k a dual
 point and eigenvalue |k|^2; sphere level l has sqrt-eigenvalue
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice as lat
-from .errors import DomainError, SpectrumError
+from .errors import DomainError, ResourceLimitError, SpectrumError
 from .lattice import Lattice
 from .specfun import legendre_p
 
@@ -99,40 +101,79 @@ ZERO_DERIV = DerivIndex()
 @dataclass(frozen=True, eq=False)
 class EigenLevel:
     """One eigenvalue level: sqrt-eigenvalue, multiplicity, and mode data
-    (dual points on the torus, the degree l on the sphere)."""
+    (dual vectors on the torus, the degree l on the sphere)."""
 
     sqrt_eigenvalue: float
     multiplicity: int
     modes: object
 
 
-def _sphere_degrees_up_to(m: RoundSphere2, lambda_max: float):
-    ls = []
-    l = 0
-    while m.level_sqrt_eigenvalue(l) <= lambda_max:
-        ls.append(l)
-        l += 1
-    return ls
+@dataclass(frozen=True, eq=False)
+class SpectralWindow:
+    """Sqrt-eigenvalues in a window (lo, hi], ascending, with multiplicities
+    and mode data.
+
+    Torus: one row per dual point, multiplicity 1, with its dual vector and
+    integer coefficients.  Sphere: one row per degree l, multiplicity 2l+1.
+    """
+
+    roots: np.ndarray
+    mults: np.ndarray
+    degrees: np.ndarray | None = None   # sphere
+    vectors: np.ndarray | None = None   # torus
+    coeffs: np.ndarray | None = None    # torus
+
+    def __getitem__(self, rows) -> "SpectralWindow":
+        """The rows selected by a slice (views, no copy)."""
+        return SpectralWindow(*(None if a is None else a[rows] for a in
+                                (self.roots, self.mults, self.degrees,
+                                 self.vectors, self.coeffs)))
+
+
+def spectral_window(m: ModelManifold, lo: float, hi: float,
+                    cap: int = lat.DEFAULT_ENUM_CAP) -> SpectralWindow:
+    """The spectrum in (lo, hi], ascending; lo < 0 takes the whole ball.
+
+    Torus rows are the dual points `lattice.dual_vectors(hi)` returns with
+    norm > lo (views into the enumeration).  Sphere degrees are selected by
+    the comparisons `level_sqrt_eigenvalue(l) > lo` and `<= hi`, evaluated
+    for all candidate degrees at once.
+    """
+    if isinstance(m, RoundSphere2):
+        # sqrt(l(l+1)) > l, so every degree with root <= hi is below hi*R + 1
+        n_candidates = max(int(np.floor(hi * m.radius)) + 2, 0)
+        if n_candidates > cap:
+            raise ResourceLimitError(
+                "sphere window holds %d candidate degrees, exceeding the cap %d"
+                % (n_candidates, cap))
+        ls = np.arange(n_candidates)
+        roots = np.sqrt(ls * (ls + 1.0)) / m.radius
+        keep = (roots > lo) & (roots <= hi)
+        return SpectralWindow(roots[keep], 2 * ls[keep] + 1, degrees=ls[keep])
+    coeffs, vectors, norms = lat.dual_vectors(m.lattice, hi, cap)
+    start = int(np.searchsorted(norms, lo, side="right"))
+    return SpectralWindow(norms[start:], np.ones(norms.size - start, dtype=np.int64),
+                          vectors=vectors[start:], coeffs=coeffs[start:])
 
 
 def eigenlevels(m: ModelManifold, lambda_max: float, cap: int = lat.DEFAULT_ENUM_CAP):
-    """All eigenvalue levels with sqrt-eigenvalue <= lambda_max, ascending."""
+    """All eigenvalue levels with sqrt-eigenvalue <= lambda_max, ascending.
+
+    Torus dual points join one level while each norm exceeds the previous
+    one by at most ON_SPECTRUM_TOL * (1 + norm).
+    """
     if lambda_max <= 0.0:
         raise DomainError("lambda_max must be positive")
+    win = spectral_window(m, -1.0, lambda_max, cap)
     if isinstance(m, RoundSphere2):
-        return [EigenLevel(m.level_sqrt_eigenvalue(l), 2 * l + 1, l)
-                for l in _sphere_degrees_up_to(m, lambda_max)]
-    points = lat.enumerate_dual(m.lattice, lambda_max, cap)
-    levels = []
-    group = [points[0]]
-    for p in points[1:]:
-        if p.norm - group[-1].norm <= ON_SPECTRUM_TOL * (1.0 + p.norm):
-            group.append(p)
-        else:
-            levels.append(EigenLevel(group[0].norm, len(group), list(group)))
-            group = [p]
-    levels.append(EigenLevel(group[0].norm, len(group), list(group)))
-    return levels
+        return [EigenLevel(r, k, l) for r, k, l in
+                zip(win.roots.tolist(), win.mults.tolist(), win.degrees.tolist())]
+    norms = win.roots
+    breaks = np.diff(norms) > ON_SPECTRUM_TOL * (1.0 + norms[1:])
+    starts = np.flatnonzero(np.concatenate(([True], breaks)))
+    stops = np.append(starts[1:], norms.size)
+    return [EigenLevel(float(norms[a]), int(b - a), win.vectors[a:b])
+            for a, b in zip(starts, stops)]
 
 
 def sphere_angle(m: RoundSphere2, x, y) -> float:
@@ -147,14 +188,6 @@ def sphere_angle(m: RoundSphere2, x, y) -> float:
     return float(np.arctan2(np.linalg.norm(np.cross(x, y)), float(x @ y)))
 
 
-def _check_off_spectrum_torus(norms: np.ndarray, lam: float):
-    if np.any(np.abs(norms - lam) < ON_SPECTRUM_TOL):
-        raise SpectrumError(
-            "lambda=%.12g is within %g of the torus spectrum; shift lambda "
-            "(e.g. by a small window width) and retry" % (lam, ON_SPECTRUM_TOL)
-        )
-
-
 def _torus_mode_factor(vectors: np.ndarray, alpha, beta):
     """Exact derivative factor: d_x^alpha d_y^beta acting on
     cos(<k, y-x>) contributes (-1)^|alpha| * (i k)^{alpha+beta}."""
@@ -167,33 +200,24 @@ def _torus_mode_factor(vectors: np.ndarray, alpha, beta):
     return ((-1.0) ** sum(alpha)) * (1j**total) * mono
 
 
-def _torus_windowed_sum(m: FlatTorus, norms_lo: float, lam_hi: float, x, y,
-                        d: DerivIndex, cap: int) -> float:
-    """Mode sum over dual points with norms_lo < |k| <= lam_hi (lo < 0 means
-    the full ball |k| <= lam_hi)."""
+def _window_sum(m: ModelManifold, win: SpectralWindow, x, y, d: DerivIndex) -> float:
+    """Exact mode sum of d_x^alpha d_y^beta phi_j(x) phi_j(y) over a window."""
+    if isinstance(m, RoundSphere2):
+        if not d.is_zero:
+            raise DomainError("derivatives are unsupported on the sphere")
+        if win.degrees.size == 0:
+            return 0.0
+        c = np.cos(sphere_angle(m, x, y))
+        total = 0.0
+        for l, mult in zip(win.degrees.tolist(), win.mults.tolist()):
+            total += mult / m.volume * legendre_p(l, c)
+        return float(total)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     alpha, beta = d.padded(m.dim)
-    # enumerate a hair beyond lam_hi so the off-spectrum guard sees both sides
-    _, vectors, norms = lat.dual_vectors(m.lattice, lam_hi + 2.0 * ON_SPECTRUM_TOL, cap)
-    if norms_lo < 0.0:
-        _check_off_spectrum_torus(norms, lam_hi)
-    mask = (norms > norms_lo) & (norms <= lam_hi)
-    vectors = vectors[mask]
-    phases = vectors @ (y - x)
-    factor = _torus_mode_factor(vectors, alpha, beta)
+    phases = win.vectors @ (y - x)
+    factor = _torus_mode_factor(win.vectors, alpha, beta)
     return float(np.real(np.sum(factor * np.exp(1j * phases)))) / m.lattice.covolume
-
-
-def _sphere_level_sum(m: RoundSphere2, degrees, x, y) -> float:
-    if not degrees:
-        return 0.0
-    theta = sphere_angle(m, x, y)
-    c = np.cos(theta)
-    total = 0.0
-    for l in degrees:
-        total += (2 * l + 1) / (4.0 * np.pi * m.radius**2) * legendre_p(l, c)
-    return float(total)
 
 
 def spectral_function(m: ModelManifold, lam: float, x, y,
@@ -206,18 +230,14 @@ def spectral_function(m: ModelManifold, lam: float, x, y,
     """
     if lam <= 0.0:
         raise DomainError("lambda must be positive")
-    if isinstance(m, RoundSphere2):
-        if not d.is_zero:
-            raise DomainError("derivatives are unsupported on the sphere")
-        degrees = _sphere_degrees_up_to(m, lam)
-        nxt = m.level_sqrt_eigenvalue(len(degrees))
-        prev = m.level_sqrt_eigenvalue(len(degrees) - 1) if degrees else None
-        if abs(nxt - lam) < ON_SPECTRUM_TOL or (prev is not None and abs(prev - lam) < ON_SPECTRUM_TOL):
-            raise SpectrumError(
-                "lambda=%.12g is within %g of the sphere spectrum; shift lambda"
-                % (lam, ON_SPECTRUM_TOL))
-        return _sphere_level_sum(m, degrees, x, y)
-    return _torus_windowed_sum(m, -1.0, lam, x, y, d, cap)
+    # take the ball a hair beyond lambda so the guard sees both sides
+    win = spectral_window(m, -1.0, lam + 2.0 * ON_SPECTRUM_TOL, cap)
+    if np.any(np.abs(win.roots - lam) < ON_SPECTRUM_TOL):
+        raise SpectrumError(
+            "lambda=%.12g is within %g of the spectrum; shift lambda "
+            "(e.g. by a small window width) and retry" % (lam, ON_SPECTRUM_TOL))
+    inside = win[:int(np.searchsorted(win.roots, lam, side="right"))]
+    return _window_sum(m, inside, x, y, d)
 
 
 def cluster_kernel(m: ModelManifold, lam: float, width: float, x, y,
@@ -231,26 +251,10 @@ def cluster_kernel(m: ModelManifold, lam: float, width: float, x, y,
     """
     if lam <= 0.0 or width <= 0.0:
         raise DomainError("need lambda > 0 and width > 0")
-    if isinstance(m, RoundSphere2):
-        if not d.is_zero:
-            raise DomainError("derivatives are unsupported on the sphere")
-        degrees = [l for l in _sphere_degrees_up_to(m, lam + width)
-                   if m.level_sqrt_eigenvalue(l) > lam]
-        return _sphere_level_sum(m, degrees, x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    alpha, beta = d.padded(m.dim)
-    _, vectors, norms = lat.dual_vectors(m.lattice, lam + width, cap)
-    mask = norms > lam
-    vectors = vectors[mask]
-    phases = vectors @ (y - x)
-    factor = _torus_mode_factor(vectors, alpha, beta)
-    return float(np.real(np.sum(factor * np.exp(1j * phases)))) / m.lattice.covolume
+    return _window_sum(m, spectral_window(m, lam, lam + width, cap), x, y, d)
 
 
 def eigenvalue_count(m: ModelManifold, lam: float, cap: int = lat.DEFAULT_ENUM_CAP) -> int:
     """Counting function N(lambda) = #{sqrt-eigenvalues <= lambda} with
     multiplicity."""
-    if isinstance(m, RoundSphere2):
-        return sum(2 * l + 1 for l in _sphere_degrees_up_to(m, lam))
-    return lat.shell_count(m.lattice, 0.0, lam, cap) + 1
+    return int(np.sum(spectral_window(m, -1.0, lam, cap).mults))

@@ -23,6 +23,7 @@ from .manifolds import (
     RoundSphere2,
     cluster_kernel,
     spectral_function,
+    spectral_window,
     sphere_angle,
 )
 from .specfun import BesselOrder, bessel_ratio
@@ -172,17 +173,10 @@ class ClusterBesselTable:
 
 
 def _window_mean_shell_radius(m: ModelManifold, lam: float, width: float) -> float:
-    if isinstance(m, FlatTorus):
-        _, _, norms = lat.dual_vectors(m.lattice, lam + width)
-        in_window = norms[norms > lam]
-        return float(np.mean(in_window)) if in_window.size else lam + 0.5 * width
-    radii = []
-    l = 0
-    while m.level_sqrt_eigenvalue(l) <= lam + width:
-        if m.level_sqrt_eigenvalue(l) > lam:
-            radii.extend([m.level_sqrt_eigenvalue(l)] * (2 * l + 1))
-        l += 1
-    return float(np.mean(radii)) if radii else lam + 0.5 * width
+    win = spectral_window(m, lam, lam + width)
+    if win.roots.size == 0:
+        return lam + 0.5 * width
+    return float(np.mean(np.repeat(win.roots, win.mults)))
 
 
 def cluster_prediction(m: ModelManifold, lam: float, width: float, dist,

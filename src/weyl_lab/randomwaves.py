@@ -13,24 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lattice as lat
 from .errors import DomainError, PreconditionError
-from .manifolds import FlatTorus, ModelManifold, cluster_kernel
+from .manifolds import FlatTorus, ModelManifold, cluster_kernel, spectral_window
 from .rng import gaussian_matrix
 from .specfun import universal_covariance
-
-
-def _torus_window_modes(m: FlatTorus, lam: float, width: float):
-    """Canonical half of the window's dual points (first nonzero coefficient
-    positive), sorted by (norm, lexicographic coeffs)."""
-    coeffs, vectors, norms = lat.dual_vectors(m.lattice, lam + width)
-    sel = norms > lam
-    coeffs, vectors = coeffs[sel], vectors[sel]
-    canonical = np.zeros(coeffs.shape[0], dtype=bool)
-    for i, c in enumerate(coeffs):
-        nz = c[c != 0]
-        canonical[i] = nz.size > 0 and nz[0] > 0
-    return vectors[canonical]
 
 
 def _normalized_legendre_rows(l: int, cos_theta: np.ndarray) -> np.ndarray:
@@ -96,24 +82,20 @@ class RandomWaveEnsemble:
         return self.lam ** ((1 - n) / 2.0)
 
     def _modes(self):
+        """Torus: the canonical half of the window's dual points (first
+        nonzero coefficient positive), each giving a cos/sin pair; sphere:
+        the window's degrees."""
         if self._mode_cache is None:
+            win = spectral_window(self.manifold, self.lam, self.lam + self.width)
+            if win.roots.size == 0:
+                raise DomainError("spectral window (%g, %g] holds no modes"
+                                  % (self.lam, self.lam + self.width))
             if isinstance(self.manifold, FlatTorus):
-                vectors = _torus_window_modes(self.manifold, self.lam, self.width)
-                if vectors.shape[0] == 0:
-                    raise DomainError("spectral window (%g, %g] holds no modes"
-                                      % (self.lam, self.lam + self.width))
-                self._mode_cache = ("torus", vectors)
+                c = win.coeffs
+                first_nonzero = c[np.arange(c.shape[0]), np.argmax(c != 0, axis=1)]
+                self._mode_cache = ("torus", win.vectors[first_nonzero > 0])
             else:
-                degrees = []
-                l = 0
-                while self.manifold.level_sqrt_eigenvalue(l) <= self.lam + self.width:
-                    if self.manifold.level_sqrt_eigenvalue(l) > self.lam:
-                        degrees.append(l)
-                    l += 1
-                if not degrees:
-                    raise DomainError("spectral window (%g, %g] holds no modes"
-                                      % (self.lam, self.lam + self.width))
-                self._mode_cache = ("sphere", degrees)
+                self._mode_cache = ("sphere", win.degrees.tolist())
         return self._mode_cache
 
     @property
@@ -163,7 +145,8 @@ def sample_wave(ens: RandomWaveEnsemble, sample_index: int, x) -> float:
 
 
 def sample_wave_grid(ens: RandomWaveEnsemble, sample_indices, points) -> np.ndarray:
-    """Wave samples on a point grid, shape (n_samples, n_points)."""
+    """Wave samples on a point grid, shape (n_samples, n_points);
+    sample_indices=None takes every sample from the cached coefficients."""
     coeffs = ens.coefficients(sample_indices)
     phi = ens.mode_values(points)
     return ens.normalization * (coeffs @ phi)
@@ -180,7 +163,7 @@ def empirical_covariance(ens: RandomWaveEnsemble, x, y):
     """Monte Carlo mean of psi(x) psi(y) with its standard error."""
     if ens.num_samples < 2:
         raise PreconditionError("need num_samples >= 2 for a standard error")
-    waves = sample_wave_grid(ens, np.arange(ens.num_samples),
+    waves = sample_wave_grid(ens, None,
                              np.vstack([np.asarray(x, float), np.asarray(y, float)]))
     prod = waves[:, 0] * waves[:, 1]
     mean = float(np.mean(prod))

@@ -76,31 +76,21 @@ def rho_hat(spec: MollifierSpec, t):
     return float(out[0]) if scalar else out
 
 
-def _panel_rule(spec: MollifierSpec, A: float, mu_max: float, n_panels_min: int = 4):
-    """Fixed composite Gauss-Legendre rule on [0, support/A] resolving both
-    the fastest oscillation and the bridge transition."""
-    T = spec.support / A
-    transition = (spec.support - spec.plateau) / A
-    panel = min(_PANEL_PERIODS * 2.0 * np.pi / max(mu_max, 1e-9),
-                transition / 6.0, T / n_panels_min)
-    n_panels = int(np.ceil(T / panel))
+def _composite_gauss_legendre(T: float, n_panels: int):
+    """Nodes and weights of the 16-point Gauss-Legendre rule on each of
+    n_panels equal panels of [0, T]."""
     edges = np.linspace(0.0, T, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mids = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mids[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights, n_panels
+    return nodes, weights
 
 
 def _sine_integrals(spec: MollifierSpec, A: float, mus: np.ndarray,
                     n_panels: int) -> np.ndarray:
     """I(mu) = int_0^{support/A} rho_hat(At) sin(t mu)/t dt on a fixed rule."""
-    T = spec.support / A
-    edges = np.linspace(0.0, T, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mids[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    nodes, weights = _composite_gauss_legendre(spec.support / A, n_panels)
     base = rho_hat(spec, A * nodes) * weights / nodes
     out = np.empty(mus.size)
     chunk = max(1, int(4e6 // max(nodes.size, 1)))
@@ -129,7 +119,13 @@ def multiplier_batch(spec: MollifierSpec, lam: float, A: float, taus,
     minus = lam - taus
     mus = np.concatenate([plus, np.abs(minus)])
     signs = np.concatenate([np.ones_like(plus), np.sign(minus)])
-    _, _, n_panels = _panel_rule(spec, A, float(np.max(mus)))
+    # panels on [0, support/A] resolving both the fastest oscillation and
+    # the bridge transition
+    T = spec.support / A
+    transition = (spec.support - spec.plateau) / A
+    panel = min(_PANEL_PERIODS * 2.0 * np.pi / max(float(np.max(mus)), 1e-9),
+                transition / 6.0, T / 4.0)
+    n_panels = int(np.ceil(T / panel))
     coarse = _sine_integrals(spec, A, mus, n_panels)
     fine = _sine_integrals(spec, A, mus, 2 * n_panels)
     err = float(np.max(np.abs(fine - coarse)))
@@ -232,17 +228,6 @@ class MultiplierTable:
                    quadrature_tol=rel_tol)
 
 
-@dataclass(frozen=True)
-class FlatHadamardData:
-    """Hadamard data specialized to flat space: the Jacobian factor is
-    identically 1, the zeroth coefficient Theta^{-1/2} is identically 1,
-    and all higher coefficients vanish."""
-
-    theta: float = 1.0
-    u0: float = 1.0
-    u_higher: float = 0.0
-
-
 class SmoothedProjector:
     """Smoothed projector on a flat torus with both evaluation routes.
 
@@ -278,11 +263,7 @@ class SmoothedProjector:
         w_max = self.image_radius
         panel = min(_PANEL_PERIODS * 2.0 * np.pi / w_max, self.A / 2.0)
         n_panels = int(np.ceil(self.tail_radius / panel))
-        edges = np.linspace(0.0, self.tail_radius, n_panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        self._r_nodes = (mids[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        self._r_weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+        self._r_nodes, self._r_weights = _composite_gauss_legendre(self.tail_radius, n_panels)
         self._m_radial = multiplier_batch(spec, lam, A, self._r_nodes, rel_tol)
 
     def spectral(self, x, y) -> float:
@@ -307,15 +288,3 @@ class SmoothedProjector:
             total += float(base @ sphere_fourier(n, self._r_nodes * float(np.linalg.norm(w))))
         return total / (2.0 * np.pi) ** n
 
-
-def smoothed_projector_spectral(m: FlatTorus, spec: MollifierSpec, lam: float,
-                                A: float, x, y) -> float:
-    """One-shot spectral-side evaluation (builds the tables; use
-    SmoothedProjector directly to amortize them)."""
-    return SmoothedProjector(m, spec, lam, A).spectral(x, y)
-
-
-def smoothed_projector_images(m: FlatTorus, spec: MollifierSpec, lam: float,
-                              A: float, x, y) -> float:
-    """One-shot method-of-images evaluation."""
-    return SmoothedProjector(m, spec, lam, A).images(x, y)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from weyl_lab.lattice import Lattice, deck_images, enumerate_dual
+from weyl_lab.lattice import Lattice, deck_images, dual_vectors
 from weyl_lab.manifolds import DerivIndex, FlatTorus, eigenlevels, spectral_function
 from weyl_lab.projector import cluster_vs_bessel, leading_term
 from weyl_lab.smoothing import MollifierSpec, SmoothedProjector
@@ -19,7 +19,7 @@ TORUS3 = FlatTorus(Lattice.square(2.0 * np.pi, dim=3))
 
 def test_hexagonal_first_shell_multiplicity():
     # the hexagonal dual lattice has six shortest vectors
-    shortest = enumerate_dual(HEX.lattice, 20.0)[1].norm
+    shortest = dual_vectors(HEX.lattice, 20.0)[2][1]
     levels = eigenlevels(HEX, 1.1 * shortest)
     assert levels[0].multiplicity == 1
     assert levels[1].multiplicity == 6

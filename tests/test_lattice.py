@@ -9,7 +9,6 @@ from weyl_lab.lattice import (
     Lattice,
     deck_images,
     dual_vectors,
-    enumerate_dual,
     injectivity_radius,
     shell_count,
     torus_log,
@@ -29,29 +28,29 @@ def brute_count(radius, reach=None):
 
 
 def test_enumerate_dual_unit_radius():
-    pts = enumerate_dual(SQUARE2PI, 1.0)
-    assert len(pts) == 5
-    assert pts[0].coeffs == (0, 0) and pts[0].norm == 0.0
-    assert {p.coeffs for p in pts} == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+    coeffs, _, norms = dual_vectors(SQUARE2PI, 1.0)
+    assert len(norms) == 5
+    assert tuple(coeffs[0]) == (0, 0) and norms[0] == 0.0
+    assert {tuple(c) for c in coeffs.tolist()} == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
 def test_enumerate_dual_radius_ten_against_brute_force():
-    pts = enumerate_dual(SQUARE2PI, 10.0)
-    assert len(pts) == brute_count(10.0) == 317
+    coeffs, _, norms = dual_vectors(SQUARE2PI, 10.0)
+    assert len(norms) == brute_count(10.0) == 317
     # complete and duplicate-free
-    assert len({p.coeffs for p in pts}) == 317
+    assert len({tuple(c) for c in coeffs.tolist()}) == 317
     # ordered by (norm, lexicographic coeffs)
-    norms = [p.norm for p in pts]
-    assert norms == sorted(norms)
+    keys = list(zip(norms.tolist(), map(tuple, coeffs.tolist())))
+    assert keys == sorted(keys)
 
 
 def test_enumerate_dual_small_radius():
-    assert len(enumerate_dual(SQUARE2PI, 0.5)) == 1
+    assert len(dual_vectors(SQUARE2PI, 0.5)[2]) == 1
 
 
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
-        enumerate_dual(SQUARE2PI, 50.0, cap=100)
+        dual_vectors(SQUARE2PI, 50.0, cap=100)
 
 
 def test_shell_count_values():
@@ -64,12 +63,12 @@ def test_shell_count_values():
 
 def test_gauss_count_consistency():
     for lam in [3.7, 9.0, 14.2]:
-        assert shell_count(SQUARE2PI, 0.0, lam) + 1 == len(enumerate_dual(SQUARE2PI, lam))
+        assert shell_count(SQUARE2PI, 0.0, lam) + 1 == len(dual_vectors(SQUARE2PI, lam)[2])
 
 
 def test_weyl_count_within_five_percent():
     lam = 200.0
-    n = len(enumerate_dual(SQUARE2PI, lam))
+    n = len(dual_vectors(SQUARE2PI, lam)[2])
     continuum = np.pi * lam**2 * SQUARE2PI.covolume / (2.0 * np.pi) ** 2
     assert abs(n / continuum - 1.0) < 0.05
 

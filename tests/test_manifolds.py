@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from weyl_lab.errors import DomainError, SpectrumError
-from weyl_lab.lattice import Lattice
+from weyl_lab.errors import DomainError, ResourceLimitError, SpectrumError
+from weyl_lab.lattice import Lattice, dual_vectors
 from weyl_lab.manifolds import (
     ZERO_DERIV,
     DerivIndex,
@@ -13,6 +13,7 @@ from weyl_lab.manifolds import (
     eigenlevels,
     eigenvalue_count,
     spectral_function,
+    spectral_window,
     sphere_angle,
 )
 
@@ -38,6 +39,46 @@ def test_eigenlevels_torus():
     levels = eigenlevels(TORUS, 1.0)
     assert [lv.multiplicity for lv in levels] == [1, 4]
     assert sum(lv.multiplicity for lv in eigenlevels(TORUS, 10.0)) == 317
+
+
+def _level_loop_degrees(m, lo, hi):
+    # reference: walk the levels one by one
+    degrees, l = [], 0
+    while m.level_sqrt_eigenvalue(l) <= hi:
+        if m.level_sqrt_eigenvalue(l) > lo:
+            degrees.append(l)
+        l += 1
+    return degrees
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+def test_sphere_window_matches_level_loop(radius):
+    m = RoundSphere2(radius)
+    a, b = m.level_sqrt_eigenvalue(3), m.level_sqrt_eigenvalue(12)
+    # each endpoint exactly on a level and one ulp to either side
+    los = [-1.0, np.nextafter(a, 0.0), a, np.nextafter(a, np.inf)]
+    his = [np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)]
+    for lo in los:
+        for hi in his:
+            win = spectral_window(m, lo, hi)
+            expected = _level_loop_degrees(m, lo, hi)
+            assert win.degrees.tolist() == expected
+            assert win.roots.tolist() == [m.level_sqrt_eigenvalue(l) for l in expected]
+            assert win.mults.tolist() == [2 * l + 1 for l in expected]
+    # the candidate degrees are allocated at once, so the cap bounds them
+    with pytest.raises(ResourceLimitError):
+        spectral_window(m, -1.0, 1e6, cap=100)
+
+
+def test_torus_window_is_the_enumeration_above_lo():
+    coeffs, vectors, norms = dual_vectors(TORUS.lattice, 9.0)
+    for lo in (-1.0, 0.0, 5.0, np.sqrt(26.0)):
+        win = spectral_window(TORUS, lo, 9.0)
+        keep = norms > lo
+        assert np.array_equal(win.roots, norms[keep])
+        assert np.array_equal(win.vectors, vectors[keep])
+        assert np.array_equal(win.coeffs, coeffs[keep])
+        assert np.array_equal(win.mults, np.ones(np.count_nonzero(keep)))
 
 
 def test_spectral_function_constant_mode_only():

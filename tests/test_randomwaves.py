@@ -170,3 +170,57 @@ def test_sample_wave_grid_matches_pointwise():
     assert grid.shape == (2, 2)
     assert grid[0, 1] == pytest.approx(sample_wave(ens, 1, pts[1]), abs=1e-15)
     assert grid[1, 0] == pytest.approx(sample_wave(ens, 4, pts[0]), abs=1e-15)
+
+
+def test_covariance_report_draws_coefficients_once(monkeypatch):
+    import weyl_lab.randomwaves as rw
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return gaussian_matrix(*args)
+
+    ens = RandomWaveEnsemble(TORUS, 20.0, 1.0, seed=9, num_samples=300)
+    pairs = [(np.zeros(2), np.array([0.1 * j, 0.05 * j])) for j in range(4)]
+    # reference: each pair sampled through explicit indices, a fresh draw each
+    expected = []
+    for x, y in pairs:
+        waves = sample_wave_grid(ens, np.arange(ens.num_samples), np.vstack([x, y]))
+        prod = waves[:, 0] * waves[:, 1]
+        expected.append((np.mean(prod), np.std(prod, ddof=1) / np.sqrt(prod.size)))
+    monkeypatch.setattr(rw, "gaussian_matrix", counting)
+    rep = covariance_report(RandomWaveEnsemble(TORUS, 20.0, 1.0, seed=9, num_samples=300),
+                            pairs)
+    assert len(calls) == 1
+    assert np.array_equal(rep.empirical, [m for m, _ in expected])
+    assert np.array_equal(rep.std_errors, [s for _, s in expected])
+
+
+@pytest.mark.parametrize("basis", ["square2pi", "hex", "mat:1,0.3;0,1.2"])
+def test_canonical_half_matches_row_loop(basis):
+    from weyl_lab.cli import parse_manifold
+    from weyl_lab.lattice import dual_vectors
+
+    m = parse_manifold("torus:2:" + basis)
+    lam, width = 40.0, 3.0
+    # reference: the per-row scan for the first nonzero coefficient
+    coeffs, vectors, norms = dual_vectors(m.lattice, lam + width)
+    sel = norms > lam
+    coeffs, vectors = coeffs[sel], vectors[sel]
+    canonical = np.zeros(coeffs.shape[0], dtype=bool)
+    for i, c in enumerate(coeffs):
+        nz = c[c != 0]
+        canonical[i] = nz.size > 0 and nz[0] > 0
+    ref = vectors[canonical]
+    assert 0 < ref.shape[0] < vectors.shape[0]
+
+    ens = RandomWaveEnsemble(m, lam, width, seed=1, num_samples=2)
+    assert ens.mode_count == 2 * ref.shape[0]
+    pts = np.array([[0.0, 0.0], [0.31, -0.7], [1.3, 0.4]])
+    phases = ref @ pts.T
+    amp = np.sqrt(2.0 / m.lattice.covolume)
+    expected = np.empty((2 * ref.shape[0], pts.shape[0]))
+    expected[0::2] = amp * np.cos(phases)
+    expected[1::2] = amp * np.sin(phases)
+    assert np.array_equal(ens.mode_values(pts), expected)

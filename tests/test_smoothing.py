@@ -6,7 +6,6 @@ from weyl_lab.errors import DomainError
 from weyl_lab.lattice import Lattice, deck_images
 from weyl_lab.manifolds import FlatTorus, spectral_function
 from weyl_lab.smoothing import (
-    FlatHadamardData,
     MollifierSpec,
     MultiplierTable,
     SmoothedProjector,
@@ -16,8 +15,6 @@ from weyl_lab.smoothing import (
     multiplier,
     multiplier_batch,
     rho_hat,
-    smoothed_projector_images,
-    smoothed_projector_spectral,
     spectral_tail_radius,
 )
 
@@ -196,23 +193,6 @@ def test_image_count_growth_polynomial():
     for R in counts:
         continuum = np.pi * R**2 / TORUS.lattice.covolume
         assert counts[R] <= 3.0 * continuum
-
-
-def test_one_shot_wrappers_match_class():
-    x, y = np.array([0.1, 0.2]), np.array([0.9, 1.4])
-    sp = SmoothedProjector(TORUS, SPEC, 5.0, 1.0)
-    assert_allclose(smoothed_projector_spectral(TORUS, SPEC, 5.0, 1.0, x, y),
-                    sp.spectral(x, y), rtol=1e-14)
-    assert_allclose(smoothed_projector_images(TORUS, SPEC, 5.0, 1.0, x, y),
-                    sp.images(x, y), rtol=1e-14)
-
-
-def test_flat_hadamard_constants():
-    # flat specialization: Theta = 1, u_0 = Theta^{-1/2} = 1, u_nu = 0
-    data = FlatHadamardData()
-    assert data.theta == 1.0
-    assert data.u0 == data.theta ** (-0.5) == 1.0
-    assert data.u_higher == 0.0
 
 
 def test_multiplier_domain_checks():
