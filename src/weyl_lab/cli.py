@@ -308,10 +308,11 @@ def run_smooth_compare(config: dict):
                 im = proj.images(x, y)
                 diff = abs(s - im)
                 worst = max(worst, diff / (1.0 + abs(s)))
-                rows.append((lam, a, i, x[0], x[1], y[0], y[1], s, im, diff))
+                rows.append((lam, a, i, *x, *y, s, im, diff))
             results["max_rel_err_lambda=%s_A=%s" % (fmt(float(lam)), fmt(a))] = worst
-    header = ["lambda", "A", "pair_index", "x1", "x2", "y1", "y2",
-              "spectral", "images", "abs_diff"]
+    coords = range(1, m.dim + 1)
+    header = (["lambda", "A", "pair_index"] + ["x%d" % k for k in coords]
+              + ["y%d" % k for k in coords] + ["spectral", "images", "abs_diff"])
     return header, rows, results
 
 

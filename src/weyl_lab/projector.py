@@ -43,42 +43,24 @@ class RemainderSample:
     deriv: DerivIndex
 
 
-def _ball_profile_derivative(n: int, u: np.ndarray, gamma) -> float:
-    """D^gamma of G(u) = integral over the unit ball of e^{i<u,xi>} d xi,
-    |gamma| <= 2, via d/dr [J_nu(r)/r^nu] = -r * J_{nu+1}(r)/r^{nu+1}."""
+def _profile_derivative(twice_nu: int, u: np.ndarray, gamma) -> float:
+    """D^gamma of (2 pi)^{n/2} J_nu(|u|)/|u|^nu for u in R^n, |gamma| <= 2,
+    via d/dr [J_nu(r)/r^nu] = -r * J_{nu+1}(r)/r^{nu+1}.  nu = n/2 is the
+    unit-ball Fourier transform, nu = (n-2)/2 the unit-sphere one."""
     r = float(np.linalg.norm(u))
-    c = (2.0 * np.pi) ** (n / 2.0)
+    c = (2.0 * np.pi) ** (u.size / 2.0)
     total = int(sum(gamma))
-    # BesselOrder takes 2*nu: the ladder runs f_{n/2}, f_{n/2+1}, f_{n/2+2}
+    # BesselOrder takes 2*nu: the ladder runs f_nu, f_{nu+1}, f_{nu+2}
     if total == 0:
-        return c * float(bessel_ratio(BesselOrder(n), r))
+        return c * float(bessel_ratio(BesselOrder(twice_nu), r))
     idx = [j for j, g in enumerate(gamma) for _ in range(g)]
     if total == 1:
         (j,) = idx
-        return -c * float(u[j]) * float(bessel_ratio(BesselOrder(n + 2), r))
+        return -c * float(u[j]) * float(bessel_ratio(BesselOrder(twice_nu + 2), r))
     i, j = idx
-    val = float(u[i]) * float(u[j]) * float(bessel_ratio(BesselOrder(n + 4), r))
+    val = float(u[i]) * float(u[j]) * float(bessel_ratio(BesselOrder(twice_nu + 4), r))
     if i == j:
-        val -= float(bessel_ratio(BesselOrder(n + 2), r))
-    return c * val
-
-
-def _sphere_profile_derivative(n: int, u: np.ndarray, gamma) -> float:
-    """D^gamma of S(u) = integral over S^{n-1} of e^{i<u,sigma>} d sigma,
-    |gamma| <= 2; same ladder one order down (f_{(n-2)/2} upward)."""
-    r = float(np.linalg.norm(u))
-    c = (2.0 * np.pi) ** (n / 2.0)
-    total = int(sum(gamma))
-    if total == 0:
-        return c * float(bessel_ratio(BesselOrder(n - 2), r))
-    idx = [j for j, g in enumerate(gamma) for _ in range(g)]
-    if total == 1:
-        (j,) = idx
-        return -c * float(u[j]) * float(bessel_ratio(BesselOrder(n), r))
-    i, j = idx
-    val = float(u[i]) * float(u[j]) * float(bessel_ratio(BesselOrder(n + 2), r))
-    if i == j:
-        val -= float(bessel_ratio(BesselOrder(n), r))
+        val -= float(bessel_ratio(BesselOrder(twice_nu + 2), r))
     return c * val
 
 
@@ -100,7 +82,7 @@ def leading_term(m: FlatTorus, lam: float, x, y, d: DerivIndex = ZERO_DERIV) -> 
     alpha, gamma = _combined_gamma(m, d)
     base = lam**n / (2.0 * np.pi) ** n
     deriv_scale = (-1.0) ** sum(alpha) * lam ** int(sum(gamma))
-    return base * deriv_scale * _ball_profile_derivative(n, lam * w, gamma)
+    return base * deriv_scale * _profile_derivative(n, lam * w, gamma)
 
 
 def remainder(m: FlatTorus, lam: float, x, y, d: DerivIndex = ZERO_DERIV,
@@ -204,7 +186,7 @@ def cluster_prediction(m: ModelManifold, lam: float, width: float, dist,
         base = width * lam_mid ** (n - 1) / (2.0 * np.pi) ** n
         scale = (-1.0) ** sum(alpha) * lam_mid ** int(sum(gamma))
         vals = np.array([
-            base * scale * _sphere_profile_derivative(n, lam_mid * r * direction, gamma)
+            base * scale * _profile_derivative(n - 2, lam_mid * r * direction, gamma)
             for r in dist
         ])
     return (float(vals[0]), float(lam_mid)) if scalar else (vals, float(lam_mid))

@@ -4,7 +4,7 @@ the rescaled covariance.
 
 Torus ensembles sample cos/sin mode pairs over the window's dual points;
 sphere ensembles sample an explicit real orthonormal basis per level
-(normalized associated-Legendre recurrences, built once per ensemble).
+(spherical-harmonic-normalized associated Legendre functions).
 """
 
 from __future__ import annotations
@@ -12,35 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import sph_legendre_p
 
 from .errors import DomainError, PreconditionError
 from .manifolds import FlatTorus, ModelManifold, cluster_kernel, spectral_window
 from .rng import gaussian_matrix
 from .specfun import universal_covariance
-
-
-def _normalized_legendre_rows(l: int, cos_theta: np.ndarray) -> np.ndarray:
-    """Spherical-harmonic-normalized associated Legendre values
-    Pbar_l^m(cos theta) for m = 0..l, shape (l+1, N); stable upward
-    recurrence, so sum_m Y_lm^2 reproduces (2l+1)/(4 pi)."""
-    x = np.asarray(cos_theta, dtype=float)
-    sin_theta = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    out = np.zeros((l + 1, x.size))
-    pmm = np.full(x.size, np.sqrt(1.0 / (4.0 * np.pi)))  # Pbar_0^0
-    for m in range(0, l + 1):
-        if m == l:
-            out[m] = pmm
-            break
-        prev = pmm                                   # Pbar_m^m
-        cur = np.sqrt(2.0 * m + 3.0) * x * pmm       # Pbar_{m+1}^m
-        for ll in range(m + 2, l + 1):
-            a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
-            b = np.sqrt(((2.0 * ll + 1.0) * (ll - 1.0 - m) * (ll - 1.0 + m))
-                        / ((2.0 * ll - 3.0) * (ll * ll - m * m)))
-            prev, cur = cur, a * x * cur - b * prev
-        out[m] = cur                                 # Pbar_l^m
-        pmm = -np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * sin_theta * pmm
-    return out
 
 
 def _sphere_level_basis_values(l: int, radius: float, points: np.ndarray) -> np.ndarray:
@@ -50,7 +27,7 @@ def _sphere_level_basis_values(l: int, radius: float, points: np.ndarray) -> np.
     pts = np.atleast_2d(points) / radius
     theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    pbar = _normalized_legendre_rows(l, np.cos(theta))
+    pbar = sph_legendre_p(l, np.arange(l + 1)[:, None], theta[None, :])[0]
     rows = [pbar[0]]
     for m in range(1, l + 1):
         rows.append(np.sqrt(2.0) * pbar[m] * np.cos(m * phi))

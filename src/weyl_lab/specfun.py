@@ -1,12 +1,9 @@
-"""Self-contained special functions: Bessel J of integer/half-integer order,
+"""Special functions for the kernels: Bessel J of integer/half-integer order,
 Legendre polynomials, and the radial Fourier kernels of balls and spheres.
 
-Evaluation strategy for J_nu: power series for x <= max(12, 2|nu|); beyond
-that, closed trigonometric seeds and a stable upward recurrence for
-half-integer orders, and the large-argument (Hankel) asymptotic plus upward
-recurrence for integer orders.  Both regimes hold >= 10 significant digits
-(relative to the oscillation envelope) on x in [0, 1e4] for orders up to
-NU_MAX; the crossover is where the two error curves meet (~1e-11).
+J_nu and P_l are evaluated by scipy.special (jv, eval_legendre); this module
+fixes the domain (orders -1 <= nu <= NU_MAX in half steps, x >= 0, |x| <= 1)
+and fills in the removable singularity of J_nu(r)/r^nu at r = 0.
 """
 
 from __future__ import annotations
@@ -15,17 +12,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import eval_legendre, jv
 
 from .errors import DomainError
 
-# Largest validated order; series cancellation destroys the 10-digit
-# guarantee above this for x near nu.
+# Largest order the mpmath sweep in the tests checks (10 digits relative to
+# the oscillation envelope on [0, 1e4]); larger orders are rejected as input.
 NU_MAX = 10.0
 
 # Radial kernels switch to their Taylor limit below this radius.
 RADIAL_SERIES_SWITCH = 1e-6
-
-_SERIES_X_FLOOR = 12.0
 
 
 @dataclass(frozen=True)
@@ -49,10 +45,6 @@ class BesselOrder:
     def nu(self) -> float:
         return self.twice_order / 2.0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice_order % 2 == 0
-
     @classmethod
     def from_value(cls, value) -> "BesselOrder":
         if isinstance(value, cls):
@@ -61,127 +53,6 @@ class BesselOrder:
         if abs(twice - round(twice)) > 1e-12:
             raise DomainError("order %r is not an integer or half-integer" % (value,))
         return cls(int(round(twice)))
-
-
-def _series_j(nu: float, x: np.ndarray) -> np.ndarray:
-    """Power series for J_nu, valid/stable for x <= max(12, 2|nu|)."""
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    if np.any(~pos):
-        out[~pos] = 1.0 if nu == 0.0 else (np.inf if nu < 0.0 else 0.0)
-    if not np.any(pos):
-        return out
-    xp = x[pos]
-    term = np.exp(nu * np.log(xp / 2.0) - math.lgamma(nu + 1.0))
-    acc = term.copy()
-    q = -(xp * xp) / 4.0
-    for k in range(1, 200):
-        term = term * q / (k * (nu + k))
-        acc += term
-        if np.all(np.abs(term) <= 1e-18 * (np.abs(acc) + 1e-300)):
-            break
-    out[pos] = acc
-    return out
-
-
-def _hankel_j(nu: int, x: np.ndarray) -> np.ndarray:
-    """Large-argument asymptotic for integer nu in {0, 1}; x >= 12.
-
-    Terms are added until they stop decreasing (asymptotic series truncated
-    at its minimal term, error ~ e^{-2x} <= 4e-11 at the x = 12 crossover).
-    """
-    mu = 4.0 * nu * nu
-    inv8x = 1.0 / (8.0 * x)
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    term = np.ones_like(x)
-    active = np.ones(x.shape, dtype=bool)
-    prev = np.full_like(x, np.inf)
-    for k in range(1, 60):
-        term = term * (mu - (2.0 * k - 1.0) ** 2) / k * inv8x
-        grew = np.abs(term) >= prev
-        active &= ~grew
-        if not np.any(active):
-            break
-        prev = np.abs(term)
-        sign = (-1.0) ** (k // 2)
-        contrib = np.where(active, sign * term, 0.0)
-        if k % 2 == 1:
-            q += contrib
-        else:
-            p += contrib
-        if np.all(np.abs(term) < 1e-18):
-            break
-    chi = x - (0.5 * nu + 0.25) * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def _ladder_up(j_lower: np.ndarray, j_upper: np.ndarray, nu_start: float,
-               nu_target: float, x: np.ndarray) -> np.ndarray:
-    """Upward three-term recurrence from (J_{nu_start-1}, J_{nu_start}).
-
-    Stable because callers guarantee nu_target <= x/2.
-    """
-    jm, j = j_lower, j_upper
-    nu = nu_start
-    while nu < nu_target - 0.25:
-        jm, j = j, (2.0 * nu / x) * j - jm
-        nu += 1.0
-    return j
-
-
-def _miller_j(order: BesselOrder, x: np.ndarray) -> np.ndarray:
-    """Normalized downward recurrence for nu >= 6.5 in the band x ~ 2 nu,
-    where the series loses digits to cancellation.
-
-    Integer orders renormalize by J_0 + 2 sum J_{2k} = 1; half-integer
-    orders by the closed form for J_{1/2}.
-    """
-    nu = order.nu
-    m_top = int(math.ceil(max(nu, float(np.max(x))))) + 40
-    frac = 0.5 if not order.is_integer else 0.0
-    jp = np.zeros_like(x)
-    j = np.full_like(x, 1e-30)
-    target = np.zeros_like(x)
-    norm = np.zeros_like(x)
-    mu = m_top + frac
-    while mu > frac - 0.25:
-        jp, j = j, (2.0 * (mu + 1.0) / x) * j - jp
-        # j now holds the unnormalized J_mu
-        if abs(mu - nu) < 0.25:
-            target = j.copy()
-        if order.is_integer and mu >= 1.0 and int(round(mu)) % 2 == 0:
-            norm += 2.0 * j
-        mu -= 1.0
-    if order.is_integer:
-        norm += j  # the J_0 row; sum rule J_0 + 2 sum J_{2k} = 1
-    else:
-        # normalize by J_{1/2} ~ sin or J_{-1/2} ~ cos, whichever is larger
-        jm = (1.0 / x) * j - jp  # one more step down from (J_{3/2}, J_{1/2})
-        amp = np.sqrt(2.0 / (np.pi * x))
-        use_sin = np.abs(np.sin(x)) >= np.abs(np.cos(x))
-        norm = np.where(use_sin, j / (amp * np.sin(x)), jm / (amp * np.cos(x)))
-    return target / norm
-
-
-def _large_x_j(order: BesselOrder, x: np.ndarray) -> np.ndarray:
-    nu = order.nu
-    if order.is_integer:
-        j0 = _hankel_j(0, x)
-        if nu == 0.0:
-            return j0
-        j1 = _hankel_j(1, x)
-        if nu == 1.0:
-            return j1
-        return _ladder_up(j0, j1, 1.0, nu, x)
-    amp = np.sqrt(2.0 / (np.pi * x))
-    jm = amp * np.cos(x)   # J_{-1/2}
-    jp = amp * np.sin(x)   # J_{+1/2}
-    if nu == -0.5:
-        return jm
-    if nu == 0.5:
-        return jp
-    return _ladder_up(jm, jp, 0.5, nu, x)
 
 
 def bessel_j(order, x):
@@ -200,58 +71,24 @@ def bessel_j(order, x):
     """
     order = BesselOrder.from_value(order)
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
     if np.any(xa < 0.0):
         raise DomainError("bessel_j requires x >= 0")
-    if order.twice_order == -2:
-        # J_{-1} = -J_1
-        res = -bessel_j(BesselOrder(2), xa)
-        return float(res[0]) if scalar else res
-
-    nu = order.nu
-    crossover = max(_SERIES_X_FLOOR, 2.0 * abs(nu))
-    out = np.empty_like(xa)
-    small = xa <= crossover
-    if nu >= 6.5:
-        # hand the cancellation-prone upper series band to Miller recurrence
-        mid = small & (xa > 1.5 * nu)
-        if np.any(mid):
-            out[mid] = _miller_j(order, xa[mid])
-        small &= ~mid
-    if np.any(small):
-        if order.twice_order == -1:
-            # closed form has no cancellation; series would hit (x/2)^{-1/2} at 0
-            xs = xa[small]
-            with np.errstate(divide="ignore"):
-                out[small] = np.sqrt(2.0 / (np.pi * xs)) * np.cos(xs)
-        else:
-            out[small] = _series_j(nu, xa[small])
-    if np.any(~small):
-        out[~small] = _large_x_j(order, xa[~small])
-    return float(out[0]) if scalar else out
+    out = jv(order.nu, xa)
+    return float(out) if xa.ndim == 0 else out
 
 
 def legendre_p(l: int, x):
-    """Legendre polynomial P_l(x) on [-1, 1] by the three-term recurrence.
+    """Legendre polynomial P_l(x) on [-1, 1].
 
     P_l(1) = 1 exactly; |x| > 1 raises a domain error.
     """
     if l < 0 or not isinstance(l, (int, np.integer)):
         raise DomainError("degree l must be a nonnegative integer")
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
     if np.any(np.abs(xa) > 1.0 + 1e-14):
         raise DomainError("legendre_p requires |x| <= 1")
-    xa = np.clip(xa, -1.0, 1.0)
-    pm = np.ones_like(xa)
-    if l == 0:
-        return float(pm[0]) if scalar else pm
-    p = xa.copy()
-    for k in range(1, l):
-        pm, p = p, ((2.0 * k + 1.0) * xa * p - k * pm) / (k + 1.0)
-    return float(p[0]) if scalar else p
+    out = eval_legendre(l, np.clip(xa, -1.0, 1.0))
+    return float(out) if xa.ndim == 0 else out
 
 
 def bessel_ratio(order, r):

@@ -162,6 +162,36 @@ def test_smooth_compare_small_and_thread_env(tmp_path, monkeypatch):
     assert lines[0] == EXPECTED_HEADERS["smooth-compare"]
 
 
+def test_smooth_compare_writes_every_coordinate_in_3d(tmp_path, monkeypatch):
+    import weyl_lab.cli as cli
+
+    class StubProjector:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def spectral(self, x, y):
+            return 0.0
+
+        def images(self, x, y):
+            return 0.0
+
+    monkeypatch.setattr(cli, "SmoothedProjector", StubProjector)
+    manifold = "torus:3:diag:0.5,0.5,0.5"
+    res = run_cli(["smooth-compare", "--manifold", manifold, "--lambda-grid", "30:30:1",
+                   "--A", "1.0", "--pairs", "2", "--seed", "1", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    lines = (tmp_path / "smooth-compare.csv").read_text().strip().splitlines()
+    assert lines[0] == ("lambda,A,pair_index,x1,x2,x3,y1,y2,y3,"
+                        "spectral,images,abs_diff")
+    m = parse_manifold(manifold)
+    cell = m.lattice.basis @ (0.5 * np.ones(3))
+    pairs = cli.seeded_pairs(m.lattice, 2, 1, max_dist=float(np.linalg.norm(cell)))
+    for line, (x, y) in zip(lines[1:], pairs):
+        fields = line.split(",")
+        assert len(fields) == 12
+        assert [float(v) for v in fields[3:9]] == [*x, *y]
+
+
 def test_randomwave_sample_mode_determinism(tmp_path):
     args = ["randomwave", "--manifold", "torus:2:square2pi", "--mode", "sample",
             "--lambda", "10.3", "--samples", "3", "--dist-grid", "0:0.5:2",

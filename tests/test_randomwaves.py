@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -88,6 +89,68 @@ def test_exact_covariance_identity_sphere():
     phi = ens.mode_values(np.vstack([x, y]))
     direct = ens.lam ** (1 - 2) * float(phi[:, 0] @ phi[:, 1])
     assert_allclose(direct, exact_covariance(ens, x, y), rtol=1e-11)
+
+
+def _normalized_legendre_rows(l: int, cos_theta: np.ndarray) -> np.ndarray:
+    """Spherical-harmonic-normalized associated Legendre values
+    Pbar_l^m(cos theta) for m = 0..l, shape (l+1, N); stable upward
+    recurrence, so sum_m Y_lm^2 reproduces (2l+1)/(4 pi)."""
+    x = np.asarray(cos_theta, dtype=float)
+    sin_theta = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    out = np.zeros((l + 1, x.size))
+    pmm = np.full(x.size, np.sqrt(1.0 / (4.0 * np.pi)))  # Pbar_0^0
+    for m in range(0, l + 1):
+        if m == l:
+            out[m] = pmm
+            break
+        prev = pmm                                   # Pbar_m^m
+        cur = np.sqrt(2.0 * m + 3.0) * x * pmm       # Pbar_{m+1}^m
+        for ll in range(m + 2, l + 1):
+            a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
+            b = np.sqrt(((2.0 * ll + 1.0) * (ll - 1.0 - m) * (ll - 1.0 + m))
+                        / ((2.0 * ll - 3.0) * (ll * ll - m * m)))
+            prev, cur = cur, a * x * cur - b * prev
+        out[m] = cur                                 # Pbar_l^m
+        pmm = -np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * sin_theta * pmm
+    return out
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 5, 51, 120])
+def test_sphere_level_basis_matches_recurrence(l):
+    from weyl_lab.randomwaves import _sphere_level_basis_values
+
+    # reference: the upward associated-Legendre recurrence above, assembled
+    # into the same (m = 0, then cos/sin pairs) real basis; agreement in sign
+    # keeps seeded sphere waves on the same realisations
+    radius = 1.7
+    theta = np.array([0.0, 0.4, 1.1, 0.5 * np.pi, 2.3, np.pi])
+    phi = np.linspace(-3.0, 3.1, theta.size)
+    pts = radius * np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                             np.cos(theta)], axis=1)
+    pbar = _normalized_legendre_rows(l, pts[:, 2] / radius)
+    azimuth = np.arctan2(pts[:, 1], pts[:, 0])
+    rows = [pbar[0]]
+    for m in range(1, l + 1):
+        rows.append(np.sqrt(2.0) * pbar[m] * np.cos(m * azimuth))
+        rows.append(np.sqrt(2.0) * pbar[m] * np.sin(m * azimuth))
+    expected = np.vstack(rows) / radius
+    got = _sphere_level_basis_values(l, radius, pts)
+    assert got.shape == (2 * l + 1, theta.size)
+    assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    # within 1e-3 of a pole the recurrence's sqrt(1 - cos^2) loses digits
+    # (5e-12 at l = 120, m = 1), so there the oracle is mpmath (phi = 0)
+    near = np.array([1e-3, np.pi - 1e-3])
+    pts = radius * np.stack([np.sin(near), np.zeros(2), np.cos(near)], axis=1)
+    got = _sphere_level_basis_values(l, radius, pts)
+    for k, z in enumerate(pts[:, 2] / radius):
+        for m in range(min(l, 2) + 1):
+            with mp.workdps(30):
+                scale = mp.sqrt((2 * l + 1) / (4 * mp.pi)
+                                * mp.factorial(l - m) / mp.factorial(l + m))
+                want = float(scale * mp.legenp(l, m, mp.mpf(z))) / radius
+            row = got[0] if m == 0 else got[2 * m - 1] / np.sqrt(2.0)
+            assert abs(row[k] - want) <= 1e-12, (m, z)
 
 
 def test_empirical_covariance_within_statistical_error():

@@ -104,6 +104,15 @@ def test_legendre_bounded_on_interval():
         assert np.max(np.abs(legendre_p(l, xs))) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("l", [50, 200, 800])
+def test_legendre_mpmath_at_scan_degrees(l):
+    # sphere scans reach degree ~800; mpmath at 30 digits is the oracle
+    xs = [-0.999, -0.3, 0.1, 0.77, 0.99999]
+    got = legendre_p(l, np.array(xs))
+    for x, g in zip(xs, got):
+        assert abs(g - float(mp.legendre(l, mp.mpf(x)))) <= 1e-12, (l, x)
+
+
 def test_legendre_domain():
     with pytest.raises(DomainError):
         legendre_p(3, 1.5)
