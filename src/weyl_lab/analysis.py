@@ -161,11 +161,14 @@ def cluster_sup_scan(m: ModelManifold, lambda_grid, A_rule,
         if A <= 0.0:
             raise DomainError("window width must be positive")
         win = spectral_window(m, lam, lam + A)
+        if win.roots.size == 0:
+            raise DomainError("lambda=%.6g: the window (%.6g, %.6g] holds no eigenvalue"
+                              % (lam, lam, lam + A))
         if isinstance(m, RoundSphere2):
             # a running sum over ascending degrees (np.sum would pair terms
             # and change the last bits)
             weights = win.mults / m.volume
-            values[i] = np.cumsum(weights)[-1] if weights.size else 0.0
+            values[i] = np.cumsum(weights)[-1]
         else:
             alpha, _ = d.padded(n)
             mono = np.ones(win.roots.size)

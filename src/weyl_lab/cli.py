@@ -293,7 +293,6 @@ def run_smooth_compare(config: dict):
     a_values = [float(v) for v in str(config["A"]).split(",")]
     n_pairs = int(config["pairs"])
     seed = int(config["seed"])
-    rel_tol = float(config.get("tol") or 1e-9)
     spec = MollifierSpec.for_manifold(m)
     cell = m.lattice.basis @ (0.5 * np.ones(m.dim))
     max_dist = float(np.linalg.norm(cell))
@@ -301,7 +300,7 @@ def run_smooth_compare(config: dict):
     rows, results = [], {}
     for lam in grid:
         for a in a_values:
-            proj = SmoothedProjector(m, spec, float(lam), a, rel_tol=rel_tol)
+            proj = SmoothedProjector(m, spec, float(lam), a)
             worst = 0.0
             for i, (x, y) in enumerate(pairs):
                 s = proj.spectral(x, y)
@@ -538,15 +537,13 @@ def offdiag_scan_cmd(manifold, lambda_grid, eps, pairs, seed, out):
 @click.option("--A", "a_values", required=True,
               help="comma-separated mollifier widths, e.g. 1.0,0.5")
 @click.option("--pairs", default=20, show_default=True)
-@click.option("--tol", default=None, type=float, help="quadrature relative tolerance")
 @seed_option
 @out_option
 @guarded
-def smooth_compare_cmd(manifold, lambda_grid, a_values, pairs, tol, seed, out):
+def smooth_compare_cmd(manifold, lambda_grid, a_values, pairs, seed, out):
     """Spectral-side vs method-of-images smoothed projector."""
     execute("smooth-compare", {"manifold": manifold, "lambda_grid": lambda_grid,
-                               "A": a_values, "pairs": pairs, "tol": tol,
-                               "seed": seed}, out)
+                               "A": a_values, "pairs": pairs, "seed": seed}, out)
 
 
 @main.command("cluster-bessel")

@@ -5,9 +5,16 @@ The time-domain wave kernel is never materialized: integrating the cutoff
 rho_hat(At) sin(t lambda)/t against a fixed frequency tau gives exactly the
 multiplier
 
-    m_{lambda,A}(tau) = (1/pi) int rho_hat(At) sin(t lambda)/t cos(t tau) dt,
+    m_{lambda,A}(tau) = (1/pi) int rho_hat(At) sin(t lambda)/t cos(t tau) dt
+                      = (J((lambda+tau)/A) + sign(lambda-tau) J(|lambda-tau|/A))/pi
 
-so the spectral side is a multiplier-weighted mode sum and each deck image
+with J(nu) = int_0^support rho_hat(u) sin(u nu)/u du (substitute u = At in
+the product-to-sum split).  J depends on neither lambda nor A, so each
+MollifierSpec gets one Chebyshev table of J, built on first use, validated
+when it is built (panel doubling, trailing coefficients, distance from pi/2
+past the table's end) and shared by every multiplier evaluation.
+
+The spectral side is a multiplier-weighted mode sum and each deck image
 contributes the radial integral (2pi)^{-n} int m(r) r^{n-1} S_n(r |w|) dr.
 Their equality is Poisson summation (exact on flat tori by finite
 propagation speed), which the tests exercise as an oracle.
@@ -19,9 +26,12 @@ fitted h-decay constants with a 2x safety factor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
+from scipy.fft import dct
 
 from . import lattice as lat
 from .errors import DomainError, QuadratureError
@@ -32,6 +42,14 @@ from .specfun import sphere_fourier
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # 16-node panels sized for ~13 nodes per oscillation period
 _PANEL_PERIODS = 16.0 / 13.0
+# J is tabulated on [0, nu0] with nu0 * (support - plateau) = 420; past
+# that the exp-bridge keeps |J - pi/2| near 1e-14
+_NU0_TRANSITION = 420.0
+# J' is band-limited to [-support, support]; the Chebyshev coefficients
+# reach the rounding floor near degree 0.6 nu0 support
+_DEGREE_PER_BANDWIDTH = 0.65
+_TABLE_TOL = 1e-13
+_TABLE_DOUBLINGS = 1
 
 
 @dataclass(frozen=True)
@@ -87,27 +105,88 @@ def _composite_gauss_legendre(T: float, n_panels: int):
     return nodes, weights
 
 
-def _sine_integrals(spec: MollifierSpec, A: float, mus: np.ndarray,
-                    n_panels: int) -> np.ndarray:
-    """I(mu) = int_0^{support/A} rho_hat(At) sin(t mu)/t dt on a fixed rule."""
-    nodes, weights = _composite_gauss_legendre(spec.support / A, n_panels)
-    base = rho_hat(spec, A * nodes) * weights / nodes
-    out = np.empty(mus.size)
+def _sine_integrals(spec: MollifierSpec, nus: np.ndarray, n_panels: int) -> np.ndarray:
+    """J(nu) = int_0^support rho_hat(u) sin(u nu)/u du on a fixed rule."""
+    nodes, weights = _composite_gauss_legendre(spec.support, n_panels)
+    base = rho_hat(spec, nodes) * weights / nodes
+    out = np.empty(nus.size)
     chunk = max(1, int(4e6 // max(nodes.size, 1)))
-    for lo in range(0, mus.size, chunk):
-        mu_block = mus[lo:lo + chunk]
-        out[lo:lo + chunk] = np.sin(np.outer(mu_block, nodes)) @ base
+    for lo in range(0, nus.size, chunk):
+        out[lo:lo + chunk] = np.sin(np.outer(nus[lo:lo + chunk], nodes)) @ base
     return out
 
 
-def multiplier_batch(spec: MollifierSpec, lam: float, A: float, taus,
-                     rel_tol: float = 1e-9) -> np.ndarray:
-    """m_{lambda,A} on an array of tau values by oscillation-aware
-    quadrature (product-to-sum split into sin(t(lambda +- tau))/t).
+@dataclass(frozen=True, eq=False)
+class SineIntegralTable:
+    """J as one Chebyshev series in 2 nu/nu0 - 1 on [0, nu0] and pi/2
+    beyond, with the residuals it was validated on."""
 
-    The rule is validated by panel doubling; failure to converge raises
-    QuadratureError with diagnostics.
+    nu0: float
+    coeffs: np.ndarray
+    panels: int
+    residual: float  # panel-doubling residual at the nodes and probes
+    trailing: float  # largest coefficient in the last eighth of the series
+    tail: float  # max |J - pi/2| on probes in [nu0, 1.5 nu0)
+
+    @property
+    def degree(self) -> int:
+        return self.coeffs.size - 1
+
+    def __call__(self, nus) -> np.ndarray:
+        nus = np.asarray(nus, dtype=float)
+        out = np.full(nus.shape, 0.5 * np.pi)
+        inside = nus < self.nu0
+        out[inside] = chebval(2.0 * nus[inside] / self.nu0 - 1.0, self.coeffs)
+        return out
+
+
+@functools.lru_cache(maxsize=16)
+def sine_integral_table(spec: MollifierSpec) -> SineIntegralTable:
+    """The spec's J table, built on first use and then shared.
+
+    J is sampled at first-kind Chebyshev nodes by the composite rule at two
+    panel counts; the coefficients come from a DCT.  A table is accepted
+    when the panel-doubling residual, the trailing coefficients and the
+    distance from pi/2 past nu0 are all below 1e-13.  Otherwise the degree
+    doubles once (and nu0 with it if the tail failed); if the checks still
+    fail, QuadratureError carries the last attempt's diagnostics.
     """
+    width = spec.support - spec.plateau
+    nu0 = _NU0_TRANSITION / width
+    n = int(np.ceil(_DEGREE_PER_BANDWIDTH * nu0 * spec.support)) + 1
+    for _ in range(_TABLE_DOUBLINGS + 1):
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        probes = nu0 * (1.0 + np.arange(16) / 32.0)
+        nus = np.concatenate([nu0 * np.cos(0.5 * theta) ** 2, probes])
+        panel = min(_PANEL_PERIODS * 2.0 * np.pi / float(nus.max()),
+                    width / 6.0, spec.support / 4.0)
+        n_panels = int(np.ceil(spec.support / panel))
+        coarse = _sine_integrals(spec, nus, n_panels)
+        fine = _sine_integrals(spec, nus, 2 * n_panels)
+        coeffs = dct(fine[:n], type=2) / n
+        coeffs[0] *= 0.5
+        coeffs.flags.writeable = False  # every caller shares the cached table
+        table = SineIntegralTable(
+            nu0=nu0, coeffs=coeffs, panels=2 * n_panels,
+            residual=float(np.max(np.abs(fine - coarse))),
+            trailing=float(np.max(np.abs(coeffs[-(n // 8):]))),
+            tail=float(np.max(np.abs(fine[n:] - 0.5 * np.pi))))
+        if max(table.residual, table.trailing, table.tail) <= _TABLE_TOL:
+            return table
+        if table.tail > _TABLE_TOL:
+            nu0 *= 2.0
+        n *= 2
+    raise QuadratureError(
+        "sine-integral table did not validate: plateau=%g support=%g "
+        "degree=%d nu0=%.6g panels=%d panel-doubling residual=%.3e "
+        "trailing coefficients=%.3e |J - pi/2| past nu0=%.3e tolerance=%.0e"
+        % (spec.plateau, spec.support, table.degree, table.nu0, table.panels,
+           table.residual, table.trailing, table.tail, _TABLE_TOL))
+
+
+def multiplier_batch(spec: MollifierSpec, lam: float, A: float, taus) -> np.ndarray:
+    """m_{lambda,A} on an array of tau values from the spec's J table:
+    m = (J((lambda+tau)/A) + sign(lambda-tau) J(|lambda-tau|/A))/pi."""
     if lam <= 0.0:
         raise DomainError("lambda must be positive")
     if not (0.0 < A <= 1.0):
@@ -115,40 +194,16 @@ def multiplier_batch(spec: MollifierSpec, lam: float, A: float, taus,
     taus = np.abs(np.asarray(taus, dtype=float))
     scalar = taus.ndim == 0
     taus = np.atleast_1d(taus)
-    plus = lam + taus
     minus = lam - taus
-    mus = np.concatenate([plus, np.abs(minus)])
-    signs = np.concatenate([np.ones_like(plus), np.sign(minus)])
-    # panels on [0, support/A] resolving both the fastest oscillation and
-    # the bridge transition
-    T = spec.support / A
-    transition = (spec.support - spec.plateau) / A
-    panel = min(_PANEL_PERIODS * 2.0 * np.pi / max(float(np.max(mus)), 1e-9),
-                transition / 6.0, T / 4.0)
-    n_panels = int(np.ceil(T / panel))
-    coarse = _sine_integrals(spec, A, mus, n_panels)
-    fine = _sine_integrals(spec, A, mus, 2 * n_panels)
-    err = float(np.max(np.abs(fine - coarse)))
-    tol = max(1e-11, rel_tol * (1.0 + float(np.max(np.abs(fine)))))
-    if err > tol:
-        finer = _sine_integrals(spec, A, mus, 4 * n_panels)
-        err = float(np.max(np.abs(finer - fine)))
-        fine = finer
-        if err > tol:
-            raise QuadratureError(
-                "multiplier quadrature did not converge: lambda=%g A=%g "
-                "panels=%d residual=%.3e tolerance=%.3e"
-                % (lam, A, 4 * n_panels, err, tol))
-    vals = signs * fine
+    vals = sine_integral_table(spec)(np.concatenate([lam + taus, np.abs(minus)]) / A)
     n = taus.size
-    m = (vals[:n] + vals[n:]) / np.pi
+    m = (vals[:n] + np.sign(minus) * vals[n:]) / np.pi
     return float(m[0]) if scalar else m
 
 
-def multiplier(spec: MollifierSpec, lam: float, A: float, tau: float,
-               rel_tol: float = 1e-9) -> float:
+def multiplier(spec: MollifierSpec, lam: float, A: float, tau: float) -> float:
     """The smoothed spectral multiplier m_{lambda,A}(tau)."""
-    return float(multiplier_batch(spec, lam, A, tau, rel_tol))
+    return float(multiplier_batch(spec, lam, A, tau))
 
 
 def h_error(spec: MollifierSpec, lam: float, A: float, tau) -> float:
@@ -187,7 +242,7 @@ def fit_h_decay(spec: MollifierSpec, lam: float, A: float,
     """
     s = np.arange(4.0, 30.1, 0.5) if s_grid is None else np.asarray(s_grid, float)
     h = np.abs(h_error(spec, lam, A, lam + A * s))
-    keep = h > 1e-13  # stay above the quadrature floor
+    keep = h > _TABLE_TOL  # stay above the J table's accuracy floor
     if np.count_nonzero(keep) < 4:
         return 1.0, 2.0  # conservative fallback: tail already below floor
     slope, _ = np.polyfit(np.sqrt(s[keep]), np.log(h[keep]), 1)
@@ -217,15 +272,12 @@ class MultiplierTable:
     A: float
     tau_grid: np.ndarray
     values: np.ndarray
-    quadrature_tol: float
 
     @classmethod
-    def build(cls, spec: MollifierSpec, lam: float, A: float, taus,
-              rel_tol: float = 1e-9) -> "MultiplierTable":
+    def build(cls, spec: MollifierSpec, lam: float, A: float, taus) -> "MultiplierTable":
         taus = np.unique(np.asarray(taus, dtype=float))
-        vals = multiplier_batch(spec, lam, A, taus, rel_tol)
-        return cls(lam=lam, A=A, tau_grid=taus, values=np.asarray(vals),
-                   quadrature_tol=rel_tol)
+        vals = multiplier_batch(spec, lam, A, taus)
+        return cls(lam=lam, A=A, tau_grid=taus, values=np.asarray(vals))
 
 
 class SmoothedProjector:
@@ -237,8 +289,7 @@ class SmoothedProjector:
     """
 
     def __init__(self, m: FlatTorus, spec: MollifierSpec, lam: float, A: float,
-                 rel_tol: float = 1e-9, cap: int = lat.DEFAULT_ENUM_CAP,
-                 tail_factor: float = 1.0):
+                 cap: int = lat.DEFAULT_ENUM_CAP, tail_factor: float = 1.0):
         if not isinstance(m, FlatTorus):
             raise DomainError("smoothed projectors are defined on flat tori")
         self.manifold = m
@@ -256,7 +307,7 @@ class SmoothedProjector:
         self._vectors = vectors
         uniq, inverse = np.unique(norms, return_inverse=True)
         self._inverse = inverse
-        self.table = MultiplierTable.build(spec, lam, A, uniq, rel_tol)
+        self.table = MultiplierTable.build(spec, lam, A, uniq)
 
         # images side: fixed radial rule resolving the fastest image
         # oscillation (period 2 pi A / support) and the multiplier transition
@@ -264,7 +315,7 @@ class SmoothedProjector:
         panel = min(_PANEL_PERIODS * 2.0 * np.pi / w_max, self.A / 2.0)
         n_panels = int(np.ceil(self.tail_radius / panel))
         self._r_nodes, self._r_weights = _composite_gauss_legendre(self.tail_radius, n_panels)
-        self._m_radial = multiplier_batch(spec, lam, A, self._r_nodes, rel_tol)
+        self._m_radial = multiplier_batch(spec, lam, A, self._r_nodes)
 
     def spectral(self, x, y) -> float:
         """Multiplier-weighted mode sum (1/covol) sum m(|k|) cos<k, y-x>."""

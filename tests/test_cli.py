@@ -162,6 +162,53 @@ def test_smooth_compare_small_and_thread_env(tmp_path, monkeypatch):
     assert lines[0] == EXPECTED_HEADERS["smooth-compare"]
 
 
+def test_replay_ignores_the_removed_tol_key(tmp_path):
+    # manifests written while smooth-compare still took --tol carry a "tol"
+    # key; replaying one must write the same bytes as a fresh run
+    args = ["smooth-compare", "--manifold", "torus:2:square2pi",
+            "--lambda-grid", "3:3:1", "--A", "1.0", "--pairs", "2", "--seed", "1"]
+    out1, out2 = tmp_path / "fresh", tmp_path / "replayed"
+    assert run_cli(args + ["--out", str(out1)]).exit_code == 0
+    manifest_path = out1 / "smooth-compare.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert "tol" not in manifest["full_config"]
+    manifest["full_config"]["tol"] = 1e-6
+    old_manifest = tmp_path / "old.manifest.json"
+    old_manifest.write_text(json.dumps(manifest))
+    res = run_cli(["replay", str(old_manifest), "--out", str(out2)])
+    assert res.exit_code == 0, res.output
+    assert (out1 / "smooth-compare.csv").read_bytes() == \
+        (out2 / "smooth-compare.csv").read_bytes()
+
+
+def test_smooth_compare_exits_1_when_the_sine_table_fails(tmp_path, monkeypatch):
+    import weyl_lab.smoothing as smoothing
+
+    # a rule whose value moves with the panel count never passes panel doubling
+    monkeypatch.setattr(smoothing, "_sine_integrals",
+                        lambda spec, nus, n_panels: np.full(nus.size, 1.0 / n_panels))
+    smoothing.sine_integral_table.cache_clear()
+    res = run_cli(["smooth-compare", "--manifold", "torus:2:square2pi",
+                   "--lambda-grid", "3:3:1", "--A", "1.0", "--pairs", "2",
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("numeric failure: sine-integral table did not validate")
+    for field in ("degree=", "nu0=", "panel-doubling residual=",
+                  "trailing coefficients=", "past nu0="):
+        assert field in res.stderr
+    assert not (tmp_path / "smooth-compare.csv").exists()
+
+
+def test_cluster_sup_names_an_empty_sphere_window(tmp_path):
+    # at lambda = 50 the window (50, 50 + 1/log 50] lies between the levels
+    # sqrt(l(l+1)) = 49.50 and 50.50
+    res = run_cli(["cluster-sup", "--manifold", "sphere2", "--lambda-grid", "50:300:5",
+                   "--A-rule", "one-over-log", "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert res.stderr == ("config error: lambda=50: the window (50, 50.2556] "
+                          "holds no eigenvalue\n")
+
+
 def test_smooth_compare_writes_every_coordinate_in_3d(tmp_path, monkeypatch):
     import weyl_lab.cli as cli
 

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import weyl_lab
 from weyl_lab.errors import DomainError
 from weyl_lab.lattice import Lattice, deck_images
 from weyl_lab.manifolds import FlatTorus, spectral_function
@@ -9,17 +15,58 @@ from weyl_lab.smoothing import (
     MollifierSpec,
     MultiplierTable,
     SmoothedProjector,
+    _composite_gauss_legendre,
     fit_h_constant,
     fit_h_decay,
     h_error,
     multiplier,
     multiplier_batch,
     rho_hat,
+    sine_integral_table,
     spectral_tail_radius,
 )
 
 TORUS = FlatTorus(Lattice.square(2.0 * np.pi))
 SPEC = MollifierSpec.for_manifold(TORUS)  # plateau = pi/2, support = 0.9 pi
+HEX_SPEC = MollifierSpec.for_manifold(FlatTorus(Lattice.hexagonal(1.0)))
+
+
+def _quadrature_multiplier(spec, lam, A, taus):
+    """Reference m_{lambda,A}: the lambda- and A-specific rule on
+    [0, support/A] with ~13 nodes per period of sin(t (lambda + |tau|)),
+    validated by panel doubling."""
+    taus = np.abs(np.atleast_1d(np.asarray(taus, dtype=float)))
+    mus = np.concatenate([lam + taus, np.abs(lam - taus)])
+    signs = np.concatenate([np.ones_like(taus), np.sign(lam - taus)])
+    T = spec.support / A
+    panel = min(16.0 / 13.0 * 2.0 * np.pi / float(np.max(mus)),
+                (spec.support - spec.plateau) / A / 6.0, T / 4.0)
+    n_panels = int(np.ceil(T / panel))
+
+    def sine_integrals(panels):
+        nodes, weights = _composite_gauss_legendre(T, panels)
+        base = rho_hat(spec, A * nodes) * weights / nodes
+        return np.array([np.sin(mu * nodes) @ base for mu in mus])
+
+    coarse, fine = sine_integrals(n_panels), sine_integrals(2 * n_panels)
+    assert np.max(np.abs(fine - coarse)) < 1e-12
+    vals = signs * fine
+    return (vals[:taus.size] + vals[taus.size:]) / np.pi
+
+
+def _mpmath_sine_integral(spec, nu):
+    """J(nu) = Si(plateau nu) + int_plateau^support rho_hat(u) sin(u nu)/u du
+    at the working precision, one piece per half period on the bridge."""
+    P, S, nu = mp.mpf(spec.plateau), mp.mpf(spec.support), mp.mpf(nu)
+
+    def integrand(u):
+        s = (u - P) / (S - P)
+        f_s, f_1ms = mp.exp(-1 / s), mp.exp(-1 / (1 - s))
+        return f_1ms / (f_1ms + f_s) * mp.sin(u * nu) / u
+
+    pieces = max(4, int(mp.ceil((S - P) * nu / mp.pi)))
+    edges = [P + (S - P) * k / pieces for k in range(pieces + 1)]
+    return mp.si(P * nu) + mp.quad(integrand, edges)
 
 
 def test_mollifier_defaults():
@@ -56,6 +103,55 @@ def test_rho_hat_shape():
 )
 def test_multiplier_against_mpmath_oracle(lam, A, tau, expected):
     assert_allclose(multiplier(SPEC, lam, A, tau), expected, rtol=0, atol=2e-10)
+
+
+@pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
+def test_table_matches_quadrature_oracle(spec):
+    # 3000 random (lambda, A, tau): per A, 30 lambdas with 25 taus each,
+    # spread so that nu = (lambda +- tau)/A falls on both sides of the
+    # table's end nu0
+    nu0 = sine_integral_table(spec).nu0
+    rng = np.random.default_rng(7)
+    for A in (1.0, 0.5, 0.25, 0.2):
+        lams = rng.uniform(0.05, 0.6 * nu0 * A, 30)
+        taus = rng.uniform(0.0, 2.0 * nu0 * A, (30, 25))
+        nu_plus = (lams[:, None] + taus) / A
+        nu_minus = np.abs(lams[:, None] - taus) / A
+        for nu in (nu_plus, nu_minus):
+            assert 0.2 < np.mean(nu > nu0) < 0.8
+        for lam, row in zip(lams, taus):
+            assert_allclose(multiplier_batch(spec, lam, A, row),
+                            _quadrature_multiplier(spec, lam, A, row),
+                            rtol=0, atol=1e-12, err_msg="lambda=%g A=%g" % (lam, A))
+
+
+def test_sine_integral_table_against_mpmath():
+    table = sine_integral_table(SPEC)
+    nus = [0.75, 6.3, 57.1, 290.0]
+    got = table(np.array(nus))
+    with mp.workdps(30):
+        for nu, g in zip(nus, got):
+            assert abs(g - float(_mpmath_sine_integral(SPEC, nu))) <= 2e-14, nu
+        # past nu0 the table returns pi/2 exactly
+        beyond = 1.2 * table.nu0
+        assert abs(float(_mpmath_sine_integral(SPEC, beyond)) - np.pi / 2) <= 1e-13
+    assert table(np.array([beyond]))[0] == np.pi / 2
+
+
+def test_sine_integral_table_is_shared_and_validated():
+    table = sine_integral_table(SPEC)
+    assert sine_integral_table(MollifierSpec(SPEC.plateau, SPEC.support)) is table
+    assert max(table.residual, table.trailing, table.tail) <= 1e-13
+    assert table.degree >= 0.6 * table.nu0 * SPEC.support
+
+
+def test_sine_integral_table_not_built_at_import():
+    code = ("import weyl_lab.cli, weyl_lab.smoothing as s; "
+            "assert s.sine_integral_table.cache_info().currsize == 0")
+    src = os.path.dirname(os.path.dirname(weyl_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_multiplier_endpoint_half():
