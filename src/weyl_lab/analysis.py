@@ -144,7 +144,8 @@ def cluster_sup_scan(m: ModelManifold, lambda_grid, A_rule,
     constant modulus; the sphere level sum is rotation invariant), so the
     sup over any x-grid equals the common value.  A_rule is a fixed width
     or "one-over-log" for A = 1/log lambda; the one-over-log report carries
-    value * log(lambda) / lambda^{n-1+2|alpha|} in `normalized`.
+    value * log(lambda) / lambda^{n-1+2|alpha|} in `normalized`.  One
+    spectral window up to max(lambda + A) serves the whole grid.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     one_over_log = isinstance(A_rule, str)
@@ -154,13 +155,19 @@ def cluster_sup_scan(m: ModelManifold, lambda_grid, A_rule,
         raise DomainError("cluster sup scan takes matched derivatives (alpha == beta)")
     if isinstance(m, RoundSphere2) and not d.is_zero:
         raise DomainError("derivatives are unsupported on the sphere")
+    if grid.size == 0:
+        raise DomainError("lambda grid is empty")
     n = m.dim
+    widths = [1.0 / np.log(lam) if one_over_log else float(A_rule) for lam in grid]
+    if not all(0.0 < A < np.inf for A in widths):
+        raise DomainError("window width must be positive and finite "
+                          "(the one-over-log rule needs lambda > 1)")
+    # one window covers every (lambda, lambda + A]; each is a slice of it
+    ball = spectral_window(m, float(np.min(grid)),
+                           max(lam + A for lam, A in zip(grid, widths)))
     values = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        A = 1.0 / np.log(lam) if one_over_log else float(A_rule)
-        if A <= 0.0:
-            raise DomainError("window width must be positive")
-        win = spectral_window(m, lam, lam + A)
+    for i, (lam, A) in enumerate(zip(grid, widths)):
+        win = ball.between(lam, lam + A)
         if win.roots.size == 0:
             raise DomainError("lambda=%.6g: the window (%.6g, %.6g] holds no eigenvalue"
                               % (lam, lam, lam + A))

@@ -1,6 +1,7 @@
 """Command-line front end: every experiment is a subcommand writing a CSV
 data file plus a JSON run manifest; `replay` re-runs a manifest and must
-reproduce the CSV byte-for-byte.
+reproduce the CSV byte-for-byte (the manifest records its sha256, and a
+replay that would write other bytes exits 1 without writing).
 
 Floats are printed with 17 significant digits so reproducibility is
 checkable by byte comparison.
@@ -8,6 +9,7 @@ checkable by byte comparison.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from datetime import datetime, timezone
@@ -27,6 +29,7 @@ from .errors import (
     DomainError,
     PreconditionError,
     QuadratureError,
+    ReplayError,
     ResourceLimitError,
     WeylLabError,
 )
@@ -40,7 +43,7 @@ from .manifolds import (
     eigenlevels,
     spectral_function,
 )
-from .projector import cluster_vs_bessel, offdiagonal_scan, remainder, remainder_scan
+from .projector import cluster_vs_bessel, offdiagonal_scan, remainder_scan
 from .randomwaves import (
     RandomWaveEnsemble,
     empirical_covariance,
@@ -159,21 +162,27 @@ def seeded_pairs(lattice: Lattice, count: int, seed: int, max_dist: float | None
     return [(xs[i], xs[i] + radii[i] * dirs[i]) for i in range(count)]
 
 
+def csv_bytes(header, rows) -> bytes:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def write_outputs(out_dir: str, name: str, header, rows, config: dict,
                   results: dict | None = None) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / (name + ".csv")
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    csv_path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    data = csv_bytes(header, rows)
+    csv_path.write_bytes(data)
     manifest = {
         "subcommand": name,
         "artifact_version": __version__,
         "seed": config.get("seed"),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "full_config": config,
+        "csv_sha256": hashlib.sha256(data).hexdigest(),
     }
     if results:
         manifest["results"] = results
@@ -221,15 +230,12 @@ def run_kernel(config: dict):
     d = parse_deriv(config.get("deriv"))
     dists = parse_grid(config["dist_grid"])
     x0, points, _ = _manifold_points(m, config.get("x0"), config.get("direction"), dists)
-    rows = []
-    for r, pt in zip(dists, points):
-        if width > 0.0:
-            val = cluster_kernel(m, lam, width, x0, pt, d)
-        else:
-            val = spectral_function(m, lam, x0, pt, d)
-        rows.append((r, val))
+    if width > 0.0:
+        values = cluster_kernel(m, lam, width, x0, np.vstack(points), d)
+    else:
+        values = spectral_function(m, lam, x0, np.vstack(points), d)
     header = ["dist", "cluster_value" if width > 0.0 else "spectral_function"]
-    return header, rows, None
+    return header, list(zip(dists, values)), None
 
 
 def run_remainder_scan(config: dict):
@@ -354,9 +360,9 @@ def run_randomwave(config: dict):
         return header, rows, None
     if mode == "covariance":
         rows = []
-        for r, pt in zip(dists, points):
+        exact = exact_covariance(ens, x0, np.vstack(points))
+        for r, pt, ex in zip(dists, points, exact):
             emp, se = empirical_covariance(ens, x0, pt)
-            ex = exact_covariance(ens, x0, pt)
             rows.append((r, emp, se, ex, abs(emp - ex),
                          (emp - ex) / se if se > 0 else np.nan))
         header = ["dist", "empirical", "std_error", "exact", "abs_diff", "z_score"]
@@ -364,15 +370,13 @@ def run_randomwave(config: dict):
     if mode == "rescaled":
         if not isinstance(m, FlatTorus):
             raise DomainError("rescaled mode runs on flat tori")
-        rows = []
-        x0 = np.zeros(m.dim)
-        for sep in parse_grid(config["dist_grid"]):
-            v = np.zeros(m.dim)
-            v[0] = sep
-            exact, universal, err = rescaled_covariance_error(ens, x0, np.zeros(m.dim), v)
-            rows.append((sep, exact, universal, err))
+        seps = parse_grid(config["dist_grid"])
+        vs = np.zeros((seps.size, m.dim))
+        vs[:, 0] = seps
+        exact, universal, err = rescaled_covariance_error(
+            ens, np.zeros(m.dim), np.zeros(m.dim), vs)
         header = ["separation", "exact_rescaled", "universal_limit", "abs_error"]
-        return header, rows, None
+        return header, list(zip(seps, exact, universal, err)), None
     raise DomainError("randomwave mode must be sample, covariance, or rescaled")
 
 
@@ -424,8 +428,24 @@ RUNNERS = {
 }
 
 
-def execute(name: str, config: dict, out_dir: str) -> Path:
+def check_replay(manifest: dict, data: bytes):
+    """ReplayError unless `data` has the CSV sha256 the manifest recorded
+    (a manifest without one, written before digests were kept, passes)."""
+    recorded = manifest.get("csv_sha256")
+    got = hashlib.sha256(data).hexdigest()
+    if recorded is not None and got != recorded:
+        raise ReplayError(
+            "replay would write a different CSV: sha256 %s, the manifest recorded %s "
+            "(manifest artifact_version %s, this artifact_version %s); nothing written"
+            % (got, recorded, manifest.get("artifact_version"), __version__))
+
+
+def execute(name: str, config: dict, out_dir: str, replayed: dict | None = None) -> Path:
+    """Run a subcommand and write its outputs; with the manifest being
+    replayed, refuse to write a CSV that differs from the recorded one."""
     header, rows, results = RUNNERS[name](config)
+    if replayed is not None:
+        check_replay(replayed, csv_bytes(header, rows))
     path = write_outputs(out_dir, name, header, rows, config, results)
     if results:
         for key, val in results.items():
@@ -617,12 +637,13 @@ def cluster_sup_cmd(manifold, lambda_grid, a_rule, deriv, out):
 @out_option
 @guarded
 def replay(manifest_path, out):
-    """Re-run a manifest; the CSV it writes must be byte-identical."""
+    """Re-run a manifest; the CSV it writes must be byte-identical (exit 1,
+    nothing written, when its sha256 differs from the recorded one)."""
     manifest = json.loads(Path(manifest_path).read_text())
     name = manifest.get("subcommand")
     if name not in RUNNERS:
         raise DomainError("manifest names unknown subcommand %r" % name)
-    execute(name, manifest["full_config"], out)
+    execute(name, manifest["full_config"], out, replayed=manifest)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: configuration/precondition problems -> 2,
-resource caps -> 3, numeric failures -> 1.
+resource caps -> 3, numeric failures and replay mismatches -> 1.
 """
 
 
@@ -35,3 +35,7 @@ class ResourceLimitError(WeylLabError, RuntimeError):
 
 class QuadratureError(WeylLabError, ArithmeticError):
     """A quadrature failed to converge; message carries diagnostics."""
+
+
+class ReplayError(WeylLabError):
+    """A replayed manifest does not reproduce the CSV it recorded."""

@@ -111,7 +111,7 @@ def shell_count(lattice: Lattice, lo: float, hi: float, cap: int = DEFAULT_ENUM_
     if not (0.0 <= lo < hi):
         raise DomainError("need 0 <= lo < hi")
     _, _, norms = dual_vectors(lattice, hi, cap)
-    return int(np.count_nonzero(norms > lo))
+    return int(np.count_nonzero((norms > lo) & (norms <= hi)))
 
 
 def injectivity_radius(lattice: Lattice) -> float:

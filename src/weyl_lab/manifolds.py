@@ -6,6 +6,13 @@ over dual-lattice points (with exact monomial derivative factors).  Round
 2-sphere: addition theorem through Legendre polynomials, so kernels carry
 no quadrature error.
 
+`spectral_function` and `cluster_kernel` take a scalar lambda or a strictly
+increasing lambda grid, and a point pair or arrays of points.  Each call
+builds one window at the largest lambda and sums every (lambda, pair) over
+the slice of it that a separate scalar call would have built, so a scan
+enumerates the spectrum once and still returns the scalar values bit for
+bit.
+
 Eigenfunction conventions: torus modes e^{i<k,x>}/sqrt(covol) with k a dual
 point and eigenvalue |k|^2; sphere level l has sqrt-eigenvalue
 sqrt(l(l+1))/R and multiplicity 2l+1.
@@ -22,7 +29,8 @@ from .errors import DomainError, ResourceLimitError, SpectrumError
 from .lattice import Lattice
 from .specfun import legendre_p
 
-# lambda must stay this far from the spectrum (avoids half-counting ambiguity)
+# lambda must stay this far from the spectrum (avoids half-counting
+# ambiguity); an absolute distance, unlike the relative tie rule of eigenlevels
 ON_SPECTRUM_TOL = 1e-9
 
 
@@ -129,15 +137,23 @@ class SpectralWindow:
                                 (self.roots, self.mults, self.degrees,
                                  self.vectors, self.coeffs)))
 
+    def between(self, lo: float, hi: float) -> "SpectralWindow":
+        """The rows with lo < root <= hi (views, found by binary search)."""
+        start, stop = np.searchsorted(self.roots, [lo, hi], side="right")
+        return self[start:stop]
+
 
 def spectral_window(m: ModelManifold, lo: float, hi: float,
                     cap: int = lat.DEFAULT_ENUM_CAP) -> SpectralWindow:
     """The spectrum in (lo, hi], ascending; lo < 0 takes the whole ball.
 
-    Torus rows are the dual points `lattice.dual_vectors(hi)` returns with
-    norm > lo (views into the enumeration).  Sphere degrees are selected by
-    the comparisons `level_sqrt_eigenvalue(l) > lo` and `<= hi`, evaluated
-    for all candidate degrees at once.
+    Membership is exact: a root exactly on hi is inside, a root one ulp
+    above it is not.  Torus rows are views into `lattice.dual_vectors(hi)`,
+    whose (norm, coeffs) order lists the rows of every smaller ball as a
+    prefix, so `spectral_window(m, lo, H).between(lo2, hi2)` with
+    lo <= lo2 and hi2 <= H equals `spectral_window(m, lo2, hi2)`.  Sphere
+    degrees are all candidates l with sqrt(l(l+1))/R <= hi*R + 1, cut the
+    same way.
     """
     if isinstance(m, RoundSphere2):
         # sqrt(l(l+1)) > l, so every degree with root <= hi is below hi*R + 1
@@ -147,13 +163,12 @@ def spectral_window(m: ModelManifold, lo: float, hi: float,
                 "sphere window holds %d candidate degrees, exceeding the cap %d"
                 % (n_candidates, cap))
         ls = np.arange(n_candidates)
-        roots = np.sqrt(ls * (ls + 1.0)) / m.radius
-        keep = (roots > lo) & (roots <= hi)
-        return SpectralWindow(roots[keep], 2 * ls[keep] + 1, degrees=ls[keep])
-    coeffs, vectors, norms = lat.dual_vectors(m.lattice, hi, cap)
-    start = int(np.searchsorted(norms, lo, side="right"))
-    return SpectralWindow(norms[start:], np.ones(norms.size - start, dtype=np.int64),
-                          vectors=vectors[start:], coeffs=coeffs[start:])
+        ball = SpectralWindow(np.sqrt(ls * (ls + 1.0)) / m.radius, 2 * ls + 1, degrees=ls)
+    else:
+        coeffs, vectors, norms = lat.dual_vectors(m.lattice, hi, cap)
+        ball = SpectralWindow(norms, np.ones(norms.size, dtype=np.int64),
+                              vectors=vectors, coeffs=coeffs)
+    return ball.between(lo, hi)
 
 
 def eigenlevels(m: ModelManifold, lambda_max: float, cap: int = lat.DEFAULT_ENUM_CAP):
@@ -220,38 +235,100 @@ def _window_sum(m: ModelManifold, win: SpectralWindow, x, y, d: DerivIndex) -> f
     return float(np.real(np.sum(factor * np.exp(1j * phases)))) / m.lattice.covolume
 
 
-def spectral_function(m: ModelManifold, lam: float, x, y,
-                      d: DerivIndex = ZERO_DERIV, cap: int = lat.DEFAULT_ENUM_CAP) -> float:
+def _lambda_values(lam):
+    """A scalar lambda or a strictly increasing 1-D grid, as a 1-D array,
+    and whether it was a scalar."""
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1 or lams.size == 0:
+        raise DomainError("lambda must be a scalar or a nonempty 1-D grid")
+    if lams.ndim == 0:
+        return lams.reshape(1), True
+    if np.any(np.diff(lams) <= 0.0):
+        raise DomainError("lambda grid must be strictly increasing")
+    return lams, False
+
+
+def _point_pairs(x, y):
+    """Points x, y (vectors, or (P, dim) arrays; a single point pairs with
+    every row of the other) as two (P, dim) arrays, and whether either was
+    a point set."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim not in (1, 2) or y.ndim not in (1, 2):
+        raise DomainError("points are vectors or (P, dim) arrays of vectors")
+    try:
+        xs, ys = np.broadcast_arrays(np.atleast_2d(x), np.atleast_2d(y))
+    except ValueError:
+        raise DomainError("point arrays of shapes %s and %s do not pair up"
+                          % (x.shape, y.shape)) from None
+    return xs, ys, x.ndim == 2 or y.ndim == 2
+
+
+def _sums_over_slices(m, windows, x, y, d, scalar_lam):
+    """`_window_sum` for every (window, pair): a float, or an array of
+    shape (L,), (P,) or (L, P) as the lambda and point arguments ask."""
+    xs, ys, many = _point_pairs(x, y)
+    values = np.array([[_window_sum(m, win, xp, yp, d) for xp, yp in zip(xs, ys)]
+                       for win in windows])
+    if not many:
+        values = values[:, 0]
+    if scalar_lam:
+        values = values[0]
+    return float(values) if values.ndim == 0 else values
+
+
+def spectral_function(m: ModelManifold, lam, x, y,
+                      d: DerivIndex = ZERO_DERIV, cap: int = lat.DEFAULT_ENUM_CAP):
     """The spectral function E_lambda(x, y): full projector kernel onto
     eigenvalues <= lambda^2, as an exact mode sum.
 
-    lambda must be at least ON_SPECTRUM_TOL away from the spectrum;
-    derivatives are torus-only.
+    `lam` is a scalar or a strictly increasing 1-D grid; x and y are points
+    or (P, dim) arrays of points (a single point pairs with every row of the
+    other).  The result is a float, or an array of shape (L,), (P,) or
+    (L, P).  One window is built at the largest lambda; each lambda sums
+    its prefix, so every value equals that of a scalar call bit for bit.
+
+    On-spectrum rule: every lambda must be at least ON_SPECTRUM_TOL
+    (absolute, 1e-9) away from every sqrt-eigenvalue, else SpectrumError
+    names the first lambda that is not.  The rule is absolute, unlike
+    `eigenlevels`, which joins torus norms into one level while they differ
+    by at most ON_SPECTRUM_TOL * (1 + norm).  The ball up to the largest
+    lambda is enumerated before any sum, so a cap error comes first.
+    Derivatives are torus-only.
     """
-    if lam <= 0.0:
+    lams, scalar = _lambda_values(lam)
+    if lams[0] <= 0.0:
         raise DomainError("lambda must be positive")
     # take the ball a hair beyond lambda so the guard sees both sides
-    win = spectral_window(m, -1.0, lam + 2.0 * ON_SPECTRUM_TOL, cap)
-    if np.any(np.abs(win.roots - lam) < ON_SPECTRUM_TOL):
+    win = spectral_window(m, -1.0, lams[-1] + 2.0 * ON_SPECTRUM_TOL, cap)
+    # the roots on either side of each lambda are its nearest ones
+    right = np.minimum(np.searchsorted(win.roots, lams), win.roots.size - 1)
+    near = np.minimum(np.abs(win.roots[right] - lams),
+                      np.abs(win.roots[np.maximum(right - 1, 0)] - lams))
+    if np.any(near < ON_SPECTRUM_TOL):
         raise SpectrumError(
             "lambda=%.12g is within %g of the spectrum; shift lambda "
-            "(e.g. by a small window width) and retry" % (lam, ON_SPECTRUM_TOL))
-    inside = win[:int(np.searchsorted(win.roots, lam, side="right"))]
-    return _window_sum(m, inside, x, y, d)
+            "(e.g. by a small window width) and retry"
+            % (lams[np.argmax(near < ON_SPECTRUM_TOL)], ON_SPECTRUM_TOL))
+    return _sums_over_slices(m, [win.between(-1.0, l) for l in lams], x, y, d, scalar)
 
 
-def cluster_kernel(m: ModelManifold, lam: float, width: float, x, y,
-                   d: DerivIndex = ZERO_DERIV, cap: int = lat.DEFAULT_ENUM_CAP) -> float:
+def cluster_kernel(m: ModelManifold, lam, width: float, x, y,
+                   d: DerivIndex = ZERO_DERIV, cap: int = lat.DEFAULT_ENUM_CAP):
     """Windowed projector kernel over sqrt-eigenvalues in (lambda, lambda+width],
     computed as a single windowed mode sum.
 
+    `lam`, x and y take grids and point arrays as in `spectral_function`;
+    one window (lambda_min, lambda_max + width] serves every lambda.
     Window membership uses exact half-open comparisons, so representable
     boundary values (e.g. integer lambda on the square 2 pi torus) are
     unambiguous even when they sit on the spectrum.
     """
-    if lam <= 0.0 or width <= 0.0:
+    lams, scalar = _lambda_values(lam)
+    if lams[0] <= 0.0 or width <= 0.0:
         raise DomainError("need lambda > 0 and width > 0")
-    return _window_sum(m, spectral_window(m, lam, lam + width, cap), x, y, d)
+    win = spectral_window(m, lams[0], lams[-1] + width, cap)
+    return _sums_over_slices(m, [win.between(l, l + width) for l in lams], x, y, d, scalar)
 
 
 def eigenvalue_count(m: ModelManifold, lam: float, cap: int = lat.DEFAULT_ENUM_CAP) -> int:

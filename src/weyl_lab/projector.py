@@ -105,26 +105,34 @@ def _check_pairs_within(m: FlatTorus, point_pairs, bound: float, what: str):
                 "pair at distance %.6g violates %s <= %.6g" % (dval, what, bound))
 
 
+def _pair_arrays(point_pairs):
+    """(x, y) pairs as two (P, dim) arrays."""
+    xs, ys = zip(*point_pairs)
+    return np.array(xs, dtype=float), np.array(ys, dtype=float)
+
+
 def remainder_scan(m: FlatTorus, lambda_grid, point_pairs,
                    d: DerivIndex = ZERO_DERIV) -> ScanReport:
     """Sup over the pair set of |remainder| per lambda, with a log-log
-    exponent fit (empirical growth of the Weyl remainder)."""
+    exponent fit (empirical growth of the Weyl remainder).  The exact
+    kernel of the whole (lambda, pair) grid is one `spectral_function`
+    call, so the dual lattice is enumerated once."""
     from .lattice import injectivity_radius
 
     grid = np.asarray(lambda_grid, dtype=float)
-    if np.any(np.diff(grid) <= 0.0):
-        raise DomainError("lambda grid must be strictly increasing")
     _check_pairs_within(m, point_pairs, 0.5 * injectivity_radius(m.lattice),
                         "d_g(x,y) (half the injectivity radius)")
+    exact = spectral_function(m, grid, *_pair_arrays(point_pairs), d)
     sups = np.empty(grid.size)
     for i, lam in enumerate(grid):
-        sups[i] = max(abs(remainder(m, lam, x, y, d).remainder) for x, y in point_pairs)
+        sups[i] = max(abs(e - leading_term(m, lam, x, y, d))
+                      for e, (x, y) in zip(exact[i], point_pairs))
     return scan_report(grid, sups)
 
 
 def offdiagonal_scan(m: ModelManifold, lambda_grid, eps: float, sample_pairs) -> ScanReport:
     """Sup over pairs at distance >= eps of |E_lambda(x,y)| per lambda,
-    with the fitted growth exponent."""
+    with the fitted growth exponent; one `spectral_function` call."""
     grid = np.asarray(lambda_grid, dtype=float)
     if eps <= 0.0:
         raise DomainError("eps must be positive")
@@ -135,10 +143,8 @@ def offdiagonal_scan(m: ModelManifold, lambda_grid, eps: float, sample_pairs) ->
             dval = lat.torus_distance(m.lattice, x, y)
         if dval < eps - 1e-12:
             raise PreconditionError("pair at distance %.6g violates d_g >= %.6g" % (dval, eps))
-    sups = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        sups[i] = max(abs(spectral_function(m, lam, x, y)) for x, y in sample_pairs)
-    return scan_report(grid, sups)
+    values = spectral_function(m, grid, *_pair_arrays(sample_pairs))
+    return scan_report(grid, np.max(np.abs(values), axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,11 +223,12 @@ def cluster_vs_bessel(m: ModelManifold, lam: float, width: float, x0, dist_grid,
         points = [m.radius * np.array([np.sin(r / m.radius), 0.0, np.cos(r / m.radius)])
                   for r in dist_grid]
         x0 = m.radius * np.array([0.0, 0.0, 1.0])
-    cluster = np.array([cluster_kernel(m, lam, width, x0, pt, d) for pt in points])
+    # one window for the geodesic points and, last, the diagonal
+    values = cluster_kernel(m, lam, width, x0, np.vstack(points + [x0]), d)
+    cluster, diagonal = values[:-1], values[-1]
     prediction, lam_mid = cluster_prediction(
         m, lam, width, dist_grid, d,
         direction=direction if isinstance(m, FlatTorus) else None)
-    diagonal = cluster_kernel(m, lam, width, x0, x0, d)
     return ClusterBesselTable(
         dists=dist_grid,
         cluster=cluster,

@@ -129,9 +129,10 @@ def sample_wave_grid(ens: RandomWaveEnsemble, sample_indices, points) -> np.ndar
     return ens.normalization * (coeffs @ phi)
 
 
-def exact_covariance(ens: RandomWaveEnsemble, x, y) -> float:
+def exact_covariance(ens: RandomWaveEnsemble, x, y):
     """lam^{1-n} * cluster kernel over the window (the covariance of the
-    Gaussian field by construction)."""
+    Gaussian field by construction).  x and y are points or (P, dim) point
+    arrays as in `cluster_kernel`, which enumerates the window once."""
     n = ens.manifold.dim
     return ens.lam ** (1 - n) * cluster_kernel(ens.manifold, ens.lam, ens.width, x, y)
 
@@ -158,14 +159,11 @@ class CovarianceReport:
 
 
 def covariance_report(ens: RandomWaveEnsemble, point_pairs) -> CovarianceReport:
-    emp, se, ex = [], [], []
-    for x, y in point_pairs:
-        m, s = empirical_covariance(ens, x, y)
-        emp.append(m)
-        se.append(s)
-        ex.append(exact_covariance(ens, x, y))
+    emp, se = zip(*(empirical_covariance(ens, x, y) for x, y in point_pairs))
+    xs, ys = zip(*point_pairs)
+    exact = exact_covariance(ens, np.array(xs, dtype=float), np.array(ys, dtype=float))
     return CovarianceReport(point_pairs=list(point_pairs), empirical=np.array(emp),
-                            exact=np.array(ex), std_errors=np.array(se))
+                            exact=exact, std_errors=np.array(se))
 
 
 def default_rescaling_radius(lam: float) -> float:
@@ -178,8 +176,11 @@ def rescaled_covariance_error(ens: RandomWaveEnsemble, x0, u, v,
     """Exact rescaled covariance at exp_{x0}(u/lam), exp_{x0}(v/lam) against
     the universal Bessel limit; returns (exact_rescaled, universal, abs_error).
 
-    |u|, |v| must stay within the admissible rescaling radius (default
-    sqrt(lam/log lam)), mirroring the covariance-convergence constraint.
+    u and v are vectors or (S, dim) arrays of them (one vector pairs with
+    every row of the other); with arrays the three results are arrays of
+    length S from one `exact_covariance` call.  |u|, |v| must stay within
+    the admissible rescaling radius (default sqrt(lam/log lam)), mirroring
+    the covariance-convergence constraint.
     """
     if not isinstance(ens.manifold, FlatTorus):
         raise DomainError("rescaled coordinates are implemented on flat tori")
@@ -187,15 +188,20 @@ def rescaled_covariance_error(ens: RandomWaveEnsemble, x0, u, v,
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     r_lam = default_rescaling_radius(ens.lam) if r_max is None else float(r_max)
-    for name, vec in (("u", u), ("v", v)):
-        if np.linalg.norm(vec) > r_lam:
-            raise PreconditionError(
-                "|%s| = %.6g exceeds the rescaling radius %.6g (the covariance "
-                "scaling limit holds for |u|,|v| = O(sqrt(lam/log lam)))"
-                % (name, float(np.linalg.norm(vec)), r_lam))
+    for name, vecs in (("u", u), ("v", v)):
+        for vec in np.atleast_2d(vecs):
+            if np.linalg.norm(vec) > r_lam:
+                raise PreconditionError(
+                    "|%s| = %.6g exceeds the rescaling radius %.6g (the covariance "
+                    "scaling limit holds for |u|,|v| = O(sqrt(lam/log lam)))"
+                    % (name, float(np.linalg.norm(vec)), r_lam))
     x0 = np.asarray(x0, dtype=float)
     x = x0 + u / ens.lam
     y = x0 + v / ens.lam
     exact_rescaled = exact_covariance(ens, x, y)
-    universal = float(universal_covariance(n, float(np.linalg.norm(u - v))))
+    # |u - v| row by row, as np.linalg.norm takes it of one vector
+    separations = np.array([np.linalg.norm(w) for w in np.atleast_2d(u - v)])
+    universal = universal_covariance(n, separations)
+    if np.ndim(exact_rescaled) == 0:
+        universal = float(universal[0])
     return exact_rescaled, universal, abs(exact_rescaled - universal)

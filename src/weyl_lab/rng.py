@@ -20,7 +20,9 @@ _INV53 = float(2.0**-53)
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
-    z = (z + _GOLDEN).astype(np.uint64)
+    """SplitMix64 finalizer of z + golden; a uint64 array is updated in place
+    (one temporary of its size), a scalar is rebound."""
+    z += _GOLDEN
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)
@@ -36,15 +38,32 @@ def _keys(seed: int, sample_indices, n_modes: int):
         base = _finalize(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
         key = _finalize(base ^ (samples * _SAMPLE_STRIDE))
         key = _finalize(key ^ (modes * _MODE_STRIDE))
-        return _finalize(key), _finalize(key ^ _SALT)
+        salted = _finalize(key ^ _SALT)   # before key is finalized in place
+        return _finalize(key), salted
 
 
 def gaussian_matrix(seed: int, sample_indices, n_modes: int) -> np.ndarray:
-    """Standard-normal draws of shape (len(sample_indices), n_modes)."""
+    """Standard-normal draws of shape (len(sample_indices), n_modes).
+
+    Box-Muller sqrt(-2 log u1) cos(2 pi u2), evaluated in place so the peak
+    holds about three arrays of the result's size."""
     h1, h2 = _keys(seed, sample_indices, n_modes)
-    u1 = ((h1 >> np.uint64(11)) + np.uint64(1)).astype(float) * _INV53  # (0, 1]
-    u2 = (h2 >> np.uint64(11)).astype(float) * _INV53                   # [0, 1)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    h1 >>= np.uint64(11)
+    h1 += np.uint64(1)
+    radius = h1.astype(float)     # u1 in (0, 1]
+    del h1
+    radius *= _INV53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    h2 >>= np.uint64(11)
+    angle = h2.astype(float)      # u2 in [0, 1)
+    del h2
+    angle *= _INV53
+    angle *= 2.0 * np.pi
+    np.cos(angle, out=angle)
+    radius *= angle
+    return radius
 
 
 def uniform_matrix(seed: int, sample_indices, n_modes: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from weyl_lab.analysis import (
 )
 from weyl_lab.errors import DomainError
 from weyl_lab.lattice import Lattice, shell_count
-from weyl_lab.manifolds import DerivIndex, FlatTorus, RoundSphere2
+from weyl_lab.manifolds import DerivIndex, FlatTorus, RoundSphere2, spectral_window
 
 TORUS = FlatTorus(Lattice.square(2.0 * np.pi))
 
@@ -190,9 +190,52 @@ def test_cluster_sup_scan_validation():
         cluster_sup_scan(TORUS, [10.0, 20.0, 30.0], 1.0, DerivIndex(alpha=(1, 0)))
     with pytest.raises(DomainError):
         cluster_sup_scan(TORUS, [10.0, 20.0, 30.0], "sometimes")
+    # 1/log(1) is infinite: a config error, not an enumeration of radius inf
+    for grid in ([1.0, 2.0, 3.0], [0.5, 2.0, 3.0]):
+        with pytest.raises(DomainError, match="positive and finite"), \
+                np.errstate(divide="ignore"):
+            cluster_sup_scan(TORUS, grid, "one-over-log")
 
 
 def test_scan_report_shapes():
     rep = scan_report([1.0, 2.0, 4.0], [2.0, 4.0, 8.0])
     assert_allclose(rep.fitted_exponent, 1.0, atol=1e-12)
     assert rep.normalized is None
+
+
+def per_lambda_cluster_sup(m, grid, A_rule, d=DerivIndex()):
+    # the oracle: a fresh window per lambda
+    values = []
+    for lam in grid:
+        A = 1.0 / np.log(lam) if A_rule == "one-over-log" else float(A_rule)
+        win = spectral_window(m, lam, lam + A)
+        if isinstance(m, RoundSphere2):
+            values.append(np.cumsum(win.mults / m.volume)[-1])
+        else:
+            alpha, _ = d.padded(m.dim)
+            mono = np.ones(win.roots.size)
+            for j, a in enumerate(alpha):
+                if a:
+                    mono = mono * win.vectors[:, j] ** (2 * a)
+            values.append(np.sum(mono) / m.lattice.covolume)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("m,grid,A_rule,d", [
+    (TORUS, np.geomspace(50.0, 400.0, 8), "one-over-log", DerivIndex()),
+    (TORUS, np.geomspace(50.0, 400.0, 8), 1.0, DerivIndex(alpha=(1, 0), beta=(1, 0))),
+    (FlatTorus(Lattice.hexagonal(1.0)), np.linspace(20.0, 100.0, 5), 8.0, DerivIndex()),
+    (RoundSphere2(), np.linspace(50.0, 300.0, 6), 3.0, DerivIndex()),
+    (RoundSphere2(6.0), np.linspace(50.0, 300.0, 6), "one-over-log", DerivIndex()),
+], ids=["torus-log", "torus-fixed-deriv", "hex-fixed", "sphere-fixed", "sphere-log"])
+def test_cluster_sup_scan_matches_per_lambda_loop(monkeypatch, m, grid, A_rule, d):
+    import weyl_lab.lattice as lattice
+
+    radii = []
+    original = lattice.dual_vectors
+    monkeypatch.setattr(lattice, "dual_vectors",
+                        lambda *a, **k: radii.append(a[1]) or original(*a, **k))
+    rep = cluster_sup_scan(m, grid, A_rule, d)
+    assert len(radii) == (0 if isinstance(m, RoundSphere2) else 1)
+    expected = per_lambda_cluster_sup(m, grid, A_rule, d)
+    assert rep.sup_values.tobytes() == expected.tobytes()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import weyl_lab
 from weyl_lab.cli import main, parse_grid, parse_manifold
 from weyl_lab.errors import DomainError
 from weyl_lab.manifolds import FlatTorus, RoundSphere2
@@ -247,3 +248,87 @@ def test_randomwave_sample_mode_determinism(tmp_path):
     assert run_cli(args + ["--out", str(out1)]).exit_code == 0
     assert run_cli(args + ["--out", str(out2)]).exit_code == 0
     assert (out1 / "randomwave.csv").read_bytes() == (out2 / "randomwave.csv").read_bytes()
+
+
+def _fresh_cluster_sup(tmp_path):
+    out = tmp_path / "fresh"
+    res = run_cli(["cluster-sup", "--manifold", "torus:2:square2pi",
+                   "--lambda-grid", "30.3:90.3:4:log", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    return out / "cluster-sup.csv", out / "cluster-sup.manifest.json"
+
+
+def test_manifest_records_the_csv_sha256(tmp_path):
+    import hashlib
+
+    csv_path, manifest_path = _fresh_cluster_sup(tmp_path)
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["csv_sha256"] == hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    res = run_cli(["replay", str(manifest_path), "--out", str(tmp_path / "again")])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "again" / "cluster-sup.csv").read_bytes() == csv_path.read_bytes()
+
+
+def test_replay_of_a_tampered_config_exits_1_and_writes_nothing(tmp_path):
+    _, manifest_path = _fresh_cluster_sup(tmp_path)
+    manifest = json.loads(manifest_path.read_text())
+    manifest["full_config"]["A_rule"] = "2.0"
+    manifest["artifact_version"] = "0.0.1-old"
+    tampered = tmp_path / "tampered.manifest.json"
+    tampered.write_text(json.dumps(manifest))
+    out = tmp_path / "replayed"
+    res = run_cli(["replay", str(tampered), "--out", str(out)])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: replay would write a different CSV")
+    assert manifest["csv_sha256"] in res.stderr
+    assert "manifest artifact_version 0.0.1-old" in res.stderr
+    assert "this artifact_version %s" % weyl_lab.__version__ in res.stderr
+    assert not out.exists()
+
+
+def test_replay_of_a_manifest_without_a_digest_runs_as_before(tmp_path):
+    csv_path, manifest_path = _fresh_cluster_sup(tmp_path)
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["csv_sha256"]
+    manifest["full_config"]["A_rule"] = "2.0"
+    old = tmp_path / "old.manifest.json"
+    old.write_text(json.dumps(manifest))
+    res = run_cli(["replay", str(old), "--out", str(tmp_path / "replayed")])
+    assert res.exit_code == 0, res.output
+    # nothing to compare against, so the changed config simply runs
+    assert (tmp_path / "replayed" / "cluster-sup.csv").read_bytes() != csv_path.read_bytes()
+
+
+def test_scan_grid_with_an_on_spectrum_lambda_exits_2(tmp_path):
+    res = run_cli(["offdiag-scan", "--manifold", "torus:2:square2pi",
+                   "--lambda-grid", "4.5:5.5:3", "--eps", "1", "--pairs", "2",
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "lambda=5 is within 1e-09 of the spectrum" in res.stderr
+    assert not (tmp_path / "offdiag-scan.csv").exists()
+
+
+def test_scan_grid_past_the_enumeration_cap_exits_3(tmp_path):
+    res = run_cli(["remainder-scan", "--manifold", "torus:2:square2pi",
+                   "--lambda-grid", "10.5:1e5:3", "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    assert res.stderr.startswith("resource limit: enumeration box holds")
+
+
+@pytest.mark.parametrize("mode,grid,expected", [
+    ("covariance", "0:0.3:6", [201.0, 201.0]),   # the ensemble's modes, the exact column
+    ("rescaled", "0:5:21", [201.0]),
+], ids=["covariance", "rescaled"])
+def test_randomwave_modes_enumerate_once_per_ensemble(tmp_path, monkeypatch, mode, grid,
+                                                      expected):
+    import weyl_lab.lattice as lattice
+
+    radii = []
+    original = lattice.dual_vectors
+    monkeypatch.setattr(lattice, "dual_vectors",
+                        lambda *a, **k: radii.append(float(a[1])) or original(*a, **k))
+    res = run_cli(["randomwave", "--manifold", "torus:2:square2pi", "--mode", mode,
+                   "--lambda", "200", "--samples", "50", "--dist-grid", grid,
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert radii == expected

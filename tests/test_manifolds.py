@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from weyl_lab.errors import DomainError, ResourceLimitError, SpectrumError
-from weyl_lab.lattice import Lattice, dual_vectors
+from weyl_lab.lattice import Lattice, dual_vectors, shell_count
 from weyl_lab.manifolds import (
     ZERO_DERIV,
     DerivIndex,
@@ -191,3 +191,141 @@ def test_sphere_radius_scaling():
     x = sphere_point(0.0, radius=2.0)
     got = cluster_kernel(big, lam - 0.1, 0.2, x, x)
     assert_allclose(got, 7.0 / (4.0 * np.pi * 4.0), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# lambda grids and point sets: one window per call, scalar values bit for bit
+
+HEX = FlatTorus(Lattice.hexagonal(1.0))
+SKEW = FlatTorus(Lattice.from_basis([[1.0, 0.3], [0.0, 1.2]]))
+TORUS3 = FlatTorus(Lattice.square(2.0 * np.pi, dim=3))
+
+
+def assert_bitwise(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def _torus_points(m, count, seed):
+    rng = np.random.default_rng(seed)
+    return rng.random((count, m.dim)) @ m.lattice.basis.T
+
+
+KERNEL_CASES = {
+    "square": (TORUS, [3.3, 7.1, 12.6, 20.5], DerivIndex(alpha=(1, 0), beta=(1, 0))),
+    "hex": (HEX, [8.1, 13.3, 25.7], ZERO_DERIV),
+    "skew": (SKEW, [6.2, 11.9, 30.3], DerivIndex(alpha=(2, 0))),
+    "3d": (TORUS3, [2.3, 4.9, 7.7], DerivIndex(beta=(0, 1, 0))),
+    "sphere": (SPHERE, [1.1, 4.3, 9.9, 15.2], ZERO_DERIV),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_vectorised_kernels_equal_scalar_calls(case):
+    m, grid, d = KERNEL_CASES[case]
+    if isinstance(m, RoundSphere2):
+        xs = np.array([sphere_point(0.0), sphere_point(0.3, 1.0), sphere_point(2.0, -0.5)])
+        ys = np.array([sphere_point(0.4), sphere_point(1.3, 0.2), sphere_point(2.9, 2.0)])
+    else:
+        xs, ys = _torus_points(m, 3, 1), _torus_points(m, 3, 2)
+    grid = np.array(grid)
+    both = spectral_function(m, grid, xs, ys, d)
+    assert_bitwise(both, [[spectral_function(m, lam, x, y, d) for x, y in zip(xs, ys)]
+                          for lam in grid])
+    assert_bitwise(spectral_function(m, grid, xs[0], ys[0], d), both[:, 0])
+    assert_bitwise(spectral_function(m, grid[1], xs, ys, d), both[1])
+    # one point pairs with every row of the other
+    assert_bitwise(spectral_function(m, grid[2], xs[0], ys, d),
+                   [spectral_function(m, grid[2], xs[0], y, d) for y in ys])
+    for width in (0.5, 2.0):
+        both = cluster_kernel(m, grid, width, xs, ys, d)
+        assert_bitwise(both, [[cluster_kernel(m, lam, width, x, y, d)
+                               for x, y in zip(xs, ys)] for lam in grid])
+        assert_bitwise(cluster_kernel(m, grid, width, xs[1], ys[1], d), both[:, 1])
+        assert_bitwise(cluster_kernel(m, grid[0], width, ys, xs[2], d),
+                       [cluster_kernel(m, grid[0], width, y, xs[2], d) for y in ys])
+
+
+def test_scalar_arguments_still_return_floats():
+    x = np.array([0.7, 0.3])
+    assert type(spectral_function(TORUS, 7.3, x, x)) is float
+    assert type(cluster_kernel(TORUS, 7.3, 1.0, x, x)) is float
+    assert spectral_function(TORUS, [7.3], x, [x, x]).shape == (1, 2)
+
+
+@pytest.mark.parametrize("case", ["square", "hex", "skew", "sphere"])
+def test_window_sliced_from_a_larger_ball_equals_a_fresh_window(case):
+    m = KERNEL_CASES[case][0]
+    big = spectral_window(m, -1.0, 40.0)
+    roots = big.roots
+    # bounds between roots, on roots, and one ulp either side of a root
+    r = float(roots[roots.size // 3])
+    bounds = [(-1.0, 17.3), (2.5, 9.1), (r, 39.0), (np.nextafter(r, 0.0), r),
+              (1.0, np.nextafter(r, np.inf)), (float(roots[5]), float(roots[-1]))]
+    for lo, hi in bounds:
+        fresh = spectral_window(m, lo, hi)
+        sliced = big.between(lo, hi)
+        for name in ("roots", "mults", "degrees", "vectors", "coeffs"):
+            a, b = getattr(sliced, name), getattr(fresh, name)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert_bitwise(a, b)
+
+
+@pytest.mark.parametrize("m", [TORUS, HEX, SPHERE], ids=["square", "hex", "sphere"])
+def test_window_membership_is_exact_at_hi(m):
+    roots = spectral_window(m, -1.0, 12.0).roots
+    r = float(roots[roots.size // 2])
+    # a root exactly on hi is inside; one ulp below hi it is not
+    assert spectral_window(m, -1.0, r).roots[-1] == r
+    assert spectral_window(m, -1.0, np.nextafter(r, 0.0)).roots.max() < r
+    assert spectral_window(m, np.nextafter(r, 0.0), r).roots.tolist() == \
+        [v for v in roots.tolist() if v == r]
+
+
+def test_square_torus_window_stops_below_an_integer_norm():
+    # |(3, 4)| = |(5, 0)| = 5 exactly; a window ending one ulp below 5 must
+    # not take them in through a relative slack
+    win = spectral_window(TORUS, 4.5, np.nextafter(5.0, 0.0))
+    assert win.roots.size == 0
+    assert shell_count(TORUS.lattice, 4.5, np.nextafter(5.0, 0.0)) == 0
+    assert spectral_window(TORUS, 4.5, 5.0).roots.tolist() == [5.0] * 12
+
+
+def test_on_spectrum_lambda_inside_a_grid_is_named():
+    x = np.array([0.7, 0.3])
+    with pytest.raises(SpectrumError, match=r"lambda=5 is within"):
+        spectral_function(TORUS, [4.5, 5.0, 5.5], x, x)
+    with pytest.raises(SpectrumError, match=r"lambda=1\.41421356237 is within"):
+        spectral_function(SPHERE, [0.5, np.sqrt(2.0), 3.0], NORTH, NORTH)
+    # within the guard but not equal, on either side
+    for lam in (5.0 - 5e-10, 5.0 + 5e-10):
+        with pytest.raises(SpectrumError):
+            spectral_function(TORUS, [4.5, lam, 5.5], x, x)
+    assert np.all(np.isfinite(spectral_function(TORUS, [4.5, 5.0 + 2e-9], x, x)))
+
+
+def test_grid_is_validated_before_any_sum(monkeypatch):
+    import weyl_lab.manifolds as mf
+
+    sums = []
+    original = mf._window_sum
+    monkeypatch.setattr(mf, "_window_sum", lambda *a: sums.append(1) or original(*a))
+    x = np.zeros(2)
+    for bad in ([3.5, 2.5, 4.5], [3.5, 3.5], [[1.5, 2.5]], []):
+        with pytest.raises(DomainError):
+            spectral_function(TORUS, bad, x, x)
+        with pytest.raises(DomainError):
+            cluster_kernel(TORUS, bad, 1.0, x, x)
+    with pytest.raises(DomainError):
+        spectral_function(TORUS, [-1.5, 2.5], x, x)
+    with pytest.raises(DomainError):
+        spectral_function(TORUS, 2.5, np.zeros((2, 2)), np.zeros((3, 2)))
+    # the ball up to lambda_max is enumerated first, so the cap stops the
+    # call before the small lambdas are summed
+    with pytest.raises(ResourceLimitError):
+        spectral_function(TORUS, [1.5, 2.5, 1e5], x, x, cap=10**6)
+    with pytest.raises(ResourceLimitError):
+        cluster_kernel(TORUS, [1.5, 2.5, 1e5], 1.0, x, x, cap=10**6)
+    assert sums == []

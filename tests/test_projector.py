@@ -4,7 +4,13 @@ from numpy.testing import assert_allclose
 
 from weyl_lab.errors import DomainError, PreconditionError
 from weyl_lab.lattice import Lattice, shell_count
-from weyl_lab.manifolds import DerivIndex, FlatTorus, RoundSphere2, spectral_function
+from weyl_lab.manifolds import (
+    DerivIndex,
+    FlatTorus,
+    RoundSphere2,
+    cluster_kernel,
+    spectral_function,
+)
 from weyl_lab.projector import (
     cluster_prediction,
     cluster_vs_bessel,
@@ -184,3 +190,86 @@ def test_leading_term_domain_checks():
         leading_term(SPHERE, 5.0, np.array([0, 0, 1.0]), np.array([0, 0, 1.0]))
     with pytest.raises(DomainError):
         leading_term(TORUS, -1.0, ORIGIN, ORIGIN)
+
+
+# ---------------------------------------------------------------------------
+# one-window scans against the per-lambda loops they replace (the oracle:
+# every scalar call builds its own window)
+
+
+def assert_bitwise(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def per_lambda_offdiagonal(m, grid, pairs):
+    return [max(abs(spectral_function(m, lam, x, y)) for x, y in pairs) for lam in grid]
+
+
+def per_lambda_remainder(m, grid, pairs, d):
+    return [max(abs(remainder(m, lam, x, y, d).remainder) for x, y in pairs)
+            for lam in grid]
+
+
+def count_enumerations(monkeypatch):
+    import weyl_lab.lattice as lattice
+
+    radii = []
+    original = lattice.dual_vectors
+    monkeypatch.setattr(lattice, "dual_vectors",
+                        lambda *a, **k: radii.append(a[1]) or original(*a, **k))
+    return radii
+
+
+NORTH = np.array([0.0, 0.0, 1.0])
+TORUS_PAIRS = [(np.array([0.3, 0.1]), np.array([1.5, 0.4])),
+               (np.array([2.0, 5.0]), np.array([0.4, 3.9])),
+               (ORIGIN, np.array([np.pi / 2, np.pi / 2]))]
+
+
+def test_offdiagonal_scan_matches_per_lambda_loop(monkeypatch):
+    grid = np.geomspace(50.5, 200.5, 6)
+    radii = count_enumerations(monkeypatch)
+    rep = offdiagonal_scan(TORUS, grid, 1.0, TORUS_PAIRS)
+    assert radii == [pytest.approx(200.5)]
+    assert_bitwise(rep.sup_values, per_lambda_offdiagonal(TORUS, grid, TORUS_PAIRS))
+    pairs = [(NORTH, np.array([np.sin(t), 0.0, np.cos(t)])) for t in (0.7, 1.2, 2.0)]
+    grid = np.geomspace(20.3, 60.3, 5)
+    rep = offdiagonal_scan(SPHERE, grid, 0.5, pairs)
+    assert_bitwise(rep.sup_values, per_lambda_offdiagonal(SPHERE, grid, pairs))
+
+
+@pytest.mark.parametrize("m,grid,d", [
+    (TORUS, np.geomspace(50.5, 200.5, 6), DerivIndex()),
+    (TORUS, np.geomspace(50.5, 200.5, 6), DerivIndex(alpha=(1, 0), beta=(1, 0))),
+    (TORUS3, np.geomspace(10.5, 30.5, 4), DerivIndex()),
+], ids=["2d", "deriv-1-1", "3d"])
+def test_remainder_scan_matches_per_lambda_loop(monkeypatch, m, grid, d):
+    n = m.dim
+    pairs = [(np.zeros(n), np.zeros(n)), (np.full(n, 0.2), np.full(n, 0.2) + 0.3 * np.eye(n)[0]),
+             (np.full(n, 1.1), np.full(n, 1.0))]
+    radii = count_enumerations(monkeypatch)
+    rep = remainder_scan(m, grid, pairs, d)
+    assert len(radii) == 1
+    assert_bitwise(rep.sup_values, per_lambda_remainder(m, grid, pairs, d))
+
+
+@pytest.mark.parametrize("m,lam,x0,dists,d", [
+    (TORUS, 40.0, np.array([0.3, 1.1]), np.linspace(0.0, 0.3, 7),
+     DerivIndex(alpha=(1, 0), beta=(1, 0))),
+    (TORUS3, 12.0, np.zeros(3), np.linspace(0.0, 0.5, 4), DerivIndex()),
+    (SPHERE, 30.0, None, np.linspace(0.0, 0.6, 7), DerivIndex()),
+], ids=["torus", "3d", "sphere"])
+def test_cluster_vs_bessel_matches_per_point_loop(monkeypatch, m, lam, x0, dists, d):
+    radii = count_enumerations(monkeypatch)
+    table = cluster_vs_bessel(m, lam, 1.0, x0, dists, d)
+    if isinstance(m, FlatTorus):
+        # one window for the kernels, one for the mean shell radius
+        assert len(radii) == 2
+        points = [x0 + r * np.eye(m.dim)[0] for r in dists]
+    else:
+        x0 = NORTH
+        points = [np.array([np.sin(r), 0.0, np.cos(r)]) for r in dists]
+    assert_bitwise(table.cluster, [cluster_kernel(m, lam, 1.0, x0, pt, d) for pt in points])
+    assert table.diagonal == cluster_kernel(m, lam, 1.0, x0, x0, d)

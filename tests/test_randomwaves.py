@@ -287,3 +287,99 @@ def test_canonical_half_matches_row_loop(basis):
     expected[0::2] = amp * np.cos(phases)
     expected[1::2] = amp * np.sin(phases)
     assert np.array_equal(ens.mode_values(pts), expected)
+
+
+def test_exact_covariance_takes_point_sets_in_one_enumeration(monkeypatch):
+    import weyl_lab.lattice as lattice
+
+    ens = RandomWaveEnsemble(TORUS, 30.0, 1.0, seed=3, num_samples=2)
+    xs = np.array([[0.0, 0.0], [0.3, 1.1], [2.0, 0.4]])
+    ys = xs + np.array([[0.1, 0.0], [0.05, 0.2], [0.0, 0.3]])
+    expected = np.array([exact_covariance(ens, x, y) for x, y in zip(xs, ys)])
+    one_to_many = np.array([exact_covariance(ens, xs[0], y) for y in ys])
+    radii = []
+    original = lattice.dual_vectors
+    monkeypatch.setattr(lattice, "dual_vectors",
+                        lambda *a, **k: radii.append(a[1]) or original(*a, **k))
+    got = exact_covariance(ens, xs, ys)
+    assert got.tobytes() == expected.tobytes()
+    assert exact_covariance(ens, xs[0], ys).tobytes() == one_to_many.tobytes()
+    assert len(radii) == 2
+    rep = covariance_report(RandomWaveEnsemble(TORUS, 30.0, 1.0, seed=3, num_samples=2),
+                            list(zip(xs, ys)))
+    assert rep.exact.tobytes() == expected.tobytes()
+    # the report enumerates once for the modes and once for the exact column
+    assert len(radii) == 4
+    sphere_ens = RandomWaveEnsemble(SPHERE, 12.5, 1.0, seed=3, num_samples=2)
+    north = np.array([0.0, 0.0, 1.0])
+    pts = np.array([[np.sin(t), 0.0, np.cos(t)] for t in (0.0, 0.4, 1.3)])
+    assert exact_covariance(sphere_ens, north, pts).tobytes() == \
+        np.array([exact_covariance(sphere_ens, north, p) for p in pts]).tobytes()
+
+
+def test_rescaled_covariance_takes_separation_arrays():
+    ens = RandomWaveEnsemble(TORUS, 200.0, 1.0, seed=1, num_samples=2)
+    x0 = np.array([0.3, 1.1])
+    rng = np.random.default_rng(5)
+    us = rng.uniform(-2.0, 2.0, (5, 2))
+    vs = rng.uniform(-2.0, 2.0, (5, 2))
+    got = rescaled_covariance_error(ens, x0, us, vs)
+    rows = [rescaled_covariance_error(ens, x0, u, v) for u, v in zip(us, vs)]
+    for column, expected in zip(got, zip(*rows)):
+        assert column.tobytes() == np.array(expected).tobytes()
+    # one u against many v
+    got = rescaled_covariance_error(ens, x0, np.zeros(2), vs)
+    rows = [rescaled_covariance_error(ens, x0, np.zeros(2), v) for v in vs]
+    for column, expected in zip(got, zip(*rows)):
+        assert column.tobytes() == np.array(expected).tobytes()
+    # any row past the rescaling radius is rejected
+    far = vs.copy()
+    far[3] = [default_rescaling_radius(200.0) * 1.01, 0.0]
+    with pytest.raises(PreconditionError, match=r"\|v\|"):
+        rescaled_covariance_error(ens, x0, np.zeros(2), far)
+
+
+# the out-of-place generator, kept as the reference for the in-place one
+def _reference_finalize(z):
+    z = (z + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _reference_gaussian_matrix(seed, sample_indices, n_modes):
+    samples = np.asarray(sample_indices, dtype=np.uint64).reshape(-1, 1)
+    modes = np.arange(n_modes, dtype=np.uint64).reshape(1, -1)
+    with np.errstate(over="ignore"):
+        base = _reference_finalize(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+        key = _reference_finalize(base ^ (samples * np.uint64(0xD1342543DE82EF95)))
+        key = _reference_finalize(key ^ (modes * np.uint64(0xAF251AF3B0F025B5)))
+        h1 = _reference_finalize(key)
+        h2 = _reference_finalize(key ^ np.uint64(0x94D049BB133111EB))
+    u1 = ((h1 >> np.uint64(11)) + np.uint64(1)).astype(float) * float(2.0**-53)
+    u2 = (h2 >> np.uint64(11)).astype(float) * float(2.0**-53)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+@pytest.mark.parametrize("seed,samples,n_modes", [
+    (0, np.arange(300), 257), (42, [3, 7, 1999], 5), (2**63 + 5, np.arange(0, 900, 7), 33),
+    (-7, [0], 1)], ids=["300x257", "3x5", "large-seed", "negative-seed"])
+def test_gaussian_matrix_matches_reference_bitwise(seed, samples, n_modes):
+    got = gaussian_matrix(seed, samples, n_modes)
+    assert got.tobytes() == _reference_gaussian_matrix(seed, samples, n_modes).tobytes()
+
+
+def test_gaussian_matrix_peak_memory_is_a_few_results():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = gaussian_matrix(5, np.arange(600), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the out-of-place form peaked at about seven result-sized arrays
+    assert peak < 3.5 * out.nbytes
