@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 from .manifolds import ZERO_DERIV, DerivIndex, ModelManifold, RoundSphere2, spectral_window
@@ -64,38 +63,42 @@ def scan_report(lambda_grid, values, normalized=None) -> ScanReport:
     )
 
 
-def _tail_integral(y0: float, lam: float, N: int, p: float) -> float:
-    """int_{y0}^inf y^{-N} (y + lam - 1)^p dy; closed form (binomial) for
-    integer p, adaptive quadrature otherwise."""
-    if float(p).is_integer():
-        pi_ = int(p)
-        total = 0.0
-        c = 1.0
-        for j in range(pi_ + 1):
-            # C(p, j) * (lam-1)^{p-j} * y0^{j-N+1} / (N-1-j)
-            binom = c
-            total += binom * (lam - 1.0) ** (pi_ - j) * y0 ** (j - N + 1.0) / (N - 1.0 - j)
-            c = c * (pi_ - j) / (j + 1.0)
-        return total
-    val, _ = quad(lambda y: y ** (-float(N)) * (y + lam - 1.0) ** p, y0, np.inf, limit=200)
-    return val
+def _check_localized(lam: float, N: int, p: float, what: str):
+    """The domain shared by the localized sum and integral: lam >= 1,
+    integer N >= 2, integer p >= 0 (the closed forms are binomial sums) and
+    N > p + 1 (convergence)."""
+    if lam < 1.0:
+        raise DomainError("lam must be >= 1")
+    if not isinstance(N, (int, np.integer)) or N < 2:
+        raise DomainError("N must be an integer >= 2")
+    if p < 0.0 or not float(p).is_integer():
+        raise DomainError("p=%r must be a nonnegative integer (polynomial weights)" % (p,))
+    if N - p <= 1.0:
+        raise DomainError("%s diverges unless N > p + 1" % what)
+
+
+def _binomial_integral(a: float, sign: float, lo: float, hi: float, N: int, p: int) -> float:
+    """int_lo^hi y^{-N} (a + sign * y)^p dy for integer p >= 0 and N > p + 1
+    (hi may be inf): the binomial expansion integrated term by term."""
+    total = 0.0
+    binom = 1.0
+    for j in range(p + 1):
+        # C(p, j) a^{p-j} sign^j [y^{j-N+1}]_hi^lo / (N-1-j)
+        e = j - N + 1.0
+        ends = lo**e - (0.0 if hi == np.inf else hi**e)
+        total += binom * a ** (p - j) * sign**j * ends / (N - 1.0 - j)
+        binom = binom * (p - j) / (j + 1.0)
+    return total
 
 
 def localized_sum(lam: float, N: int, p: float) -> float:
-    """sum_{k=0}^inf (1 + |lam - k|)^{-N} k^p.
+    """sum_{k=0}^inf (1 + |lam - k|)^{-N} k^p for integer p.
 
     The sum is truncated at K and the monotone tail is replaced by the
     midpoint of its integral bracket, so the error is below
     1e-12 * max(1, lam^p).
     """
-    if lam < 1.0:
-        raise DomainError("lam must be >= 1")
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise DomainError("N must be an integer >= 2")
-    if p < 0.0:
-        raise DomainError("p must be >= 0")
-    if N - p <= 1.0:
-        raise DomainError("sum diverges unless N > p + 1")
+    _check_localized(lam, N, p, "sum")
     scale = max(1.0, float(lam) ** p)
     # bracket width <= g(K)/2 with g(t) = (1+t-lam)^{-N} t^p decreasing
     y0 = 64.0
@@ -106,32 +109,19 @@ def localized_sum(lam: float, N: int, p: float) -> float:
     kmax = int(np.ceil(lam + y0))
     k = np.arange(0, kmax + 1, dtype=float)
     head = float(np.sum((1.0 + np.abs(lam - k)) ** (-float(N)) * k**p))
-    upper = _tail_integral(kmax + 1.0 - lam, lam, N, p)
-    lower = _tail_integral(kmax + 2.0 - lam, lam, N, p)
+    # the tail in y = 1 + t - lam, where t^p = (y + lam - 1)^p
+    upper = _binomial_integral(lam - 1.0, 1.0, kmax + 1.0 - lam, np.inf, N, int(p))
+    lower = _binomial_integral(lam - 1.0, 1.0, kmax + 2.0 - lam, np.inf, N, int(p))
     return head + 0.5 * (upper + lower)
 
 
-def localized_sum_ratio_scan(lambda_grid, N: int, p: float) -> ScanReport:
-    """Localized sums along a lambda grid with the ratio sum / lambda^p as
-    the normalized column (boundedness of the ratio is the claim)."""
-    grid = np.asarray(lambda_grid, dtype=float)
-    sums = np.array([localized_sum(l, N, p) for l in grid])
-    return scan_report(grid, sums, normalized=sums / grid**p)
-
-
 def localized_integral(lam: float, N: int, p: float) -> float:
-    """int_1^inf (1 + |lam - r|)^{-N} (1 + r)^p dr by adaptive quadrature
-    split at r = lam."""
-    if lam < 1.0:
-        raise DomainError("lam must be >= 1")
-    if N - p <= 1.0:
-        raise DomainError("integral diverges unless N > p + 1")
-    f = lambda r: (1.0 + abs(lam - r)) ** (-float(N)) * (1.0 + r) ** p
-    scale = max(1.0, lam**p)
-    left, le = quad(f, 1.0, lam, epsabs=1e-12 * scale, epsrel=1e-12, limit=200)
-    right, re_ = quad(f, lam, np.inf, epsabs=1e-12 * scale, epsrel=1e-12, limit=200)
-    if le + re_ > 1e-10 * scale:
-        raise DomainError("quadrature error estimate exceeds tolerance")
+    """int_1^inf (1 + |lam - r|)^{-N} (1 + r)^p dr for integer p, in closed
+    form on either side of r = lam."""
+    _check_localized(lam, N, p, "integral")
+    # r <= lam: y = 1 + lam - r, 1 + r = lam + 2 - y; r >= lam: y = 1 + r - lam
+    left = _binomial_integral(lam + 2.0, -1.0, 1.0, lam, N, int(p))
+    right = _binomial_integral(lam, 1.0, 1.0, np.inf, N, int(p))
     return float(left + right)
 
 

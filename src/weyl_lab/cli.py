@@ -9,6 +9,7 @@ checkable by byte comparison.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -19,12 +20,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    cluster_sup_scan,
-    localized_integral,
-    localized_sum,
-    loglog_fit,
-)
+from .analysis import cluster_sup_scan, localized_integral, localized_sum
 from .errors import (
     DomainError,
     PreconditionError,
@@ -359,12 +355,10 @@ def run_randomwave(config: dict):
         header = ["sample_index", "point_index", "dist", "wave_value"]
         return header, rows, None
     if mode == "covariance":
-        rows = []
         exact = exact_covariance(ens, x0, np.vstack(points))
-        for r, pt, ex in zip(dists, points, exact):
-            emp, se = empirical_covariance(ens, x0, pt)
-            rows.append((r, emp, se, ex, abs(emp - ex),
-                         (emp - ex) / se if se > 0 else np.nan))
+        empirical, std_err = empirical_covariance(ens, x0, np.vstack(points))
+        rows = [(r, emp, se, ex, abs(emp - ex), (emp - ex) / se if se > 0 else np.nan)
+                for r, emp, se, ex in zip(dists, empirical, std_err, exact)]
         header = ["dist", "empirical", "std_error", "exact", "abs_diff", "z_score"]
         return header, rows, None
     if mode == "rescaled":
@@ -455,8 +449,6 @@ def execute(name: str, config: dict, out_dir: str, replayed: dict | None = None)
 
 
 def guarded(fn):
-    import functools
-
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
@@ -608,7 +600,8 @@ def randomwave(manifold, mode, lam, width, samples, dist_grid, x0, direction, se
 @main.command("appendix-a")
 @click.option("--N", "n_exp", default=4, show_default=True, type=int)
 @click.option("--p", default="0,1,2", show_default=True,
-              help="comma-separated polynomial weights")
+              help="comma-separated integer polynomial weights p >= 0 (closed-form "
+                   "integrals; N > p + 1)")
 @click.option("--lambda-grid", "lambda_grid", required=True)
 @out_option
 @guarded

@@ -18,7 +18,7 @@ from .errors import CutLocusError, DomainError, ResourceLimitError
 
 DEFAULT_ENUM_CAP = 10**8
 
-# tie tolerance for cut-locus detection and shell grouping
+# tie tolerance for cut-locus detection
 NORM_TIE_TOL = 1e-9
 
 
@@ -106,14 +106,6 @@ def dual_vectors(lattice: Lattice, radius: float, cap: int = DEFAULT_ENUM_CAP):
     return _lattice_vectors(lattice.dual_basis, radius, cap)
 
 
-def shell_count(lattice: Lattice, lo: float, hi: float, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Number of dual points with lo < norm <= hi."""
-    if not (0.0 <= lo < hi):
-        raise DomainError("need 0 <= lo < hi")
-    _, _, norms = dual_vectors(lattice, hi, cap)
-    return int(np.count_nonzero((norms > lo) & (norms <= hi)))
-
-
 def injectivity_radius(lattice: Lattice) -> float:
     """Half the length of the shortest nonzero period vector."""
     probe = float(np.min(np.linalg.norm(lattice.basis, axis=0)))
@@ -164,7 +156,7 @@ def torus_distance(lattice: Lattice, x, y) -> float:
 def deck_images(lattice: Lattice, x, y, radius: float,
                 cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """All vectors w = (y - x) + gamma with gamma a period vector and
-    |w| <= radius, sorted by (norm, lexicographic coeffs)."""
+    |w| <= radius, sorted by (norm, lexicographic image coordinates)."""
     if radius <= 0.0:
         raise DomainError("radius must be positive")
     x = np.asarray(x, dtype=float)
@@ -176,6 +168,6 @@ def deck_images(lattice: Lattice, x, y, radius: float,
     norms = np.linalg.norm(images, axis=1)
     keep = norms <= radius * (1.0 + 1e-15)
     images, norms = images[keep], norms[keep]
-    coeffs_sorted = np.lexsort(
+    order = np.lexsort(
         tuple(images[:, j] for j in range(images.shape[1] - 1, -1, -1)) + (norms,))
-    return images[coeffs_sorted]
+    return images[order]

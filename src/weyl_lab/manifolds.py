@@ -108,12 +108,10 @@ ZERO_DERIV = DerivIndex()
 
 @dataclass(frozen=True, eq=False)
 class EigenLevel:
-    """One eigenvalue level: sqrt-eigenvalue, multiplicity, and mode data
-    (dual vectors on the torus, the degree l on the sphere)."""
+    """One eigenvalue level: sqrt-eigenvalue and multiplicity."""
 
     sqrt_eigenvalue: float
     multiplicity: int
-    modes: object
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,14 +179,12 @@ def eigenlevels(m: ModelManifold, lambda_max: float, cap: int = lat.DEFAULT_ENUM
         raise DomainError("lambda_max must be positive")
     win = spectral_window(m, -1.0, lambda_max, cap)
     if isinstance(m, RoundSphere2):
-        return [EigenLevel(r, k, l) for r, k, l in
-                zip(win.roots.tolist(), win.mults.tolist(), win.degrees.tolist())]
+        return [EigenLevel(r, k) for r, k in zip(win.roots.tolist(), win.mults.tolist())]
     norms = win.roots
     breaks = np.diff(norms) > ON_SPECTRUM_TOL * (1.0 + norms[1:])
     starts = np.flatnonzero(np.concatenate(([True], breaks)))
     stops = np.append(starts[1:], norms.size)
-    return [EigenLevel(float(norms[a]), int(b - a), win.vectors[a:b])
-            for a, b in zip(starts, stops)]
+    return [EigenLevel(float(norms[a]), int(b - a)) for a, b in zip(starts, stops)]
 
 
 def sphere_angle(m: RoundSphere2, x, y) -> float:
@@ -329,9 +325,3 @@ def cluster_kernel(m: ModelManifold, lam, width: float, x, y,
         raise DomainError("need lambda > 0 and width > 0")
     win = spectral_window(m, lams[0], lams[-1] + width, cap)
     return _sums_over_slices(m, [win.between(l, l + width) for l in lams], x, y, d, scalar)
-
-
-def eigenvalue_count(m: ModelManifold, lam: float, cap: int = lat.DEFAULT_ENUM_CAP) -> int:
-    """Counting function N(lambda) = #{sqrt-eigenvalues <= lambda} with
-    multiplicity."""
-    return int(np.sum(spectral_window(m, -1.0, lam, cap).mults))

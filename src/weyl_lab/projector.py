@@ -26,41 +26,27 @@ from .manifolds import (
     spectral_window,
     sphere_angle,
 )
-from .specfun import BesselOrder, bessel_ratio
+from .specfun import bessel_ratio
 
 
-@dataclass(frozen=True, eq=False)
-class RemainderSample:
-    """One evaluation of exact = leading + remainder (identity by construction)."""
-
-    lam: float
-    x: np.ndarray
-    y: np.ndarray
-    dist: float
-    leading: float
-    exact: float
-    remainder: float
-    deriv: DerivIndex
-
-
-def _profile_derivative(twice_nu: int, u: np.ndarray, gamma) -> float:
+def _profile_derivative(nu: float, u: np.ndarray, gamma) -> float:
     """D^gamma of (2 pi)^{n/2} J_nu(|u|)/|u|^nu for u in R^n, |gamma| <= 2,
     via d/dr [J_nu(r)/r^nu] = -r * J_{nu+1}(r)/r^{nu+1}.  nu = n/2 is the
     unit-ball Fourier transform, nu = (n-2)/2 the unit-sphere one."""
     r = float(np.linalg.norm(u))
     c = (2.0 * np.pi) ** (u.size / 2.0)
     total = int(sum(gamma))
-    # BesselOrder takes 2*nu: the ladder runs f_nu, f_{nu+1}, f_{nu+2}
+    # the ladder runs f_nu, f_{nu+1}, f_{nu+2}
     if total == 0:
-        return c * float(bessel_ratio(BesselOrder(twice_nu), r))
+        return c * float(bessel_ratio(nu, r))
     idx = [j for j, g in enumerate(gamma) for _ in range(g)]
     if total == 1:
         (j,) = idx
-        return -c * float(u[j]) * float(bessel_ratio(BesselOrder(twice_nu + 2), r))
+        return -c * float(u[j]) * float(bessel_ratio(nu + 1.0, r))
     i, j = idx
-    val = float(u[i]) * float(u[j]) * float(bessel_ratio(BesselOrder(twice_nu + 4), r))
+    val = float(u[i]) * float(u[j]) * float(bessel_ratio(nu + 2.0, r))
     if i == j:
-        val -= float(bessel_ratio(BesselOrder(twice_nu + 2), r))
+        val -= float(bessel_ratio(nu + 1.0, r))
     return c * val
 
 
@@ -82,19 +68,7 @@ def leading_term(m: FlatTorus, lam: float, x, y, d: DerivIndex = ZERO_DERIV) -> 
     alpha, gamma = _combined_gamma(m, d)
     base = lam**n / (2.0 * np.pi) ** n
     deriv_scale = (-1.0) ** sum(alpha) * lam ** int(sum(gamma))
-    return base * deriv_scale * _profile_derivative(n, lam * w, gamma)
-
-
-def remainder(m: FlatTorus, lam: float, x, y, d: DerivIndex = ZERO_DERIV,
-              cap: int = lat.DEFAULT_ENUM_CAP) -> RemainderSample:
-    """Exact spectral function minus the Weyl leading term."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = lat.torus_log(m.lattice, x, y)
-    exact = spectral_function(m, lam, x, y, d, cap)
-    lead = leading_term(m, lam, x, y, d)
-    return RemainderSample(lam=float(lam), x=x, y=y, dist=float(np.linalg.norm(w)),
-                           leading=lead, exact=exact, remainder=exact - lead, deriv=d)
+    return base * deriv_scale * _profile_derivative(n / 2.0, lam * w, gamma)
 
 
 def _check_pairs_within(m: FlatTorus, point_pairs, bound: float, what: str):
@@ -117,10 +91,8 @@ def remainder_scan(m: FlatTorus, lambda_grid, point_pairs,
     exponent fit (empirical growth of the Weyl remainder).  The exact
     kernel of the whole (lambda, pair) grid is one `spectral_function`
     call, so the dual lattice is enumerated once."""
-    from .lattice import injectivity_radius
-
     grid = np.asarray(lambda_grid, dtype=float)
-    _check_pairs_within(m, point_pairs, 0.5 * injectivity_radius(m.lattice),
+    _check_pairs_within(m, point_pairs, 0.5 * lat.injectivity_radius(m.lattice),
                         "d_g(x,y) (half the injectivity radius)")
     exact = spectral_function(m, grid, *_pair_arrays(point_pairs), d)
     sups = np.empty(grid.size)
@@ -181,7 +153,7 @@ def cluster_prediction(m: ModelManifold, lam: float, width: float, dist,
     dist = np.atleast_1d(dist)
     if d.is_zero:
         vals = (width * lam_mid ** (n - 1) / (2.0 * np.pi) ** n
-                * (2.0 * np.pi) ** (n / 2.0) * bessel_ratio(BesselOrder(n - 2), lam_mid * dist))
+                * (2.0 * np.pi) ** (n / 2.0) * bessel_ratio((n - 2) / 2.0, lam_mid * dist))
     else:
         if not isinstance(m, FlatTorus):
             raise DomainError("derivative predictions are torus-only")
@@ -192,7 +164,7 @@ def cluster_prediction(m: ModelManifold, lam: float, width: float, dist,
         base = width * lam_mid ** (n - 1) / (2.0 * np.pi) ** n
         scale = (-1.0) ** sum(alpha) * lam_mid ** int(sum(gamma))
         vals = np.array([
-            base * scale * _profile_derivative(n - 2, lam_mid * r * direction, gamma)
+            base * scale * _profile_derivative((n - 2) / 2.0, lam_mid * r * direction, gamma)
             for r in dist
         ])
     return (float(vals[0]), float(lam_mid)) if scalar else (vals, float(lam_mid))
@@ -206,9 +178,7 @@ def cluster_vs_bessel(m: ModelManifold, lam: float, width: float, x0, dist_grid,
     if np.any(dist_grid < 0.0):
         raise DomainError("distances must be nonnegative")
     if isinstance(m, FlatTorus):
-        from .lattice import injectivity_radius
-
-        if np.max(dist_grid) > 0.5 * injectivity_radius(m.lattice):
+        if np.max(dist_grid) > 0.5 * lat.injectivity_radius(m.lattice):
             raise PreconditionError("distance grid exceeds half the injectivity radius")
         x0 = np.asarray(x0, dtype=float)
         direction = (np.eye(m.dim)[0] if direction is None

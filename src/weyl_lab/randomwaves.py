@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import sph_legendre_p
 
 from .errors import DomainError, PreconditionError
-from .manifolds import FlatTorus, ModelManifold, cluster_kernel, spectral_window
+from .manifolds import FlatTorus, ModelManifold, _point_pairs, cluster_kernel, spectral_window
 from .rng import gaussian_matrix
 from .specfun import universal_covariance
 
@@ -113,14 +113,6 @@ class RandomWaveEnsemble:
         return gaussian_matrix(self.seed, idx, self.mode_count)
 
 
-def sample_wave(ens: RandomWaveEnsemble, sample_index: int, x) -> float:
-    """One wave sample at one point: lam^{(1-n)/2} sum a_j phi_j(x),
-    bit-reproducible given (seed, sample_index)."""
-    coeffs = ens.coefficients([sample_index])[0]
-    phi = ens.mode_values([np.asarray(x, dtype=float)])[:, 0]
-    return float(ens.normalization * (coeffs @ phi))
-
-
 def sample_wave_grid(ens: RandomWaveEnsemble, sample_indices, points) -> np.ndarray:
     """Wave samples on a point grid, shape (n_samples, n_points);
     sample_indices=None takes every sample from the cached coefficients."""
@@ -138,32 +130,25 @@ def exact_covariance(ens: RandomWaveEnsemble, x, y):
 
 
 def empirical_covariance(ens: RandomWaveEnsemble, x, y):
-    """Monte Carlo mean of psi(x) psi(y) with its standard error."""
+    """Monte Carlo mean of psi(x) psi(y) with its standard error.
+
+    x and y are points or (P, dim) point arrays as in `exact_covariance`;
+    every pair takes its waves from one `sample_wave_grid` call over the
+    distinct points, and with arrays the mean and standard error are arrays
+    of length P.
+    """
     if ens.num_samples < 2:
         raise PreconditionError("need num_samples >= 2 for a standard error")
-    waves = sample_wave_grid(ens, None,
-                             np.vstack([np.asarray(x, float), np.asarray(y, float)]))
-    prod = waves[:, 0] * waves[:, 1]
-    mean = float(np.mean(prod))
-    std_err = float(np.std(prod, ddof=1) / np.sqrt(prod.size))
+    xs, ys, many = _point_pairs(x, y)
+    points, index = np.unique(np.vstack([xs, ys]), axis=0, return_inverse=True)
+    waves = sample_wave_grid(ens, None, points)
+    # one contiguous row of sample products per pair
+    prod = np.ascontiguousarray((waves[:, index[:len(xs)]] * waves[:, index[len(xs):]]).T)
+    mean = np.mean(prod, axis=1)
+    std_err = np.std(prod, axis=1, ddof=1) / np.sqrt(prod.shape[1])
+    if not many:
+        return float(mean[0]), float(std_err[0])
     return mean, std_err
-
-
-@dataclass(frozen=True, eq=False)
-class CovarianceReport:
-    point_pairs: list
-    empirical: np.ndarray
-    exact: np.ndarray
-    std_errors: np.ndarray
-    universal_limit: np.ndarray | None = None
-
-
-def covariance_report(ens: RandomWaveEnsemble, point_pairs) -> CovarianceReport:
-    emp, se = zip(*(empirical_covariance(ens, x, y) for x, y in point_pairs))
-    xs, ys = zip(*point_pairs)
-    exact = exact_covariance(ens, np.array(xs, dtype=float), np.array(ys, dtype=float))
-    return CovarianceReport(point_pairs=list(point_pairs), empirical=np.array(emp),
-                            exact=exact, std_errors=np.array(se))
 
 
 def default_rescaling_radius(lam: float) -> float:

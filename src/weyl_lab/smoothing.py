@@ -35,7 +35,6 @@ from scipy.fft import dct
 
 from . import lattice as lat
 from .errors import DomainError, QuadratureError
-from .lattice import injectivity_radius
 from .manifolds import FlatTorus, ModelManifold
 from .specfun import sphere_fourier
 
@@ -70,7 +69,7 @@ class MollifierSpec:
         """Defaults tied to the injectivity radius: plateau = inj/2,
         support = 0.9 * inj."""
         if isinstance(m, FlatTorus):
-            inj = injectivity_radius(m.lattice)
+            inj = lat.injectivity_radius(m.lattice)
         else:
             inj = np.pi * m.radius
         return cls(plateau=plateau_frac * inj, support=support_frac * inj)
@@ -264,28 +263,12 @@ def spectral_tail_radius(spec: MollifierSpec, lam: float, A: float,
     return lam + A * max(s_star, 10.0)
 
 
-@dataclass(frozen=True, eq=False)
-class MultiplierTable:
-    """Immutable m_{lambda,A} evaluations on an increasing tau grid."""
-
-    lam: float
-    A: float
-    tau_grid: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def build(cls, spec: MollifierSpec, lam: float, A: float, taus) -> "MultiplierTable":
-        taus = np.unique(np.asarray(taus, dtype=float))
-        vals = multiplier_batch(spec, lam, A, taus)
-        return cls(lam=lam, A=A, tau_grid=taus, values=np.asarray(vals))
-
-
 class SmoothedProjector:
     """Smoothed projector on a flat torus with both evaluation routes.
 
-    Construction is the only stateful step (multiplier tables, truncation
-    radii, radial rule); instances are immutable afterwards and evaluations
-    are pure.
+    Construction is the only stateful step (per-mode multiplier weights,
+    truncation radii, radial rule); instances are immutable afterwards and
+    evaluations are pure.
     """
 
     def __init__(self, m: FlatTorus, spec: MollifierSpec, lam: float, A: float,
@@ -302,12 +285,12 @@ class SmoothedProjector:
             spectral_tail_radius(spec, lam, A, decay=self.h_decay) - lam)
         self.image_radius = spec.support / A
 
-        # spectral side: multiplier table on the distinct dual norms
+        # spectral side: one multiplier weight per mode, evaluated once per
+        # distinct dual norm
         _, vectors, norms = lat.dual_vectors(m.lattice, self.tail_radius, cap)
         self._vectors = vectors
         uniq, inverse = np.unique(norms, return_inverse=True)
-        self._inverse = inverse
-        self.table = MultiplierTable.build(spec, lam, A, uniq)
+        self._weights = multiplier_batch(spec, lam, A, uniq)[inverse]
 
         # images side: fixed radial rule resolving the fastest image
         # oscillation (period 2 pi A / support) and the multiplier transition
@@ -322,8 +305,7 @@ class SmoothedProjector:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         phases = self._vectors @ (y - x)
-        weights = self.table.values[self._inverse]
-        return float(np.sum(weights * np.cos(phases))) / self.manifold.lattice.covolume
+        return float(np.sum(self._weights * np.cos(phases))) / self.manifold.lattice.covolume
 
     def images(self, x, y) -> float:
         """Deck-image sum of radial integrals

@@ -1,5 +1,5 @@
 """Special functions for the kernels: Bessel J of integer/half-integer order,
-Legendre polynomials, and the radial Fourier kernels of balls and spheres.
+Legendre polynomials, and the radial Fourier kernels of spheres.
 
 J_nu and P_l are evaluated by scipy.special (jv, eval_legendre); this module
 fixes the domain (orders -1 <= nu <= NU_MAX in half steps, x >= 0, |x| <= 1)
@@ -9,7 +9,6 @@ and fills in the removable singularity of J_nu(r)/r^nu at r = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_legendre, jv
@@ -24,35 +23,18 @@ NU_MAX = 10.0
 RADIAL_SERIES_SWITCH = 1e-6
 
 
-@dataclass(frozen=True)
-class BesselOrder:
-    """Bessel order nu encoded as 2*nu, so half-integers are exact."""
-
-    twice_order: int
-
-    def __post_init__(self):
-        if not isinstance(self.twice_order, (int, np.integer)):
-            raise DomainError("twice_order must be an integer, got %r" % (self.twice_order,))
-        if self.twice_order < -2:
-            raise DomainError("order nu=%g < -1 is not supported" % (self.twice_order / 2.0))
-        if self.twice_order > 2 * NU_MAX:
-            raise DomainError(
-                "order nu=%g exceeds the validated envelope nu <= %g"
-                % (self.twice_order / 2.0, NU_MAX)
-            )
-
-    @property
-    def nu(self) -> float:
-        return self.twice_order / 2.0
-
-    @classmethod
-    def from_value(cls, value) -> "BesselOrder":
-        if isinstance(value, cls):
-            return value
-        twice = 2.0 * float(value)
-        if abs(twice - round(twice)) > 1e-12:
-            raise DomainError("order %r is not an integer or half-integer" % (value,))
-        return cls(int(round(twice)))
+def _order(nu) -> float:
+    """The Bessel order nu as a float, checked: an integer or half-integer
+    with -1 <= nu <= NU_MAX."""
+    twice = 2.0 * float(nu)
+    if abs(twice - round(twice)) > 1e-12:
+        raise DomainError("order %r is not an integer or half-integer" % (nu,))
+    nu = round(twice) / 2.0
+    if nu < -1.0:
+        raise DomainError("order nu=%g < -1 is not supported" % nu)
+    if nu > NU_MAX:
+        raise DomainError("order nu=%g exceeds the validated envelope nu <= %g" % (nu, NU_MAX))
+    return nu
 
 
 def bessel_j(order, x):
@@ -60,7 +42,7 @@ def bessel_j(order, x):
 
     Parameters
     ----------
-    order : BesselOrder | int | float
+    order : int | float
         Integer or half-integer order, -1 <= nu <= NU_MAX.
     x : float or array_like
         Nonnegative argument(s).
@@ -69,11 +51,11 @@ def bessel_j(order, x):
     -------
     float or ndarray, matching the shape of `x`.
     """
-    order = BesselOrder.from_value(order)
+    nu = _order(order)
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0):
         raise DomainError("bessel_j requires x >= 0")
-    out = jv(order.nu, xa)
+    out = jv(nu, xa)
     return float(out) if xa.ndim == 0 else out
 
 
@@ -97,8 +79,7 @@ def bessel_ratio(order, r):
     For r < RADIAL_SERIES_SWITCH a 4-term Taylor expansion is used; the
     leading coefficient is 1 / (2^nu Gamma(nu+1)).
     """
-    order = BesselOrder.from_value(order)
-    nu = order.nu
+    nu = _order(order)
     ra = np.asarray(r, dtype=float)
     scalar = ra.ndim == 0
     ra = np.atleast_1d(ra)
@@ -116,23 +97,13 @@ def bessel_ratio(order, r):
         out[tiny] = acc / 2.0 ** nu
     if np.any(~tiny):
         rb = ra[~tiny]
-        out[~tiny] = bessel_j(order, rb) / rb ** nu
+        out[~tiny] = bessel_j(nu, rb) / rb ** nu
     return float(out[0]) if scalar else out
 
 
 def _check_dim(n: int):
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise DomainError("dimension n must be an integer >= 2")
-
-
-def ball_fourier(n: int, r):
-    """Radial profile of the unit-ball Fourier transform.
-
-    B_n(r) = integral of e^{i<w,xi>} over |xi| <= 1, with r = |w|; equals
-    (2 pi)^{n/2} J_{n/2}(r) / r^{n/2} and B_n(0) = vol(unit n-ball).
-    """
-    _check_dim(n)
-    return (2.0 * np.pi) ** (n / 2.0) * bessel_ratio(BesselOrder(n), r)
 
 
 def sphere_fourier(n: int, r):
@@ -142,7 +113,7 @@ def sphere_fourier(n: int, r):
     (2 pi)^{n/2} J_{(n-2)/2}(r) / r^{(n-2)/2} and S_n(0) = area(S^{n-1}).
     """
     _check_dim(n)
-    return (2.0 * np.pi) ** (n / 2.0) * bessel_ratio(BesselOrder(n - 2), r)
+    return (2.0 * np.pi) ** (n / 2.0) * bessel_ratio((n - 2) / 2.0, r)
 
 
 def universal_covariance(n: int, r):
@@ -152,4 +123,4 @@ def universal_covariance(n: int, r):
     analytic limit (2 pi)^{-n/2} / (2^{(n-2)/2} Gamma(n/2)).
     """
     _check_dim(n)
-    return (2.0 * np.pi) ** (-n / 2.0) * bessel_ratio(BesselOrder(n - 2), r)
+    return (2.0 * np.pi) ** (-n / 2.0) * bessel_ratio((n - 2) / 2.0, r)

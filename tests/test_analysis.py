@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,12 +7,11 @@ from weyl_lab.analysis import (
     cluster_sup_scan,
     localized_integral,
     localized_sum,
-    localized_sum_ratio_scan,
     loglog_fit,
     scan_report,
 )
 from weyl_lab.errors import DomainError
-from weyl_lab.lattice import Lattice, shell_count
+from weyl_lab.lattice import Lattice
 from weyl_lab.manifolds import DerivIndex, FlatTorus, RoundSphere2, spectral_window
 
 TORUS = FlatTorus(Lattice.square(2.0 * np.pi))
@@ -102,10 +102,12 @@ def test_localized_sum_shift_invariance():
 def test_localized_sum_domain():
     with pytest.raises(DomainError):
         localized_sum(10.0, 1, 0)
-    with pytest.raises(DomainError):
-        localized_sum(10.0, 2, 1.5)  # N - p <= 1 diverges
+    with pytest.raises(DomainError, match="diverges"):
+        localized_sum(10.0, 2, 1)  # N - p <= 1 diverges
     with pytest.raises(DomainError):
         localized_sum(0.5, 4, 0)
+    with pytest.raises(DomainError, match="p=0.5"):
+        localized_sum(10.0, 4, 0.5)
 
 
 @pytest.mark.parametrize("lam,N,p", [(100.0, 4, 0), (100.0, 4, 2), (7.0, 5, 1), (1.0, 4, 0)])
@@ -120,8 +122,31 @@ def test_localized_integral_ratio_bounded():
 
 
 def test_localized_integral_domain():
-    with pytest.raises(DomainError):
+    # the same domain as localized_sum
+    with pytest.raises(DomainError, match="diverges"):
         localized_integral(10.0, 2, 1)
+    with pytest.raises(DomainError, match="N must be an integer"):
+        localized_integral(10.0, 4.5, 1)
+    with pytest.raises(DomainError, match="N must be an integer"):
+        localized_integral(10.0, 1, 0)
+    with pytest.raises(DomainError, match="p=-1"):
+        localized_integral(10.0, 4, -1)
+    with pytest.raises(DomainError, match="p=0.5"):
+        localized_integral(10.0, 4, 0.5)
+    with pytest.raises(DomainError, match="lam"):
+        localized_integral(0.5, 4, 0)
+
+
+@pytest.mark.parametrize("N,p", [(4, 0), (4, 1), (4, 2), (5, 3), (8, 6)])
+def test_localized_integral_against_mpmath(N, p):
+    # 30-digit quadrature of the integrand, split at r = lam and past it
+    for lam in (1.0, 7.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1e4):
+        with mp.workdps(30):
+            L = mp.mpf(lam)
+            f = lambda r: (1 + abs(L - r)) ** (-N) * (1 + r) ** p
+            want = mp.quad(f, [1, L]) + mp.quad(f, [L, L + 1, L + 10, L + 100, mp.inf])
+            got = localized_integral(lam, N, p)
+            assert abs(got - want) <= 1e-14 * want, (lam, N, p)
 
 
 def test_sum_integral_factor_two():
@@ -132,20 +157,31 @@ def test_sum_integral_factor_two():
             assert 0.5 < s / i < 2.0
 
 
+def sum_ratios(grid, N, p):
+    # the boundedness claim: localized sum / lambda^p along a grid
+    return np.array([localized_sum(lam, N, p) / lam**p for lam in grid])
+
+
 def test_ratio_scan_bounded():
     grid = np.unique(np.round(np.geomspace(50, 800, 12))).astype(float)
-    rep = localized_sum_ratio_scan(grid, 4, 2)
-    ratios = rep.normalized
+    ratios = sum_ratios(grid, 4, 2)
     assert ratios.max() / ratios.min() <= 1.5
-    rep0 = localized_sum_ratio_scan(grid, 4, 0)
-    assert rep0.normalized.max() / rep0.normalized.min() <= 1.01
+    ratios0 = sum_ratios(grid, 4, 0)
+    assert ratios0.max() / ratios0.min() <= 1.01
 
 
 def test_ratio_scan_small_N():
-    grid = np.array([50.0, 110.0, 260.0, 800.0])
-    rep = localized_sum_ratio_scan(grid, 4, 1)
-    assert np.all(np.isfinite(rep.normalized))
-    assert rep.normalized.max() / rep.normalized.min() < 1.5
+    ratios = sum_ratios(np.array([50.0, 110.0, 260.0, 800.0]), 4, 1)
+    assert np.all(np.isfinite(ratios))
+    assert ratios.max() / ratios.min() < 1.5
+
+
+def integer_shell_count(lo, hi):
+    # integer points k with lo < |k| <= hi (the square 2 pi torus's dual)
+    reach = int(hi) + 1
+    a, b = np.meshgrid(np.arange(-reach, reach + 1), np.arange(-reach, reach + 1))
+    sq = a**2 + b**2
+    return int(np.count_nonzero((sq > lo**2) & (sq <= hi**2)))
 
 
 def test_cluster_sup_scan_equals_shell_counts():
@@ -153,7 +189,7 @@ def test_cluster_sup_scan_equals_shell_counts():
     rep = cluster_sup_scan(TORUS, grid, 1.0)
     covol = TORUS.lattice.covolume
     for lam, val in zip(grid, rep.sup_values):
-        assert_allclose(val, shell_count(TORUS.lattice, lam, lam + 1.0) / covol, rtol=1e-12)
+        assert_allclose(val, integer_shell_count(lam, lam + 1.0) / covol, rtol=1e-12)
 
 
 def test_cluster_sup_scan_one_over_log_normalization():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -198,6 +201,44 @@ def test_smooth_compare_exits_1_when_the_sine_table_fails(tmp_path, monkeypatch)
                   "trailing coefficients=", "past nu0="):
         assert field in res.stderr
     assert not (tmp_path / "smooth-compare.csv").exists()
+
+
+def test_appendix_a_rejects_a_fractional_p(tmp_path):
+    # the localized integrals have closed forms for integer p only
+    res = run_cli(["appendix-a", "--lambda-grid", "50:200:3", "--p", "0,0.5",
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("config error: p=0.5 must be a nonnegative integer")
+    assert not (tmp_path / "appendix-a.csv").exists()
+
+
+def test_cli_import_loads_no_scipy_integrate():
+    # scipy.integrate costs a few tenths of a second at start-up and no
+    # subcommand needs it
+    code = ("import sys, weyl_lab.cli; "
+            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'")
+    src = os.path.dirname(os.path.dirname(weyl_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_randomwave_covariance_samples_waves_once(tmp_path, monkeypatch):
+    import weyl_lab.randomwaves as rw
+
+    grids = []
+    original = rw.sample_wave_grid
+    monkeypatch.setattr(rw, "sample_wave_grid",
+                        lambda ens, idx, pts: grids.append(np.shape(pts)) or
+                        original(ens, idx, pts))
+    res = run_cli(["randomwave", "--manifold", "torus:2:square2pi", "--mode", "covariance",
+                   "--lambda", "30", "--samples", "50", "--dist-grid", "0:0.3:6",
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    # one grid over x0 and the 6 points, x0 being the point at distance 0
+    assert grids == [(6, 2)]
+    lines = (tmp_path / "randomwave.csv").read_text().strip().splitlines()
+    assert len(lines) == 7
 
 
 def test_cluster_sup_names_an_empty_sphere_window(tmp_path):

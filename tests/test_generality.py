@@ -4,7 +4,6 @@ dimension 3, and finite-difference oracles for the closed-form derivatives."""
 import itertools
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from weyl_lab.lattice import Lattice, deck_images, dual_vectors
@@ -105,11 +104,14 @@ def test_derivative_kernels_match_finite_differences():
 
 
 def test_remainder_identity_other_lattices():
-    # exact = leading + remainder also away from the square lattice
-    from weyl_lab.projector import remainder
+    # the scan's remainder is exact - leading also away from the square lattice
+    from weyl_lab.projector import remainder_scan
 
+    grid = np.array([8.3, 9.1, 10.7])
     for torus, point in ((HEX, np.array([0.2, 0.1])),
                          (FlatTorus(Lattice.from_basis(np.diag([2 * np.pi, 4 * np.pi]))),
                           np.array([0.5, 1.0]))):
-        s = remainder(torus, 8.3, np.zeros(2), point)
-        assert s.exact == pytest.approx(s.leading + s.remainder, abs=1e-13)
+        rep = remainder_scan(torus, grid, [(np.zeros(2), point)])
+        for lam, sup in zip(grid, rep.sup_values):
+            exact = spectral_function(torus, lam, np.zeros(2), point)
+            assert sup == abs(exact - leading_term(torus, lam, np.zeros(2), point))

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from weyl_lab.errors import DomainError, PreconditionError
-from weyl_lab.lattice import Lattice, shell_count
+from weyl_lab.lattice import Lattice
 from weyl_lab.manifolds import (
     DerivIndex,
     FlatTorus,
@@ -16,7 +16,6 @@ from weyl_lab.projector import (
     cluster_vs_bessel,
     leading_term,
     offdiagonal_scan,
-    remainder,
     remainder_scan,
 )
 from weyl_lab.specfun import bessel_j, legendre_p
@@ -63,32 +62,27 @@ def test_leading_term_mixed_derivative_antisymmetry():
                     -leading_term(TORUS, lam, ORIGIN, y, dy), rtol=1e-13)
 
 
+def remainder(m, lam, x, y, d=DerivIndex()):
+    # the Weyl remainder: exact spectral function minus the leading term
+    return spectral_function(m, lam, x, y, d) - leading_term(m, lam, x, y, d)
+
+
 def test_remainder_closed_forms():
     # lambda below the first nonzero eigenvalue: both terms in closed form
-    s = remainder(TORUS, 0.5, ORIGIN, ORIGIN)
-    assert_allclose(s.exact, 1.0 / (4.0 * np.pi**2), rtol=1e-13)
-    assert_allclose(s.leading, 0.25 / (4.0 * np.pi), rtol=1e-13)
-    assert_allclose(s.remainder, 1.0 / (4.0 * np.pi**2) - 1.0 / (16.0 * np.pi), rtol=1e-12)
+    exact = spectral_function(TORUS, 0.5, ORIGIN, ORIGIN)
+    assert_allclose(exact, 1.0 / (4.0 * np.pi**2), rtol=1e-13)
+    assert_allclose(leading_term(TORUS, 0.5, ORIGIN, ORIGIN), 0.25 / (4.0 * np.pi), rtol=1e-13)
+    assert_allclose(remainder(TORUS, 0.5, ORIGIN, ORIGIN),
+                    1.0 / (4.0 * np.pi**2) - 1.0 / (16.0 * np.pi), rtol=1e-12)
     # tiny lambda: remainder approaches 1/vol(M)
-    s0 = remainder(TORUS, 0.01, ORIGIN, ORIGIN)
-    assert_allclose(s0.remainder, 1.0 / (4.0 * np.pi**2), rtol=1e-3)
-
-
-def test_remainder_exactness_identity():
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        x = TORUS.lattice.basis @ rng.random(2)
-        y = x + 0.3 * rng.standard_normal(2)
-        s = remainder(TORUS, 17.3, x, y)
-        assert s.exact == pytest.approx(s.leading + s.remainder, abs=1e-14)
+    assert_allclose(remainder(TORUS, 0.01, ORIGIN, ORIGIN), 1.0 / (4.0 * np.pi**2), rtol=1e-3)
 
 
 @pytest.mark.parametrize("lam", sorted(BRUTE_COUNTS))
 def test_diagonal_remainder_is_gauss_circle_error(lam):
     covol = TORUS.lattice.covolume
-    s = remainder(TORUS, lam, ORIGIN, ORIGIN)
     expected = (BRUTE_COUNTS[lam] - np.pi * lam**2) / covol
-    assert_allclose(s.remainder, expected, rtol=1e-9, atol=1e-9)
+    assert_allclose(remainder(TORUS, lam, ORIGIN, ORIGIN), expected, rtol=1e-9, atol=1e-9)
 
 
 def test_remainder_scan_exponent_bounds():
@@ -131,8 +125,11 @@ def test_cluster_vs_bessel_torus_diagonal():
     lam, width = 30.0, 1.0
     table = cluster_vs_bessel(TORUS, lam, width, ORIGIN, np.array([0.0, 0.05, 0.1]))
     covol = TORUS.lattice.covolume
-    assert_allclose(table.cluster[0], shell_count(TORUS.lattice, lam, lam + width) / covol,
-                    rtol=1e-12)
+    # integer points with lam < |k| <= lam + width
+    ks = np.arange(-40, 41)
+    sq = ks[:, None] ** 2 + ks[None, :] ** 2
+    count = np.count_nonzero((sq > lam**2) & (sq <= (lam + width) ** 2))
+    assert_allclose(table.cluster[0], count / covol, rtol=1e-12)
     # prediction at dist 0 is width * lam_mid/(2 pi) * J_0(0)
     assert_allclose(table.bessel_prediction[0], table.mean_shell_radius / (2.0 * np.pi),
                     rtol=1e-12)
@@ -208,8 +205,7 @@ def per_lambda_offdiagonal(m, grid, pairs):
 
 
 def per_lambda_remainder(m, grid, pairs, d):
-    return [max(abs(remainder(m, lam, x, y, d).remainder) for x, y in pairs)
-            for lam in grid]
+    return [max(abs(remainder(m, lam, x, y, d)) for x, y in pairs) for lam in grid]
 
 
 def count_enumerations(monkeypatch):

@@ -8,20 +8,25 @@ from weyl_lab.errors import DomainError, PreconditionError
 from weyl_lab.lattice import Lattice
 from weyl_lab.manifolds import FlatTorus, RoundSphere2
 from weyl_lab.randomwaves import (
-    CovarianceReport,
     RandomWaveEnsemble,
-    covariance_report,
     default_rescaling_radius,
     empirical_covariance,
     exact_covariance,
     rescaled_covariance_error,
-    sample_wave,
     sample_wave_grid,
 )
 from weyl_lab.rng import gaussian_matrix
 
 TORUS = FlatTorus(Lattice.square(2.0 * np.pi))
 SPHERE = RoundSphere2()
+
+
+def sample_wave(ens, sample_index, x):
+    # one wave sample at one point, lam^{(1-n)/2} sum a_j phi_j(x), from a
+    # single coefficient row and a single mode column
+    coeffs = ens.coefficients([sample_index])[0]
+    phi = ens.mode_values([np.asarray(x, dtype=float)])[:, 0]
+    return float(ens.normalization * (coeffs @ phi))
 
 
 def test_gaussian_matrix_is_counter_based():
@@ -61,14 +66,14 @@ def test_golden_sample_values():
 
 def test_empty_window_rejected():
     ens = RandomWaveEnsemble(TORUS, 0.5, 0.2, seed=1, num_samples=2)
-    with pytest.raises(DomainError):
-        sample_wave(ens, 0, np.zeros(2))
+    with pytest.raises(DomainError, match="holds no modes"):
+        sample_wave_grid(ens, [0], np.zeros((1, 2)))
 
 
 def test_sample_index_validation():
     ens = RandomWaveEnsemble(TORUS, 5.0, 1.0, seed=1, num_samples=3)
-    with pytest.raises(DomainError):
-        sample_wave(ens, 3, np.zeros(2))
+    with pytest.raises(DomainError, match="sample index"):
+        sample_wave_grid(ens, [3], np.zeros((1, 2)))
 
 
 def test_exact_covariance_identity_torus():
@@ -196,12 +201,19 @@ def test_sphere_ensemble_empirical_covariance():
 
 
 def test_covariance_report_shapes():
+    # the covariance table's columns: point arrays give one row per pair,
+    # a single point pair gives floats
     ens = RandomWaveEnsemble(TORUS, 20.0, 1.0, seed=9, num_samples=500)
-    pairs = [(np.zeros(2), np.array([0.1 * j, 0.05 * j])) for j in range(3)]
-    rep = covariance_report(ens, pairs)
-    assert isinstance(rep, CovarianceReport)
-    assert rep.empirical.shape == rep.exact.shape == rep.std_errors.shape == (3,)
-    assert np.all(rep.std_errors > 0)
+    ys = np.array([[0.1 * j, 0.05 * j] for j in range(3)])
+    mean, std_err = empirical_covariance(ens, np.zeros(2), ys)
+    assert mean.shape == std_err.shape == exact_covariance(ens, np.zeros(2), ys).shape == (3,)
+    assert np.all(std_err > 0)
+    one = empirical_covariance(ens, np.zeros(2), ys[1])
+    assert isinstance(one[0], float) and isinstance(one[1], float)
+    assert one == pytest.approx((mean[1], std_err[1]), rel=1e-12)
+    with pytest.raises(PreconditionError):
+        empirical_covariance(RandomWaveEnsemble(TORUS, 20.0, 1.0, num_samples=1),
+                             np.zeros(2), ys)
 
 
 def test_rescaled_covariance_universal_values():
@@ -238,26 +250,34 @@ def test_sample_wave_grid_matches_pointwise():
 def test_covariance_report_draws_coefficients_once(monkeypatch):
     import weyl_lab.randomwaves as rw
 
-    calls = []
+    calls, grids = [], []
 
     def counting(*args):
         calls.append(args)
         return gaussian_matrix(*args)
 
+    def recording(ens, sample_indices, points):
+        grids.append(np.asarray(points))
+        return sample_wave_grid(ens, sample_indices, points)
+
     ens = RandomWaveEnsemble(TORUS, 20.0, 1.0, seed=9, num_samples=300)
-    pairs = [(np.zeros(2), np.array([0.1 * j, 0.05 * j])) for j in range(4)]
+    xs = np.zeros((4, 2))
+    ys = np.array([[0.1 * j, 0.05 * j] for j in range(4)])
     # reference: each pair sampled through explicit indices, a fresh draw each
     expected = []
-    for x, y in pairs:
+    for x, y in zip(xs, ys):
         waves = sample_wave_grid(ens, np.arange(ens.num_samples), np.vstack([x, y]))
         prod = waves[:, 0] * waves[:, 1]
         expected.append((np.mean(prod), np.std(prod, ddof=1) / np.sqrt(prod.size)))
     monkeypatch.setattr(rw, "gaussian_matrix", counting)
-    rep = covariance_report(RandomWaveEnsemble(TORUS, 20.0, 1.0, seed=9, num_samples=300),
-                            pairs)
+    monkeypatch.setattr(rw, "sample_wave_grid", recording)
+    mean, std_err = empirical_covariance(
+        RandomWaveEnsemble(TORUS, 20.0, 1.0, seed=9, num_samples=300), xs, ys)
     assert len(calls) == 1
-    assert np.array_equal(rep.empirical, [m for m, _ in expected])
-    assert np.array_equal(rep.std_errors, [s for _, s in expected])
+    # one wave grid over the 4 distinct points (the origin once)
+    assert len(grids) == 1 and grids[0].shape == (4, 2)
+    assert np.array_equal(mean, [m for m, _ in expected])
+    assert np.array_equal(std_err, [s for _, s in expected])
 
 
 @pytest.mark.parametrize("basis", ["square2pi", "hex", "mat:1,0.3;0,1.2"])
@@ -305,10 +325,11 @@ def test_exact_covariance_takes_point_sets_in_one_enumeration(monkeypatch):
     assert got.tobytes() == expected.tobytes()
     assert exact_covariance(ens, xs[0], ys).tobytes() == one_to_many.tobytes()
     assert len(radii) == 2
-    rep = covariance_report(RandomWaveEnsemble(TORUS, 30.0, 1.0, seed=3, num_samples=2),
-                            list(zip(xs, ys)))
-    assert rep.exact.tobytes() == expected.tobytes()
-    # the report enumerates once for the modes and once for the exact column
+    # a covariance table enumerates once for the modes and once for the
+    # exact column
+    fresh = RandomWaveEnsemble(TORUS, 30.0, 1.0, seed=3, num_samples=2)
+    empirical_covariance(fresh, xs, ys)
+    assert exact_covariance(fresh, xs, ys).tobytes() == expected.tobytes()
     assert len(radii) == 4
     sphere_ens = RandomWaveEnsemble(SPHERE, 12.5, 1.0, seed=3, num_samples=2)
     north = np.array([0.0, 0.0, 1.0])

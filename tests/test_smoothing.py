@@ -13,7 +13,6 @@ from weyl_lab.lattice import Lattice, deck_images
 from weyl_lab.manifolds import FlatTorus, spectral_function
 from weyl_lab.smoothing import (
     MollifierSpec,
-    MultiplierTable,
     SmoothedProjector,
     _composite_gauss_legendre,
     fit_h_constant,
@@ -212,13 +211,16 @@ def test_h_decay_fit_is_stretched_exponential():
 
 def test_multiplier_table_build():
     taus = np.linspace(0.0, 30.0, 50)
-    table = MultiplierTable.build(SPEC, 10.0, 0.5, taus)
-    assert table.tau_grid.size == 50
-    assert np.all(np.diff(table.tau_grid) > 0)
-    assert table.values.max() <= 1.09 and table.values.min() >= -0.09
+    values = multiplier_batch(SPEC, 10.0, 0.5, taus)
+    assert values.max() <= 1.09 and values.min() >= -0.09
     # deep-inside values are near 1, far-outside near 0
-    assert abs(table.values[0] - 1.0) < 1e-3
-    assert abs(table.values[-1]) < 1e-3
+    assert abs(values[0] - 1.0) < 1e-3
+    assert abs(values[-1]) < 1e-3
+    # the projector keeps one weight per mode: m at that mode's norm
+    sp = SmoothedProjector(TORUS, SPEC, 10.0, 0.5)
+    norms = np.linalg.norm(sp._vectors, axis=1)
+    assert sp._weights.shape == norms.shape
+    assert np.array_equal(sp._weights, multiplier_batch(SPEC, 10.0, 0.5, norms))
 
 
 def test_smoothed_projector_below_first_eigenvalue():
