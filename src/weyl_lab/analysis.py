@@ -8,8 +8,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lattice as lat
 from .errors import DomainError
-from .manifolds import ZERO_DERIV, DerivIndex, ModelManifold, RoundSphere2, spectral_window
+from .manifolds import (
+    ZERO_DERIV,
+    DerivIndex,
+    FlatTorus,
+    ModelManifold,
+    RoundSphere2,
+    spectral_window,
+)
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,52 @@ def localized_integral(lam: float, N: int, p: float) -> float:
     return float(left + right)
 
 
+def _sphere_diagonal_sums(m: RoundSphere2, grid, widths, d: DerivIndex):
+    """Per (lambda, A): the level count of (lambda, lambda + A] and its
+    sum of multiplicity / volume, all slices of one window."""
+    ball = spectral_window(m, float(np.min(grid)), max(lam + A for lam, A in zip(grid, widths)))
+    counts, values = [], []
+    for lam, A in zip(grid, widths):
+        win = ball.between(lam, lam + A)
+        counts.append(win.roots.size)
+        # a running sum over ascending degrees (np.sum would pair terms
+        # and change the last bits)
+        values.append(np.cumsum(win.mults / m.volume)[-1] if win.roots.size else 0.0)
+    return counts, values
+
+
+def _torus_diagonal_sums(m: FlatTorus, grid, widths, d: DerivIndex):
+    """Per (lambda, A): the dual-point count of (lambda, lambda + A] and its
+    sum of k^(2 alpha) / covolume, from the runs of one set of slabs."""
+    G = m.lattice.dual_basis
+    prefixes = lat.slab_prefixes(G, max(lam + A for lam, A in zip(grid, widths)))
+    u = prefixes @ G[:, :-1].T
+    alpha, _ = d.padded(m.dim)
+    counts, values = [], []
+    for lam, A in zip(grid, widths):
+        slab, starts, stops = lat.slab_runs(lat.slab_ends(G, prefixes, lam + A),
+                                            lat.slab_ends(G, prefixes, lam))
+        lengths = stops - starts + 1
+        counts.append(int(lengths.sum()))
+        if d.is_zero:
+            values.append(counts[-1] / m.lattice.covolume)
+            continue
+        # each run's sum of k_j^2 = (u_j + g_j t)^2 from power sums of t
+        j = alpha.index(1)
+        g = G[j, -1]
+        sum_t = (starts + stops) * lengths // 2
+        sum_t2 = _square_sum(stops) - _square_sum(starts - 1)
+        per_run = u[slab, j] ** 2 * lengths + 2.0 * u[slab, j] * g * sum_t + g * g * sum_t2
+        values.append(np.sum(per_run) / m.lattice.covolume)
+    return counts, values
+
+
+def _square_sum(n):
+    """sum_{t=1}^{n} t^2 as an exact integer polynomial (valid for every
+    integer n, so differences give sums over any run)."""
+    return n * (n + 1) * (2 * n + 1) // 6
+
+
 def cluster_sup_scan(m: ModelManifold, lambda_grid, A_rule,
                      d: DerivIndex = ZERO_DERIV) -> ScanReport:
     """Diagonal windowed sums sup_x sum_{lambda_j in (lambda, lambda+A]}
@@ -134,8 +188,10 @@ def cluster_sup_scan(m: ModelManifold, lambda_grid, A_rule,
     constant modulus; the sphere level sum is rotation invariant), so the
     sup over any x-grid equals the common value.  A_rule is a fixed width
     or "one-over-log" for A = 1/log lambda; the one-over-log report carries
-    value * log(lambda) / lambda^{n-1+2|alpha|} in `normalized`.  One
-    spectral window up to max(lambda + A) serves the whole grid.
+    value * log(lambda) / lambda^{n-1+2|alpha|} in `normalized`.  Torus
+    windows are counted slab by slab (integer run lengths, and closed-form
+    power sums of the last coefficient for derivatives); one set of slabs,
+    and on the sphere one window, up to max(lambda + A) serves the grid.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     one_over_log = isinstance(A_rule, str)
@@ -152,27 +208,13 @@ def cluster_sup_scan(m: ModelManifold, lambda_grid, A_rule,
     if not all(0.0 < A < np.inf for A in widths):
         raise DomainError("window width must be positive and finite "
                           "(the one-over-log rule needs lambda > 1)")
-    # one window covers every (lambda, lambda + A]; each is a slice of it
-    ball = spectral_window(m, float(np.min(grid)),
-                           max(lam + A for lam, A in zip(grid, widths)))
-    values = np.empty(grid.size)
-    for i, (lam, A) in enumerate(zip(grid, widths)):
-        win = ball.between(lam, lam + A)
-        if win.roots.size == 0:
-            raise DomainError("lambda=%.6g: the window (%.6g, %.6g] holds no eigenvalue"
-                              % (lam, lam, lam + A))
-        if isinstance(m, RoundSphere2):
-            # a running sum over ascending degrees (np.sum would pair terms
-            # and change the last bits)
-            weights = win.mults / m.volume
-            values[i] = np.cumsum(weights)[-1]
-        else:
-            alpha, _ = d.padded(n)
-            mono = np.ones(win.roots.size)
-            for j, a in enumerate(alpha):
-                if a:
-                    mono = mono * win.vectors[:, j] ** (2 * a)
-            values[i] = np.sum(mono) / m.lattice.covolume
+    diagonal_sums = _sphere_diagonal_sums if isinstance(m, RoundSphere2) else _torus_diagonal_sums
+    counts, values = diagonal_sums(m, grid, widths, d)
+    if 0 in counts:
+        lam, A = grid[counts.index(0)], widths[counts.index(0)]
+        raise DomainError("lambda=%.6g: the window (%.6g, %.6g] holds no eigenvalue"
+                          % (lam, lam, lam + A))
+    values = np.array(values)
     normalized = None
     if one_over_log:
         exponent = n - 1 + 2 * sum(d.alpha)

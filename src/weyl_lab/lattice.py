@@ -2,14 +2,17 @@
 
 Conventions: the lattice basis holds period vectors as columns; the dual
 basis satisfies <b_i, b*_j> = 2 pi delta_ij, so torus eigenfunctions are
-e^{i<k,x>} with k a dual point and eigenvalue |k|^2.  Enumeration uses a
-coefficient bounding box derived from operator norms (provable completeness
-over clever pruning at desk scale).
+e^{i<k,x>} with k a dual point and eigenvalue |k|^2.  Enumeration works slab
+by slab: fixing every coefficient but the last, the ball meets the slab in
+an integer interval read off the quadratic form and settled on the exact
+row norms; the slabs come from a coefficient bounding box derived from
+operator norms.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,35 +78,132 @@ def _coefficient_box(generator_matrix: np.ndarray, radius: float) -> np.ndarray:
     return np.floor(radius * row_norms + 1e-9).astype(int)
 
 
-def _lattice_vectors(generator_matrix: np.ndarray, radius: float, cap: int):
-    """All integer-combination vectors |G c| <= radius, with coefficients.
+def slab_prefixes(generator_matrix: np.ndarray, radius: float,
+                  cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """The coefficient slabs that can meet the ball |G c| <= radius.
 
-    Returns (coeffs (N,d) int array, vectors (N,d), norms (N,)), sorted by
-    (norm, lexicographic coeffs).  Complete by the bounding-box argument.
+    A slab fixes every coefficient but the last; the result holds one row
+    of leading coefficients per slab, (S, d-1), in lexicographic order.
+    Their count is checked against `cap` before anything is allocated.
     """
     if radius <= 0.0:
         raise DomainError("radius must be positive")
-    box = _coefficient_box(generator_matrix, radius)
+    box = _coefficient_box(generator_matrix, radius)[:-1]
     total = int(np.prod(2 * box.astype(object) + 1))
     if total > cap:
         raise ResourceLimitError(
-            "enumeration box holds %d candidates, exceeding the cap %d" % (total, cap)
-        )
-    axes = [np.arange(-m, m + 1) for m in box]
-    grids = np.meshgrid(*axes, indexing="ij")
-    coeffs = np.stack([g.ravel() for g in grids], axis=1)
+            "the ball of radius %.6g meets %d coefficient slabs, exceeding the cap %d"
+            % (radius, total, cap))
+    grids = np.meshgrid(*[np.arange(-m, m + 1) for m in box], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def slab_row_norms(generator_matrix: np.ndarray, prefixes: np.ndarray, last) -> np.ndarray:
+    """|G c| for c = (prefix, last) per slab, computed exactly as the
+    enumeration computes its norms, so the two agree bit for bit."""
+    coeffs = np.column_stack([prefixes, np.broadcast_to(last, prefixes.shape[0])])
+    return np.linalg.norm(coeffs @ generator_matrix.T, axis=1)
+
+
+def slab_ends(generator_matrix: np.ndarray, prefixes: np.ndarray, threshold: float):
+    """Per slab, the last coefficients t with |G (prefix, t)| <= threshold:
+    the integer interval [a, b], as two int arrays.
+
+    The quadratic form in t gives the ends up to rounding; each end is then
+    settled among its neighbours by `slab_row_norms`, so membership is
+    exactly that of the enumeration (a row on the threshold is in, one an
+    ulp above is out).  An empty slab has b = a - 1 = floor(vertex), so
+    a - 1 and b + 1 are the rows nearest the parabola's vertex.
+    """
+    q_form = generator_matrix.T @ generator_matrix
+    q = q_form[-1, -1]
+    cross = prefixes @ q_form[:-1, -1]
+    const = np.einsum("si,ij,sj->s", prefixes, q_form[:-1, :-1], prefixes)
+    vertex = -cross / q
+    half = np.sqrt(np.maximum(vertex**2 - (const - threshold**2) / q, 0.0))
+    lo = np.ceil(vertex - half).astype(np.int64)
+    hi = np.floor(vertex + half).astype(np.int64)
+    # the true ends are within one step of the rounded ones
+    a = np.full(prefixes.shape[0], np.iinfo(np.int64).max)
+    b = np.full(prefixes.shape[0], np.iinfo(np.int64).min)
+    for step in (1, 0, -1):
+        inside = slab_row_norms(generator_matrix, prefixes, lo + step) <= threshold
+        a = np.where(inside, lo + step, a)
+        inside = slab_row_norms(generator_matrix, prefixes, hi - step) <= threshold
+        b = np.where(inside, hi - step, b)
+    empty = a > b
+    b[empty] = np.floor(vertex[empty]).astype(np.int64)
+    a[empty] = b[empty] + 1
+    return a, b
+
+
+def slab_runs(ends, inner_ends=None):
+    """The rows of each slab inside the ball given by `ends` (the (a, b) of
+    `slab_ends`) and, with `inner_ends`, outside that inner ball: runs of
+    consecutive last coefficients, one per slab or two either side of the
+    inner ball.  Returns (slab, start, stop) int arrays of the nonempty
+    runs, in slab order and ascending within a slab (lexicographic order
+    of the rows)."""
+    a, b = ends
+    if inner_ends is None:
+        starts, stops = a[:, None], b[:, None]
+    else:
+        a_in, b_in = inner_ends
+        starts = np.stack([a, b_in + 1], axis=1)
+        stops = np.stack([a_in - 1, b], axis=1)
+    slab = np.repeat(np.arange(a.size), starts.shape[1])
+    starts, stops = starts.ravel(), stops.ravel()
+    keep = stops >= starts
+    return slab[keep], starts[keep], stops[keep]
+
+
+def _lattice_vectors(generator_matrix: np.ndarray, radius: float, cap: int,
+                     inner: float = -1.0):
+    """All integer-combination vectors inner < |G c| <= radius, with
+    coefficients.
+
+    Returns (coeffs (N,d) int array, vectors (N,d), norms (N,)), sorted by
+    (norm, lexicographic coeffs).  Rows are generated slab by slab in
+    lexicographic order and stably sorted by norm; `cap` bounds the row
+    count before the rows are allocated.
+    """
+    # the cells c + {sum t_i g_i : t in [0,1)^d} of the points c of a ball
+    # of radius r cover the ball of radius r - D and lie in that of radius
+    # r + D, D = sum |g_i|; so the row count has a lower bound that refuses
+    # a far oversized request before any slab is built
+    d = generator_matrix.shape[0]
+    reach = float(np.sum(np.linalg.norm(generator_matrix, axis=0)))
+    volume = max(radius - reach, 0.0) ** d - (inner + reach) ** d * (inner >= 0.0)
+    lower = (np.pi ** (d / 2) / math.gamma(d / 2 + 1) * volume
+             / abs(np.linalg.det(generator_matrix)))
+    if lower > cap:
+        raise ResourceLimitError(
+            "enumeration holds at least %.4g lattice points, exceeding the cap %d"
+            % (lower, cap))
+    prefixes = slab_prefixes(generator_matrix, radius, cap)
+    slab, starts, stops = slab_runs(
+        slab_ends(generator_matrix, prefixes, radius * (1.0 + 1e-15)),
+        slab_ends(generator_matrix, prefixes, inner) if inner >= 0.0 else None)
+    counts = stops - starts + 1
+    total = int(counts.sum())
+    if total > cap:
+        raise ResourceLimitError(
+            "enumeration holds %d lattice points, exceeding the cap %d" % (total, cap))
+    run = np.repeat(np.arange(counts.size), counts)
+    last = starts[run] + np.arange(total) - (np.cumsum(counts) - counts)[run]
+    coeffs = np.column_stack([prefixes[slab[run]], last])
     vectors = coeffs @ generator_matrix.T
     norms = np.linalg.norm(vectors, axis=1)
-    keep = norms <= radius * (1.0 + 1e-15)
-    coeffs, vectors, norms = coeffs[keep], vectors[keep], norms[keep]
-    order = np.lexsort(tuple(coeffs[:, j] for j in range(coeffs.shape[1] - 1, -1, -1)) + (norms,))
+    order = np.argsort(norms, kind="stable")
     return coeffs[order], vectors[order], norms[order]
 
 
-def dual_vectors(lattice: Lattice, radius: float, cap: int = DEFAULT_ENUM_CAP):
-    """All dual-lattice points with norm <= radius as arrays (coeffs, vectors,
-    norms), sorted by (norm, lexicographic coeffs)."""
-    return _lattice_vectors(lattice.dual_basis, radius, cap)
+def dual_vectors(lattice: Lattice, radius: float, cap: int = DEFAULT_ENUM_CAP,
+                 inner: float = -1.0):
+    """All dual-lattice points with inner < norm <= radius as arrays
+    (coeffs, vectors, norms), sorted by (norm, lexicographic coeffs).  The
+    default inner radius takes the whole ball."""
+    return _lattice_vectors(lattice.dual_basis, radius, cap, inner)
 
 
 def injectivity_radius(lattice: Lattice) -> float:

@@ -42,11 +42,27 @@ def _keys(seed: int, sample_indices, n_modes: int):
         return _finalize(key), salted
 
 
+# draws made at once: Box-Muller's temporaries then hold about three blocks
+# of this many values rather than three results
+BLOCK_VALUES = 2**17
+
+
 def gaussian_matrix(seed: int, sample_indices, n_modes: int) -> np.ndarray:
     """Standard-normal draws of shape (len(sample_indices), n_modes).
 
-    Box-Muller sqrt(-2 log u1) cos(2 pi u2), evaluated in place so the peak
-    holds about three arrays of the result's size."""
+    Box-Muller sqrt(-2 log u1) cos(2 pi u2), evaluated in place on blocks
+    of rows, so the peak holds the result plus about three blocks of
+    BLOCK_VALUES values.  Every draw is a pure function of its (seed,
+    sample, mode), so the blocking changes no bit."""
+    samples = np.asarray(sample_indices).reshape(-1)
+    out = np.empty((samples.size, n_modes))
+    rows = max(1, BLOCK_VALUES // max(n_modes, 1))
+    for start in range(0, samples.size, rows):
+        out[start:start + rows] = _box_muller(seed, samples[start:start + rows], n_modes)
+    return out
+
+
+def _box_muller(seed: int, sample_indices, n_modes: int) -> np.ndarray:
     h1, h2 = _keys(seed, sample_indices, n_modes)
     h1 >>= np.uint64(11)
     h1 += np.uint64(1)

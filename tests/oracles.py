@@ -1,0 +1,85 @@
+"""Slow reference paths kept for the tests: the bounding-box dual-lattice
+enumerator and the materialised torus mode sum that the slab-wise code
+replaced."""
+
+import numpy as np
+
+from weyl_lab.errors import DomainError, ResourceLimitError
+
+
+def box_lattice_vectors(generator_matrix, radius, cap=10**8):
+    """All |G c| <= radius (with a 1e-15 relative slack) from the full
+    coefficient bounding box, sorted by (norm, lexicographic coeffs):
+    (coeffs, vectors, norms)."""
+    if radius <= 0.0:
+        raise DomainError("radius must be positive")
+    inv_rows = np.linalg.inv(generator_matrix)
+    box = np.floor(radius * np.linalg.norm(inv_rows, axis=1) + 1e-9).astype(int)
+    total = int(np.prod(2 * box.astype(object) + 1))
+    if total > cap:
+        raise ResourceLimitError("box holds %d candidates" % total)
+    grids = np.meshgrid(*[np.arange(-m, m + 1) for m in box], indexing="ij")
+    coeffs = np.stack([g.ravel() for g in grids], axis=1)
+    vectors = coeffs @ generator_matrix.T
+    norms = np.linalg.norm(vectors, axis=1)
+    keep = norms <= radius * (1.0 + 1e-15)
+    coeffs, vectors, norms = coeffs[keep], vectors[keep], norms[keep]
+    order = np.lexsort(tuple(coeffs[:, j] for j in range(coeffs.shape[1] - 1, -1, -1))
+                       + (norms,))
+    return coeffs[order], vectors[order], norms[order]
+
+
+def materialised_window_sum(m, lo, hi, x, y, d):
+    """The torus mode sum of d_x^alpha d_y^beta phi_k(x) phi_k(y) over the
+    dual points with lo < |k| <= hi, term by term, and the sum of the
+    terms' moduli (the scale its rounding error is measured against)."""
+    _, vectors, norms = box_lattice_vectors(m.lattice.dual_basis, hi)
+    vectors = vectors[(norms > lo) & (norms <= hi)]
+    alpha, beta = d.padded(m.dim)
+    mono = np.ones(vectors.shape[0])
+    for j, (a, b) in enumerate(zip(alpha, beta)):
+        mono = mono * vectors[:, j] ** (a + b)
+    factor = (-1.0) ** sum(alpha) * 1j ** (sum(alpha) + sum(beta)) * mono
+    phases = vectors @ (np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
+    value = float(np.real(np.sum(factor * np.exp(1j * phases)))) / m.lattice.covolume
+    return value, float(np.sum(np.abs(mono))) / m.lattice.covolume
+
+
+def record_passes(monkeypatch, dual_basis):
+    """Radii of the dual-lattice passes made while `monkeypatch` is active:
+    "dual_vectors" lists the enumerations, "slabs" every `slab_prefixes`
+    call on `dual_basis` (each slab-wise kernel or count pass, and each
+    enumeration, which runs on slabs too)."""
+    import weyl_lab.lattice as lattice
+
+    passes = {"dual_vectors": [], "slabs": []}
+    dual_vectors, slab_prefixes = lattice.dual_vectors, lattice.slab_prefixes
+
+    def record_enumeration(*a, **k):
+        passes["dual_vectors"].append(float(a[1]))
+        return dual_vectors(*a, **k)
+
+    def record_slabs(*a, **k):
+        if np.array_equal(a[0], dual_basis):
+            passes["slabs"].append(float(a[1]))
+        return slab_prefixes(*a, **k)
+
+    monkeypatch.setattr(lattice, "dual_vectors", record_enumeration)
+    monkeypatch.setattr(lattice, "slab_prefixes", record_slabs)
+    return passes
+
+
+def level_loop_sum(m, lo, hi, x, y):
+    """The sphere level sum over lo < sqrt(l(l+1))/R <= hi, one level at a
+    time in ascending order (the per-window loop the one-pass sum
+    replaced)."""
+    from weyl_lab.manifolds import sphere_angle
+    from weyl_lab.specfun import legendre_p
+
+    c = np.cos(sphere_angle(m, x, y))
+    total, l = 0.0, 0
+    while m.level_sqrt_eigenvalue(l) <= hi:
+        if m.level_sqrt_eigenvalue(l) > lo:
+            total += (2 * l + 1) / m.volume * legendre_p(l, c)
+        l += 1
+    return float(total)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import record_passes
 from weyl_lab.analysis import (
     cluster_sup_scan,
     localized_integral,
@@ -260,18 +261,18 @@ def per_lambda_cluster_sup(m, grid, A_rule, d=DerivIndex()):
 @pytest.mark.parametrize("m,grid,A_rule,d", [
     (TORUS, np.geomspace(50.0, 400.0, 8), "one-over-log", DerivIndex()),
     (TORUS, np.geomspace(50.0, 400.0, 8), 1.0, DerivIndex(alpha=(1, 0), beta=(1, 0))),
+    (TORUS, np.geomspace(50.0, 400.0, 8), 1.0, DerivIndex(alpha=(0, 1), beta=(0, 1))),
     (FlatTorus(Lattice.hexagonal(1.0)), np.linspace(20.0, 100.0, 5), 8.0, DerivIndex()),
     (RoundSphere2(), np.linspace(50.0, 300.0, 6), 3.0, DerivIndex()),
     (RoundSphere2(6.0), np.linspace(50.0, 300.0, 6), "one-over-log", DerivIndex()),
-], ids=["torus-log", "torus-fixed-deriv", "hex-fixed", "sphere-fixed", "sphere-log"])
+], ids=["torus-log", "torus-fixed-deriv", "torus-fixed-deriv-last", "hex-fixed",
+        "sphere-fixed", "sphere-log"])
 def test_cluster_sup_scan_matches_per_lambda_loop(monkeypatch, m, grid, A_rule, d):
-    import weyl_lab.lattice as lattice
-
-    radii = []
-    original = lattice.dual_vectors
-    monkeypatch.setattr(lattice, "dual_vectors",
-                        lambda *a, **k: radii.append(a[1]) or original(*a, **k))
+    dual_basis = None if isinstance(m, RoundSphere2) else m.lattice.dual_basis
+    passes = record_passes(monkeypatch, dual_basis)
     rep = cluster_sup_scan(m, grid, A_rule, d)
-    assert len(radii) == (0 if isinstance(m, RoundSphere2) else 1)
+    # torus windows are counted on one set of slabs, never enumerated
+    assert passes["dual_vectors"] == []
+    assert len(passes["slabs"]) == (0 if isinstance(m, RoundSphere2) else 1)
     expected = per_lambda_cluster_sup(m, grid, A_rule, d)
     assert rep.sup_values.tobytes() == expected.tobytes()

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import weyl_lab
+from oracles import record_passes
 from weyl_lab.cli import main, parse_grid, parse_manifold
 from weyl_lab.errors import DomainError
 from weyl_lab.manifolds import FlatTorus, RoundSphere2
@@ -350,26 +351,27 @@ def test_scan_grid_with_an_on_spectrum_lambda_exits_2(tmp_path):
 
 
 def test_scan_grid_past_the_enumeration_cap_exits_3(tmp_path):
+    # lambda 1e8 needs 2e8 + 1 coefficient slabs, past the default cap of
+    # 1e8: refused before any sum, naming that count
     res = run_cli(["remainder-scan", "--manifold", "torus:2:square2pi",
-                   "--lambda-grid", "10.5:1e5:3", "--out", str(tmp_path)])
+                   "--lambda-grid", "10.5:1e8:3", "--out", str(tmp_path)])
     assert res.exit_code == 3
-    assert res.stderr.startswith("resource limit: enumeration box holds")
+    assert res.stderr.startswith("resource limit: the ball of radius 1e+08 meets "
+                                 "200000001 coefficient slabs, exceeding the cap 100000000")
+    assert not (tmp_path / "remainder-scan.csv").exists()
 
 
 @pytest.mark.parametrize("mode,grid,expected", [
-    ("covariance", "0:0.3:6", [201.0, 201.0]),   # the ensemble's modes, the exact column
-    ("rescaled", "0:5:21", [201.0]),
+    # the ensemble's modes (an enumeration of their shell, itself on slabs)
+    # and one slab pass for the exact column
+    ("covariance", "0:0.3:6", {"dual_vectors": [201.0], "slabs": [201.0, 201.0]}),
+    ("rescaled", "0:5:21", {"dual_vectors": [], "slabs": [201.0]}),
 ], ids=["covariance", "rescaled"])
 def test_randomwave_modes_enumerate_once_per_ensemble(tmp_path, monkeypatch, mode, grid,
                                                       expected):
-    import weyl_lab.lattice as lattice
-
-    radii = []
-    original = lattice.dual_vectors
-    monkeypatch.setattr(lattice, "dual_vectors",
-                        lambda *a, **k: radii.append(float(a[1])) or original(*a, **k))
+    passes = record_passes(monkeypatch, np.eye(2))
     res = run_cli(["randomwave", "--manifold", "torus:2:square2pi", "--mode", mode,
                    "--lambda", "200", "--samples", "50", "--dist-grid", grid,
                    "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
-    assert radii == expected
+    assert passes == expected

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import box_lattice_vectors
 from weyl_lab.errors import CutLocusError, DomainError, ResourceLimitError
 from weyl_lab.lattice import (
     Lattice,
@@ -50,6 +51,52 @@ def test_enumerate_dual_small_radius():
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         dual_vectors(SQUARE2PI, 50.0, cap=100)
+    # the cap counts the rows returned (317 in the ball, 64 in the shell),
+    # not a bounding box of candidates
+    assert dual_vectors(SQUARE2PI, 10.0, cap=317)[2].size == 317
+    with pytest.raises(ResourceLimitError, match="317 lattice points"):
+        dual_vectors(SQUARE2PI, 10.0, cap=316)
+    assert dual_vectors(SQUARE2PI, 10.0, cap=64, inner=9.0)[2].size == 64
+    # far over the cap, a lower bound on the rows refuses before any slab
+    # is built (3-D radius 4000 would need 6.4e7 slabs for the count)
+    with pytest.raises(ResourceLimitError, match=r"at least 2\.675e\+11 lattice points"):
+        dual_vectors(Lattice.square(2.0 * np.pi, dim=3), 4000.0)
+
+
+ENUMERATION_LATTICES = {
+    "square2pi": SQUARE2PI,
+    "unit": Lattice.square(1.0),
+    "hex": Lattice.hexagonal(1.0),
+    "skew": Lattice.from_basis([[1.0, 0.3], [0.0, 1.2]]),
+    "diag": Lattice.from_basis(np.diag([2.0, 5.0])),
+    "3d": Lattice.square(2.0 * np.pi, dim=3),
+    "3d-skew": Lattice.from_basis([[1.0, 0.2, 0.1], [0.0, 1.1, 0.3], [0.0, 0.0, 0.9]]),
+}
+
+
+@pytest.mark.parametrize("name", list(ENUMERATION_LATTICES))
+def test_dual_vectors_equal_the_box_enumerator(name):
+    lattice = ENUMERATION_LATTICES[name]
+    for radius in (0.5, 3.3, 10.0, 24.0 if lattice.dim == 2 else 14.0):
+        expected = box_lattice_vectors(lattice.dual_basis, radius)
+        got = dual_vectors(lattice, radius)
+        norms = expected[2]
+        # radii on the largest root and one ulp to either side, and shells
+        # whose inner radius sits on a root or beside it
+        top, inner = float(norms[-1]), float(norms[norms.size // 2])
+        cases = [(radius, -1.0, expected, got)]
+        for hi in (top, np.nextafter(top, 0.0), np.nextafter(top, np.inf)):
+            if hi > 0.0:
+                cases.append((hi, -1.0, box_lattice_vectors(lattice.dual_basis, hi),
+                              dual_vectors(lattice, hi)))
+        for lo in (inner, np.nextafter(inner, 0.0), np.nextafter(inner, np.inf)):
+            keep = norms > lo
+            cases.append((radius, lo, tuple(a[keep] for a in expected),
+                          dual_vectors(lattice, radius, inner=lo)))
+        for hi, lo, want, have in cases:
+            for a, b in zip(want, have):
+                assert a.dtype == b.dtype and a.shape == b.shape, (hi, lo)
+                assert a.tobytes() == b.tobytes(), (hi, lo)
 
 
 def shell_count(lattice, lo, hi):

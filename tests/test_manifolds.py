@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import box_lattice_vectors, level_loop_sum, materialised_window_sum
+from weyl_lab.cli import parse_manifold
 from weyl_lab.errors import DomainError, ResourceLimitError, SpectrumError
-from weyl_lab.lattice import Lattice, dual_vectors
+from weyl_lab.lattice import DEFAULT_ENUM_CAP, Lattice, dual_vectors
 from weyl_lab.manifolds import (
     ZERO_DERIV,
     DerivIndex,
@@ -306,14 +310,19 @@ def test_on_spectrum_lambda_inside_a_grid_is_named():
         with pytest.raises(SpectrumError):
             spectral_function(TORUS, [4.5, lam, 5.5], x, x)
     assert np.all(np.isfinite(spectral_function(TORUS, [4.5, 5.0 + 2e-9], x, x)))
+    # just below sqrt(2), whose roots (+-1, +-1) sit one step past the ends
+    # of nonempty slabs
+    with pytest.raises(SpectrumError, match=r"lambda=1\.41421356187 is within"):
+        spectral_function(TORUS, [0.5, np.sqrt(2.0) - 5e-10], x, x)
 
 
 def test_grid_is_validated_before_any_sum(monkeypatch):
     import weyl_lab.manifolds as mf
 
     sums = []
-    original = mf._window_sum
-    monkeypatch.setattr(mf, "_window_sum", lambda *a: sums.append(1) or original(*a))
+    for name in ("_slab_window_sums", "_sphere_window_sums"):
+        original = getattr(mf, name)
+        monkeypatch.setattr(mf, name, lambda *a, _f=original: sums.append(1) or _f(*a))
     x = np.zeros(2)
     for bad in ([3.5, 2.5, 4.5], [3.5, 3.5], [[1.5, 2.5]], []):
         with pytest.raises(DomainError):
@@ -324,10 +333,76 @@ def test_grid_is_validated_before_any_sum(monkeypatch):
         spectral_function(TORUS, [-1.5, 2.5], x, x)
     with pytest.raises(DomainError):
         spectral_function(TORUS, 2.5, np.zeros((2, 2)), np.zeros((3, 2)))
-    # the ball up to lambda_max is enumerated first, so the cap stops the
-    # call before the small lambdas are summed
+    # the slabs up to lambda_max (2e7 + 1 of them here) are counted first,
+    # so the cap stops the call before the small lambdas are summed
+    with pytest.raises(ResourceLimitError, match="20000001 coefficient slabs"):
+        spectral_function(TORUS, [1.5, 2.5, 1e7], x, x, cap=10**6)
+    with pytest.raises(ResourceLimitError, match="20000003 coefficient slabs"):
+        cluster_kernel(TORUS, [1.5, 2.5, 1e7], 1.0, x, x, cap=10**6)
+    with pytest.raises(SpectrumError):
+        spectral_function(TORUS, [1.5, 5.0, 7.5], x, x)
     with pytest.raises(ResourceLimitError):
-        spectral_function(TORUS, [1.5, 2.5, 1e5], x, x, cap=10**6)
-    with pytest.raises(ResourceLimitError):
-        cluster_kernel(TORUS, [1.5, 2.5, 1e5], 1.0, x, x, cap=10**6)
+        spectral_function(SPHERE, [1.5, 2.5, 1e7], NORTH, NORTH, cap=10**6)
     assert sums == []
+    # the counters do see the sums
+    spectral_function(TORUS, [1.5, 2.5], x, x)
+    spectral_function(SPHERE, 1.5, NORTH, NORTH)
+    assert sums == [1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# slab-wise torus sums against the materialised mode sum; sphere one-pass
+# sums against the per-level loop
+
+
+def _derivative_indices(n):
+    """Every (alpha, beta) of total order <= 2 in n dimensions."""
+    return [DerivIndex(alpha=c[:n], beta=c[n:])
+            for c in itertools.product(range(3), repeat=2 * n) if sum(c) <= 2]
+
+
+ORACLE_TORI = {
+    "square": ("torus:2:square2pi", 80.0, 300),
+    "hex": ("torus:2:hex", 80.0, 80),
+    "skew": ("torus:2:mat:1,0.3;0,1.2", 80.0, 300),
+    "3d": ("torus:3:square2pi", 9.0, 700),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_TORI))
+def test_slab_sums_match_the_materialised_mode_sum(case):
+    import weyl_lab.manifolds as mf
+
+    spec, reach, index = ORACLE_TORI[case]
+    m = parse_manifold(spec)
+    norms = box_lattice_vectors(m.lattice.dual_basis, reach)[2]
+    hi_root, lo_root = float(norms[index]), float(norms[index // 3])
+    x = m.lattice.basis @ np.random.default_rng(5).random(m.dim)
+    offsets = [m.lattice.basis @ np.array([0.37, 0.81, 0.55][:m.dim]),   # generic pair
+               np.zeros(m.dim),                                        # diagonal
+               1e-7 * np.arange(1.0, m.dim + 1.0),                     # N |beta| << 1
+               0.02 * np.array([1.0, 0.7, 0.4][:m.dim]),               # N |beta| ~ 1
+               m.lattice.basis[:, 0]]                                  # a period vector
+    xs, ys = np.array([x] * len(offsets)), x + np.array(offsets)
+    # window ends exactly on a root and one ulp to either side; lo < 0 is a ball
+    his = [hi_root, np.nextafter(hi_root, 0.0), np.nextafter(hi_root, np.inf)]
+    los = [-1.0, lo_root, np.nextafter(lo_root, 0.0), np.nextafter(lo_root, np.inf)]
+    for d in _derivative_indices(m.dim):
+        for lo, hi in itertools.product(los, his):
+            got = mf._window_sums(m, np.array([lo]), np.array([hi]), xs, ys, d, False,
+                                  DEFAULT_ENUM_CAP)[0]
+            for value, xp, yp in zip(got, xs, ys):
+                expected, scale = materialised_window_sum(m, lo, hi, xp, yp, d)
+                assert abs(value - expected) <= 1e-12 * scale, (d, lo, hi, yp - xp)
+
+
+def test_sphere_sums_equal_the_level_loop():
+    xs = np.array([sphere_point(0.0), sphere_point(0.3, 1.0), sphere_point(2.0, -0.5)])
+    ys = np.array([sphere_point(0.0), sphere_point(1.3, 0.2), sphere_point(2.9, 2.0)])
+    grid = np.array([0.7, 4.3, 9.9, 40.2, 120.6])
+    assert_bitwise(spectral_function(SPHERE, grid, xs, ys),
+                   [[level_loop_sum(SPHERE, -1.0, lam, x, y) for x, y in zip(xs, ys)]
+                    for lam in grid])
+    assert_bitwise(cluster_kernel(SPHERE, grid, 3.0, xs, ys),
+                   [[level_loop_sum(SPHERE, lam, lam + 3.0, x, y) for x, y in zip(xs, ys)]
+                    for lam in grid])

@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import record_passes
 from weyl_lab.errors import DomainError, PreconditionError
 from weyl_lab.lattice import Lattice
 from weyl_lab.manifolds import (
@@ -208,16 +211,6 @@ def per_lambda_remainder(m, grid, pairs, d):
     return [max(abs(remainder(m, lam, x, y, d)) for x, y in pairs) for lam in grid]
 
 
-def count_enumerations(monkeypatch):
-    import weyl_lab.lattice as lattice
-
-    radii = []
-    original = lattice.dual_vectors
-    monkeypatch.setattr(lattice, "dual_vectors",
-                        lambda *a, **k: radii.append(a[1]) or original(*a, **k))
-    return radii
-
-
 NORTH = np.array([0.0, 0.0, 1.0])
 TORUS_PAIRS = [(np.array([0.3, 0.1]), np.array([1.5, 0.4])),
                (np.array([2.0, 5.0]), np.array([0.4, 3.9])),
@@ -226,9 +219,10 @@ TORUS_PAIRS = [(np.array([0.3, 0.1]), np.array([1.5, 0.4])),
 
 def test_offdiagonal_scan_matches_per_lambda_loop(monkeypatch):
     grid = np.geomspace(50.5, 200.5, 6)
-    radii = count_enumerations(monkeypatch)
+    passes = record_passes(monkeypatch, TORUS.lattice.dual_basis)
     rep = offdiagonal_scan(TORUS, grid, 1.0, TORUS_PAIRS)
-    assert radii == [pytest.approx(200.5)]
+    # one slab pass (reaching just past the guard) and no enumeration
+    assert passes == {"dual_vectors": [], "slabs": [pytest.approx(200.5)]}
     assert_bitwise(rep.sup_values, per_lambda_offdiagonal(TORUS, grid, TORUS_PAIRS))
     pairs = [(NORTH, np.array([np.sin(t), 0.0, np.cos(t)])) for t in (0.7, 1.2, 2.0)]
     grid = np.geomspace(20.3, 60.3, 5)
@@ -245,10 +239,27 @@ def test_remainder_scan_matches_per_lambda_loop(monkeypatch, m, grid, d):
     n = m.dim
     pairs = [(np.zeros(n), np.zeros(n)), (np.full(n, 0.2), np.full(n, 0.2) + 0.3 * np.eye(n)[0]),
              (np.full(n, 1.1), np.full(n, 1.0))]
-    radii = count_enumerations(monkeypatch)
+    passes = record_passes(monkeypatch, m.lattice.dual_basis)
     rep = remainder_scan(m, grid, pairs, d)
-    assert len(radii) == 1
+    assert passes == {"dual_vectors": [], "slabs": [pytest.approx(grid[-1])]}
     assert_bitwise(rep.sup_values, per_lambda_remainder(m, grid, pairs, d))
+
+
+def test_remainder_exponent_over_two_decades():
+    # lambda 50.5..10000.5 (24 log-spaced points, each k + 1/2, so off the
+    # square torus spectrum): the slab sums make two decades cheap, and the
+    # fitted exponent stays below n - 1 = 1, as O(lambda^{n-1}/log lambda)
+    # implies (measured 0.486 for these pairs)
+    grid = np.round(np.geomspace(50.0, 10000.0, 24)) + 0.5
+    pairs = [(np.zeros(2), np.zeros(2)), (np.full(2, 0.2), np.array([0.5, 0.2])),
+             (np.full(2, 1.1), np.full(2, 1.0))]
+    start = time.perf_counter()
+    rep = remainder_scan(TORUS, grid, pairs)
+    elapsed = time.perf_counter() - start
+    print("two-decade remainder exponent %.3f (residual %.2f) in %.2f s"
+          % (rep.fitted_exponent, rep.fit_residual, elapsed))
+    assert elapsed < 5.0
+    assert rep.fitted_exponent < 1.0
 
 
 @pytest.mark.parametrize("m,lam,x0,dists,d", [
@@ -258,11 +269,13 @@ def test_remainder_scan_matches_per_lambda_loop(monkeypatch, m, grid, d):
     (SPHERE, 30.0, None, np.linspace(0.0, 0.6, 7), DerivIndex()),
 ], ids=["torus", "3d", "sphere"])
 def test_cluster_vs_bessel_matches_per_point_loop(monkeypatch, m, lam, x0, dists, d):
-    radii = count_enumerations(monkeypatch)
+    dual_basis = m.lattice.dual_basis if isinstance(m, FlatTorus) else None
+    passes = record_passes(monkeypatch, dual_basis)
     table = cluster_vs_bessel(m, lam, 1.0, x0, dists, d)
     if isinstance(m, FlatTorus):
-        # one window for the kernels, one for the mean shell radius
-        assert len(radii) == 2
+        # one slab pass for the kernels; the mean shell radius enumerates
+        # the window's shell alone (on slabs as well)
+        assert passes == {"dual_vectors": [lam + 1.0], "slabs": [lam + 1.0] * 2}
         points = [x0 + r * np.eye(m.dim)[0] for r in dists]
     else:
         x0 = NORTH

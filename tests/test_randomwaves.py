@@ -4,6 +4,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chi2
 
+from oracles import record_passes
 from weyl_lab.errors import DomainError, PreconditionError
 from weyl_lab.lattice import Lattice
 from weyl_lab.manifolds import FlatTorus, RoundSphere2
@@ -15,7 +16,7 @@ from weyl_lab.randomwaves import (
     rescaled_covariance_error,
     sample_wave_grid,
 )
-from weyl_lab.rng import gaussian_matrix
+from weyl_lab.rng import BLOCK_VALUES, gaussian_matrix
 
 TORUS = FlatTorus(Lattice.square(2.0 * np.pi))
 SPHERE = RoundSphere2()
@@ -310,27 +311,23 @@ def test_canonical_half_matches_row_loop(basis):
 
 
 def test_exact_covariance_takes_point_sets_in_one_enumeration(monkeypatch):
-    import weyl_lab.lattice as lattice
-
     ens = RandomWaveEnsemble(TORUS, 30.0, 1.0, seed=3, num_samples=2)
     xs = np.array([[0.0, 0.0], [0.3, 1.1], [2.0, 0.4]])
     ys = xs + np.array([[0.1, 0.0], [0.05, 0.2], [0.0, 0.3]])
     expected = np.array([exact_covariance(ens, x, y) for x, y in zip(xs, ys)])
     one_to_many = np.array([exact_covariance(ens, xs[0], y) for y in ys])
-    radii = []
-    original = lattice.dual_vectors
-    monkeypatch.setattr(lattice, "dual_vectors",
-                        lambda *a, **k: radii.append(a[1]) or original(*a, **k))
+    passes = record_passes(monkeypatch, TORUS.lattice.dual_basis)
     got = exact_covariance(ens, xs, ys)
     assert got.tobytes() == expected.tobytes()
     assert exact_covariance(ens, xs[0], ys).tobytes() == one_to_many.tobytes()
-    assert len(radii) == 2
-    # a covariance table enumerates once for the modes and once for the
-    # exact column
+    # one slab pass per call, no enumeration
+    assert passes == {"dual_vectors": [], "slabs": [31.0, 31.0]}
+    # a covariance table enumerates the modes' shell once and makes one
+    # slab pass for the exact column
     fresh = RandomWaveEnsemble(TORUS, 30.0, 1.0, seed=3, num_samples=2)
     empirical_covariance(fresh, xs, ys)
     assert exact_covariance(fresh, xs, ys).tobytes() == expected.tobytes()
-    assert len(radii) == 4
+    assert passes == {"dual_vectors": [31.0], "slabs": [31.0] * 4}
     sphere_ens = RandomWaveEnsemble(SPHERE, 12.5, 1.0, seed=3, num_samples=2)
     north = np.array([0.0, 0.0, 1.0])
     pts = np.array([[np.sin(t), 0.0, np.cos(t)] for t in (0.0, 0.4, 1.3)])
@@ -404,3 +401,5 @@ def test_gaussian_matrix_peak_memory_is_a_few_results():
         tracemalloc.stop()
     # the out-of-place form peaked at about seven result-sized arrays
     assert peak < 3.5 * out.nbytes
+    # drawn in row blocks, the temporaries stay within a few blocks
+    assert peak - out.nbytes < 4 * 8 * BLOCK_VALUES
