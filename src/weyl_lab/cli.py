@@ -158,10 +158,29 @@ def seeded_pairs(lattice: Lattice, count: int, seed: int, max_dist: float | None
     return [(xs[i], xs[i] + radii[i] * dirs[i]) for i in range(count)]
 
 
+def _cell_format(kind: type) -> str:
+    """The %-format that writes a value of this type as `fmt` does."""
+    if issubclass(kind, (bool, np.bool_)):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g"
+    return "%s"
+
+
 def csv_bytes(header, rows) -> bytes:
+    """The CSV of `rows`, each cell written as `fmt` writes it: one
+    %-template per row type signature, built on first use."""
+    templates = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_cell_format, kinds))
+        lines.append(template % row)
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

@@ -98,22 +98,33 @@ def slab_prefixes(generator_matrix: np.ndarray, radius: float,
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def slab_row_norms(generator_matrix: np.ndarray, prefixes: np.ndarray, last) -> np.ndarray:
-    """|G c| for c = (prefix, last) per slab, computed exactly as the
-    enumeration computes its norms, so the two agree bit for bit."""
-    coeffs = np.column_stack([prefixes, np.broadcast_to(last, prefixes.shape[0])])
-    return np.linalg.norm(coeffs @ generator_matrix.T, axis=1)
+def slab_row_norms(generator_matrix: np.ndarray, prefixes: np.ndarray, last,
+                   steps=(0,)) -> np.ndarray:
+    """|G c| for c = (prefix, last + step) per slab and step, a
+    (len(steps), S) array, computed exactly as the enumeration computes its
+    norms, so the two agree bit for bit.  One coefficient array serves
+    every step."""
+    coeffs = np.empty((prefixes.shape[0], prefixes.shape[1] + 1), dtype=np.int64)
+    coeffs[:, :-1] = prefixes
+    norms = np.empty((len(steps), prefixes.shape[0]))
+    for out, step in zip(norms, steps):
+        np.add(last, step, out=coeffs[:, -1])
+        out[:] = np.linalg.norm(coeffs @ generator_matrix.T, axis=1)
+    return norms
 
 
 def slab_ends(generator_matrix: np.ndarray, prefixes: np.ndarray, threshold: float):
     """Per slab, the last coefficients t with |G (prefix, t)| <= threshold:
-    the integer interval [a, b], as two int arrays.
+    the integer interval [a, b], as two int arrays, and the distance from
+    threshold to the nearest norm among the rows a - 1, a, b and b + 1 of
+    every slab, which by convexity is the nearest norm of any row.
 
     The quadratic form in t gives the ends up to rounding; each end is then
     settled among its neighbours by `slab_row_norms`, so membership is
     exactly that of the enumeration (a row on the threshold is in, one an
     ulp above is out).  An empty slab has b = a - 1 = floor(vertex), so
-    a - 1 and b + 1 are the rows nearest the parabola's vertex.
+    a - 1 and b + 1 are the rows nearest the parabola's vertex.  The
+    distance reads the settled candidates' norms.
     """
     q_form = generator_matrix.T @ generator_matrix
     q = q_form[-1, -1]
@@ -123,32 +134,44 @@ def slab_ends(generator_matrix: np.ndarray, prefixes: np.ndarray, threshold: flo
     half = np.sqrt(np.maximum(vertex**2 - (const - threshold**2) / q, 0.0))
     lo = np.ceil(vertex - half).astype(np.int64)
     hi = np.floor(vertex + half).astype(np.int64)
+    del cross, const, half  # freed before the row norms, which set the peak memory
     # the true ends are within one step of the rounded ones
+    lo_norms = slab_row_norms(generator_matrix, prefixes, lo, (1, 0, -1))
+    hi_norms = slab_row_norms(generator_matrix, prefixes, hi, (-1, 0, 1))
     a = np.full(prefixes.shape[0], np.iinfo(np.int64).max)
     b = np.full(prefixes.shape[0], np.iinfo(np.int64).min)
-    for step in (1, 0, -1):
-        inside = slab_row_norms(generator_matrix, prefixes, lo + step) <= threshold
-        a = np.where(inside, lo + step, a)
-        inside = slab_row_norms(generator_matrix, prefixes, hi - step) <= threshold
-        b = np.where(inside, hi - step, b)
+    for j, step in enumerate((1, 0, -1)):
+        a = np.where(lo_norms[j] <= threshold, lo + step, a)
+        b = np.where(hi_norms[j] <= threshold, hi - step, b)
     empty = a > b
     b[empty] = np.floor(vertex[empty]).astype(np.int64)
     a[empty] = b[empty] + 1
-    return a, b
+    # rows a - 1 and a are read off the lo-side candidates, b and b + 1 off
+    # the hi-side ones.  A row that is not a candidate lies a step beyond an
+    # end that rounding put next to the threshold, so it is never the
+    # nearest and is skipped.
+    slabs = np.arange(prefixes.shape[0])
+    gap = np.inf
+    for end, shift, lo_side in ((a, -1, True), (a, 0, True), (b, 0, False), (b, 1, False)):
+        index = lo + 1 - (end + shift) if lo_side else end + shift - hi + 1
+        found = (index >= 0) & (index <= 2)
+        norms = (lo_norms if lo_side else hi_norms)[index[found], slabs[found]]
+        gap = min(gap, float(np.min(np.abs(norms - threshold), initial=np.inf)))
+    return a, b, gap
 
 
 def slab_runs(ends, inner_ends=None):
-    """The rows of each slab inside the ball given by `ends` (the (a, b) of
+    """The rows of each slab inside the ball given by `ends` (the result of
     `slab_ends`) and, with `inner_ends`, outside that inner ball: runs of
     consecutive last coefficients, one per slab or two either side of the
     inner ball.  Returns (slab, start, stop) int arrays of the nonempty
     runs, in slab order and ascending within a slab (lexicographic order
     of the rows)."""
-    a, b = ends
+    a, b = ends[:2]
     if inner_ends is None:
         starts, stops = a[:, None], b[:, None]
     else:
-        a_in, b_in = inner_ends
+        a_in, b_in = inner_ends[:2]
         starts = np.stack([a, b_in + 1], axis=1)
         stops = np.stack([a_in - 1, b], axis=1)
     slab = np.repeat(np.arange(a.size), starts.shape[1])

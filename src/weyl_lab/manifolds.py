@@ -389,13 +389,7 @@ def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam:
         prefixes = lat.slab_prefixes(G, reach, cap)
         outer = [lat.slab_ends(G, prefixes, hi) for hi in highs]
         if guard:
-            # each lambda's nearest roots are slab ends or their outer
-            # neighbours (the vertex rows of an empty slab)
-            near = np.array([
-                min(np.min(np.abs(lat.slab_row_norms(G, prefixes, t) - lam))
-                    for t in (a - 1, a, b, b + 1))
-                for lam, (a, b) in zip(highs, outer)])
-            _check_off_spectrum(highs, near)
+            _check_off_spectrum(highs, np.array([gap for _, _, gap in outer]))
         values = np.array([
             _slab_window_sums(m, prefixes, lat.slab_runs(
                 ends, None if lo < 0.0 else lat.slab_ends(G, prefixes, lo)), xs, ys, d)

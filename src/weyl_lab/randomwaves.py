@@ -16,7 +16,7 @@ from scipy.special import sph_legendre_p
 
 from .errors import DomainError, PreconditionError
 from .manifolds import FlatTorus, ModelManifold, _point_pairs, cluster_kernel, spectral_window
-from .rng import gaussian_matrix
+from .rng import BLOCK_VALUES, gaussian_matrix
 from .specfun import universal_covariance
 
 
@@ -45,7 +45,6 @@ class RandomWaveEnsemble:
     seed: int = 0
     num_samples: int = 1
     _mode_cache: object = field(default=None, repr=False)
-    _coef_cache: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.lam <= 0.0 or self.width <= 0.0:
@@ -99,26 +98,35 @@ class RandomWaveEnsemble:
         blocks = [_sphere_level_basis_values(l, self.manifold.radius, pts) for l in data]
         return np.vstack(blocks)
 
-    def coefficients(self, sample_indices=None) -> np.ndarray:
-        """Gaussian coefficients, shape (num samples, mode_count); the full
-        matrix is cached after the first build."""
-        if sample_indices is None:
-            if self._coef_cache is None:
-                self._coef_cache = gaussian_matrix(
-                    self.seed, np.arange(self.num_samples), self.mode_count)
-            return self._coef_cache
+    def coefficients(self, sample_indices) -> np.ndarray:
+        """Gaussian coefficients of the given samples, shape
+        (len(sample_indices), mode_count)."""
         idx = np.asarray(sample_indices, dtype=np.int64)
         if np.any(idx < 0) or np.any(idx >= self.num_samples):
             raise DomainError("sample index out of range")
         return gaussian_matrix(self.seed, idx, self.mode_count)
 
 
+# coefficient rows drawn per block of a wave grid: four of the generator's
+# blocks, so its temporaries are reused from the heap between blocks (with
+# one generator block per wave block, the allocator returned and refaulted
+# them every block: ~10^4 minor page faults per 1500-sample covariance)
+_WAVE_BLOCK_VALUES = 4 * BLOCK_VALUES
+
+
 def sample_wave_grid(ens: RandomWaveEnsemble, sample_indices, points) -> np.ndarray:
     """Wave samples on a point grid, shape (n_samples, n_points);
-    sample_indices=None takes every sample from the cached coefficients."""
-    coeffs = ens.coefficients(sample_indices)
+    sample_indices=None takes every sample.  Coefficients are drawn and
+    multiplied out in row blocks of about _WAVE_BLOCK_VALUES draws, so the
+    whole (samples, modes) matrix is never held; each draw is made once."""
+    idx = (np.arange(ens.num_samples) if sample_indices is None
+           else np.asarray(sample_indices).reshape(-1))
     phi = ens.mode_values(points)
-    return ens.normalization * (coeffs @ phi)
+    rows = max(1, _WAVE_BLOCK_VALUES // ens.mode_count)
+    waves = np.empty((idx.size, phi.shape[1]))
+    for start in range(0, idx.size, rows):
+        waves[start:start + rows] = ens.coefficients(idx[start:start + rows]) @ phi
+    return ens.normalization * waves
 
 
 def exact_covariance(ens: RandomWaveEnsemble, x, y):

@@ -12,7 +12,11 @@ with J(nu) = int_0^support rho_hat(u) sin(u nu)/u du (substitute u = At in
 the product-to-sum split).  J depends on neither lambda nor A, so each
 MollifierSpec gets one Chebyshev table of J, built on first use, validated
 when it is built (panel doubling, trailing coefficients, distance from pi/2
-past the table's end) and shared by every multiplier evaluation.
+past the table's end) and shared by every multiplier evaluation.  Calls do
+not sum that global series (degree ~600): it is cut into P ~ degree/8
+equal panels, each a degree-24 series checked against the global one at
+every panel edge when the table is built, so a J value costs one panel
+lookup and a 25-step Clenshaw recurrence.
 
 The spectral side is a multiplier-weighted mode sum and each deck image
 contributes the radial integral (2pi)^{-n} int m(r) r^{n-1} S_n(r |w|) dr.
@@ -49,6 +53,11 @@ _NU0_TRANSITION = 420.0
 _DEGREE_PER_BANDWIDTH = 0.65
 _TABLE_TOL = 1e-13
 _TABLE_DOUBLINGS = 1
+# calls evaluate J panel by panel: one panel per 8 global coefficients,
+# each a series of degree 24 (truncation below the series' own ~2e-14
+# rounding; one panel per 11 coefficients already fails the 1e-13 check)
+_DEGREE_PER_PANEL = 8
+_PANEL_DEGREE = 24
 
 
 @dataclass(frozen=True)
@@ -115,10 +124,32 @@ def _sine_integrals(spec: MollifierSpec, nus: np.ndarray, n_panels: int) -> np.n
     return out
 
 
+def _panel_eval(panel_coeffs: np.ndarray, nu0: float, nus: np.ndarray) -> np.ndarray:
+    """The panel Chebyshev series at nus in [0, nu0): each nu's panel is
+    floor(nu P / nu0), and one Clenshaw recurrence runs on all of them,
+    gathering each step's coefficient per panel."""
+    n_panels = panel_coeffs.shape[1]
+    scaled = nus * (n_panels / nu0)
+    panel = np.clip(np.floor(scaled), 0, n_panels - 1).astype(np.intp)
+    x = 2.0 * (scaled - panel) - 1.0
+    x2 = 2.0 * x
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for row in panel_coeffs[:0:-1]:
+        b1, b2 = np.take(row, panel) + x2 * b1 - b2, b1
+    return np.take(panel_coeffs[0], panel) + x * b1 - b2
+
+
 @dataclass(frozen=True, eq=False)
 class SineIntegralTable:
-    """J as one Chebyshev series in 2 nu/nu0 - 1 on [0, nu0] and pi/2
-    beyond, with the residuals it was validated on."""
+    """J on [0, nu0] and pi/2 beyond, with the residuals it was validated
+    on.
+
+    `coeffs` is the validated global Chebyshev series in 2 nu/nu0 - 1.
+    Calls evaluate `panel_coeffs` instead: a (panel degree + 1, P) table of
+    low-degree Chebyshev series on P equal panels of [0, nu0], derived from
+    the global series and checked against it (`panel_error`) when built.
+    """
 
     nu0: float
     coeffs: np.ndarray
@@ -126,6 +157,8 @@ class SineIntegralTable:
     residual: float  # panel-doubling residual at the nodes and probes
     trailing: float  # largest coefficient in the last eighth of the series
     tail: float  # max |J - pi/2| on probes in [nu0, 1.5 nu0)
+    panel_coeffs: np.ndarray
+    panel_error: float  # max |panel form - global series| on edge probes
 
     @property
     def degree(self) -> int:
@@ -135,8 +168,32 @@ class SineIntegralTable:
         nus = np.asarray(nus, dtype=float)
         out = np.full(nus.shape, 0.5 * np.pi)
         inside = nus < self.nu0
-        out[inside] = chebval(2.0 * nus[inside] / self.nu0 - 1.0, self.coeffs)
+        out[inside] = _panel_eval(self.panel_coeffs, self.nu0, nus[inside])
         return out
+
+
+def _panel_table(nu0: float, coeffs: np.ndarray):
+    """Per-panel Chebyshev coefficients of the global series `coeffs`: P
+    equal panels of [0, nu0] for P ~ degree / _DEGREE_PER_PANEL, each a
+    series of degree _PANEL_DEGREE from the global series at its
+    first-kind nodes.  Also returns the panel form's largest distance from
+    the global series on probes at every panel edge, one ulp either side
+    of it and at every panel's midpoint."""
+    n_panels = int(np.ceil(coeffs.size / _DEGREE_PER_PANEL))
+    n = _PANEL_DEGREE + 1
+    width = nu0 / n_panels
+    nodes = 0.5 * (1.0 + np.cos(np.pi * (np.arange(n) + 0.5) / n))
+    edges = width * np.arange(n_panels)
+    probes = np.concatenate([edges, np.nextafter(edges, nu0),
+                             np.nextafter(edges[1:], 0.0), edges + 0.5 * width])
+    nus = np.concatenate([(edges[:, None] + width * nodes).ravel(), probes])
+    values = chebval(2.0 * nus / nu0 - 1.0, coeffs)
+    panel_coeffs = dct(values[:-probes.size].reshape(n_panels, n), type=2, axis=1) / n
+    panel_coeffs[:, 0] *= 0.5
+    panel_coeffs = np.ascontiguousarray(panel_coeffs.T)
+    panel_coeffs.flags.writeable = False  # every caller shares the cached table
+    error = np.max(np.abs(_panel_eval(panel_coeffs, nu0, probes) - values[-probes.size:]))
+    return panel_coeffs, float(error)
 
 
 @functools.lru_cache(maxsize=16)
@@ -144,16 +201,23 @@ def sine_integral_table(spec: MollifierSpec) -> SineIntegralTable:
     """The spec's J table, built on first use and then shared.
 
     J is sampled at first-kind Chebyshev nodes by the composite rule at two
-    panel counts; the coefficients come from a DCT.  A table is accepted
-    when the panel-doubling residual, the trailing coefficients and the
-    distance from pi/2 past nu0 are all below 1e-13.  Otherwise the degree
-    doubles once (and nu0 with it if the tail failed); if the checks still
-    fail, QuadratureError carries the last attempt's diagnostics.
+    panel counts; the global coefficients come from a DCT.  They are
+    accepted when the panel-doubling residual, the trailing coefficients
+    and the distance from pi/2 past nu0 are all below 1e-13.  Otherwise the
+    degree doubles once (and nu0 with it if the tail failed); if the checks
+    still fail, QuadratureError carries the last attempt's diagnostics.
+    The accepted series is then cut into panels, which must match it to
+    1e-13 as well, else QuadratureError names the panel count, the panel
+    degree and the measured error.
     """
     width = spec.support - spec.plateau
     nu0 = _NU0_TRANSITION / width
     n = int(np.ceil(_DEGREE_PER_BANDWIDTH * nu0 * spec.support)) + 1
-    for _ in range(_TABLE_DOUBLINGS + 1):
+    for attempt in range(_TABLE_DOUBLINGS + 1):
+        if attempt:
+            if tail > _TABLE_TOL:
+                nu0 *= 2.0
+            n *= 2
         theta = np.pi * (np.arange(n) + 0.5) / n
         probes = nu0 * (1.0 + np.arange(16) / 32.0)
         nus = np.concatenate([nu0 * np.cos(0.5 * theta) ** 2, probes])
@@ -165,22 +229,30 @@ def sine_integral_table(spec: MollifierSpec) -> SineIntegralTable:
         coeffs = dct(fine[:n], type=2) / n
         coeffs[0] *= 0.5
         coeffs.flags.writeable = False  # every caller shares the cached table
-        table = SineIntegralTable(
-            nu0=nu0, coeffs=coeffs, panels=2 * n_panels,
-            residual=float(np.max(np.abs(fine - coarse))),
-            trailing=float(np.max(np.abs(coeffs[-(n // 8):]))),
-            tail=float(np.max(np.abs(fine[n:] - 0.5 * np.pi))))
-        if max(table.residual, table.trailing, table.tail) <= _TABLE_TOL:
-            return table
-        if table.tail > _TABLE_TOL:
-            nu0 *= 2.0
-        n *= 2
-    raise QuadratureError(
-        "sine-integral table did not validate: plateau=%g support=%g "
-        "degree=%d nu0=%.6g panels=%d panel-doubling residual=%.3e "
-        "trailing coefficients=%.3e |J - pi/2| past nu0=%.3e tolerance=%.0e"
-        % (spec.plateau, spec.support, table.degree, table.nu0, table.panels,
-           table.residual, table.trailing, table.tail, _TABLE_TOL))
+        residual = float(np.max(np.abs(fine - coarse)))
+        trailing = float(np.max(np.abs(coeffs[-(n // 8):])))
+        tail = float(np.max(np.abs(fine[n:] - 0.5 * np.pi)))
+        if max(residual, trailing, tail) <= _TABLE_TOL:
+            break
+    else:
+        raise QuadratureError(
+            "sine-integral table did not validate: plateau=%g support=%g "
+            "degree=%d nu0=%.6g panels=%d panel-doubling residual=%.3e "
+            "trailing coefficients=%.3e |J - pi/2| past nu0=%.3e tolerance=%.0e"
+            % (spec.plateau, spec.support, n - 1, nu0, 2 * n_panels, residual,
+               trailing, tail, _TABLE_TOL))
+    panel_coeffs, panel_error = _panel_table(nu0, coeffs)
+    if panel_error > _TABLE_TOL:
+        raise QuadratureError(
+            "sine-integral panel table did not validate: plateau=%g support=%g "
+            "panel count=%d panel degree=%d |panel - global series|=%.3e "
+            "tolerance=%.0e"
+            % (spec.plateau, spec.support, panel_coeffs.shape[1],
+               panel_coeffs.shape[0] - 1, panel_error, _TABLE_TOL))
+    return SineIntegralTable(
+        nu0=nu0, coeffs=coeffs, panels=2 * n_panels, residual=residual,
+        trailing=trailing, tail=tail, panel_coeffs=panel_coeffs,
+        panel_error=panel_error)
 
 
 def multiplier_batch(spec: MollifierSpec, lam: float, A: float, taus) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Special functions for the kernels: Bessel J of integer/half-integer order,
 Legendre polynomials, and the radial Fourier kernels of spheres.
 
-J_nu and P_l are evaluated by scipy.special (jv, eval_legendre); this module
-fixes the domain (orders -1 <= nu <= NU_MAX in half steps, x >= 0, |x| <= 1)
-and fills in the removable singularity of J_nu(r)/r^nu at r = 0.
+J_nu and P_l are evaluated by scipy.special: order 0 (the 2-D radial
+kernels sphere_fourier(2, .) and universal_covariance(2, .)) by the Cephes
+routine j0, order 1 (the 2-D Weyl leading term) by j1, every other order by
+the general-order AMOS routine jv, and P_l by eval_legendre.  This module
+fixes the domain (orders -1 <= nu <= NU_MAX in half steps, x >= 0,
+|x| <= 1) and fills in the removable singularity of J_nu(r)/r^nu at r = 0.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import eval_legendre, jv
+from scipy.special import eval_legendre, j0, j1, jv
 
 from .errors import DomainError
 
@@ -55,7 +58,12 @@ def bessel_j(order, x):
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0):
         raise DomainError("bessel_j requires x >= 0")
-    out = jv(nu, xa)
+    if nu == 0.0:
+        out = j0(xa)
+    elif nu == 1.0:
+        out = j1(xa)
+    else:
+        out = jv(nu, xa)
     return float(out) if xa.ndim == 0 else out
 
 

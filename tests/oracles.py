@@ -1,6 +1,6 @@
 """Slow reference paths kept for the tests: the bounding-box dual-lattice
 enumerator and the materialised torus mode sum that the slab-wise code
-replaced."""
+replaced, the per-level sphere loop, and the cell-by-cell CSV writer."""
 
 import numpy as np
 
@@ -83,3 +83,13 @@ def level_loop_sum(m, lo, hi, x, y):
             total += (2 * l + 1) / m.volume * legendre_p(l, c)
         l += 1
     return float(total)
+
+
+def cellwise_csv_bytes(header, rows):
+    """The CSV writer the cached row templates replaced: `fmt` per cell."""
+    from weyl_lab.cli import fmt
+
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("ascii")

@@ -8,8 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 import weyl_lab
-from oracles import record_passes
-from weyl_lab.cli import main, parse_grid, parse_manifold
+from oracles import cellwise_csv_bytes, record_passes
+from weyl_lab.cli import csv_bytes, main, parse_grid, parse_manifold
 from weyl_lab.errors import DomainError
 from weyl_lab.manifolds import FlatTorus, RoundSphere2
 
@@ -55,6 +55,21 @@ def test_parse_grid_variants():
         parse_grid("1:2")
     with pytest.raises(DomainError):
         parse_grid("0:2:5:log")
+
+
+def test_csv_row_templates_match_the_cellwise_writer():
+    values = [True, False, np.bool_(True), np.bool_(False), 0, -7, 2**70,
+              np.int64(-3), np.int32(5), np.uint8(255), 0.1, -0.0, 1e-300, 5e-324,
+              1.0 / 3.0, np.float64(2.5e17), np.float32(0.1), np.nan, np.inf,
+              -np.inf, np.float64(np.nan), np.float64(-np.inf), "torus:2:hex", "", None]
+    rng = np.random.default_rng(5)
+    rows = [tuple(rng.choice(len(values), 4)) for _ in range(200)]
+    rows = [tuple(values[i] for i in row) for row in rows]
+    rows += [tuple(values), [1, 2.0, "x", np.bool_(True)], (np.int64(1), 2.0)]
+    header = ["a", "b", "c", "d"]
+    assert csv_bytes(header, rows) == cellwise_csv_bytes(header, rows)
+    assert csv_bytes(header, []) == b"a,b,c,d\n"
+    assert csv_bytes(["x"], [(True, 1, -0.0)]) == b"x\nTrue,1,-0\n"
 
 
 def test_eigens_total_multiplicity(tmp_path):
@@ -200,6 +215,24 @@ def test_smooth_compare_exits_1_when_the_sine_table_fails(tmp_path, monkeypatch)
     assert res.stderr.startswith("numeric failure: sine-integral table did not validate")
     for field in ("degree=", "nu0=", "panel-doubling residual=",
                   "trailing coefficients=", "past nu0="):
+        assert field in res.stderr
+    assert not (tmp_path / "smooth-compare.csv").exists()
+
+
+def test_smooth_compare_exits_1_when_the_panel_table_fails(tmp_path, monkeypatch):
+    import weyl_lab.smoothing as smoothing
+
+    # degree-6 panels cannot follow the global series to 1e-13
+    monkeypatch.setattr(smoothing, "_PANEL_DEGREE", 6)
+    smoothing.sine_integral_table.cache_clear()
+    res = run_cli(["smooth-compare", "--manifold", "torus:2:square2pi",
+                   "--lambda-grid", "3:3:1", "--A", "1.0", "--pairs", "2",
+                   "--out", str(tmp_path)])
+    smoothing.sine_integral_table.cache_clear()
+    assert res.exit_code == 1
+    assert res.stderr.startswith("numeric failure: sine-integral panel table did not validate")
+    assert "panel degree=6 " in res.stderr
+    for field in ("panel count=", "|panel - global series|=", "tolerance="):
         assert field in res.stderr
     assert not (tmp_path / "smooth-compare.csv").exists()
 

@@ -11,6 +11,9 @@ from weyl_lab.lattice import (
     deck_images,
     dual_vectors,
     injectivity_radius,
+    slab_ends,
+    slab_prefixes,
+    slab_row_norms,
     torus_log,
 )
 
@@ -97,6 +100,34 @@ def test_dual_vectors_equal_the_box_enumerator(name):
             for a, b in zip(want, have):
                 assert a.dtype == b.dtype and a.shape == b.shape, (hi, lo)
                 assert a.tobytes() == b.tobytes(), (hi, lo)
+
+
+@pytest.mark.parametrize("name", list(ENUMERATION_LATTICES))
+def test_slab_ends_gap_is_the_nearest_edge_row_norm(name):
+    # the on-spectrum guard reads the gap off slab_ends: it must be the
+    # nearest of the norms slab_row_norms gives rows a - 1, a, b, b + 1,
+    # slab by slab (a whole symmetric box would hide a wrong hi side), for
+    # thresholds on a root, one ulp either side of it, and generic ones
+    # (empty slabs included)
+    G = ENUMERATION_LATTICES[name].dual_basis
+    radius = 12.0 if G.shape[0] == 2 else 7.0
+    prefixes = slab_prefixes(G, radius)
+    roots = box_lattice_vectors(G, radius)[2]
+    thresholds = [0.0, 0.3, 2.71, radius]
+    for root in roots[[1, roots.size // 3, -1]]:
+        thresholds += [root, np.nextafter(root, 0.0), np.nextafter(root, np.inf)]
+    for threshold in thresholds:
+        a, b, gap = slab_ends(G, prefixes, threshold)
+        rows = np.stack([a - 1, a, b, b + 1])
+        norms = np.concatenate([slab_row_norms(G, prefixes, t) for t in rows])
+        assert gap == np.min(np.abs(norms - threshold)), threshold
+        assert np.all(norms[[1, 2]][:, a <= b] <= threshold)
+        assert np.all(norms[[0, 3]] > threshold)
+        for s in range(prefixes.shape[0]):
+            single = slab_ends(G, prefixes[s:s + 1], threshold)
+            assert (single[0][0], single[1][0]) == (a[s], b[s])
+            assert single[2] == np.min(np.abs(norms[:, s] - threshold)), (threshold, s)
+    assert slab_ends(G, prefixes, roots[-1])[2] == 0.0
 
 
 def shell_count(lattice, lo, hi):

@@ -403,3 +403,22 @@ def test_gaussian_matrix_peak_memory_is_a_few_results():
     assert peak < 3.5 * out.nbytes
     # drawn in row blocks, the temporaries stay within a few blocks
     assert peak - out.nbytes < 4 * 8 * BLOCK_VALUES
+
+
+def test_wave_grid_never_holds_the_coefficient_matrix():
+    import tracemalloc
+
+    ens = RandomWaveEnsemble(TORUS, 200.0, 1.0, seed=3, num_samples=3000)
+    pts = np.array([[0.1 * j, 0.2] for j in range(8)])
+    ens.mode_values(pts)  # the window's modes, cached before measuring
+    tracemalloc.start()
+    try:
+        waves = sample_wave_grid(ens, None, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full = 8 * ens.num_samples * ens.mode_count
+    assert peak < 10 * 8 * BLOCK_VALUES < full / 2
+    # the blocks cover every sample once, in order
+    for s in (0, 1, 408, 409, 2999):
+        assert waves[s, 5] == pytest.approx(sample_wave(ens, s, pts[5]), abs=1e-14)

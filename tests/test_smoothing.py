@@ -5,6 +5,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from numpy.testing import assert_allclose
 
 import weyl_lab
@@ -135,6 +136,52 @@ def test_sine_integral_table_against_mpmath():
         beyond = 1.2 * table.nu0
         assert abs(float(_mpmath_sine_integral(SPEC, beyond)) - np.pi / 2) <= 1e-13
     assert table(np.array([beyond]))[0] == np.pi / 2
+
+
+def _quadrature_sine_integral(spec, nus):
+    """Reference J on a composite rule with ~13 nodes per period of
+    sin(u max(nus)), validated by panel doubling."""
+    panel = min(16.0 / 13.0 * 2.0 * np.pi / max(float(np.max(nus)), 1.0),
+                (spec.support - spec.plateau) / 6.0, spec.support / 4.0)
+    n_panels = int(np.ceil(spec.support / panel))
+
+    def sine_integrals(panels):
+        nodes, weights = _composite_gauss_legendre(spec.support, panels)
+        return np.sin(np.outer(nus, nodes)) @ (rho_hat(spec, nodes) * weights / nodes)
+
+    coarse, fine = sine_integrals(n_panels), sine_integrals(2 * n_panels)
+    assert np.max(np.abs(fine - coarse)) < 1e-13
+    return fine
+
+
+@pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
+def test_panel_table_at_panel_edges(spec):
+    # every panel edge and one ulp either side, 0, nu0 - 1 ulp and nu0:
+    # within 1e-12 of the quadrature oracle and 1e-13 of the global series
+    table = sine_integral_table(spec)
+    n_panels = table.panel_coeffs.shape[1]
+    edges = table.nu0 * np.arange(1, n_panels) / n_panels
+    nus = np.concatenate([[0.0, np.nextafter(table.nu0, 0.0), table.nu0], edges,
+                          np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    got = table(nus)
+    assert_allclose(got, _quadrature_sine_integral(spec, nus), rtol=0, atol=1e-12)
+    assert np.max(np.abs(got - chebval(2.0 * nus / table.nu0 - 1.0, table.coeffs))) <= 1e-13
+    assert got[2] == np.pi / 2
+    assert table.panel_error <= 1e-13
+    assert not table.panel_coeffs.flags.writeable
+
+
+def test_table_scalar_and_array_calls_agree_bitwise():
+    table = sine_integral_table(SPEC)
+    rng = np.random.default_rng(11)
+    nus = np.concatenate([rng.uniform(0.0, 1.2 * table.nu0, 300),
+                          table.nu0 * np.arange(8) / table.panel_coeffs.shape[1]])
+    got = table(nus)
+    assert np.array_equal([float(table(nu)) for nu in nus], got)
+    assert np.array_equal(table(nus.reshape(4, -1)).ravel(), got)
+    taus = rng.uniform(0.0, 40.0, 200)
+    batch = multiplier_batch(SPEC, 12.5, 0.4, taus)
+    assert np.array_equal([multiplier(SPEC, 12.5, 0.4, t) for t in taus], batch)
 
 
 def test_sine_integral_table_is_shared_and_validated():

@@ -4,9 +4,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import jv
 
 from weyl_lab.errors import DomainError
 from weyl_lab.specfun import (
+    RADIAL_SERIES_SWITCH,
     bessel_j,
     bessel_ratio,
     legendre_p,
@@ -46,12 +48,15 @@ def test_bessel_integer_quadrature_oracle(nu, x, expected):
     assert_allclose(bessel_j(nu, x), expected, rtol=0, atol=1e-12)
 
 
+SWEEP_XS = np.concatenate(
+    [np.linspace(1e-3, 11.9, 23), np.linspace(12.0, 30.0, 19), np.geomspace(30.0, 1e4, 25)]
+)
+
+
 def test_bessel_ten_digit_sweep():
     # >= 10 significant digits relative to the oscillation envelope on [0, 1e4]
     orders = [-1, -0.5, 0, 0.5, 1, 1.5, 2, 3.5, 5, 10]
-    xs = np.concatenate(
-        [np.linspace(1e-3, 11.9, 23), np.linspace(12.0, 30.0, 19), np.geomspace(30.0, 1e4, 25)]
-    )
+    xs = SWEEP_XS
     for nu in orders:
         got = bessel_j(nu, xs)
         for x, g in zip(xs, got):
@@ -59,6 +64,34 @@ def test_bessel_ten_digit_sweep():
                 want = float(mp.besselj(mp.mpf(nu), mp.mpf(x)))
             env = max(abs(want), math.sqrt(2.0 / (math.pi * x)))
             assert abs(g - want) <= 1e-10 * env, (nu, x)
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+def test_bessel_orders_zero_and_one_absolute_accuracy(nu):
+    # orders 0 and 1 take the j0/j1 fast path: within 5e-15 absolute of
+    # 30-digit mpmath and of the general-order jv on [0, 1e4]
+    xs = np.concatenate([[0.0], SWEEP_XS])
+    got = bessel_j(nu, xs)
+    assert np.max(np.abs(got - jv(nu, xs))) <= 5e-15
+    with mp.workdps(30):
+        for x, g in zip(xs, got):
+            assert abs(g - float(mp.besselj(nu, mp.mpf(x)))) <= 5e-15, x
+    assert np.array_equal([bessel_j(nu, float(x)) for x in xs], got)
+
+
+def test_bessel_ratio_series_branch_is_pinned():
+    # below the switch the ratio is the 4-term Taylor series, whatever
+    # routine serves the order; at the switch it is J_nu(r) / r^nu
+    for nu in (0, 1):
+        for r in (0.0, 1e-9, 5e-7, np.nextafter(RADIAL_SERIES_SWITCH, 0.0)):
+            q = r * r / 4.0
+            acc = 0.0
+            for k in range(3, -1, -1):
+                acc = acc * q + (-1.0) ** k * math.exp(
+                    -math.lgamma(k + 1.0) - math.lgamma(nu + k + 1.0))
+            assert bessel_ratio(nu, r) == acc / 2.0 ** nu, (nu, r)
+        r = RADIAL_SERIES_SWITCH
+        assert bessel_ratio(nu, r) == bessel_j(nu, r) / r ** nu
 
 
 def test_bessel_recurrence_invariant():
