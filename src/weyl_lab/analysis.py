@@ -152,12 +152,13 @@ def _torus_diagonal_sums(m: FlatTorus, grid, widths, d: DerivIndex):
     sum of k^(2 alpha) / covolume, from the runs of one set of slabs."""
     G = m.lattice.dual_basis
     prefixes = lat.slab_prefixes(G, max(lam + A for lam, A in zip(grid, widths)))
+    form = lat.slab_form(G, prefixes)
     u = prefixes @ G[:, :-1].T
     alpha, _ = d.padded(m.dim)
     counts, values = [], []
     for lam, A in zip(grid, widths):
-        slab, starts, stops = lat.slab_runs(lat.slab_ends(G, prefixes, lam + A),
-                                            lat.slab_ends(G, prefixes, lam))
+        slab, starts, stops = lat.slab_runs(lat.slab_ends(G, prefixes, lam + A, form),
+                                            lat.slab_ends(G, prefixes, lam, form))
         lengths = stops - starts + 1
         counts.append(int(lengths.sum()))
         if d.is_zero:

@@ -318,18 +318,19 @@ def run_smooth_compare(config: dict):
     cell = m.lattice.basis @ (0.5 * np.ones(m.dim))
     max_dist = float(np.linalg.norm(cell))
     pairs = seeded_pairs(m.lattice, n_pairs, seed, max_dist=max_dist)
+    xs = np.array([x for x, _ in pairs]).reshape(-1, m.dim)
+    ys = np.array([y for _, y in pairs]).reshape(-1, m.dim)
     rows, results = [], {}
     for lam in grid:
         for a in a_values:
             proj = SmoothedProjector(m, spec, float(lam), a)
-            worst = 0.0
+            spectral = proj.spectral(xs, ys)
+            images = proj.images(xs, ys)
+            diffs = np.abs(spectral - images)
             for i, (x, y) in enumerate(pairs):
-                s = proj.spectral(x, y)
-                im = proj.images(x, y)
-                diff = abs(s - im)
-                worst = max(worst, diff / (1.0 + abs(s)))
-                rows.append((lam, a, i, *x, *y, s, im, diff))
-            results["max_rel_err_lambda=%s_A=%s" % (fmt(float(lam)), fmt(a))] = worst
+                rows.append((lam, a, i, *x, *y, spectral[i], images[i], diffs[i]))
+            results["max_rel_err_lambda=%s_A=%s" % (fmt(float(lam)), fmt(a))] = float(
+                np.max(diffs / (1.0 + np.abs(spectral)), initial=0.0))
     coords = range(1, m.dim + 1)
     header = (["lambda", "A", "pair_index"] + ["x%d" % k for k in coords]
               + ["y%d" % k for k in coords] + ["spectral", "images", "abs_diff"])

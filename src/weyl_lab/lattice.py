@@ -70,7 +70,7 @@ class Lattice:
         return cls.from_basis(b)
 
 
-def _coefficient_box(generator_matrix: np.ndarray, radius: float) -> np.ndarray:
+def coefficient_box(generator_matrix: np.ndarray, radius: float) -> np.ndarray:
     """Per-coordinate integer bounds M_i with |c_i| <= M_i for all lattice
     points |G c| <= radius (rows of G^{-1} give the exact sup)."""
     inv_rows = np.linalg.inv(generator_matrix)
@@ -88,7 +88,7 @@ def slab_prefixes(generator_matrix: np.ndarray, radius: float,
     """
     if radius <= 0.0:
         raise DomainError("radius must be positive")
-    box = _coefficient_box(generator_matrix, radius)[:-1]
+    box = coefficient_box(generator_matrix, radius)[:-1]
     total = int(np.prod(2 * box.astype(object) + 1))
     if total > cap:
         raise ResourceLimitError(
@@ -113,7 +113,20 @@ def slab_row_norms(generator_matrix: np.ndarray, prefixes: np.ndarray, last,
     return norms
 
 
-def slab_ends(generator_matrix: np.ndarray, prefixes: np.ndarray, threshold: float):
+def slab_form(generator_matrix: np.ndarray, prefixes: np.ndarray):
+    """The prefix-only terms of |G (prefix, t)|^2 = q t^2 + 2 cross t + const
+    per slab, as (q, const, vertex) with vertex = -cross / q.  They do not
+    depend on the threshold, so one form serves every `slab_ends` call on
+    the same prefixes."""
+    q_form = generator_matrix.T @ generator_matrix
+    q = q_form[-1, -1]
+    cross = prefixes @ q_form[:-1, -1]
+    const = np.einsum("si,ij,sj->s", prefixes, q_form[:-1, :-1], prefixes)
+    return q, const, -cross / q
+
+
+def slab_ends(generator_matrix: np.ndarray, prefixes: np.ndarray, threshold: float,
+              form=None):
     """Per slab, the last coefficients t with |G (prefix, t)| <= threshold:
     the integer interval [a, b], as two int arrays, and the distance from
     threshold to the nearest norm among the rows a - 1, a, b and b + 1 of
@@ -124,17 +137,15 @@ def slab_ends(generator_matrix: np.ndarray, prefixes: np.ndarray, threshold: flo
     exactly that of the enumeration (a row on the threshold is in, one an
     ulp above is out).  An empty slab has b = a - 1 = floor(vertex), so
     a - 1 and b + 1 are the rows nearest the parabola's vertex.  The
-    distance reads the settled candidates' norms.
+    distance reads the settled candidates' norms.  `form` is the prefixes'
+    `slab_form`, computed here when not given; a caller with many
+    thresholds passes it once computed.
     """
-    q_form = generator_matrix.T @ generator_matrix
-    q = q_form[-1, -1]
-    cross = prefixes @ q_form[:-1, -1]
-    const = np.einsum("si,ij,sj->s", prefixes, q_form[:-1, :-1], prefixes)
-    vertex = -cross / q
+    q, const, vertex = slab_form(generator_matrix, prefixes) if form is None else form
     half = np.sqrt(np.maximum(vertex**2 - (const - threshold**2) / q, 0.0))
     lo = np.ceil(vertex - half).astype(np.int64)
     hi = np.floor(vertex + half).astype(np.int64)
-    del cross, const, half  # freed before the row norms, which set the peak memory
+    del const, half  # freed before the row norms, which set the peak memory
     # the true ends are within one step of the rounded ones
     lo_norms = slab_row_norms(generator_matrix, prefixes, lo, (1, 0, -1))
     hi_norms = slab_row_norms(generator_matrix, prefixes, hi, (-1, 0, 1))
@@ -204,9 +215,10 @@ def _lattice_vectors(generator_matrix: np.ndarray, radius: float, cap: int,
             "enumeration holds at least %.4g lattice points, exceeding the cap %d"
             % (lower, cap))
     prefixes = slab_prefixes(generator_matrix, radius, cap)
+    form = slab_form(generator_matrix, prefixes)
     slab, starts, stops = slab_runs(
-        slab_ends(generator_matrix, prefixes, radius * (1.0 + 1e-15)),
-        slab_ends(generator_matrix, prefixes, inner) if inner >= 0.0 else None)
+        slab_ends(generator_matrix, prefixes, radius * (1.0 + 1e-15), form),
+        slab_ends(generator_matrix, prefixes, inner, form) if inner >= 0.0 else None)
     counts = stops - starts + 1
     total = int(counts.sum())
     if total > cap:
@@ -277,20 +289,31 @@ def torus_distance(lattice: Lattice, x, y) -> float:
 
 
 def deck_images(lattice: Lattice, x, y, radius: float,
-                cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+                cap: int = DEFAULT_ENUM_CAP):
     """All vectors w = (y - x) + gamma with gamma a period vector and
-    |w| <= radius, sorted by (norm, lexicographic image coordinates)."""
+    |w| <= radius, sorted by (norm, lexicographic image coordinates).
+
+    x and y are points, giving one (K, dim) array, or (P, dim) arrays of
+    points (a single point pairs with every row of the other), giving a
+    list of P such arrays from one enumeration of the period lattice; each
+    equals the array of a call with that pair alone.
+    """
     if radius <= 0.0:
         raise DomainError("radius must be positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    diff = y - x
+    many = x.ndim == 2 or y.ndim == 2
+    diffs = np.atleast_2d(y - x)
     # |gamma| <= radius + |diff| covers every admissible image
-    _, gammas, _ = _lattice_vectors(lattice.basis, radius + float(np.linalg.norm(diff)), cap)
-    images = diff + gammas
-    norms = np.linalg.norm(images, axis=1)
-    keep = norms <= radius * (1.0 + 1e-15)
-    images, norms = images[keep], norms[keep]
-    order = np.lexsort(
-        tuple(images[:, j] for j in range(images.shape[1] - 1, -1, -1)) + (norms,))
-    return images[order]
+    reach = radius + float(np.max(np.linalg.norm(diffs, axis=1), initial=0.0))
+    _, gammas, _ = _lattice_vectors(lattice.basis, reach, cap)
+    out = []
+    for diff in diffs:
+        images = diff + gammas
+        norms = np.linalg.norm(images, axis=1)
+        keep = norms <= radius * (1.0 + 1e-15)
+        images, norms = images[keep], norms[keep]
+        order = np.lexsort(
+            tuple(images[:, j] for j in range(images.shape[1] - 1, -1, -1)) + (norms,))
+        out.append(images[order])
+    return out if many else out[0]

@@ -344,7 +344,7 @@ def _lambda_values(lam):
     return lams, False
 
 
-def _point_pairs(x, y):
+def point_pairs(x, y):
     """Points x, y (vectors, or (P, dim) arrays; a single point pairs with
     every row of the other) as two (P, dim) arrays, and whether either was
     a point set."""
@@ -370,7 +370,7 @@ def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam:
     from the spectrum, else SpectrumError names the first that is not; the
     guard and the cap are checked before any sum.
     """
-    xs, ys, many = _point_pairs(x, y)
+    xs, ys, many = point_pairs(x, y)
     reach = highs[-1] + (2.0 * ON_SPECTRUM_TOL if guard else 0.0)
     if isinstance(m, RoundSphere2):
         if not d.is_zero:
@@ -387,12 +387,13 @@ def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam:
     else:
         G = m.lattice.dual_basis
         prefixes = lat.slab_prefixes(G, reach, cap)
-        outer = [lat.slab_ends(G, prefixes, hi) for hi in highs]
+        form = lat.slab_form(G, prefixes)
+        outer = [lat.slab_ends(G, prefixes, hi, form) for hi in highs]
         if guard:
             _check_off_spectrum(highs, np.array([gap for _, _, gap in outer]))
         values = np.array([
             _slab_window_sums(m, prefixes, lat.slab_runs(
-                ends, None if lo < 0.0 else lat.slab_ends(G, prefixes, lo)), xs, ys, d)
+                ends, None if lo < 0.0 else lat.slab_ends(G, prefixes, lo, form)), xs, ys, d)
             for lo, ends in zip(lows, outer)])
     if not many:
         values = values[:, 0]

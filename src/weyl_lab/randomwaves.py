@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import sph_legendre_p
 
 from .errors import DomainError, PreconditionError
-from .manifolds import FlatTorus, ModelManifold, _point_pairs, cluster_kernel, spectral_window
+from .manifolds import FlatTorus, ModelManifold, point_pairs, cluster_kernel, spectral_window
 from .rng import BLOCK_VALUES, gaussian_matrix
 from .specfun import universal_covariance
 
@@ -147,7 +147,7 @@ def empirical_covariance(ens: RandomWaveEnsemble, x, y):
     """
     if ens.num_samples < 2:
         raise PreconditionError("need num_samples >= 2 for a standard error")
-    xs, ys, many = _point_pairs(x, y)
+    xs, ys, many = point_pairs(x, y)
     points, index = np.unique(np.vstack([xs, ys]), axis=0, return_inverse=True)
     waves = sample_wave_grid(ens, None, points)
     # one contiguous row of sample products per pair

@@ -21,7 +21,15 @@ lookup and a 25-step Clenshaw recurrence.
 The spectral side is a multiplier-weighted mode sum and each deck image
 contributes the radial integral (2pi)^{-n} int m(r) r^{n-1} S_n(r |w|) dr.
 Their equality is Poisson summation (exact on flat tori by finite
-propagation speed), which the tests exercise as an oracle.
+propagation speed), which the tests exercise as an oracle.  The mode sum is
+separable: a dual point is k = G c with c an integer vector, so
+<k, y - x> = <c, theta> with theta = G^T (y - x).  The weights m(|G c|) are
+kept on the coefficient box of the tail ball (zero outside the ball) and
+contracted one axis at a time with per-axis tables exp(i c_j theta_j) for
+every pair at once, which takes O(n M P) trig evaluations for box
+half-width M and P pairs instead of one cosine per mode and pair.  The
+images side enumerates the period lattice once per call and evaluates the
+radial kernel of every image of every pair in one pass.
 
 Images with |w| >= support/A vanish identically: the integrand's time
 support [|w|, inf) misses the cutoff's. Truncation radii are computed from
@@ -38,8 +46,8 @@ from numpy.polynomial.chebyshev import chebval
 from scipy.fft import dct
 
 from . import lattice as lat
-from .errors import DomainError, QuadratureError
-from .manifolds import FlatTorus, ModelManifold
+from .errors import DomainError, QuadratureError, ResourceLimitError
+from .manifolds import FlatTorus, ModelManifold, point_pairs
 from .specfun import sphere_fourier
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -338,9 +346,11 @@ def spectral_tail_radius(spec: MollifierSpec, lam: float, A: float,
 class SmoothedProjector:
     """Smoothed projector on a flat torus with both evaluation routes.
 
-    Construction is the only stateful step (per-mode multiplier weights,
+    Construction is the only stateful step (the box of multiplier weights,
     truncation radii, radial rule); instances are immutable afterwards and
-    evaluations are pure.
+    evaluations are pure.  Both routes take a pair of points or (P, dim)
+    point arrays (a single point pairs with every row of the other) and
+    return a float or a (P,) array.
     """
 
     def __init__(self, m: FlatTorus, spec: MollifierSpec, lam: float, A: float,
@@ -357,12 +367,27 @@ class SmoothedProjector:
             spectral_tail_radius(spec, lam, A, decay=self.h_decay) - lam)
         self.image_radius = spec.support / A
 
-        # spectral side: one multiplier weight per mode, evaluated once per
-        # distinct dual norm
-        _, vectors, norms = lat.dual_vectors(m.lattice, self.tail_radius, cap)
-        self._vectors = vectors
-        uniq, inverse = np.unique(norms, return_inverse=True)
-        self._weights = multiplier_batch(spec, lam, A, uniq)[inverse]
+        # spectral side: W[c] = m(|G c|) on the coefficient box of the tail
+        # ball, 0 outside the ball, with one multiplier evaluation per
+        # distinct dual norm.  The box is checked against the cap before
+        # anything is enumerated or allocated.
+        self._half = lat.coefficient_box(m.lattice.dual_basis, self.tail_radius)
+        shape = tuple(2 * self._half + 1)
+        size = int(np.prod(np.asarray(shape, dtype=object)))
+        if size > cap:
+            raise ResourceLimitError(
+                "the weight box of the spectral tail ball (radius %.6g, lambda=%g, "
+                "A=%g) holds %d coefficients, exceeding the cap %d"
+                % (self.tail_radius, lam, A, size, cap))
+        coeffs, vectors, norms = lat.dual_vectors(m.lattice, self.tail_radius, cap)
+        del vectors  # the box needs only the coefficients and norms
+        # the norms come sorted, so each distinct norm is a run of equal values
+        starts = np.flatnonzero(np.concatenate([[True], norms[1:] != norms[:-1]]))
+        weights = multiplier_batch(spec, lam, A, norms[starts])
+        del norms
+        coeffs += self._half
+        self._box = np.zeros(shape)
+        self._box[tuple(coeffs.T)] = np.repeat(weights, np.diff(np.append(starts, coeffs.shape[0])))
 
         # images side: fixed radial rule resolving the fastest image
         # oscillation (period 2 pi A / support) and the multiplier transition
@@ -372,24 +397,47 @@ class SmoothedProjector:
         self._r_nodes, self._r_weights = _composite_gauss_legendre(self.tail_radius, n_panels)
         self._m_radial = multiplier_batch(spec, lam, A, self._r_nodes)
 
-    def spectral(self, x, y) -> float:
-        """Multiplier-weighted mode sum (1/covol) sum m(|k|) cos<k, y-x>."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        phases = self._vectors @ (y - x)
-        return float(np.sum(self._weights * np.cos(phases))) / self.manifold.lattice.covolume
+    def spectral(self, x, y):
+        """Multiplier-weighted mode sum (1/covol) sum m(|k|) cos<k, y-x>.
 
-    def images(self, x, y) -> float:
+        With k = G c and theta = G^T (y - x), <k, y - x> = <c, theta>, so the
+        sum is Re sum_c W[c] prod_j exp(i c_j theta_j).  The weight box is
+        contracted one axis at a time, last axis first, with per-axis phase
+        tables for every pair at once: one matrix product on the last axis,
+        then one weighted sum per remaining axis.
+        """
+        xs, ys, many = point_pairs(x, y)
+        thetas = (ys - xs) @ self.manifold.lattice.dual_basis
+        tables = [np.exp(1j * np.multiply.outer(np.arange(-h, h + 1), theta))
+                  for h, theta in zip(self._half, thetas.T)]
+        last = tables[-1]
+        flat = self._box.reshape(-1, last.shape[0]) @ np.hstack([last.real, last.imag])
+        p = thetas.shape[0]
+        acc = (flat[:, :p] + 1j * flat[:, p:]).reshape(self._box.shape[:-1] + (p,))
+        for table in reversed(tables[:-1]):
+            acc = np.einsum("...jp,jp->...p", acc, table)
+        values = acc.real / self.manifold.lattice.covolume
+        return values if many else float(values[0])
+
+    def images(self, x, y):
         """Deck-image sum of radial integrals
-        (2 pi)^{-n} int m(r) r^{n-1} S_n(r |w|) dr, images sorted by norm."""
+        (2 pi)^{-n} int m(r) r^{n-1} S_n(r |w|) dr, images sorted by norm
+        and added one at a time.  One period-lattice enumeration serves
+        every pair, and one radial kernel evaluation every image."""
+        xs, ys, many = point_pairs(x, y)
         n = self.manifold.dim
-        images = lat.deck_images(self.manifold.lattice, x, y,
+        images = lat.deck_images(self.manifold.lattice, xs, ys,
                                  self.image_radius * (1.0 + 1e-12))
-        if images.shape[0] == 0:
-            return 0.0
+        counts = [w.shape[0] for w in images]
+        lengths = np.linalg.norm(np.concatenate(images), axis=1) if images else np.empty(0)
         base = self._m_radial * self._r_weights * self._r_nodes ** (n - 1)
-        total = 0.0
-        for w in images:
-            total += float(base @ sphere_fourier(n, self._r_nodes * float(np.linalg.norm(w))))
-        return total / (2.0 * np.pi) ** n
-
+        terms = np.empty(lengths.size)
+        chunk = max(1, int(4e6 // self._r_nodes.size))
+        for lo in range(0, lengths.size, chunk):
+            radii = np.multiply.outer(lengths[lo:lo + chunk], self._r_nodes)
+            # a row-wise sum adds each row alike at any chunk size
+            terms[lo:lo + chunk] = np.sum(sphere_fourier(n, radii) * base, axis=1)
+        ends = np.cumsum(counts, dtype=int)
+        values = np.array([sum(terms[end - count:end].tolist(), 0.0)
+                           for count, end in zip(counts, ends)]) / (2.0 * np.pi) ** n
+        return values if many else float(values[0])

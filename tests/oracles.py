@@ -1,6 +1,7 @@
 """Slow reference paths kept for the tests: the bounding-box dual-lattice
 enumerator and the materialised torus mode sum that the slab-wise code
-replaced, the per-level sphere loop, and the cell-by-cell CSV writer."""
+replaced, the per-level sphere loop, the cell-by-cell CSV writer and the
+smoothed projector's per-mode spectral sum."""
 
 import numpy as np
 
@@ -93,3 +94,21 @@ def cellwise_csv_bytes(header, rows):
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def mode_sum_projector(sp, x, y):
+    """The smoothed projector's spectral side as the per-mode sum the weight
+    box replaced: (1/covol) sum_k m(|k|) cos<k, y - x> over the dual points
+    of the tail ball, one weight per mode from `np.unique` of the norms.
+    Also returns (1/covol) sum |m|, the scale its rounding is measured
+    against."""
+    from weyl_lab.lattice import dual_vectors
+    from weyl_lab.smoothing import multiplier_batch
+
+    _, vectors, norms = dual_vectors(sp.manifold.lattice, sp.tail_radius)
+    uniq, inverse = np.unique(norms, return_inverse=True)
+    weights = multiplier_batch(sp.spec, sp.lam, sp.A, uniq)[inverse]
+    phases = vectors @ (np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
+    covol = sp.manifold.lattice.covolume
+    return (float(np.sum(weights * np.cos(phases))) / covol,
+            float(np.sum(np.abs(weights))) / covol)

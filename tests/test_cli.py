@@ -293,10 +293,10 @@ def test_smooth_compare_writes_every_coordinate_in_3d(tmp_path, monkeypatch):
             pass
 
         def spectral(self, x, y):
-            return 0.0
+            return np.zeros(len(x))
 
         def images(self, x, y):
-            return 0.0
+            return np.zeros(len(x))
 
     monkeypatch.setattr(cli, "SmoothedProjector", StubProjector)
     manifold = "torus:3:diag:0.5,0.5,0.5"

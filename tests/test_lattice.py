@@ -12,6 +12,7 @@ from weyl_lab.lattice import (
     dual_vectors,
     injectivity_radius,
     slab_ends,
+    slab_form,
     slab_prefixes,
     slab_row_norms,
     torus_log,
@@ -130,6 +131,27 @@ def test_slab_ends_gap_is_the_nearest_edge_row_norm(name):
     assert slab_ends(G, prefixes, roots[-1])[2] == 0.0
 
 
+@pytest.mark.parametrize("name", list(ENUMERATION_LATTICES))
+def test_slab_ends_from_one_form_equal_fresh_calls(name):
+    # a lambda grid computes the prefix-only terms of the quadratic form
+    # once; every threshold's ends and gap must be those of a call that
+    # computes them itself
+    G = ENUMERATION_LATTICES[name].dual_basis
+    radius = 12.0 if G.shape[0] == 2 else 7.0
+    prefixes = slab_prefixes(G, radius)
+    form = slab_form(G, prefixes)
+    roots = box_lattice_vectors(G, radius)[2]
+    thresholds = list(np.linspace(0.0, radius, 9)) + [
+        t for root in roots[[1, roots.size // 2, -1]]
+        for t in (root, np.nextafter(root, 0.0), np.nextafter(root, np.inf))]
+    for threshold in thresholds:
+        shared = slab_ends(G, prefixes, threshold, form)
+        fresh = slab_ends(G, prefixes, threshold)
+        assert shared[0].tobytes() == fresh[0].tobytes(), threshold
+        assert shared[1].tobytes() == fresh[1].tobytes(), threshold
+        assert shared[2] == fresh[2], threshold
+
+
 def shell_count(lattice, lo, hi):
     # dual points with lo < norm <= hi, read off the enumeration
     norms = dual_vectors(lattice, hi)[2]
@@ -230,3 +252,26 @@ def test_dual_vectors_sorted_deterministically():
     c2, v2, n2 = dual_vectors(SQUARE2PI, 12.3)
     assert np.array_equal(c1, c2) and np.array_equal(v1, v2)
     assert np.all(np.diff(n1) >= -1e-15)
+
+
+@pytest.mark.parametrize("name", ["square2pi", "hex", "3d-skew"])
+def test_deck_images_point_arrays_equal_single_pairs(name):
+    # one period-lattice enumeration serves every pair: each pair's images
+    # (set, order and bits) are those of a call with that pair alone,
+    # including x = y and a pair that differs by a period vector
+    lattice = ENUMERATION_LATTICES[name]
+    rng = np.random.default_rng(17)
+    xs = (lattice.basis @ rng.random((lattice.dim, 5))).T
+    ys = (lattice.basis @ rng.random((lattice.dim, 5))).T
+    ys[1] = xs[1]
+    ys[2] = xs[2] + lattice.basis @ np.arange(1, lattice.dim + 1)
+    radius = 3.0 * float(np.min(np.linalg.norm(lattice.basis, axis=0)))
+    many = deck_images(lattice, xs, ys, radius)
+    assert isinstance(many, list) and len(many) == 5
+    for got, x, y in zip(many, xs, ys):
+        want = deck_images(lattice, x, y, radius)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # a single point pairs with every row of the other
+    for got, y in zip(deck_images(lattice, xs[0], ys, radius), ys):
+        assert got.tobytes() == deck_images(lattice, xs[0], y, radius).tobytes()
+    assert deck_images(lattice, xs[:0], ys[:0], radius) == []

@@ -9,8 +9,10 @@ from numpy.polynomial.chebyshev import chebval
 from numpy.testing import assert_allclose
 
 import weyl_lab
-from weyl_lab.errors import DomainError
-from weyl_lab.lattice import Lattice, deck_images
+from oracles import mode_sum_projector, record_passes
+from weyl_lab.cli import parse_manifold
+from weyl_lab.errors import DomainError, ResourceLimitError
+from weyl_lab.lattice import Lattice, deck_images, dual_vectors
 from weyl_lab.manifolds import FlatTorus, spectral_function
 from weyl_lab.smoothing import (
     MollifierSpec,
@@ -263,11 +265,83 @@ def test_multiplier_table_build():
     # deep-inside values are near 1, far-outside near 0
     assert abs(values[0] - 1.0) < 1e-3
     assert abs(values[-1]) < 1e-3
-    # the projector keeps one weight per mode: m at that mode's norm
+    # the projector keeps its weights on the coefficient box of the tail
+    # ball: W[c] = m(|G c|) on every ball coefficient, 0 elsewhere
     sp = SmoothedProjector(TORUS, SPEC, 10.0, 0.5)
-    norms = np.linalg.norm(sp._vectors, axis=1)
-    assert sp._weights.shape == norms.shape
-    assert np.array_equal(sp._weights, multiplier_batch(SPEC, 10.0, 0.5, norms))
+    coeffs, _, norms = dual_vectors(TORUS.lattice, sp.tail_radius)
+    index = tuple((coeffs + sp._half).T)
+    assert np.array_equal(sp._box[index], multiplier_batch(SPEC, 10.0, 0.5, norms))
+    outside = np.ones(sp._box.shape, dtype=bool)
+    outside[index] = False
+    assert np.count_nonzero(outside) > 0 and not np.any(sp._box[outside])
+
+
+# (manifold, lambda, A, tail_factor): the separable sum is an identity, so a
+# shortened 3-D tail keeps the per-mode oracle cheap without weakening it
+SEPARABLE_CASES = [
+    ("torus:2:square2pi", 10.0, 0.5, 1.0),
+    ("torus:2:hex", 12.0, 0.2, 1.0),
+    ("torus:2:mat:1,0.3;0,1.2", 10.0, 0.5, 1.0),
+    ("torus:3:square2pi", 2.5, 1.0, 0.2),
+]
+
+
+def _oracle_pairs(m, count=3, seed=21):
+    # generic pairs, x = y, and a pair that differs by a period vector
+    rng = np.random.default_rng(seed)
+    xs = (m.lattice.basis @ rng.random((m.dim, count + 2))).T
+    ys = (m.lattice.basis @ rng.random((m.dim, count + 2))).T
+    ys[count] = xs[count]
+    ys[count + 1] = xs[count + 1] + m.lattice.basis @ np.arange(1, m.dim + 1)
+    return xs, ys
+
+
+@pytest.mark.parametrize("case", SEPARABLE_CASES, ids=[c[0] for c in SEPARABLE_CASES])
+def test_separable_spectral_sum_matches_per_mode_sum(case):
+    name, lam, A, tail_factor = case
+    m = parse_manifold(name)
+    sp = SmoothedProjector(m, MollifierSpec.for_manifold(m), lam, A, tail_factor=tail_factor)
+    xs, ys = _oracle_pairs(m)
+    values = sp.spectral(xs, ys)
+    assert values.shape == (xs.shape[0],)
+    for value, x, y in zip(values, xs, ys):
+        want, scale = mode_sum_projector(sp, x, y)
+        assert abs(value - want) <= 1e-12 * scale, (x, y)
+
+
+@pytest.mark.parametrize("case", SEPARABLE_CASES, ids=[c[0] for c in SEPARABLE_CASES])
+def test_array_calls_equal_scalar_calls(case):
+    # images: bit for bit (row-wise sums, one image at a time per pair);
+    # spectral: the batched matrix product may round differently per
+    # column, so a few ulps of the sum of |m|
+    name, lam, A, tail_factor = case
+    m = parse_manifold(name)
+    sp = SmoothedProjector(m, MollifierSpec.for_manifold(m), lam, A, tail_factor=tail_factor)
+    xs, ys = _oracle_pairs(m, count=1)
+    images = sp.images(xs, ys)
+    assert images.shape == (xs.shape[0],)
+    for value, x, y in zip(images, xs, ys):
+        single = sp.images(x, y)
+        assert isinstance(single, float) and value == single
+    scale = float(np.sum(np.abs(sp._box))) / m.lattice.covolume
+    spectral = sp.spectral(xs, ys)
+    for value, x, y in zip(spectral, xs, ys):
+        single = sp.spectral(x, y)
+        assert isinstance(single, float) and abs(value - single) <= 1e-15 * scale
+    # a single point pairs with every row of the other
+    assert_allclose(sp.spectral(xs[0], ys), [sp.spectral(xs[0], y) for y in ys],
+                    rtol=0.0, atol=1e-15 * scale)
+    assert np.array_equal(sp.images(xs[0], ys), [sp.images(xs[0], y) for y in ys])
+    assert sp.spectral(xs[:0], ys[:0]).shape == sp.images(xs[:0], ys[:0]).shape == (0,)
+
+
+def test_weight_box_over_cap_raises_before_enumerating(monkeypatch):
+    # the box of the lambda 10, A 0.5 tail ball holds (2 * 120 + 1)^2 weights
+    passes = record_passes(monkeypatch, TORUS.lattice.dual_basis)
+    with pytest.raises(ResourceLimitError, match="holds 58081 coefficients"):
+        SmoothedProjector(TORUS, SPEC, 10.0, 0.5, cap=58080)
+    assert passes == {"dual_vectors": [], "slabs": []}
+    assert SmoothedProjector(TORUS, SPEC, 10.0, 0.5, cap=58081)._box.size == 58081
 
 
 def test_smoothed_projector_below_first_eigenvalue():
