@@ -39,7 +39,7 @@ from .manifolds import (
     eigenlevels,
     spectral_function,
 )
-from .projector import cluster_vs_bessel, offdiagonal_scan, remainder_scan
+from .projector import cluster_vs_bessel, geodesic_points, offdiagonal_scan, remainder_scan
 from .randomwaves import (
     RandomWaveEnsemble,
     empirical_covariance,
@@ -65,18 +65,34 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _number(piece: str, text: str, kind=float):
+    """`piece` of the option value `text` read as a `kind`; DomainError
+    naming both when it is not one."""
+    try:
+        return kind(piece)
+    except ValueError:
+        where = "" if piece == text else " in %r" % text
+        raise DomainError("%r%s is not %s" % (
+            piece, where, "an integer" if kind is int else "a number")) from None
+
+
+def _numbers(text: str, whole: str | None = None, kind=float) -> list:
+    """The comma-separated `kind` values of `text`, a part of `whole`."""
+    return [_number(v, whole or text, kind) for v in text.split(",")]
+
+
 def parse_manifold(text: str):
     parts = text.split(":")
     if parts[0] == "sphere2":
         if len(parts) == 1:
             return RoundSphere2()
         if len(parts) == 2:
-            return RoundSphere2(radius=float(parts[1]))
+            return RoundSphere2(radius=_number(parts[1], text))
         raise DomainError("bad manifold spec %r" % text)
     if parts[0] == "torus":
         if len(parts) < 3:
             raise DomainError("torus spec is torus:<dim>:<basis>, got %r" % text)
-        dim = int(parts[1])
+        dim = _number(parts[1], text, int)
         basis_spec = ":".join(parts[2:])
         if basis_spec == "square2pi":
             return FlatTorus(Lattice.square(2.0 * np.pi, dim=dim))
@@ -87,13 +103,15 @@ def parse_manifold(text: str):
                 raise DomainError("hex lattice is 2-d")
             return FlatTorus(Lattice.hexagonal(1.0))
         if basis_spec.startswith("diag:"):
-            entries = [float(v) for v in basis_spec[5:].split(",")]
+            entries = _numbers(basis_spec[5:], text)
             if len(entries) != dim:
                 raise DomainError("diag basis needs %d entries" % dim)
             return FlatTorus(Lattice.from_basis(np.diag(entries)))
         if basis_spec.startswith("mat:"):
-            rows = [[float(v) for v in row.split(",")]
-                    for row in basis_spec[4:].split(";")]
+            rows = [_numbers(row, text) for row in basis_spec[4:].split(";")]
+            if len(rows) != dim or any(len(row) != dim for row in rows):
+                raise DomainError("mat basis needs %d rows of %d entries, got %r"
+                                  % (dim, dim, text))
             return FlatTorus(Lattice.from_basis(np.array(rows)))
         raise DomainError("unknown torus basis %r" % basis_spec)
     raise DomainError("unknown manifold %r (use torus:<n>:<basis> or sphere2[:R])" % text)
@@ -103,7 +121,8 @@ def parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise DomainError("grid spec is lo:hi:count[:log], got %r" % text)
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi = _number(parts[0], text), _number(parts[1], text)
+    count = _number(parts[2], text, int)
     if count < 1:
         raise DomainError("grid count must be >= 1")
     if count == 1:
@@ -120,15 +139,18 @@ def parse_grid(text: str) -> np.ndarray:
 def parse_deriv(text: str | None) -> DerivIndex:
     if not text:
         return ZERO_DERIV
-    parts = text.split(",")
-    if len(parts) != 2:
+    orders = _numbers(text, kind=int)
+    if len(orders) != 2:
         raise DomainError("--deriv takes 'ax,ay': first-coordinate orders on x and y")
-    ax, ay = int(parts[0]), int(parts[1])
+    ax, ay = orders
     return DerivIndex(alpha=(ax, 0), beta=(ay, 0))
 
 
-def parse_vector(text: str, dim: int) -> np.ndarray:
-    vals = [float(v) for v in text.split(",")]
+def parse_vector(text: str | None, dim: int) -> np.ndarray | None:
+    """The point or direction `text` names; None when it is unset."""
+    if not text:
+        return None
+    vals = _numbers(text)
     if len(vals) != dim:
         raise DomainError("expected %d comma-separated values, got %r" % (dim, text))
     return np.array(vals)
@@ -206,242 +228,6 @@ def write_outputs(out_dir: str, name: str, header, rows, config: dict,
     return csv_path
 
 
-# ---------------------------------------------------------------------------
-# subcommand runners: config dict -> (header, rows, results); pure given the
-# config, so `replay` reproduces the CSV byte-for-byte
-
-
-def run_eigens(config: dict):
-    m = parse_manifold(config["manifold"])
-    grid = parse_grid(config["lambda_grid"])
-    lam_max = float(grid[-1])
-    levels = eigenlevels(m, lam_max)
-    rows, cum = [], 0
-    for i, lv in enumerate(levels):
-        cum += lv.multiplicity
-        rows.append((i, lv.sqrt_eigenvalue, lv.multiplicity, cum))
-    header = ["level_index", "sqrt_eigenvalue", "multiplicity", "cumulative_count"]
-    return header, rows, {"lambda_max": lam_max, "total_multiplicity": cum}
-
-
-def _manifold_points(m, x0_text, direction_text, dists):
-    """Base point and geodesic points at the requested distances."""
-    if isinstance(m, FlatTorus):
-        x0 = parse_vector(x0_text, m.dim) if x0_text else np.zeros(m.dim)
-        direction = (parse_vector(direction_text, m.dim) if direction_text
-                     else np.eye(m.dim)[0])
-        direction = direction / np.linalg.norm(direction)
-        return x0, [x0 + r * direction for r in dists], direction
-    x0 = m.radius * np.array([0.0, 0.0, 1.0])
-    pts = [m.radius * np.array([np.sin(r / m.radius), 0.0, np.cos(r / m.radius)])
-           for r in dists]
-    return x0, pts, None
-
-
-def run_kernel(config: dict):
-    m = parse_manifold(config["manifold"])
-    lam = float(config["lam"])
-    width = float(config["width"])
-    d = parse_deriv(config.get("deriv"))
-    dists = parse_grid(config["dist_grid"])
-    x0, points, _ = _manifold_points(m, config.get("x0"), config.get("direction"), dists)
-    if width > 0.0:
-        values = cluster_kernel(m, lam, width, x0, np.vstack(points), d)
-    else:
-        values = spectral_function(m, lam, x0, np.vstack(points), d)
-    header = ["dist", "cluster_value" if width > 0.0 else "spectral_function"]
-    return header, list(zip(dists, values)), None
-
-
-def run_remainder_scan(config: dict):
-    m = parse_manifold(config["manifold"])
-    if not isinstance(m, FlatTorus):
-        raise DomainError("remainder-scan is defined on flat tori")
-    grid = parse_grid(config["lambda_grid"])
-    d = parse_deriv(config.get("deriv"))
-    n_pairs = int(config["pairs"])
-    seed = int(config["seed"])
-    if n_pairs <= 1:
-        pairs = [(np.zeros(m.dim), np.zeros(m.dim))]
-    else:
-        pairs = seeded_pairs(m.lattice, n_pairs, seed,
-                             max_dist=0.45 * injectivity_radius(m.lattice))
-    rep = remainder_scan(m, grid, pairs, d)
-    rows = list(zip(rep.lambda_grid, rep.sup_values))
-    header = ["lambda", "sup_abs_remainder"]
-    return header, rows, {"fitted_exponent": rep.fitted_exponent,
-                          "fit_residual": rep.fit_residual, "num_pairs": len(pairs)}
-
-
-def run_offdiag_scan(config: dict):
-    m = parse_manifold(config["manifold"])
-    grid = parse_grid(config["lambda_grid"])
-    eps = float(config["eps"])
-    n_pairs = int(config["pairs"])
-    seed = int(config["seed"])
-    if isinstance(m, FlatTorus):
-        inj = injectivity_radius(m.lattice)
-        if eps >= inj:
-            raise DomainError("eps must be below the injectivity radius %.6g" % inj)
-        xs = seeded_cell_points(m.lattice, n_pairs, seed, salt=11)
-        u = uniform_matrix(seed + 33, np.arange(n_pairs), 2)
-        radii = eps + (inj * 0.999 - eps) * u[:, 0]
-        angles = 2.0 * np.pi * u[:, 1]
-        pairs = []
-        for i in range(n_pairs):
-            off = radii[i] * np.array([np.cos(angles[i]), np.sin(angles[i])]) \
-                if m.dim == 2 else radii[i] * np.eye(3)[0]
-            pairs.append((xs[i], xs[i] + off))
-    else:
-        u = uniform_matrix(seed + 7, np.arange(n_pairs), 1)[:, 0]
-        lo = eps / m.radius
-        thetas = lo + (np.pi - 2.0 * lo) * u
-        north = m.radius * np.array([0.0, 0.0, 1.0])
-        pairs = [(north, m.radius * np.array([np.sin(t), 0.0, np.cos(t)]))
-                 for t in thetas]
-    rep = offdiagonal_scan(m, grid, eps, pairs)
-    rows = list(zip(rep.lambda_grid, rep.sup_values))
-    header = ["lambda", "sup_abs_spectral_function"]
-    return header, rows, {"fitted_exponent": rep.fitted_exponent,
-                          "fit_residual": rep.fit_residual}
-
-
-def run_smooth_compare(config: dict):
-    m = parse_manifold(config["manifold"])
-    if not isinstance(m, FlatTorus):
-        raise DomainError("smooth-compare is defined on flat tori")
-    grid = parse_grid(config["lambda_grid"])
-    a_values = [float(v) for v in str(config["A"]).split(",")]
-    n_pairs = int(config["pairs"])
-    seed = int(config["seed"])
-    spec = MollifierSpec.for_manifold(m)
-    cell = m.lattice.basis @ (0.5 * np.ones(m.dim))
-    max_dist = float(np.linalg.norm(cell))
-    pairs = seeded_pairs(m.lattice, n_pairs, seed, max_dist=max_dist)
-    xs = np.array([x for x, _ in pairs]).reshape(-1, m.dim)
-    ys = np.array([y for _, y in pairs]).reshape(-1, m.dim)
-    rows, results = [], {}
-    for lam in grid:
-        for a in a_values:
-            proj = SmoothedProjector(m, spec, float(lam), a)
-            spectral = proj.spectral(xs, ys)
-            images = proj.images(xs, ys)
-            diffs = np.abs(spectral - images)
-            for i, (x, y) in enumerate(pairs):
-                rows.append((lam, a, i, *x, *y, spectral[i], images[i], diffs[i]))
-            results["max_rel_err_lambda=%s_A=%s" % (fmt(float(lam)), fmt(a))] = float(
-                np.max(diffs / (1.0 + np.abs(spectral)), initial=0.0))
-    coords = range(1, m.dim + 1)
-    header = (["lambda", "A", "pair_index"] + ["x%d" % k for k in coords]
-              + ["y%d" % k for k in coords] + ["spectral", "images", "abs_diff"])
-    return header, rows, results
-
-
-def run_cluster_bessel(config: dict):
-    m = parse_manifold(config["manifold"])
-    lam = float(config["lam"])
-    width = float(config["width"])
-    d = parse_deriv(config.get("deriv"))
-    dists = parse_grid(config["dist_grid"])
-    x0_text = config.get("x0")
-    x0 = (parse_vector(x0_text, m.dim) if (x0_text and isinstance(m, FlatTorus))
-          else (np.zeros(m.dim) if isinstance(m, FlatTorus) else None))
-    direction = None
-    if config.get("direction") and isinstance(m, FlatTorus):
-        direction = parse_vector(config["direction"], m.dim)
-    table = cluster_vs_bessel(m, lam, width, x0, dists, d, direction=direction)
-    rows = [(r, c, p, e, e / table.diagonal if table.diagonal else np.nan)
-            for r, c, p, e in zip(table.dists, table.cluster,
-                                  table.bessel_prediction, table.abs_error)]
-    header = ["dist", "cluster", "bessel_prediction", "abs_error", "err_over_diagonal"]
-    return header, rows, {"diagonal": table.diagonal,
-                          "mean_shell_radius": table.mean_shell_radius}
-
-
-def run_randomwave(config: dict):
-    m = parse_manifold(config["manifold"])
-    mode = config["mode"]
-    lam = float(config["lam"])
-    width = float(config["width"])
-    seed = int(config["seed"])
-    samples = int(config["samples"])
-    ens = RandomWaveEnsemble(m, lam, width, seed=seed, num_samples=samples)
-    dists = parse_grid(config["dist_grid"])
-    x0, points, _ = _manifold_points(m, config.get("x0"), config.get("direction"), dists)
-    if mode == "sample":
-        waves = sample_wave_grid(ens, np.arange(samples), np.vstack(points))
-        rows = [(s, i, dists[i], waves[s, i])
-                for s in range(samples) for i in range(len(points))]
-        header = ["sample_index", "point_index", "dist", "wave_value"]
-        return header, rows, None
-    if mode == "covariance":
-        exact = exact_covariance(ens, x0, np.vstack(points))
-        empirical, std_err = empirical_covariance(ens, x0, np.vstack(points))
-        rows = [(r, emp, se, ex, abs(emp - ex), (emp - ex) / se if se > 0 else np.nan)
-                for r, emp, se, ex in zip(dists, empirical, std_err, exact)]
-        header = ["dist", "empirical", "std_error", "exact", "abs_diff", "z_score"]
-        return header, rows, None
-    if mode == "rescaled":
-        if not isinstance(m, FlatTorus):
-            raise DomainError("rescaled mode runs on flat tori")
-        seps = parse_grid(config["dist_grid"])
-        vs = np.zeros((seps.size, m.dim))
-        vs[:, 0] = seps
-        exact, universal, err = rescaled_covariance_error(
-            ens, np.zeros(m.dim), np.zeros(m.dim), vs)
-        header = ["separation", "exact_rescaled", "universal_limit", "abs_error"]
-        return header, list(zip(seps, exact, universal, err)), None
-    raise DomainError("randomwave mode must be sample, covariance, or rescaled")
-
-
-def run_appendix_a(config: dict):
-    n_exp = int(config["N"])
-    p_values = [float(v) for v in str(config["p"]).split(",")]
-    grid = parse_grid(config["lambda_grid"])
-    rows, results = [], {}
-    for p in p_values:
-        ratios = []
-        for lam in grid:
-            s = localized_sum(float(lam), n_exp, p)
-            integ = localized_integral(float(lam), n_exp, p)
-            ratio = s / float(lam) ** p
-            ratios.append(ratio)
-            rows.append((lam, p, s, integ, ratio, s / integ))
-        results["ratio_spread_p=%s" % fmt(p)] = max(ratios) / min(ratios)
-    header = ["lambda", "p", "localized_sum", "localized_integral",
-              "sum_over_lambda_p", "sum_over_integral"]
-    return header, rows, results
-
-
-def run_cluster_sup(config: dict):
-    m = parse_manifold(config["manifold"])
-    grid = parse_grid(config["lambda_grid"])
-    rule_text = str(config["A_rule"])
-    rule = rule_text if rule_text == "one-over-log" else float(rule_text)
-    d = parse_deriv(config.get("deriv"))
-    rep = cluster_sup_scan(m, grid, rule, d)
-    rows = []
-    for i, lam in enumerate(rep.lambda_grid):
-        a = 1.0 / np.log(lam) if rule_text == "one-over-log" else float(rule_text)
-        norm = rep.normalized[i] if rep.normalized is not None else ""
-        rows.append((lam, a, rep.sup_values[i], norm))
-    header = ["lambda", "A", "sup_value", "normalized"]
-    return header, rows, {"fitted_exponent": rep.fitted_exponent}
-
-
-RUNNERS = {
-    "eigens": run_eigens,
-    "kernel": run_kernel,
-    "remainder-scan": run_remainder_scan,
-    "offdiag-scan": run_offdiag_scan,
-    "smooth-compare": run_smooth_compare,
-    "cluster-bessel": run_cluster_bessel,
-    "randomwave": run_randomwave,
-    "appendix-a": run_appendix_a,
-    "cluster-sup": run_cluster_sup,
-}
-
-
 def check_replay(manifest: dict, data: bytes):
     """ReplayError unless `data` has the CSV sha256 the manifest recorded
     (a manifest without one, written before digests were kept, passes)."""
@@ -456,7 +242,8 @@ def check_replay(manifest: dict, data: bytes):
 
 def execute(name: str, config: dict, out_dir: str, replayed: dict | None = None) -> Path:
     """Run a subcommand and write its outputs; with the manifest being
-    replayed, refuse to write a CSV that differs from the recorded one."""
+    replayed, refuse to write a CSV that differs from the recorded one.
+    The runner is looked up in RUNNERS at call time."""
     header, rows, results = RUNNERS[name](config)
     if replayed is not None:
         check_replay(replayed, csv_bytes(header, rows))
@@ -489,6 +276,12 @@ def guarded(fn):
     return wrapper
 
 
+@click.group()
+@click.version_option(version=__version__)
+def main():
+    """Numerical lab for two-point Weyl asymptotics on model manifolds."""
+
+
 manifold_option = click.option("--manifold", required=True,
                                help="torus:<n>:<basis> or sphere2[:radius]; bases: "
                                     "square2pi, unit, hex, diag:a,b[,c], mat:a,b;c,d")
@@ -497,152 +290,290 @@ out_option = click.option("--out", default=".", show_default=True,
 seed_option = click.option("--seed", default=0, show_default=True, type=int)
 deriv_option = click.option("--deriv", default=None,
                             help="ax,ay: first-coordinate derivative orders on x and y")
+lambda_grid_option = click.option("--lambda-grid", required=True)
+lambda_option = click.option("--lambda", "lam", required=True, type=float)
+
+# subcommand name -> runner; `subcommand` fills it
+RUNNERS: dict = {}
 
 
-@click.group()
-@click.version_option(version=__version__)
-def main():
-    """Numerical lab for two-point Weyl asymptotics on model manifolds."""
+def subcommand(name: str, *options):
+    """Register the decorated runner as subcommand `name`: its options (plus
+    `--out`) and docstring make the click command, and the options' values,
+    with `seed` 0 where there is no `--seed`, are its manifest config."""
+    def register(runner):
+        RUNNERS[name] = runner
+
+        def command(out, **config):
+            config.setdefault("seed", 0)
+            execute(name, config, out)
+
+        command = guarded(command)
+        for option in reversed((*options, out_option)):
+            command = option(command)
+        main.command(name, help=runner.__doc__)(command)
+        return runner
+
+    return register
 
 
-@main.command()
-@manifold_option
-@click.option("--lambda-grid", "lambda_grid", required=True,
-              help="lo:hi:count[:log]; the hi endpoint is the level-table cutoff")
-@out_option
-@guarded
-def eigens(manifold, lambda_grid, out):
+# ---------------------------------------------------------------------------
+# subcommand runners: config dict -> (header, rows, results); pure given the
+# config, so `replay` reproduces the CSV byte-for-byte
+
+
+def _base_and_direction(config: dict, dim: int):
+    """The --x0 and --direction vectors of `config` (None where unset)."""
+    return parse_vector(config.get("x0"), dim), parse_vector(config.get("direction"), dim)
+
+
+@subcommand("eigens", manifold_option,
+            click.option("--lambda-grid", required=True,
+                         help="lo:hi:count[:log]; the hi endpoint is the level-table cutoff"))
+def run_eigens(config: dict):
     """Eigenvalue level table up to the grid's upper endpoint."""
-    execute("eigens", {"manifold": manifold, "lambda_grid": lambda_grid, "seed": 0}, out)
+    m = parse_manifold(config["manifold"])
+    grid = parse_grid(config["lambda_grid"])
+    lam_max = float(grid[-1])
+    levels = eigenlevels(m, lam_max)
+    rows, cum = [], 0
+    for i, lv in enumerate(levels):
+        cum += lv.multiplicity
+        rows.append((i, lv.sqrt_eigenvalue, lv.multiplicity, cum))
+    header = ["level_index", "sqrt_eigenvalue", "multiplicity", "cumulative_count"]
+    return header, rows, {"lambda_max": lam_max, "total_multiplicity": cum}
 
 
-@main.command()
-@manifold_option
-@click.option("--lambda", "lam", required=True, type=float)
-@click.option("--width", default=0.0, show_default=True,
-              help="0 evaluates E_lambda; > 0 evaluates the cluster window")
-@click.option("--dist-grid", "dist_grid", default="0:0:1", show_default=True)
-@click.option("--x0", default=None, help="base point (torus only)")
-@click.option("--direction", default=None, help="geodesic direction (torus only)")
-@deriv_option
-@out_option
-@guarded
-def kernel(manifold, lam, width, dist_grid, x0, direction, deriv, out):
+@subcommand("kernel", manifold_option, lambda_option,
+            click.option("--width", default=0.0, show_default=True,
+                         help="0 evaluates E_lambda; > 0 evaluates the cluster window"),
+            click.option("--dist-grid", default="0:0:1", show_default=True),
+            click.option("--x0", default=None, help="base point (torus only)"),
+            click.option("--direction", default=None, help="geodesic direction (torus only)"),
+            deriv_option)
+def run_kernel(config: dict):
     """Spectral function / cluster kernel along a geodesic."""
-    execute("kernel", {"manifold": manifold, "lam": lam, "width": width,
-                       "dist_grid": dist_grid, "x0": x0, "direction": direction,
-                       "deriv": deriv, "seed": 0}, out)
+    m = parse_manifold(config["manifold"])
+    lam = float(config["lam"])
+    width = float(config["width"])
+    d = parse_deriv(config.get("deriv"))
+    dists = parse_grid(config["dist_grid"])
+    x0, points, _ = geodesic_points(m, dists, *_base_and_direction(config, m.dim))
+    if width > 0.0:
+        values = cluster_kernel(m, lam, width, x0, points, d)
+    else:
+        values = spectral_function(m, lam, x0, points, d)
+    header = ["dist", "cluster_value" if width > 0.0 else "spectral_function"]
+    return header, list(zip(dists, values)), None
 
 
-@main.command("remainder-scan")
-@manifold_option
-@click.option("--lambda-grid", "lambda_grid", required=True)
-@click.option("--pairs", default=1, show_default=True,
-              help="1 = diagonal pair only; more adds seeded near-diagonal pairs")
-@deriv_option
-@seed_option
-@out_option
-@guarded
-def remainder_scan_cmd(manifold, lambda_grid, pairs, deriv, seed, out):
+@subcommand("remainder-scan", manifold_option, lambda_grid_option,
+            click.option("--pairs", default=1, show_default=True,
+                         help="1 = diagonal pair only; more adds seeded near-diagonal pairs"),
+            deriv_option, seed_option)
+def run_remainder_scan(config: dict):
     """Sup of |Weyl remainder| over pairs, per lambda, with exponent fit."""
-    execute("remainder-scan", {"manifold": manifold, "lambda_grid": lambda_grid,
-                               "pairs": pairs, "deriv": deriv, "seed": seed}, out)
+    m = parse_manifold(config["manifold"])
+    if not isinstance(m, FlatTorus):
+        raise DomainError("remainder-scan is defined on flat tori")
+    grid = parse_grid(config["lambda_grid"])
+    d = parse_deriv(config.get("deriv"))
+    n_pairs = int(config["pairs"])
+    seed = int(config["seed"])
+    if n_pairs <= 1:
+        pairs = [(np.zeros(m.dim), np.zeros(m.dim))]
+    else:
+        pairs = seeded_pairs(m.lattice, n_pairs, seed,
+                             max_dist=0.45 * injectivity_radius(m.lattice))
+    rep = remainder_scan(m, grid, pairs, d)
+    rows = list(zip(rep.lambda_grid, rep.sup_values))
+    header = ["lambda", "sup_abs_remainder"]
+    return header, rows, {"fitted_exponent": rep.fitted_exponent,
+                          "fit_residual": rep.fit_residual, "num_pairs": len(pairs)}
 
 
-@main.command("offdiag-scan")
-@manifold_option
-@click.option("--lambda-grid", "lambda_grid", required=True)
-@click.option("--eps", required=True, type=float, help="minimum pair distance")
-@click.option("--pairs", default=6, show_default=True)
-@seed_option
-@out_option
-@guarded
-def offdiag_scan_cmd(manifold, lambda_grid, eps, pairs, seed, out):
+@subcommand("offdiag-scan", manifold_option, lambda_grid_option,
+            click.option("--eps", required=True, type=float, help="minimum pair distance"),
+            click.option("--pairs", default=6, show_default=True), seed_option)
+def run_offdiag_scan(config: dict):
     """Sup of |E_lambda| over pairs at distance >= eps, with exponent fit."""
-    execute("offdiag-scan", {"manifold": manifold, "lambda_grid": lambda_grid,
-                             "eps": eps, "pairs": pairs, "seed": seed}, out)
+    m = parse_manifold(config["manifold"])
+    grid = parse_grid(config["lambda_grid"])
+    eps = float(config["eps"])
+    n_pairs = int(config["pairs"])
+    seed = int(config["seed"])
+    if isinstance(m, FlatTorus):
+        inj = injectivity_radius(m.lattice)
+        if eps >= inj:
+            raise DomainError("eps must be below the injectivity radius %.6g" % inj)
+        xs = seeded_cell_points(m.lattice, n_pairs, seed, salt=11)
+        u = uniform_matrix(seed + 33, np.arange(n_pairs), 2)
+        radii = eps + (inj * 0.999 - eps) * u[:, 0]
+        angles = 2.0 * np.pi * u[:, 1]
+        pairs = []
+        for i in range(n_pairs):
+            off = radii[i] * np.array([np.cos(angles[i]), np.sin(angles[i])]) \
+                if m.dim == 2 else radii[i] * np.eye(3)[0]
+            pairs.append((xs[i], xs[i] + off))
+    else:
+        u = uniform_matrix(seed + 7, np.arange(n_pairs), 1)[:, 0]
+        lo = eps / m.radius
+        thetas = lo + (np.pi - 2.0 * lo) * u
+        north = m.radius * np.array([0.0, 0.0, 1.0])
+        pairs = [(north, m.radius * np.array([np.sin(t), 0.0, np.cos(t)]))
+                 for t in thetas]
+    rep = offdiagonal_scan(m, grid, eps, pairs)
+    rows = list(zip(rep.lambda_grid, rep.sup_values))
+    header = ["lambda", "sup_abs_spectral_function"]
+    return header, rows, {"fitted_exponent": rep.fitted_exponent,
+                          "fit_residual": rep.fit_residual}
 
 
-@main.command("smooth-compare")
-@manifold_option
-@click.option("--lambda-grid", "lambda_grid", required=True)
-@click.option("--A", "a_values", required=True,
-              help="comma-separated mollifier widths, e.g. 1.0,0.5")
-@click.option("--pairs", default=20, show_default=True)
-@seed_option
-@out_option
-@guarded
-def smooth_compare_cmd(manifold, lambda_grid, a_values, pairs, seed, out):
+@subcommand("smooth-compare", manifold_option, lambda_grid_option,
+            click.option("--A", "A", required=True,
+                         help="comma-separated mollifier widths, e.g. 1.0,0.5"),
+            click.option("--pairs", default=20, show_default=True), seed_option)
+def run_smooth_compare(config: dict):
     """Spectral-side vs method-of-images smoothed projector."""
-    execute("smooth-compare", {"manifold": manifold, "lambda_grid": lambda_grid,
-                               "A": a_values, "pairs": pairs, "seed": seed}, out)
+    m = parse_manifold(config["manifold"])
+    if not isinstance(m, FlatTorus):
+        raise DomainError("smooth-compare is defined on flat tori")
+    grid = parse_grid(config["lambda_grid"])
+    a_values = _numbers(str(config["A"]))
+    n_pairs = int(config["pairs"])
+    seed = int(config["seed"])
+    spec = MollifierSpec.for_manifold(m)
+    cell = m.lattice.basis @ (0.5 * np.ones(m.dim))
+    max_dist = float(np.linalg.norm(cell))
+    pairs = seeded_pairs(m.lattice, n_pairs, seed, max_dist=max_dist)
+    xs = np.array([x for x, _ in pairs]).reshape(-1, m.dim)
+    ys = np.array([y for _, y in pairs]).reshape(-1, m.dim)
+    rows, results = [], {}
+    for lam in grid:
+        for a in a_values:
+            proj = SmoothedProjector(m, spec, float(lam), a)
+            spectral = proj.spectral(xs, ys)
+            images = proj.images(xs, ys)
+            diffs = np.abs(spectral - images)
+            for i, (x, y) in enumerate(pairs):
+                rows.append((lam, a, i, *x, *y, spectral[i], images[i], diffs[i]))
+            results["max_rel_err_lambda=%s_A=%s" % (fmt(float(lam)), fmt(a))] = float(
+                np.max(diffs / (1.0 + np.abs(spectral)), initial=0.0))
+    coords = range(1, m.dim + 1)
+    header = (["lambda", "A", "pair_index"] + ["x%d" % k for k in coords]
+              + ["y%d" % k for k in coords] + ["spectral", "images", "abs_diff"])
+    return header, rows, results
 
 
-@main.command("cluster-bessel")
-@manifold_option
-@click.option("--lambda", "lam", required=True, type=float)
-@click.option("--width", default=1.0, show_default=True)
-@click.option("--dist-grid", "dist_grid", required=True)
-@click.option("--x0", default=None)
-@click.option("--direction", default=None)
-@deriv_option
-@out_option
-@guarded
-def cluster_bessel_cmd(manifold, lam, width, dist_grid, x0, direction, deriv, out):
+@subcommand("cluster-bessel", manifold_option, lambda_option,
+            click.option("--width", default=1.0, show_default=True),
+            click.option("--dist-grid", required=True),
+            click.option("--x0", default=None), click.option("--direction", default=None),
+            deriv_option)
+def run_cluster_bessel(config: dict):
     """Cluster kernel vs the universal Bessel prediction."""
-    execute("cluster-bessel", {"manifold": manifold, "lam": lam, "width": width,
-                               "dist_grid": dist_grid, "x0": x0,
-                               "direction": direction, "deriv": deriv, "seed": 0}, out)
+    m = parse_manifold(config["manifold"])
+    x0, direction = _base_and_direction(config, m.dim)
+    table = cluster_vs_bessel(m, float(config["lam"]), float(config["width"]), x0,
+                              parse_grid(config["dist_grid"]),
+                              parse_deriv(config.get("deriv")), direction=direction)
+    rows = [(r, c, p, e, e / table.diagonal if table.diagonal else np.nan)
+            for r, c, p, e in zip(table.dists, table.cluster,
+                                  table.bessel_prediction, table.abs_error)]
+    header = ["dist", "cluster", "bessel_prediction", "abs_error", "err_over_diagonal"]
+    return header, rows, {"diagonal": table.diagonal,
+                          "mean_shell_radius": table.mean_shell_radius}
 
 
-@main.command()
-@manifold_option
-@click.option("--mode", type=click.Choice(["sample", "covariance", "rescaled"]),
-              required=True)
-@click.option("--lambda", "lam", required=True, type=float)
-@click.option("--width", default=1.0, show_default=True)
-@click.option("--samples", default=100, show_default=True)
-@click.option("--dist-grid", "dist_grid", default="0:0:1", show_default=True,
-              help="point separations (or rescaled |u-v| values in rescaled mode)")
-@click.option("--x0", default=None)
-@click.option("--direction", default=None)
-@seed_option
-@out_option
-@guarded
-def randomwave(manifold, mode, lam, width, samples, dist_grid, x0, direction, seed, out):
+@subcommand("randomwave", manifold_option,
+            click.option("--mode", type=click.Choice(["sample", "covariance", "rescaled"]),
+                         required=True),
+            lambda_option, click.option("--width", default=1.0, show_default=True),
+            click.option("--samples", default=100, show_default=True),
+            click.option("--dist-grid", default="0:0:1", show_default=True,
+                         help="point separations (or rescaled |u-v| values in rescaled mode)"),
+            click.option("--x0", default=None), click.option("--direction", default=None),
+            seed_option)
+def run_randomwave(config: dict):
     """Monochromatic random-wave sampling and covariance experiments."""
-    execute("randomwave", {"manifold": manifold, "mode": mode, "lam": lam,
-                           "width": width, "samples": samples,
-                           "dist_grid": dist_grid, "x0": x0,
-                           "direction": direction, "seed": seed}, out)
+    m = parse_manifold(config["manifold"])
+    mode = config["mode"]
+    lam = float(config["lam"])
+    width = float(config["width"])
+    seed = int(config["seed"])
+    samples = int(config["samples"])
+    ens = RandomWaveEnsemble(m, lam, width, seed=seed, num_samples=samples)
+    dists = parse_grid(config["dist_grid"])
+    x0, points, _ = geodesic_points(m, dists, *_base_and_direction(config, m.dim))
+    if mode == "sample":
+        waves = sample_wave_grid(ens, np.arange(samples), points)
+        rows = [(s, i, dists[i], waves[s, i])
+                for s in range(samples) for i in range(len(points))]
+        header = ["sample_index", "point_index", "dist", "wave_value"]
+        return header, rows, None
+    if mode == "covariance":
+        exact = exact_covariance(ens, x0, points)
+        empirical, std_err = empirical_covariance(ens, x0, points)
+        rows = [(r, emp, se, ex, abs(emp - ex), (emp - ex) / se if se > 0 else np.nan)
+                for r, emp, se, ex in zip(dists, empirical, std_err, exact)]
+        header = ["dist", "empirical", "std_error", "exact", "abs_diff", "z_score"]
+        return header, rows, None
+    if mode == "rescaled":
+        if not isinstance(m, FlatTorus):
+            raise DomainError("rescaled mode runs on flat tori")
+        vs = np.zeros((dists.size, m.dim))
+        vs[:, 0] = dists
+        exact, universal, err = rescaled_covariance_error(
+            ens, np.zeros(m.dim), np.zeros(m.dim), vs)
+        header = ["separation", "exact_rescaled", "universal_limit", "abs_error"]
+        return header, list(zip(dists, exact, universal, err)), None
+    raise DomainError("randomwave mode must be sample, covariance, or rescaled")
 
 
-@main.command("appendix-a")
-@click.option("--N", "n_exp", default=4, show_default=True, type=int)
-@click.option("--p", default="0,1,2", show_default=True,
-              help="comma-separated integer polynomial weights p >= 0 (closed-form "
-                   "integrals; N > p + 1)")
-@click.option("--lambda-grid", "lambda_grid", required=True)
-@out_option
-@guarded
-def appendix_a_cmd(n_exp, p, lambda_grid, out):
+@subcommand("appendix-a", click.option("--N", "N", default=4, show_default=True, type=int),
+            click.option("--p", default="0,1,2", show_default=True,
+                         help="comma-separated integer polynomial weights p >= 0 "
+                              "(closed-form integrals; N > p + 1)"),
+            lambda_grid_option)
+def run_appendix_a(config: dict):
     """Localized sums and integrals with boundedness ratios."""
-    execute("appendix-a", {"N": n_exp, "p": p, "lambda_grid": lambda_grid, "seed": 0},
-            out)
+    n_exp = int(config["N"])
+    p_values = _numbers(str(config["p"]))
+    grid = parse_grid(config["lambda_grid"])
+    rows, results = [], {}
+    for p in p_values:
+        ratios = []
+        for lam in grid:
+            s = localized_sum(float(lam), n_exp, p)
+            integ = localized_integral(float(lam), n_exp, p)
+            ratio = s / float(lam) ** p
+            ratios.append(ratio)
+            rows.append((lam, p, s, integ, ratio, s / integ))
+        results["ratio_spread_p=%s" % fmt(p)] = max(ratios) / min(ratios)
+    header = ["lambda", "p", "localized_sum", "localized_integral",
+              "sum_over_lambda_p", "sum_over_integral"]
+    return header, rows, results
 
 
-@main.command("cluster-sup")
-@manifold_option
-@click.option("--lambda-grid", "lambda_grid", required=True)
-@click.option("--A-rule", "a_rule", default="1.0", show_default=True,
-              help="fixed width or 'one-over-log'")
-@deriv_option
-@out_option
-@guarded
-def cluster_sup_cmd(manifold, lambda_grid, a_rule, deriv, out):
+@subcommand("cluster-sup", manifold_option, lambda_grid_option,
+            click.option("--A-rule", "A_rule", default="1.0", show_default=True,
+                         help="fixed width or 'one-over-log'"),
+            deriv_option)
+def run_cluster_sup(config: dict):
     """Diagonal windowed cluster sums along a lambda grid."""
-    execute("cluster-sup", {"manifold": manifold, "lambda_grid": lambda_grid,
-                            "A_rule": a_rule, "deriv": deriv, "seed": 0}, out)
+    m = parse_manifold(config["manifold"])
+    grid = parse_grid(config["lambda_grid"])
+    rule_text = str(config["A_rule"])
+    rule = rule_text if rule_text == "one-over-log" else _number(rule_text, rule_text)
+    d = parse_deriv(config.get("deriv"))
+    rep = cluster_sup_scan(m, grid, rule, d)
+    rows = []
+    for i, lam in enumerate(rep.lambda_grid):
+        a = 1.0 / np.log(lam) if rule_text == "one-over-log" else rule
+        norm = rep.normalized[i] if rep.normalized is not None else ""
+        rows.append((lam, a, rep.sup_values[i], norm))
+    header = ["lambda", "A", "sup_value", "normalized"]
+    return header, rows, {"fitted_exponent": rep.fitted_exponent}
 
 
 @main.command()

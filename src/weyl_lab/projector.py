@@ -81,6 +81,8 @@ def _check_pairs_within(m: FlatTorus, point_pairs, bound: float, what: str):
 
 def _pair_arrays(point_pairs):
     """(x, y) pairs as two (P, dim) arrays."""
+    if len(point_pairs) == 0:
+        raise DomainError("the pair set is empty: a scan needs at least one (x, y) pair")
     xs, ys = zip(*point_pairs)
     return np.array(xs, dtype=float), np.array(ys, dtype=float)
 
@@ -170,35 +172,48 @@ def cluster_prediction(m: ModelManifold, lam: float, width: float, dist,
     return (float(vals[0]), float(lam_mid)) if scalar else (vals, float(lam_mid))
 
 
+def geodesic_points(m: ModelManifold, dists, x0=None, direction=None):
+    """(x0, points, unit direction): the points at distances `dists` along
+    a unit-speed geodesic from x0.  On a torus x0 defaults to the origin and
+    the direction to the first axis.  On the sphere the geodesic is the
+    meridian from the north pole (sphere kernels are rotation invariant), so
+    x0 may only name that pole, no direction is taken, and None is returned
+    for it."""
+    dists = np.asarray(dists, dtype=float)
+    if isinstance(m, FlatTorus):
+        x0 = np.zeros(m.dim) if x0 is None else np.asarray(x0, dtype=float)
+        direction = (np.eye(m.dim)[0] if direction is None
+                     else np.asarray(direction, dtype=float))
+        norm = np.linalg.norm(direction)
+        if not norm > 0.0:
+            raise DomainError("geodesic direction %s has no length" % direction)
+        direction = direction / norm
+        return x0, x0 + dists[:, None] * direction, direction
+    north = m.radius * np.array([0.0, 0.0, 1.0])
+    if direction is not None or (x0 is not None and not np.array_equal(x0, north)):
+        raise DomainError("x0 and direction are torus only: sphere geodesics run "
+                          "along a meridian from the north pole")
+    t = dists / m.radius
+    return north, m.radius * np.stack([np.sin(t), np.zeros_like(t), np.cos(t)], axis=1), None
+
+
 def cluster_vs_bessel(m: ModelManifold, lam: float, width: float, x0, dist_grid,
                       d: DerivIndex = ZERO_DERIV, direction=None) -> ClusterBesselTable:
-    """Cluster kernel along a geodesic from x0 against the universal Bessel
-    prediction of the window."""
+    """Cluster kernel along a geodesic from x0 (see `geodesic_points`)
+    against the universal Bessel prediction of the window."""
     dist_grid = np.asarray(dist_grid, dtype=float)
     if np.any(dist_grid < 0.0):
         raise DomainError("distances must be nonnegative")
-    if isinstance(m, FlatTorus):
-        if np.max(dist_grid) > 0.5 * lat.injectivity_radius(m.lattice):
-            raise PreconditionError("distance grid exceeds half the injectivity radius")
-        x0 = np.asarray(x0, dtype=float)
-        direction = (np.eye(m.dim)[0] if direction is None
-                     else np.asarray(direction, dtype=float))
-        direction = direction / np.linalg.norm(direction)
-        points = [x0 + r * direction for r in dist_grid]
-    else:
-        if np.max(dist_grid) > 0.5 * np.pi * m.radius:
-            raise PreconditionError("distance grid exceeds half the injectivity radius")
-        # geodesic along a meridian from the pole (sphere kernels are
-        # rotation invariant, so the base point is immaterial)
-        points = [m.radius * np.array([np.sin(r / m.radius), 0.0, np.cos(r / m.radius)])
-                  for r in dist_grid]
-        x0 = m.radius * np.array([0.0, 0.0, 1.0])
+    inj = (lat.injectivity_radius(m.lattice) if isinstance(m, FlatTorus)
+           else np.pi * m.radius)
+    if np.max(dist_grid) > 0.5 * inj:
+        raise PreconditionError("distance grid exceeds half the injectivity radius")
+    x0, points, direction = geodesic_points(m, dist_grid, x0, direction)
     # one window for the geodesic points and, last, the diagonal
-    values = cluster_kernel(m, lam, width, x0, np.vstack(points + [x0]), d)
+    values = cluster_kernel(m, lam, width, x0, np.vstack([points, x0]), d)
     cluster, diagonal = values[:-1], values[-1]
-    prediction, lam_mid = cluster_prediction(
-        m, lam, width, dist_grid, d,
-        direction=direction if isinstance(m, FlatTorus) else None)
+    prediction, lam_mid = cluster_prediction(m, lam, width, dist_grid, d,
+                                             direction=direction)
     return ClusterBesselTable(
         dists=dist_grid,
         cluster=cluster,

@@ -408,3 +408,124 @@ def test_randomwave_modes_enumerate_once_per_ensemble(tmp_path, monkeypatch, mod
                    "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     assert passes == expected
+
+
+TORUS_ARGS = ["--manifold", "torus:2:square2pi"]
+
+
+@pytest.mark.parametrize("args,named", [
+    (["kernel", "--manifold", "torus:x:square2pi", "--lambda", "2.5"], "'x'"),
+    (["kernel", "--manifold", "sphere2:abc", "--lambda", "2.5"], "'abc'"),
+    (["kernel", "--manifold", "torus:2:mat:1,0;0", "--lambda", "2.5"], "'torus:2:mat:1,0;0'"),
+    (["eigens", *TORUS_ARGS, "--lambda-grid", "0:ten:1"], "'ten'"),
+    (["eigens", *TORUS_ARGS, "--lambda-grid", "0:10:2.5"], "'2.5'"),
+    (["kernel", *TORUS_ARGS, "--lambda", "2.5", "--x0", "1,a"], "'a'"),
+    (["kernel", *TORUS_ARGS, "--lambda", "2.5", "--deriv", "1,x"], "'1,x'"),
+    (["smooth-compare", *TORUS_ARGS, "--lambda-grid", "3:3:1", "--A", "0.5,x"], "'0.5,x'"),
+    (["appendix-a", "--lambda-grid", "50:200:3", "--p", "0,x"], "'0,x'"),
+    (["cluster-sup", *TORUS_ARGS, "--lambda-grid", "30.3:90.3:4:log", "--A-rule", "abc"],
+     "'abc'"),
+], ids=["torus-dim", "sphere-radius", "ragged-mat", "grid-bound", "grid-count", "x0",
+        "deriv", "A", "p", "A-rule"])
+def test_malformed_numbers_exit_2_without_files(tmp_path, args, named):
+    out = tmp_path / "nothing"
+    res = run_cli(args + ["--out", str(out)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("config error: ") and named in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["kernel", *TORUS_ARGS, "--lambda", "2.5", "--direction", "0,0"],
+    ["cluster-bessel", *TORUS_ARGS, "--lambda", "30", "--dist-grid", "0:0.2:3",
+     "--direction", "0,0"],
+    ["randomwave", *TORUS_ARGS, "--mode", "covariance", "--lambda", "30", "--samples", "20",
+     "--dist-grid", "0:0.2:3", "--direction", "0,0"],
+    ["kernel", "--manifold", "sphere2", "--lambda", "2.5", "--x0", "0,1"],
+    ["cluster-bessel", "--manifold", "sphere2", "--lambda", "20", "--dist-grid", "0:0.2:3",
+     "--direction", "1,0"],
+    ["randomwave", "--manifold", "sphere2", "--mode", "covariance", "--lambda", "20.5",
+     "--x0", "1,0"],
+], ids=["kernel-zero", "cluster-bessel-zero", "randomwave-zero", "kernel-sphere-x0",
+        "cluster-bessel-sphere-direction", "randomwave-sphere-x0"])
+def test_unusable_geodesic_exits_2_without_files(tmp_path, args):
+    out = tmp_path / "nothing"
+    res = run_cli(args + ["--out", str(out)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("config error: ")
+    assert "no length" in res.stderr or "torus only" in res.stderr
+    assert not out.exists()
+
+
+def test_offdiag_scan_without_pairs_exits_2(tmp_path):
+    res = run_cli(["offdiag-scan", *TORUS_ARGS, "--lambda-grid", "30.3:60.3:4:log",
+                   "--eps", "1", "--pairs", "0", "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("config error: the pair set is empty")
+    assert not (tmp_path / "offdiag-scan.csv").exists()
+
+
+# each subcommand's manifest config keys: the replay contract
+CONFIG_KEYS = {
+    "eigens": ({"lambda_grid", "manifold", "seed"},
+               ["eigens", *TORUS_ARGS, "--lambda-grid", "0:10:1"]),
+    "kernel": ({"deriv", "direction", "dist_grid", "lam", "manifold", "seed", "width", "x0"},
+               ["kernel", "--manifold", "sphere2", "--lambda", "1.5"]),
+    "cluster-bessel": ({"deriv", "direction", "dist_grid", "lam", "manifold", "seed",
+                        "width", "x0"},
+                       ["cluster-bessel", *TORUS_ARGS, "--lambda", "30",
+                        "--dist-grid", "0:0.2:4"]),
+    "remainder-scan": ({"deriv", "lambda_grid", "manifold", "pairs", "seed"},
+                       ["remainder-scan", *TORUS_ARGS, "--lambda-grid", "30.3:60.3:4:log"]),
+    "offdiag-scan": ({"eps", "lambda_grid", "manifold", "pairs", "seed"},
+                     ["offdiag-scan", *TORUS_ARGS, "--lambda-grid", "30.3:60.3:4:log",
+                      "--eps", "1", "--pairs", "3"]),
+    "smooth-compare": ({"A", "lambda_grid", "manifold", "pairs", "seed"},
+                       ["smooth-compare", *TORUS_ARGS, "--lambda-grid", "3:3:1",
+                        "--A", "1.0", "--pairs", "2"]),
+    "randomwave": ({"direction", "dist_grid", "lam", "manifold", "mode", "samples", "seed",
+                    "width", "x0"},
+                   ["randomwave", *TORUS_ARGS, "--mode", "sample", "--lambda", "10.3",
+                    "--samples", "3", "--dist-grid", "0:0.5:2"]),
+    "appendix-a": ({"N", "lambda_grid", "p", "seed"},
+                   ["appendix-a", "--lambda-grid", "50:200:3:log"]),
+    "cluster-sup": ({"A_rule", "deriv", "lambda_grid", "manifold", "seed"},
+                    ["cluster-sup", *TORUS_ARGS, "--lambda-grid", "30.3:90.3:4:log"]),
+}
+
+
+def test_every_subcommand_is_registered_with_help():
+    import weyl_lab.cli as cli
+
+    assert set(cli.RUNNERS) == set(main.commands) - {"replay"} == set(CONFIG_KEYS)
+    for name in main.commands:
+        res = run_cli([name, "--help"])
+        assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_KEYS))
+def test_manifest_config_keys_are_the_replay_contract(tmp_path, name):
+    keys, args = CONFIG_KEYS[name]
+    res = run_cli(args + ["--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((tmp_path / (name + ".manifest.json")).read_text())
+    assert set(manifest["full_config"]) == keys
+    assert manifest["seed"] == manifest["full_config"]["seed"]
+
+
+def test_subcommands_dispatch_through_the_runner_table(tmp_path, monkeypatch):
+    # a wrapped RUNNERS entry (as a tracer installs) must be the one that runs
+    import weyl_lab.cli as cli
+
+    configs = []
+
+    def stub(config):
+        configs.append(dict(config))
+        return ["x"], [(1,)], None
+
+    monkeypatch.setitem(cli.RUNNERS, "eigens", stub)
+    res = run_cli(["eigens", "--manifold", "junk", "--lambda-grid", "0:1:1",
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert configs == [{"manifold": "junk", "lambda_grid": "0:1:1", "seed": 0}]
+    assert (tmp_path / "eigens.csv").read_text() == "x\n1\n"

@@ -17,6 +17,7 @@ from weyl_lab.manifolds import (
 from weyl_lab.projector import (
     cluster_prediction,
     cluster_vs_bessel,
+    geodesic_points,
     leading_term,
     offdiagonal_scan,
     remainder_scan,
@@ -190,6 +191,27 @@ def test_leading_term_domain_checks():
         leading_term(SPHERE, 5.0, np.array([0, 0, 1.0]), np.array([0, 0, 1.0]))
     with pytest.raises(DomainError):
         leading_term(TORUS, -1.0, ORIGIN, ORIGIN)
+
+
+def test_scans_reject_an_empty_pair_set():
+    with pytest.raises(DomainError, match="pair set is empty"):
+        remainder_scan(TORUS, [10.5, 20.5], [])
+    with pytest.raises(DomainError, match="pair set is empty"):
+        offdiagonal_scan(TORUS, [10.5, 20.5], 1.0, [])
+
+
+def test_geodesic_points_domain():
+    # a torus geodesic needs a direction of positive length
+    with pytest.raises(DomainError, match="no length"):
+        geodesic_points(TORUS, [0.0, 0.1], direction=np.zeros(2))
+    # sphere geodesics are meridians from the north pole: naming that pole
+    # is allowed, any other base point or a direction is not
+    north, points, direction = geodesic_points(SPHERE, [0.0, 0.5], x0=np.array([0.0, 0.0, 1.0]))
+    assert direction is None and np.array_equal(points[0], north)
+    for kwargs in ({"x0": np.array([1.0, 0.0, 0.0])}, {"x0": np.zeros(2)},
+                   {"direction": np.array([1.0, 0.0])}):
+        with pytest.raises(DomainError, match="torus only"):
+            geodesic_points(SPHERE, [0.0, 0.5], **kwargs)
 
 
 # ---------------------------------------------------------------------------
