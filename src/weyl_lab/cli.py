@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -66,14 +67,17 @@ def fmt(value) -> str:
 
 
 def _number(piece: str, text: str, kind=float):
-    """`piece` of the option value `text` read as a `kind`; DomainError
-    naming both when it is not one."""
+    """`piece` of the option value `text` read as a finite `kind`;
+    DomainError naming both when it is not one."""
     try:
-        return kind(piece)
+        value = kind(piece)
     except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
         where = "" if piece == text else " in %r" % text
         raise DomainError("%r%s is not %s" % (
-            piece, where, "an integer" if kind is int else "a number")) from None
+            piece, where, "an integer" if kind is int else "a finite number"))
+    return value
 
 
 def _numbers(text: str, whole: str | None = None, kind=float) -> list:
@@ -164,7 +168,10 @@ def seeded_cell_points(lattice: Lattice, count: int, seed: int, salt: int) -> np
 
 def seeded_pairs(lattice: Lattice, count: int, seed: int, max_dist: float | None = None):
     """(x, y) pairs with y = x + offset; offsets have seeded directions and
-    radii spread over (0, max_dist] (default: half the injectivity radius)."""
+    radii spread over (0, max_dist] (default: half the injectivity radius).
+    DomainError unless there is at least one pair."""
+    if count < 1:
+        raise DomainError("--pairs must be >= 1, got %d" % count)
     if max_dist is None:
         max_dist = 0.5 * injectivity_radius(lattice)
     xs = seeded_cell_points(lattice, count, seed, salt=101)
@@ -282,6 +289,19 @@ def main():
     """Numerical lab for two-point Weyl asymptotics on model manifolds."""
 
 
+class FiniteFloat(click.types.FloatParamType):
+    """click's float type refusing nan and infinities (a usage error, exit
+    2); its name stays `float`, so `--help` reads as before."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail("%r is not a finite number" % value, param, ctx)
+        return value
+
+
+FINITE_FLOAT = FiniteFloat()
+
 manifold_option = click.option("--manifold", required=True,
                                help="torus:<n>:<basis> or sphere2[:radius]; bases: "
                                     "square2pi, unit, hex, diag:a,b[,c], mat:a,b;c,d")
@@ -291,7 +311,7 @@ seed_option = click.option("--seed", default=0, show_default=True, type=int)
 deriv_option = click.option("--deriv", default=None,
                             help="ax,ay: first-coordinate derivative orders on x and y")
 lambda_grid_option = click.option("--lambda-grid", required=True)
-lambda_option = click.option("--lambda", "lam", required=True, type=float)
+lambda_option = click.option("--lambda", "lam", required=True, type=FINITE_FLOAT)
 
 # subcommand name -> runner; `subcommand` fills it
 RUNNERS: dict = {}
@@ -345,7 +365,7 @@ def run_eigens(config: dict):
 
 
 @subcommand("kernel", manifold_option, lambda_option,
-            click.option("--width", default=0.0, show_default=True,
+            click.option("--width", default=0.0, show_default=True, type=FINITE_FLOAT,
                          help="0 evaluates E_lambda; > 0 evaluates the cluster window"),
             click.option("--dist-grid", default="0:0:1", show_default=True),
             click.option("--x0", default=None, help="base point (torus only)"),
@@ -393,7 +413,8 @@ def run_remainder_scan(config: dict):
 
 
 @subcommand("offdiag-scan", manifold_option, lambda_grid_option,
-            click.option("--eps", required=True, type=float, help="minimum pair distance"),
+            click.option("--eps", required=True, type=FINITE_FLOAT,
+                         help="minimum pair distance"),
             click.option("--pairs", default=6, show_default=True), seed_option)
 def run_offdiag_scan(config: dict):
     """Sup of |E_lambda| over pairs at distance >= eps, with exponent fit."""
@@ -466,7 +487,7 @@ def run_smooth_compare(config: dict):
 
 
 @subcommand("cluster-bessel", manifold_option, lambda_option,
-            click.option("--width", default=1.0, show_default=True),
+            click.option("--width", default=1.0, show_default=True, type=FINITE_FLOAT),
             click.option("--dist-grid", required=True),
             click.option("--x0", default=None), click.option("--direction", default=None),
             deriv_option)
@@ -488,7 +509,8 @@ def run_cluster_bessel(config: dict):
 @subcommand("randomwave", manifold_option,
             click.option("--mode", type=click.Choice(["sample", "covariance", "rescaled"]),
                          required=True),
-            lambda_option, click.option("--width", default=1.0, show_default=True),
+            lambda_option,
+            click.option("--width", default=1.0, show_default=True, type=FINITE_FLOAT),
             click.option("--samples", default=100, show_default=True),
             click.option("--dist-grid", default="0:0:1", show_default=True,
                          help="point separations (or rescaled |u-v| values in rescaled mode)"),
@@ -583,11 +605,39 @@ def run_cluster_sup(config: dict):
 def replay(manifest_path, out):
     """Re-run a manifest; the CSV it writes must be byte-identical (exit 1,
     nothing written, when its sha256 differs from the recorded one)."""
-    manifest = json.loads(Path(manifest_path).read_text())
+    try:
+        manifest = json.loads(Path(manifest_path).read_text())
+    except ValueError as exc:
+        raise DomainError("manifest %s is not JSON: %s" % (manifest_path, exc)) from None
+    if not isinstance(manifest, dict):
+        raise DomainError("manifest %s is not a JSON object" % manifest_path)
     name = manifest.get("subcommand")
     if name not in RUNNERS:
         raise DomainError("manifest names unknown subcommand %r" % name)
-    execute(name, manifest["full_config"], out, replayed=manifest)
+    execute(name, replay_config(name, manifest.get("full_config")), out, replayed=manifest)
+
+
+def replay_config(name: str, config) -> dict:
+    """A manifest's `full_config` for subcommand `name`, read as the command
+    reads its options: DomainError when it is not an object, lacks a
+    required option or holds a value the option's type refuses (a
+    non-finite float, say); an absent optional one takes the option's
+    default (and `seed` 0), as the command itself would give it."""
+    if not isinstance(config, dict):
+        raise DomainError("manifest has no full_config object")
+    options = [p for p in main.commands[name].params if p.name != "out"]
+    missing = [p.name for p in options if p.required and p.name not in config]
+    if missing:
+        raise DomainError("manifest full_config lacks %s, required by %s"
+                          % (", ".join(map(repr, missing)), name))
+    values = {}
+    for p in options:
+        value = config.get(p.name, p.default)
+        try:
+            values[p.name] = None if value is None else p.type.convert(value, p, None)
+        except click.BadParameter as exc:
+            raise DomainError("manifest full_config: %s" % exc.format_message()) from None
+    return {"seed": 0, **config, **values}
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: configuration/precondition problems -> 2,
-resource caps -> 3, numeric failures and replay mismatches -> 1.
+the enumeration cap -> 3, numeric failures and replay mismatches -> 1.
 """
 
 
@@ -30,7 +30,8 @@ class CutLocusError(PreconditionError):
 
 
 class ResourceLimitError(WeylLabError, RuntimeError):
-    """An enumeration or table would exceed the configured size cap."""
+    """An enumeration or table would exceed `lattice.ENUM_CAP`; raised by
+    `lattice.check_cap` alone."""
 
 
 class QuadratureError(WeylLabError, ArithmeticError):

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import CutLocusError, DomainError, ResourceLimitError
 
-DEFAULT_ENUM_CAP = 10**8
+# the one size limit of every enumeration and table; `check_cap` reads it
+ENUM_CAP = 10**8
 
 # tie tolerance for cut-locus detection
 NORM_TIE_TOL = 1e-9
@@ -70,6 +71,14 @@ class Lattice:
         return cls.from_basis(b)
 
 
+def check_cap(count, what: str):
+    """ResourceLimitError when `count` exceeds ENUM_CAP (read at call
+    time), to be called before anything of that size is allocated; `what`
+    says what `count` counts and opens the message."""
+    if count > ENUM_CAP:
+        raise ResourceLimitError("%s, exceeding the cap %d" % (what, ENUM_CAP))
+
+
 def coefficient_box(generator_matrix: np.ndarray, radius: float) -> np.ndarray:
     """Per-coordinate integer bounds M_i with |c_i| <= M_i for all lattice
     points |G c| <= radius (rows of G^{-1} give the exact sup)."""
@@ -78,22 +87,18 @@ def coefficient_box(generator_matrix: np.ndarray, radius: float) -> np.ndarray:
     return np.floor(radius * row_norms + 1e-9).astype(int)
 
 
-def slab_prefixes(generator_matrix: np.ndarray, radius: float,
-                  cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def slab_prefixes(generator_matrix: np.ndarray, radius: float) -> np.ndarray:
     """The coefficient slabs that can meet the ball |G c| <= radius.
 
     A slab fixes every coefficient but the last; the result holds one row
     of leading coefficients per slab, (S, d-1), in lexicographic order.
-    Their count is checked against `cap` before anything is allocated.
+    Their count is checked against the cap before anything is allocated.
     """
     if radius <= 0.0:
         raise DomainError("radius must be positive")
     box = coefficient_box(generator_matrix, radius)[:-1]
     total = int(np.prod(2 * box.astype(object) + 1))
-    if total > cap:
-        raise ResourceLimitError(
-            "the ball of radius %.6g meets %d coefficient slabs, exceeding the cap %d"
-            % (radius, total, cap))
+    check_cap(total, "the ball of radius %.6g meets %d coefficient slabs" % (radius, total))
     grids = np.meshgrid(*[np.arange(-m, m + 1) for m in box], indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -191,14 +196,13 @@ def slab_runs(ends, inner_ends=None):
     return slab[keep], starts[keep], stops[keep]
 
 
-def _lattice_vectors(generator_matrix: np.ndarray, radius: float, cap: int,
-                     inner: float = -1.0):
+def _lattice_vectors(generator_matrix: np.ndarray, radius: float, inner: float = -1.0):
     """All integer-combination vectors inner < |G c| <= radius, with
     coefficients.
 
     Returns (coeffs (N,d) int array, vectors (N,d), norms (N,)), sorted by
     (norm, lexicographic coeffs).  Rows are generated slab by slab in
-    lexicographic order and stably sorted by norm; `cap` bounds the row
+    lexicographic order and stably sorted by norm; the cap bounds the row
     count before the rows are allocated.
     """
     # the cells c + {sum t_i g_i : t in [0,1)^d} of the points c of a ball
@@ -210,20 +214,15 @@ def _lattice_vectors(generator_matrix: np.ndarray, radius: float, cap: int,
     volume = max(radius - reach, 0.0) ** d - (inner + reach) ** d * (inner >= 0.0)
     lower = (np.pi ** (d / 2) / math.gamma(d / 2 + 1) * volume
              / abs(np.linalg.det(generator_matrix)))
-    if lower > cap:
-        raise ResourceLimitError(
-            "enumeration holds at least %.4g lattice points, exceeding the cap %d"
-            % (lower, cap))
-    prefixes = slab_prefixes(generator_matrix, radius, cap)
+    check_cap(lower, "enumeration holds at least %.4g lattice points" % lower)
+    prefixes = slab_prefixes(generator_matrix, radius)
     form = slab_form(generator_matrix, prefixes)
     slab, starts, stops = slab_runs(
         slab_ends(generator_matrix, prefixes, radius * (1.0 + 1e-15), form),
         slab_ends(generator_matrix, prefixes, inner, form) if inner >= 0.0 else None)
     counts = stops - starts + 1
     total = int(counts.sum())
-    if total > cap:
-        raise ResourceLimitError(
-            "enumeration holds %d lattice points, exceeding the cap %d" % (total, cap))
+    check_cap(total, "enumeration holds %d lattice points" % total)
     run = np.repeat(np.arange(counts.size), counts)
     last = starts[run] + np.arange(total) - (np.cumsum(counts) - counts)[run]
     coeffs = np.column_stack([prefixes[slab[run]], last])
@@ -233,18 +232,17 @@ def _lattice_vectors(generator_matrix: np.ndarray, radius: float, cap: int,
     return coeffs[order], vectors[order], norms[order]
 
 
-def dual_vectors(lattice: Lattice, radius: float, cap: int = DEFAULT_ENUM_CAP,
-                 inner: float = -1.0):
+def dual_vectors(lattice: Lattice, radius: float, inner: float = -1.0):
     """All dual-lattice points with inner < norm <= radius as arrays
     (coeffs, vectors, norms), sorted by (norm, lexicographic coeffs).  The
     default inner radius takes the whole ball."""
-    return _lattice_vectors(lattice.dual_basis, radius, cap, inner)
+    return _lattice_vectors(lattice.dual_basis, radius, inner)
 
 
 def injectivity_radius(lattice: Lattice) -> float:
     """Half the length of the shortest nonzero period vector."""
     probe = float(np.min(np.linalg.norm(lattice.basis, axis=0)))
-    _, _, norms = _lattice_vectors(lattice.basis, probe, DEFAULT_ENUM_CAP)
+    _, _, norms = _lattice_vectors(lattice.basis, probe)
     nonzero = norms[norms > 0.0]
     return float(np.min(nonzero)) / 2.0
 
@@ -288,8 +286,7 @@ def torus_distance(lattice: Lattice, x, y) -> float:
     return float(np.linalg.norm(torus_log(lattice, x, y)))
 
 
-def deck_images(lattice: Lattice, x, y, radius: float,
-                cap: int = DEFAULT_ENUM_CAP):
+def deck_images(lattice: Lattice, x, y, radius: float):
     """All vectors w = (y - x) + gamma with gamma a period vector and
     |w| <= radius, sorted by (norm, lexicographic image coordinates).
 
@@ -306,7 +303,7 @@ def deck_images(lattice: Lattice, x, y, radius: float,
     diffs = np.atleast_2d(y - x)
     # |gamma| <= radius + |diff| covers every admissible image
     reach = radius + float(np.max(np.linalg.norm(diffs, axis=1), initial=0.0))
-    _, gammas, _ = _lattice_vectors(lattice.basis, reach, cap)
+    _, gammas, _ = _lattice_vectors(lattice.basis, reach)
     out = []
     for diff in diffs:
         images = diff + gammas

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import bernoulli
 
 from . import lattice as lat
-from .errors import DomainError, ResourceLimitError, SpectrumError
+from .errors import DomainError, SpectrumError
 from .lattice import Lattice
 from .specfun import legendre_p
 
@@ -146,8 +146,7 @@ class SpectralWindow:
         return self[start:stop]
 
 
-def spectral_window(m: ModelManifold, lo: float, hi: float,
-                    cap: int = lat.DEFAULT_ENUM_CAP) -> SpectralWindow:
+def spectral_window(m: ModelManifold, lo: float, hi: float) -> SpectralWindow:
     """The spectrum in (lo, hi], ascending; lo < 0 takes the whole ball.
 
     Membership is exact: a root exactly on hi is inside, a root one ulp
@@ -160,20 +159,17 @@ def spectral_window(m: ModelManifold, lo: float, hi: float,
     if isinstance(m, RoundSphere2):
         # sqrt(l(l+1)) > l, so every degree with root <= hi is below hi*R + 1
         n_candidates = max(int(np.floor(hi * m.radius)) + 2, 0)
-        if n_candidates > cap:
-            raise ResourceLimitError(
-                "sphere window holds %d candidate degrees, exceeding the cap %d"
-                % (n_candidates, cap))
+        lat.check_cap(n_candidates, "sphere window holds %d candidate degrees" % n_candidates)
         ls = np.arange(n_candidates)
         ball = SpectralWindow(np.sqrt(ls * (ls + 1.0)) / m.radius, 2 * ls + 1, degrees=ls)
     else:
-        coeffs, vectors, norms = lat.dual_vectors(m.lattice, hi, cap, inner=lo)
+        coeffs, vectors, norms = lat.dual_vectors(m.lattice, hi, inner=lo)
         ball = SpectralWindow(norms, np.ones(norms.size, dtype=np.int64),
                               vectors=vectors, coeffs=coeffs)
     return ball.between(lo, hi)
 
 
-def eigenlevels(m: ModelManifold, lambda_max: float, cap: int = lat.DEFAULT_ENUM_CAP):
+def eigenlevels(m: ModelManifold, lambda_max: float):
     """All eigenvalue levels with sqrt-eigenvalue <= lambda_max, ascending.
 
     Torus dual points join one level while each norm exceeds the previous
@@ -181,7 +177,7 @@ def eigenlevels(m: ModelManifold, lambda_max: float, cap: int = lat.DEFAULT_ENUM
     """
     if lambda_max <= 0.0:
         raise DomainError("lambda_max must be positive")
-    win = spectral_window(m, -1.0, lambda_max, cap)
+    win = spectral_window(m, -1.0, lambda_max)
     if isinstance(m, RoundSphere2):
         return [EigenLevel(r, k) for r, k in zip(win.roots.tolist(), win.mults.tolist())]
     norms = win.roots
@@ -361,7 +357,7 @@ def point_pairs(x, y):
 
 
 def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam: bool,
-                 cap: int, guard: bool = False):
+                 guard: bool = False):
     """The exact mode sum over every window (lows[i], highs[i]] and pair: a
     float, or an array of shape (L,), (P,) or (L, P) as the lambda and
     point arguments ask.  highs must be increasing.
@@ -376,7 +372,7 @@ def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam:
         if not d.is_zero:
             raise DomainError("derivatives are unsupported on the sphere")
         # take the ball a hair beyond lambda so the guard sees both sides
-        ball = spectral_window(m, -1.0, reach, cap)
+        ball = spectral_window(m, -1.0, reach)
         if guard:
             right = np.minimum(np.searchsorted(ball.roots, highs), ball.roots.size - 1)
             near = np.minimum(np.abs(ball.roots[right] - highs),
@@ -386,7 +382,7 @@ def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam:
             m, [ball.between(lo, hi) for lo, hi in zip(lows, highs)], xs, ys)
     else:
         G = m.lattice.dual_basis
-        prefixes = lat.slab_prefixes(G, reach, cap)
+        prefixes = lat.slab_prefixes(G, reach)
         form = lat.slab_form(G, prefixes)
         outer = [lat.slab_ends(G, prefixes, hi, form) for hi in highs]
         if guard:
@@ -410,8 +406,7 @@ def _check_off_spectrum(lams, near):
             % (lams[np.argmax(near < ON_SPECTRUM_TOL)], ON_SPECTRUM_TOL))
 
 
-def spectral_function(m: ModelManifold, lam, x, y,
-                      d: DerivIndex = ZERO_DERIV, cap: int = lat.DEFAULT_ENUM_CAP):
+def spectral_function(m: ModelManifold, lam, x, y, d: DerivIndex = ZERO_DERIV):
     """The spectral function E_lambda(x, y): full projector kernel onto
     eigenvalues <= lambda^2, as an exact mode sum.
 
@@ -428,18 +423,17 @@ def spectral_function(m: ModelManifold, lam, x, y,
     (absolute, 1e-9) away from every sqrt-eigenvalue, else SpectrumError
     names the first lambda that is not.  The rule is absolute, unlike
     `eigenlevels`, which joins torus norms into one level while they differ
-    by at most ON_SPECTRUM_TOL * (1 + norm).  The cap (on torus slabs,
-    sphere degrees) and the guard are checked before any sum.  Derivatives
+    by at most ON_SPECTRUM_TOL * (1 + norm).  `lattice.check_cap` (on torus
+    slabs, sphere degrees) and the guard run before any sum.  Derivatives
     are torus-only.
     """
     lams, scalar = _lambda_values(lam)
     if lams[0] <= 0.0:
         raise DomainError("lambda must be positive")
-    return _window_sums(m, np.full(lams.size, -1.0), lams, x, y, d, scalar, cap, guard=True)
+    return _window_sums(m, np.full(lams.size, -1.0), lams, x, y, d, scalar, guard=True)
 
 
-def cluster_kernel(m: ModelManifold, lam, width: float, x, y,
-                   d: DerivIndex = ZERO_DERIV, cap: int = lat.DEFAULT_ENUM_CAP):
+def cluster_kernel(m: ModelManifold, lam, width: float, x, y, d: DerivIndex = ZERO_DERIV):
     """Windowed projector kernel over sqrt-eigenvalues in (lambda, lambda+width],
     computed as a single windowed mode sum.
 
@@ -452,4 +446,4 @@ def cluster_kernel(m: ModelManifold, lam, width: float, x, y,
     lams, scalar = _lambda_values(lam)
     if lams[0] <= 0.0 or width <= 0.0:
         raise DomainError("need lambda > 0 and width > 0")
-    return _window_sums(m, lams, lams + width, x, y, d, scalar, cap)
+    return _window_sums(m, lams, lams + width, x, y, d, scalar)

@@ -142,14 +142,12 @@ def _window_mean_shell_radius(m: ModelManifold, lam: float, width: float) -> flo
 
 
 def cluster_prediction(m: ModelManifold, lam: float, width: float, dist,
-                       d: DerivIndex = ZERO_DERIV, direction=None,
-                       lam_mid: float | None = None):
+                       d: DerivIndex = ZERO_DERIV, direction=None):
     """width * (lam_mid^{n-1}/(2pi)^{n/2}) J_{(n-2)/2}(lam_mid d)/(lam_mid d)^{(n-2)/2},
     the Taylor step F(lam+width) - F(lam) ~ width * F'(lam_mid) evaluated at
     the window's multiplicity-weighted mean shell radius."""
     n = m.dim
-    if lam_mid is None:
-        lam_mid = _window_mean_shell_radius(m, lam, width)
+    lam_mid = _window_mean_shell_radius(m, lam, width)
     dist = np.asarray(dist, dtype=float)
     scalar = dist.ndim == 0
     dist = np.atleast_1d(dist)

@@ -44,7 +44,7 @@ class RandomWaveEnsemble:
     width: float = 1.0
     seed: int = 0
     num_samples: int = 1
-    _mode_cache: object = field(default=None, repr=False)
+    _mode_cache: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.lam <= 0.0 or self.width <= 0.0:
@@ -164,15 +164,14 @@ def default_rescaling_radius(lam: float) -> float:
     return float(np.sqrt(lam / np.log(lam)))
 
 
-def rescaled_covariance_error(ens: RandomWaveEnsemble, x0, u, v,
-                              r_max: float | None = None):
+def rescaled_covariance_error(ens: RandomWaveEnsemble, x0, u, v):
     """Exact rescaled covariance at exp_{x0}(u/lam), exp_{x0}(v/lam) against
     the universal Bessel limit; returns (exact_rescaled, universal, abs_error).
 
     u and v are vectors or (S, dim) arrays of them (one vector pairs with
     every row of the other); with arrays the three results are arrays of
     length S from one `exact_covariance` call.  |u|, |v| must stay within
-    the admissible rescaling radius (default sqrt(lam/log lam)), mirroring
+    the admissible rescaling radius sqrt(lam/log lam), mirroring
     the covariance-convergence constraint.
     """
     if not isinstance(ens.manifold, FlatTorus):
@@ -180,7 +179,7 @@ def rescaled_covariance_error(ens: RandomWaveEnsemble, x0, u, v,
     n = ens.manifold.dim
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    r_lam = default_rescaling_radius(ens.lam) if r_max is None else float(r_max)
+    r_lam = default_rescaling_radius(ens.lam)
     for name, vecs in (("u", u), ("v", v)):
         for vec in np.atleast_2d(vecs):
             if np.linalg.norm(vec) > r_lam:

@@ -46,7 +46,7 @@ from numpy.polynomial.chebyshev import chebval
 from scipy.fft import dct
 
 from . import lattice as lat
-from .errors import DomainError, QuadratureError, ResourceLimitError
+from .errors import DomainError, QuadratureError
 from .manifolds import FlatTorus, ModelManifold, point_pairs
 from .specfun import sphere_fourier
 
@@ -66,6 +66,8 @@ _TABLE_DOUBLINGS = 1
 # rounding; one panel per 11 coefficients already fails the 1e-13 check)
 _DEGREE_PER_PANEL = 8
 _PANEL_DEGREE = 24
+# the spectral sum stops where the fitted h-decay puts |m| below this
+_TAIL_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,15 +83,14 @@ class MollifierSpec:
             raise DomainError("need 0 < plateau < support")
 
     @classmethod
-    def for_manifold(cls, m: ModelManifold, plateau_frac: float = 0.5,
-                     support_frac: float = 0.9) -> "MollifierSpec":
-        """Defaults tied to the injectivity radius: plateau = inj/2,
+    def for_manifold(cls, m: ModelManifold) -> "MollifierSpec":
+        """The cutoff tied to the injectivity radius: plateau = inj/2,
         support = 0.9 * inj."""
         if isinstance(m, FlatTorus):
             inj = lat.injectivity_radius(m.lattice)
         else:
             inj = np.pi * m.radius
-        return cls(plateau=plateau_frac * inj, support=support_frac * inj)
+        return cls(plateau=0.5 * inj, support=0.9 * inj)
 
 
 def rho_hat(spec: MollifierSpec, t):
@@ -311,15 +312,14 @@ def fit_h_constant(spec: MollifierSpec, lam: float, A: float, N: int,
     return float(np.max(np.abs(h) * (1.0 + s) ** N))
 
 
-def fit_h_decay(spec: MollifierSpec, lam: float, A: float,
-                s_grid=None) -> tuple[float, float]:
+def fit_h_decay(spec: MollifierSpec, lam: float, A: float) -> tuple[float, float]:
     """Fit |h(lambda + A s)| ~ C exp(-c sqrt(s)) on the outer tail.
 
     The exp-bridge cutoff is Gevrey-class, so its transform decays
     stretched-exponentially; this model is far sharper than any polynomial
     envelope and drives the truncation radii.
     """
-    s = np.arange(4.0, 30.1, 0.5) if s_grid is None else np.asarray(s_grid, float)
+    s = np.arange(4.0, 30.1, 0.5)
     h = np.abs(h_error(spec, lam, A, lam + A * s))
     keep = h > _TABLE_TOL  # stay above the J table's accuracy floor
     if np.count_nonzero(keep) < 4:
@@ -332,14 +332,13 @@ def fit_h_decay(spec: MollifierSpec, lam: float, A: float,
 
 
 def spectral_tail_radius(spec: MollifierSpec, lam: float, A: float,
-                         threshold: float = 1e-12,
                          decay: tuple[float, float] | None = None) -> float:
     """Radius beyond which the fitted h-decay (2x safety on the constant)
-    guarantees |m| < threshold, so the spectral sum may stop there."""
+    guarantees |m| < _TAIL_THRESHOLD, so the spectral sum may stop there."""
     if decay is None:
         decay = fit_h_decay(spec, lam, A)
     big_c, c = decay
-    s_star = (np.log(2.0 * max(big_c, threshold) / threshold) / c) ** 2
+    s_star = (np.log(2.0 * max(big_c, _TAIL_THRESHOLD) / _TAIL_THRESHOLD) / c) ** 2
     return lam + A * max(s_star, 10.0)
 
 
@@ -354,7 +353,7 @@ class SmoothedProjector:
     """
 
     def __init__(self, m: FlatTorus, spec: MollifierSpec, lam: float, A: float,
-                 cap: int = lat.DEFAULT_ENUM_CAP, tail_factor: float = 1.0):
+                 tail_factor: float = 1.0):
         if not isinstance(m, FlatTorus):
             raise DomainError("smoothed projectors are defined on flat tori")
         self.manifold = m
@@ -374,12 +373,9 @@ class SmoothedProjector:
         self._half = lat.coefficient_box(m.lattice.dual_basis, self.tail_radius)
         shape = tuple(2 * self._half + 1)
         size = int(np.prod(np.asarray(shape, dtype=object)))
-        if size > cap:
-            raise ResourceLimitError(
-                "the weight box of the spectral tail ball (radius %.6g, lambda=%g, "
-                "A=%g) holds %d coefficients, exceeding the cap %d"
-                % (self.tail_radius, lam, A, size, cap))
-        coeffs, vectors, norms = lat.dual_vectors(m.lattice, self.tail_radius, cap)
+        lat.check_cap(size, "the weight box of the spectral tail ball (radius %.6g, lambda=%g, "
+                      "A=%g) holds %d coefficients" % (self.tail_radius, lam, A, size))
+        coeffs, vectors, norms = lat.dual_vectors(m.lattice, self.tail_radius)
         del vectors  # the box needs only the coefficients and norms
         # the norms come sorted, so each distinct norm is a run of equal values
         starts = np.flatnonzero(np.concatenate([[True], norms[1:] != norms[:-1]]))

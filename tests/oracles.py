@@ -5,10 +5,11 @@ smoothed projector's per-mode spectral sum."""
 
 import numpy as np
 
-from weyl_lab.errors import DomainError, ResourceLimitError
+from weyl_lab.errors import DomainError
+from weyl_lab.lattice import check_cap
 
 
-def box_lattice_vectors(generator_matrix, radius, cap=10**8):
+def box_lattice_vectors(generator_matrix, radius):
     """All |G c| <= radius (with a 1e-15 relative slack) from the full
     coefficient bounding box, sorted by (norm, lexicographic coeffs):
     (coeffs, vectors, norms)."""
@@ -17,8 +18,7 @@ def box_lattice_vectors(generator_matrix, radius, cap=10**8):
     inv_rows = np.linalg.inv(generator_matrix)
     box = np.floor(radius * np.linalg.norm(inv_rows, axis=1) + 1e-9).astype(int)
     total = int(np.prod(2 * box.astype(object) + 1))
-    if total > cap:
-        raise ResourceLimitError("box holds %d candidates" % total)
+    check_cap(total, "box holds %d candidates" % total)
     grids = np.meshgrid(*[np.arange(-m, m + 1) for m in box], indexing="ij")
     coeffs = np.stack([g.ravel() for g in grids], axis=1)
     vectors = coeffs @ generator_matrix.T

@@ -529,3 +529,83 @@ def test_subcommands_dispatch_through_the_runner_table(tmp_path, monkeypatch):
     assert res.exit_code == 0, res.output
     assert configs == [{"manifold": "junk", "lambda_grid": "0:1:1", "seed": 0}]
     assert (tmp_path / "eigens.csv").read_text() == "x\n1\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["kernel", *TORUS_ARGS, "--lambda", "nan"],
+    ["kernel", *TORUS_ARGS, "--lambda", "3.5", "--width", "nan"],
+    ["kernel", "--manifold", "sphere2", "--lambda", "inf"],
+    ["eigens", *TORUS_ARGS, "--lambda-grid", "0:nan:1"],
+    ["offdiag-scan", *TORUS_ARGS, "--lambda-grid", "30.3:60.3:4:log", "--eps", "nan"],
+    ["smooth-compare", *TORUS_ARGS, "--lambda-grid", "3:3:1", "--A", "-inf"],
+    ["kernel", *TORUS_ARGS, "--lambda", "3.5", "--x0", "0,1e400"],
+], ids=["lambda", "width", "sphere-lambda", "grid", "eps", "A", "x0"])
+def test_non_finite_numbers_exit_2_without_files(tmp_path, args):
+    out = tmp_path / "nothing"
+    res = run_cli(args + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "finite number" in res.stderr
+    assert not out.exists()
+
+
+def test_finite_float_options_keep_their_help():
+    for name in ("kernel", "offdiag-scan", "cluster-bessel", "randomwave"):
+        help_text = run_cli([name, "--help"]).stdout
+        assert "FINITEFLOAT" not in help_text
+        assert "--lambda FLOAT" in help_text or "--eps FLOAT" in help_text
+
+
+@pytest.mark.parametrize("pairs", ["0", "-2"])
+def test_smooth_compare_without_pairs_exits_2(tmp_path, pairs):
+    res = run_cli(["smooth-compare", *TORUS_ARGS, "--lambda-grid", "3:3:1", "--A", "1",
+                   "--pairs", pairs, "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("config error: --pairs must be >= 1")
+    assert not (tmp_path / "smooth-compare.csv").exists()
+
+
+OFFDIAG_ARGS = ["offdiag-scan", *TORUS_ARGS, "--lambda-grid", "30.3:60.3:4:log", "--eps", "1",
+                "--pairs", "2"]
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda text: text[:-5], "is not JSON"),
+    (lambda text: "[" + text + "]", "is not a JSON object"),
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                              if k != "full_config"}), "no full_config object"),
+    (lambda text: json.dumps({**json.loads(text), "full_config": [1]}),
+     "no full_config object"),
+    (lambda text: json.dumps({**json.loads(text), "full_config": {
+        k: v for k, v in json.loads(text)["full_config"].items() if k != "eps"}}),
+     "lacks 'eps', required by offdiag-scan"),
+    (lambda text: json.dumps({**json.loads(text), "full_config": {
+        **json.loads(text)["full_config"], "eps": float("nan")}}), "not a finite number"),
+    (lambda text: json.dumps({**json.loads(text), "full_config": {
+        **json.loads(text)["full_config"], "pairs": "x"}}), "'x' is not a valid integer"),
+], ids=["invalid-json", "array", "no-config", "config-not-object", "missing-eps", "nan-eps",
+        "text-pairs"])
+def test_malformed_replay_manifest_exits_2_without_files(tmp_path, edit, named):
+    assert run_cli(OFFDIAG_ARGS + ["--out", str(tmp_path / "fresh")]).exit_code == 0
+    manifest = tmp_path / "edited.manifest.json"
+    manifest.write_text(edit((tmp_path / "fresh" / "offdiag-scan.manifest.json").read_text()))
+    out = tmp_path / "replayed"
+    res = run_cli(["replay", str(manifest), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("config error: ") and named in res.stderr
+    assert not out.exists()
+
+
+def test_replay_gives_absent_optional_keys_their_defaults(tmp_path):
+    # a manifest without the optional keys replays as the command's defaults
+    args = ["kernel", *TORUS_ARGS, "--lambda", "3.5"]
+    assert run_cli(args + ["--out", str(tmp_path / "fresh")]).exit_code == 0
+    fresh = json.loads((tmp_path / "fresh" / "kernel.manifest.json").read_text())
+    old = dict(fresh, full_config={"manifold": "torus:2:square2pi", "lam": 3.5})
+    (tmp_path / "old.manifest.json").write_text(json.dumps(old))
+    res = run_cli(["replay", str(tmp_path / "old.manifest.json"),
+                   "--out", str(tmp_path / "replayed")])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "replayed" / "kernel.csv").read_bytes() == \
+        (tmp_path / "fresh" / "kernel.csv").read_bytes()
+    replayed = json.loads((tmp_path / "replayed" / "kernel.manifest.json").read_text())
+    assert replayed["full_config"] == fresh["full_config"]

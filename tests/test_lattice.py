@@ -52,15 +52,22 @@ def test_enumerate_dual_small_radius():
     assert len(dual_vectors(SQUARE2PI, 0.5)[2]) == 1
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    import weyl_lab.lattice as lat
+
+    monkeypatch.setattr(lat, "ENUM_CAP", 100)
     with pytest.raises(ResourceLimitError):
-        dual_vectors(SQUARE2PI, 50.0, cap=100)
+        dual_vectors(SQUARE2PI, 50.0)
     # the cap counts the rows returned (317 in the ball, 64 in the shell),
     # not a bounding box of candidates
-    assert dual_vectors(SQUARE2PI, 10.0, cap=317)[2].size == 317
-    with pytest.raises(ResourceLimitError, match="317 lattice points"):
-        dual_vectors(SQUARE2PI, 10.0, cap=316)
-    assert dual_vectors(SQUARE2PI, 10.0, cap=64, inner=9.0)[2].size == 64
+    monkeypatch.setattr(lat, "ENUM_CAP", 317)
+    assert dual_vectors(SQUARE2PI, 10.0)[2].size == 317
+    monkeypatch.setattr(lat, "ENUM_CAP", 316)
+    with pytest.raises(ResourceLimitError, match="317 lattice points, exceeding the cap 316"):
+        dual_vectors(SQUARE2PI, 10.0)
+    monkeypatch.setattr(lat, "ENUM_CAP", 64)
+    assert dual_vectors(SQUARE2PI, 10.0, inner=9.0)[2].size == 64
+    monkeypatch.undo()
     # far over the cap, a lower bound on the rows refuses before any slab
     # is built (3-D radius 4000 would need 6.4e7 slabs for the count)
     with pytest.raises(ResourceLimitError, match=r"at least 2\.675e\+11 lattice points"):

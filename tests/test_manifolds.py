@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import box_lattice_vectors, level_loop_sum, materialised_window_sum
+from weyl_lab import lattice as lat
 from weyl_lab.cli import parse_manifold
 from weyl_lab.errors import DomainError, ResourceLimitError, SpectrumError
-from weyl_lab.lattice import DEFAULT_ENUM_CAP, Lattice, dual_vectors
+from weyl_lab.lattice import Lattice, dual_vectors
 from weyl_lab.manifolds import (
     ZERO_DERIV,
     DerivIndex,
@@ -55,7 +56,7 @@ def _level_loop_degrees(m, lo, hi):
 
 
 @pytest.mark.parametrize("radius", [1.0, 2.5])
-def test_sphere_window_matches_level_loop(radius):
+def test_sphere_window_matches_level_loop(radius, monkeypatch):
     m = RoundSphere2(radius)
     a, b = m.level_sqrt_eigenvalue(3), m.level_sqrt_eigenvalue(12)
     # each endpoint exactly on a level and one ulp to either side
@@ -69,8 +70,9 @@ def test_sphere_window_matches_level_loop(radius):
             assert win.roots.tolist() == [m.level_sqrt_eigenvalue(l) for l in expected]
             assert win.mults.tolist() == [2 * l + 1 for l in expected]
     # the candidate degrees are allocated at once, so the cap bounds them
+    monkeypatch.setattr(lat, "ENUM_CAP", 100)
     with pytest.raises(ResourceLimitError):
-        spectral_window(m, -1.0, 1e6, cap=100)
+        spectral_window(m, -1.0, 1e6)
 
 
 def test_torus_window_is_the_enumeration_above_lo():
@@ -334,15 +336,17 @@ def test_grid_is_validated_before_any_sum(monkeypatch):
     with pytest.raises(DomainError):
         spectral_function(TORUS, 2.5, np.zeros((2, 2)), np.zeros((3, 2)))
     # the slabs up to lambda_max (2e7 + 1 of them here) are counted first,
-    # so the cap stops the call before the small lambdas are summed
+    # so the cap stops the call before the small lambdas are summed; every
+    # other call here stays far below the lowered cap
+    monkeypatch.setattr(lat, "ENUM_CAP", 10**6)
     with pytest.raises(ResourceLimitError, match="20000001 coefficient slabs"):
-        spectral_function(TORUS, [1.5, 2.5, 1e7], x, x, cap=10**6)
+        spectral_function(TORUS, [1.5, 2.5, 1e7], x, x)
     with pytest.raises(ResourceLimitError, match="20000003 coefficient slabs"):
-        cluster_kernel(TORUS, [1.5, 2.5, 1e7], 1.0, x, x, cap=10**6)
+        cluster_kernel(TORUS, [1.5, 2.5, 1e7], 1.0, x, x)
     with pytest.raises(SpectrumError):
         spectral_function(TORUS, [1.5, 5.0, 7.5], x, x)
     with pytest.raises(ResourceLimitError):
-        spectral_function(SPHERE, [1.5, 2.5, 1e7], NORTH, NORTH, cap=10**6)
+        spectral_function(SPHERE, [1.5, 2.5, 1e7], NORTH, NORTH)
     assert sums == []
     # the counters do see the sums
     spectral_function(TORUS, [1.5, 2.5], x, x)
@@ -389,8 +393,7 @@ def test_slab_sums_match_the_materialised_mode_sum(case):
     los = [-1.0, lo_root, np.nextafter(lo_root, 0.0), np.nextafter(lo_root, np.inf)]
     for d in _derivative_indices(m.dim):
         for lo, hi in itertools.product(los, his):
-            got = mf._window_sums(m, np.array([lo]), np.array([hi]), xs, ys, d, False,
-                                  DEFAULT_ENUM_CAP)[0]
+            got = mf._window_sums(m, np.array([lo]), np.array([hi]), xs, ys, d, False)[0]
             for value, xp, yp in zip(got, xs, ys):
                 expected, scale = materialised_window_sum(m, lo, hi, xp, yp, d)
                 assert abs(value - expected) <= 1e-12 * scale, (d, lo, hi, yp - xp)

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import weyl_lab
 from oracles import mode_sum_projector, record_passes
+from weyl_lab import lattice as lat
 from weyl_lab.cli import parse_manifold
 from weyl_lab.errors import DomainError, ResourceLimitError
 from weyl_lab.lattice import Lattice, deck_images, dual_vectors
@@ -338,10 +339,12 @@ def test_array_calls_equal_scalar_calls(case):
 def test_weight_box_over_cap_raises_before_enumerating(monkeypatch):
     # the box of the lambda 10, A 0.5 tail ball holds (2 * 120 + 1)^2 weights
     passes = record_passes(monkeypatch, TORUS.lattice.dual_basis)
+    monkeypatch.setattr(lat, "ENUM_CAP", 58080)
     with pytest.raises(ResourceLimitError, match="holds 58081 coefficients"):
-        SmoothedProjector(TORUS, SPEC, 10.0, 0.5, cap=58080)
+        SmoothedProjector(TORUS, SPEC, 10.0, 0.5)
     assert passes == {"dual_vectors": [], "slabs": []}
-    assert SmoothedProjector(TORUS, SPEC, 10.0, 0.5, cap=58081)._box.size == 58081
+    monkeypatch.setattr(lat, "ENUM_CAP", 58081)
+    assert SmoothedProjector(TORUS, SPEC, 10.0, 0.5)._box.size == 58081
 
 
 def test_smoothed_projector_below_first_eigenvalue():
@@ -380,7 +383,7 @@ def test_images_empty_beyond_propagation_radius():
     # contribute and the spectral side cancels to ~0
     sp = SmoothedProjector(TORUS, SPEC, 5.0, 1.0)
     x, y = np.zeros(2), np.array([np.pi, 2.0])
-    assert deck_images(TORUS.lattice, x, y, sp.image_radius, 10**6).shape == (0, 2)
+    assert deck_images(TORUS.lattice, x, y, sp.image_radius).shape == (0, 2)
     assert sp.images(x, y) == 0.0
     assert abs(sp.spectral(x, y)) < 1e-7
 
