@@ -24,15 +24,15 @@ sqrt(l(l+1))/R and multiplicity 2l+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 import numpy as np
-from scipy.special import bernoulli
 
 from . import lattice as lat
 from .errors import DomainError, SpectrumError
 from .lattice import Lattice
-from .specfun import legendre_p
+from .specfun import legendre_p, legendre_step
 
 # lambda must stay this far from the spectrum (avoids half-counting
 # ambiguity); an absolute distance, unlike the relative tie rule of eigenlevels
@@ -199,17 +199,25 @@ def sphere_angle(m: RoundSphere2, x, y) -> float:
     return float(np.arctan2(np.linalg.norm(np.cross(x, y)), float(x @ y)))
 
 
+def _bernoulli(top: int) -> list:
+    """The Bernoulli numbers B_0..B_top (B_1 = -1/2) as exact fractions,
+    from sum_{j <= m} C(m+1, j) B_j = 0."""
+    bern = [Fraction(1)]
+    for m in range(1, top + 1):
+        bern.append(-sum(comb(m + 1, j) * b for j, b in enumerate(bern)) / (m + 1))
+    return bern
+
+
 def _power_sum_table(top: int) -> list:
     """Per even m <= top, the coefficients (highest power first) of the
     polynomial in h^2 with h * poly = sum of s^m over the N = 2h centred
     points s = -(N-1)/2, ..., (N-1)/2: the midpoint Euler-Maclaurin sum,
-    (2/(m+1)) sum_k C(m+1, 2k) B_2k(1/2) h^(m+1-2k), which is exact."""
-    bern = bernoulli(top)
-    table = []
-    for m in range(0, top + 1, 2):
-        table.append([2.0 / (m + 1) * comb(m + 1, 2 * k) * (2.0 ** (1 - 2 * k) - 1.0)
-                      * bern[2 * k] for k in range(m // 2 + 1)])
-    return table
+    (2/(m+1)) sum_k C(m+1, 2k) B_2k(1/2) h^(m+1-2k), which is exact.  Each
+    coefficient is computed as a fraction and rounded once."""
+    bern = _bernoulli(top)
+    return [[float(Fraction(2, m + 1) * comb(m + 1, 2 * k) * (Fraction(2) ** (1 - 2 * k) - 1)
+                   * bern[2 * k]) for k in range(m // 2 + 1)]
+            for m in range(0, top + 1, 2)]
 
 
 # Dirichlet moments switch to their power series where N |beta| < 1; ten
@@ -313,17 +321,24 @@ def _slab_window_sums(m: FlatTorus, prefixes: np.ndarray, runs, xs, ys, d: Deriv
 
 def _sphere_window_sums(m: RoundSphere2, windows, xs, ys) -> np.ndarray:
     """Level sums sum_l (2l+1)/vol P_l(cos angle) over each window's
-    degrees, shape (L, P).  One pass over the degrees makes one Legendre
-    call on all pair cosines per degree; each window accumulates its own
-    degrees from 0.0 in ascending order, exactly as a per-window loop."""
+    degrees, shape (L, P).  One ascent of legendre_p's recurrence serves
+    every window: it starts from P_1 = legendre_p(1, .) and takes one
+    `legendre_step` per degree, so every P_l is legendre_p(l, .) bit for
+    bit at O(1) cost.  Each window accumulates its own degrees from 0.0 in
+    ascending order, exactly as a per-window loop."""
     cosines = np.array([np.cos(sphere_angle(m, x, y)) for x, y in zip(xs, ys)])
     first = np.array([w.degrees[0] if w.degrees.size else 0 for w in windows])
     stop = np.array([w.degrees[-1] + 1 if w.degrees.size else 0 for w in windows])
     totals = np.zeros((len(windows), cosines.size))
-    for l in range(int(first.min()), int(stop.max())):
+    p = legendre_p(1, cosines)
+    d = p - 1.0
+    for l in range(int(stop.max())):
+        if l >= 2:
+            p, d = legendre_step(l - 1, cosines, p, d)
         rows = (first <= l) & (l < stop)
         if rows.any():
-            totals[rows] += (2 * l + 1) / m.volume * legendre_p(l, cosines)
+            # P_0 = 1
+            totals[rows] += (2 * l + 1) / m.volume * (p if l else 1.0)
     return totals
 
 
@@ -333,6 +348,8 @@ def _lambda_values(lam):
     lams = np.asarray(lam, dtype=float)
     if lams.ndim > 1 or lams.size == 0:
         raise DomainError("lambda must be a scalar or a nonempty 1-D grid")
+    if not np.all(np.isfinite(lams)):
+        raise DomainError("lambda must be finite")
     if lams.ndim == 0:
         return lams.reshape(1), True
     if np.any(np.diff(lams) <= 0.0):
@@ -444,6 +461,6 @@ def cluster_kernel(m: ModelManifold, lam, width: float, x, y, d: DerivIndex = ZE
     even when they sit on the spectrum.
     """
     lams, scalar = _lambda_values(lam)
-    if lams[0] <= 0.0 or width <= 0.0:
-        raise DomainError("need lambda > 0 and width > 0")
+    if lams[0] <= 0.0 or not width > 0.0 or not np.isfinite(width):
+        raise DomainError("need lambda > 0 and finite width > 0")
     return _window_sums(m, lams, lams + width, x, y, d, scalar)

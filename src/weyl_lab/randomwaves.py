@@ -12,12 +12,44 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import sph_legendre_p
 
 from .errors import DomainError, PreconditionError
 from .manifolds import FlatTorus, ModelManifold, point_pairs, cluster_kernel, spectral_window
 from .rng import BLOCK_VALUES, gaussian_matrix
 from .specfun import universal_covariance
+
+
+def _sphere_legendre_rows(l: int, theta: np.ndarray) -> np.ndarray:
+    """Spherical-harmonic-normalised associated Legendre values
+    Pbar_l^m(cos theta) = Y_l^m(theta, 0) (Condon-Shortley phase) for
+    m = 0..l, shape (l+1, N).  Every order m starts from the sectoral seed
+    Pbar_m^m = -sqrt((2m+1)/(2m)) sin(theta) Pbar_{m-1}^{m-1}, Pbar_0^0 =
+    1/sqrt(4 pi), and climbs in degree by the stable three-term recurrence
+    Pbar_k^m = a cos(theta) Pbar_{k-1}^m - b Pbar_{k-2}^m with
+    a = sqrt((4k^2 - 1)/(k^2 - m^2)) and
+    b = sqrt((2k+1)(k-1-m)(k-1+m)/((2k-3)(k^2 - m^2))), all orders at once
+    (order m takes l - m steps)."""
+    x, s = np.cos(theta), np.sin(theta)
+    ms = np.arange(1, l + 1, dtype=float)[:, None]
+    seeds = np.cumprod(np.vstack([np.full((1, theta.size), np.sqrt(0.25 / np.pi)),
+                                  -np.sqrt((2.0 * ms + 1.0) / (2.0 * ms)) * s]), axis=0)
+    if l == 0:
+        return seeds
+    # a and b of every step k = 2..l (rows) and order m (columns); orders
+    # m > k - 2 take no step k, so they are clipped to finite dummies
+    k = np.arange(2, l + 1, dtype=float)[:, None]
+    m = np.minimum(np.arange(l, dtype=float)[None, :], k - 2.0)
+    a = np.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))[:, :, None]
+    b = np.sqrt((2.0 * k + 1.0) * (k - 1.0 - m) * (k - 1.0 + m)
+                / ((2.0 * k - 3.0) * (k * k - m * m)))[:, :, None]
+    prev = seeds[:l].copy()                                    # degree m
+    cur = np.sqrt(2.0 * np.arange(l)[:, None] + 3.0) * x * prev  # degree m + 1
+    for j in range(1, l):
+        # orders m < j reach degree j + 1
+        step = a[j - 1, :j] * x * cur[:j] - b[j - 1, :j] * prev[:j]
+        prev[:j] = cur[:j]
+        cur[:j] = step
+    return np.vstack([cur, seeds[l:]])
 
 
 def _sphere_level_basis_values(l: int, radius: float, points: np.ndarray) -> np.ndarray:
@@ -27,7 +59,7 @@ def _sphere_level_basis_values(l: int, radius: float, points: np.ndarray) -> np.
     pts = np.atleast_2d(points) / radius
     theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    pbar = sph_legendre_p(l, np.arange(l + 1)[:, None], theta[None, :])[0]
+    pbar = _sphere_legendre_rows(l, theta)
     rows = [pbar[0]]
     for m in range(1, l + 1):
         rows.append(np.sqrt(2.0) * pbar[m] * np.cos(m * phi))

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from scipy.fft import dct
 
 from . import lattice as lat
 from .errors import DomainError, QuadratureError
@@ -181,6 +180,16 @@ class SineIntegralTable:
         return out
 
 
+def _dct2(values: np.ndarray) -> np.ndarray:
+    """Unnormalised DCT-II along the last axis,
+    y_k = 2 sum_j x_j cos(pi k (2j + 1) / (2n)),
+    from one complex FFT of the even-indexed entries followed by the
+    odd-indexed ones reversed (Makhoul 1980)."""
+    n = values.shape[-1]
+    v = np.concatenate([values[..., ::2], values[..., 1::2][..., ::-1]], axis=-1)
+    return (2.0 * np.exp(-0.5j * np.pi * np.arange(n) / n) * np.fft.fft(v)).real
+
+
 def _panel_table(nu0: float, coeffs: np.ndarray):
     """Per-panel Chebyshev coefficients of the global series `coeffs`: P
     equal panels of [0, nu0] for P ~ degree / _DEGREE_PER_PANEL, each a
@@ -197,7 +206,7 @@ def _panel_table(nu0: float, coeffs: np.ndarray):
                              np.nextafter(edges[1:], 0.0), edges + 0.5 * width])
     nus = np.concatenate([(edges[:, None] + width * nodes).ravel(), probes])
     values = chebval(2.0 * nus / nu0 - 1.0, coeffs)
-    panel_coeffs = dct(values[:-probes.size].reshape(n_panels, n), type=2, axis=1) / n
+    panel_coeffs = _dct2(values[:-probes.size].reshape(n_panels, n)) / n
     panel_coeffs[:, 0] *= 0.5
     panel_coeffs = np.ascontiguousarray(panel_coeffs.T)
     panel_coeffs.flags.writeable = False  # every caller shares the cached table
@@ -235,7 +244,7 @@ def sine_integral_table(spec: MollifierSpec) -> SineIntegralTable:
         n_panels = int(np.ceil(spec.support / panel))
         coarse = _sine_integrals(spec, nus, n_panels)
         fine = _sine_integrals(spec, nus, 2 * n_panels)
-        coeffs = dct(fine[:n], type=2) / n
+        coeffs = _dct2(fine[:n]) / n
         coeffs[0] *= 0.5
         coeffs.flags.writeable = False  # every caller shares the cached table
         residual = float(np.max(np.abs(fine - coarse)))

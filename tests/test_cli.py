@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from oracles import cellwise_csv_bytes, record_passes
 from weyl_lab.cli import csv_bytes, main, parse_grid, parse_manifold
 from weyl_lab.errors import DomainError
 from weyl_lab.manifolds import FlatTorus, RoundSphere2
+
+TORUS_ARGS = ["--manifold", "torus:2:square2pi"]
 
 # golden headers: stable within a major artifact version
 EXPECTED_HEADERS = {
@@ -246,15 +249,50 @@ def test_appendix_a_rejects_a_fractional_p(tmp_path):
     assert not (tmp_path / "appendix-a.csv").exists()
 
 
-def test_cli_import_loads_no_scipy_integrate():
-    # scipy.integrate costs a few tenths of a second at start-up and no
-    # subcommand needs it
-    code = ("import sys, weyl_lab.cli; "
-            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'")
+# one small invocation of every subcommand, sphere and torus
+SMALL_RUNS = [
+    ["eigens", *TORUS_ARGS, "--lambda-grid", "0:5:1"],
+    ["kernel", "--manifold", "sphere2", "--lambda", "1.5"],
+    ["kernel", *TORUS_ARGS, "--lambda", "3.5", "--deriv", "1,0"],
+    ["remainder-scan", "--manifold", "torus:3:square2pi", "--lambda-grid", "5.5:8.5:3:log"],
+    ["offdiag-scan", "--manifold", "sphere2", "--lambda-grid", "5.5:10.5:3", "--eps", "1",
+     "--pairs", "2"],
+    ["smooth-compare", *TORUS_ARGS, "--lambda-grid", "5:5:1", "--A", "1", "--pairs", "2"],
+    ["cluster-bessel", *TORUS_ARGS, "--lambda", "20", "--dist-grid", "0:0.1:3"],
+    ["randomwave", "--manifold", "sphere2", "--mode", "covariance", "--lambda", "5.5",
+     "--samples", "10", "--dist-grid", "0:0.3:3"],
+    ["randomwave", *TORUS_ARGS, "--mode", "rescaled", "--lambda", "50",
+     "--dist-grid", "0:2:3"],
+    ["appendix-a", "--lambda-grid", "50:100:2", "--N", "3", "--p", "0,1"],
+    ["cluster-sup", *TORUS_ARGS, "--lambda-grid", "10:20:3", "--A-rule", "one-over-log"],
+]
+
+
+def test_cli_import_loads_no_scipy_integrate(tmp_path):
+    # importing scipy costs a few tenths of a second and ~20 MiB at
+    # start-up; the program uses numpy alone, and scipy is only a test oracle
+    code = textwrap.dedent("""
+        import json, sys
+        import weyl_lab.cli as cli
+
+        def loaded():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        assert not loaded(), loaded()
+        runs, out = json.loads(sys.argv[1]), sys.argv[2]
+        assert set(cli.RUNNERS) <= {argv[0] for argv in runs}
+        for k, argv in enumerate(runs + [["replay", out + "/0/eigens.manifest.json"]]):
+            cli.main.main(args=[*argv, "--out", "%s/%d" % (out, k)], prog_name="weyl-lab",
+                          standalone_mode=False)
+        assert not loaded(), loaded()
+    """)
     src = os.path.dirname(os.path.dirname(weyl_lab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code, json.dumps(SMALL_RUNS), str(tmp_path)],
+                   check=True, env=env, capture_output=True)
+    assert (tmp_path / str(len(SMALL_RUNS)) / "eigens.csv").read_bytes() == \
+        (tmp_path / "0" / "eigens.csv").read_bytes()
 
 
 def test_randomwave_covariance_samples_waves_once(tmp_path, monkeypatch):
@@ -408,9 +446,6 @@ def test_randomwave_modes_enumerate_once_per_ensemble(tmp_path, monkeypatch, mod
                    "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     assert passes == expected
-
-
-TORUS_ARGS = ["--manifold", "torus:2:square2pi"]
 
 
 @pytest.mark.parametrize("args,named", [

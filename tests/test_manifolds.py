@@ -318,6 +318,43 @@ def test_on_spectrum_lambda_inside_a_grid_is_named():
         spectral_function(TORUS, [0.5, np.sqrt(2.0) - 5e-10], x, x)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: spectral_function(TORUS, np.nan, x, x),
+    lambda x: spectral_function(TORUS, np.inf, x, x),
+    lambda x: spectral_function(TORUS, [4.5, np.nan], x, x),
+    lambda x: cluster_kernel(TORUS, 3.5, np.nan, x, x),
+    lambda x: cluster_kernel(TORUS, 3.5, np.inf, x, x),
+    lambda x: spectral_function(SPHERE, np.inf, NORTH, NORTH),
+], ids=["nan", "inf", "grid-nan", "width-nan", "width-inf", "sphere-inf"])
+def test_non_finite_lambda_and_width_are_rejected(call):
+    # NaN compares false with everything, so these once summed empty windows
+    with pytest.raises(DomainError, match="finite"):
+        call(np.array([0.4, 0.9]))
+
+
+def test_power_sum_table_is_the_exact_rational_rounded_once():
+    from fractions import Fraction
+    from math import comb
+
+    import mpmath as mp
+
+    import weyl_lab.manifolds as mf
+
+    # reference Bernoulli numbers from mpmath (exact rationals, B_1 = -1/2)
+    top = 2 * mf.SERIES_TERMS
+    bern = [Fraction(*mp.bernfrac(j)) for j in range(top + 1)]
+    exact = [[Fraction(2, m + 1) * comb(m + 1, 2 * k) * (Fraction(2) ** (1 - 2 * k) - 1)
+              * bern[2 * k] for k in range(m // 2 + 1)] for m in range(0, top + 1, 2)]
+    assert mf._POWER_SUMS == [[float(c) for c in row] for row in exact]
+    # h * poly(h^2) is the sum of s^m over the N = 2h centred points
+    for n_points in (1, 2, 3, 7, 10):
+        h = Fraction(n_points, 2)
+        points = [Fraction(2 * j - n_points + 1, 2) for j in range(n_points)]
+        for m, row in zip(range(0, top + 1, 2), exact):
+            poly = sum(c * h ** (m + 1 - 2 * k) for k, c in enumerate(row))
+            assert poly == sum(s ** m for s in points), (n_points, m)
+
+
 def test_grid_is_validated_before_any_sum(monkeypatch):
     import weyl_lab.manifolds as mf
 

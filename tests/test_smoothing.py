@@ -157,6 +157,46 @@ def _quadrature_sine_integral(spec, nus):
     return fine
 
 
+def _longdouble_sine_integral(spec, nus):
+    """Reference J on the composite rule of `_quadrature_sine_integral`,
+    with the sines and the sum in long double (64-bit mantissa on x86), so
+    that only the float64 nodes and weights carry double rounding:
+    measured within 1.8e-15 of 30-digit mpmath."""
+    panel = min(16.0 / 13.0 * 2.0 * np.pi / max(float(np.max(nus)), 1.0),
+                (spec.support - spec.plateau) / 6.0, spec.support / 4.0)
+    nodes, weights = _composite_gauss_legendre(spec.support, int(np.ceil(spec.support / panel)))
+    base = (rho_hat(spec, nodes) * weights).astype(np.longdouble) / nodes
+    wide = nodes.astype(np.longdouble)
+    return np.concatenate([np.sin(np.multiply.outer(part.astype(np.longdouble), wide)) @ base
+                           for part in np.array_split(nus, max(1, nus.size // 256))])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is float64 here")
+@pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
+def test_sine_integral_table_against_a_dense_reference(spec):
+    # 2000 points across [0, nu0): measured 1.8e-14 (square, at nu = 0) and
+    # 1.7e-14 (hex); the reference is checked against mpmath at one point
+    table = sine_integral_table(spec)
+    nus = np.linspace(0.0, table.nu0, 2001)[:-1]
+    reference = _longdouble_sine_integral(spec, nus)
+    assert np.max(np.abs(table(nus) - reference.astype(float))) <= 2e-14
+    with mp.workdps(30):
+        want = _mpmath_sine_integral(spec, float(nus[171]))
+    assert abs(float(reference[171] - np.longdouble(mp.nstr(want, 25)))) <= 3e-15
+
+
+def test_dct2_matches_scipy():
+    from scipy.fft import dct
+
+    from weyl_lab.smoothing import _dct2
+
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 24, 25, 615, 1232):
+        values = rng.standard_normal((3, n))
+        want = dct(values, type=2, axis=-1)
+        assert np.max(np.abs(_dct2(values) - want)) <= 1e-15 * n * np.max(np.abs(want)), n
+
+
 @pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
 def test_panel_table_at_panel_edges(spec):
     # every panel edge and one ulp either side, 0, nu0 - 1 ulp and nu0:
