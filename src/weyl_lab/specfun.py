@@ -161,22 +161,23 @@ def _j01_near(order: int, x: np.ndarray) -> np.ndarray:
 
 
 def _j01(order: int, x: np.ndarray) -> np.ndarray:
-    """J_0 or J_1 on x >= 0 (any shape), bit for bit Cephes j0/j1.  Each
-    chunk runs the far branch on all of its entries in place and then
-    overwrites the few at x <= 5 with the near branch."""
+    """J_0 or J_1 on x >= 0 (any shape), bit for bit Cephes j0/j1.  The far
+    branch runs on every entry, chunk by chunk in place, and then the near
+    branch overwrites the few entries at x <= 5 in one pass."""
     flat = np.ascontiguousarray(x).reshape(-1)
     out = np.empty_like(flat)
     n = min(_CHUNK, flat.size)
     acc, w, q = np.empty((4, n)), np.empty(n), np.empty(n)
-    # the far branch divides by x; its values at x <= 5 are overwritten
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # the far branch divides by x and overflows next to 0; its values at
+    # x <= 5 are overwritten
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for lo in range(0, flat.size, _CHUNK):
-            xc, oc = flat[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
+            xc = flat[lo:lo + _CHUNK]
             k = xc.size
-            _j01_far(order, xc, oc, acc[:, :k], w[:k], q[:k])
-            near = np.flatnonzero(xc <= _CEPHES_SPLIT)
-            if near.size:
-                oc[near] = _j01_near(order, xc[near])
+            _j01_far(order, xc, out[lo:lo + _CHUNK], acc[:, :k], w[:k], q[:k])
+    near = np.flatnonzero(flat <= _CEPHES_SPLIT)
+    if near.size:
+        out[near] = _j01_near(order, flat[near])
     return out.reshape(np.shape(x))
 
 
@@ -305,23 +306,21 @@ def bessel_ratio(order, r):
     ra = np.atleast_1d(ra)
     if np.any(ra < 0.0):
         raise DomainError("bessel_ratio requires r >= 0")
-    tiny = ra < RADIAL_SERIES_SWITCH
-    if not tiny.any():
+    # the series replaces the entries below the switch, where J_nu(r) / r^nu
+    # may be 0/0 or inf/inf
+    with np.errstate(divide="ignore", invalid="ignore"):
         out = bessel_j(nu, ra)
         if nu != 0.0:  # r ** 0.0 is 1.0: dividing by it changes nothing
             out /= ra ** nu
-        return float(out[0]) if scalar else out
-    out = np.empty_like(ra)
-    rt = ra[tiny]
-    q = rt * rt / 4.0
-    acc = np.zeros_like(rt)
-    for k in range(3, -1, -1):
-        c = (-1.0) ** k * math.exp(-math.lgamma(k + 1.0) - math.lgamma(nu + k + 1.0))
-        acc = acc * q + c
-    out[tiny] = acc / 2.0 ** nu
-    if not np.all(tiny):
-        rb = ra[~tiny]
-        out[~tiny] = bessel_j(nu, rb) / rb ** nu
+    tiny = ra < RADIAL_SERIES_SWITCH
+    if tiny.any():
+        rt = ra[tiny]
+        q = rt * rt / 4.0
+        acc = np.zeros_like(rt)
+        for k in range(3, -1, -1):
+            c = (-1.0) ** k * math.exp(-math.lgamma(k + 1.0) - math.lgamma(nu + k + 1.0))
+            acc = acc * q + c
+        out[tiny] = acc / 2.0 ** nu
     return float(out[0]) if scalar else out
 
 

@@ -133,6 +133,20 @@ def test_bessel_ratio_series_branch_is_pinned():
         assert bessel_ratio(nu, r) == bessel_j(nu, r) / r ** nu
 
 
+@pytest.mark.parametrize("nu", [0, 0.5, 1, 2.5, 10])
+def test_bessel_ratio_arrays_mixing_both_branches(nu):
+    # an array holding radii on both sides of the switch (and 1e-300, where
+    # the Cephes far branch overflows before the near branch replaces it)
+    # gives each entry its scalar value and raises none of the floating-point
+    # warnings numpy gives by default (underflow is silent there)
+    rs = np.array([0.0, 1e-300, 5e-7, RADIAL_SERIES_SWITCH, 0.3, 7.0, 40.0, 0.0, 1e-8])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        got = bessel_ratio(nu, rs)
+    assert np.array_equal(got, [bessel_ratio(nu, float(r)) for r in rs])
+    big = rs >= RADIAL_SERIES_SWITCH
+    assert np.array_equal(got[big], bessel_j(nu, rs[big]) / rs[big] ** nu)
+
+
 def test_bessel_recurrence_invariant():
     # J_{nu-1}(x) + J_{nu+1}(x) = (2 nu / x) J_nu(x), relative 1e-9 on [0.1, 100]
     xs = np.geomspace(0.1, 100.0, 60)
