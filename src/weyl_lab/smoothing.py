@@ -180,14 +180,69 @@ class SineIntegralTable:
         return out
 
 
+# pi in the long double precision pocketfft takes its twiddle angle in
+_PI_LONG = np.longdouble("3.141592653589793238462643383279502884197")
+
+
+def _dct2_twiddles(n: int) -> np.ndarray:
+    """cos(pi i / (2n)) for i = 1..n-1 as pocketfft computes them: the real
+    part of the product of a fine and a coarse table entry of the 4n-th
+    roots of unity, each entry the sine or cosine of an angle of at most
+    pi/4 in steps of an angle rounded from long double."""
+    m = 4 * n
+    angle = float(0.25 * _PI_LONG / m)
+    shift = 1
+    while 4 ** shift < (m + 2) // 2:
+        shift += 1
+
+    def roots(x):
+        # (cos, sin) of 2 pi x / m for 0 <= x < n, folded at pi/4
+        eighth = 8 * x
+        near = eighth < m
+        a = np.where(near, eighth, 2 * m - eighth) * angle
+        cos, sin = np.cos(a), np.sin(a)
+        return np.where(near, cos, sin), np.where(near, sin, cos)
+
+    i = np.arange(1, n)
+    fine_re, fine_im = roots(i & ((1 << shift) - 1))
+    coarse_re, coarse_im = roots(i >> shift << shift)
+    return fine_re * coarse_re - fine_im * coarse_im
+
+
 def _dct2(values: np.ndarray) -> np.ndarray:
     """Unnormalised DCT-II along the last axis,
     y_k = 2 sum_j x_j cos(pi k (2j + 1) / (2n)),
-    from one complex FFT of the even-indexed entries followed by the
-    odd-indexed ones reversed (Makhoul 1980)."""
+    by pocketfft's algorithm, which scipy.fft.dct runs: fold neighbouring
+    entries into a half-complex spectrum, take one inverse real FFT (numpy's
+    is pocketfft's), and rotate the pairs (k, n - k) by the twiddles.  The
+    order of operations is pocketfft's, so the values are scipy's."""
     n = values.shape[-1]
-    v = np.concatenate([values[..., ::2], values[..., 1::2][..., ::-1]], axis=-1)
-    return (2.0 * np.exp(-0.5j * np.pi * np.arange(n) / n) * np.fft.fft(v)).real
+    c = np.array(values, dtype=float)
+    c[..., 0] *= 2.0
+    if n % 2 == 0:
+        c[..., -1] *= 2.0
+    odd, even = c[..., 1:n - 1:2].copy(), c[..., 2:n:2].copy()
+    c[..., 1:n - 1:2] = even + odd
+    c[..., 2:n:2] = even - odd
+    # c is now r0, r1, i1, r2, i2, ... (and the real r_{n/2} last for even n)
+    h = (n - 1) // 2
+    spectrum = np.zeros(c.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    spectrum[..., 0] = c[..., 0]
+    spectrum.real[..., 1:h + 1] = c[..., 1:2 * h:2]
+    spectrum.imag[..., 1:h + 1] = c[..., 2:2 * h + 1:2]
+    if n % 2 == 0:
+        spectrum[..., -1] = c[..., -1]
+    c = np.fft.irfft(spectrum, n, norm="forward")
+    tw = _dct2_twiddles(n)
+    k = np.arange(1, (n + 1) // 2)
+    kc = n - k
+    t1 = tw[k - 1] * c[..., kc] + tw[kc - 1] * c[..., k]
+    t2 = tw[k - 1] * c[..., k] - tw[kc - 1] * c[..., kc]
+    c[..., k] = 0.5 * (t1 + t2)
+    c[..., kc] = 0.5 * (t1 - t2)
+    if n % 2 == 0:
+        c[..., n // 2] *= tw[n // 2 - 1]
+    return c
 
 
 def _panel_table(nu0: float, coeffs: np.ndarray):
