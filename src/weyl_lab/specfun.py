@@ -306,13 +306,16 @@ def bessel_ratio(order, r):
     ra = np.atleast_1d(ra)
     if np.any(ra < 0.0):
         raise DomainError("bessel_ratio requires r >= 0")
-    # the series replaces the entries below the switch, where J_nu(r) / r^nu
-    # may be 0/0 or inf/inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = bessel_j(nu, ra)
-        if nu != 0.0:  # r ** 0.0 is 1.0: dividing by it changes nothing
-            out /= ra ** nu
     tiny = ra < RADIAL_SERIES_SWITCH
+    if tiny.all():
+        out = np.empty_like(ra)
+    else:
+        # the series replaces the entries below the switch, where
+        # J_nu(r) / r^nu may be 0/0 or inf/inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = bessel_j(nu, ra)
+            if nu != 0.0:  # r ** 0.0 is 1.0: dividing by it changes nothing
+                out /= ra ** nu
     if tiny.any():
         rt = ra[tiny]
         q = rt * rt / 4.0
