@@ -31,6 +31,14 @@ half-width M and P pairs instead of one cosine per mode and pair.  The
 images side enumerates the period lattice once per call and evaluates the
 radial kernel of every image of every pair in one pass.
 
+The radial rule is sized by band limit: m(r) = int g(t) e^{itr} dt is the
+transform of g(t) = rho_hat(At) sin(t lambda)/(pi t), supported in
+|t| <= T = support/A, so m has exponential type T; S_n(r |w|) has type
+|w| <= T and r^{n-1} type 0, so the integrand has type at most 2T.  Its
+16-node Gauss-Legendre panels hold 16/13 periods of frequency 2T (13 nodes
+per shortest period, as in the J-table build), so the panel width is
+pi A / support times 16/13 and does not depend on lambda.
+
 Images with |w| >= support/A vanish identically: the integrand's time
 support [|w|, inf) misses the cutoff's. Truncation radii are computed from
 fitted h-decay constants with a 2x safety factor.
@@ -350,7 +358,7 @@ def multiplier(spec: MollifierSpec, lam: float, A: float, tau: float) -> float:
     return float(multiplier_batch(spec, lam, A, tau))
 
 
-def h_error(spec: MollifierSpec, lam: float, A: float, tau) -> float:
+def h_error(spec: MollifierSpec, lam: float, A: float, tau) -> float | np.ndarray:
     """h_{lambda,A}(tau) = 1_{[-lambda,lambda]}(tau) - m_{lambda,A}(tau)."""
     taus = np.abs(np.asarray(tau, dtype=float))
     indicator = (taus <= lam).astype(float)
@@ -449,10 +457,9 @@ class SmoothedProjector:
         self._box = np.zeros(shape)
         self._box[tuple(coeffs.T)] = np.repeat(weights, np.diff(np.append(starts, coeffs.shape[0])))
 
-        # images side: fixed radial rule resolving the fastest image
-        # oscillation (period 2 pi A / support) and the multiplier transition
-        w_max = self.image_radius
-        panel = min(_PANEL_PERIODS * 2.0 * np.pi / w_max, self.A / 2.0)
+        # images side: panels hold _PANEL_PERIODS periods of 2 support/A,
+        # the radial integrand's exponential type (see the module docstring)
+        panel = _PANEL_PERIODS * 2.0 * np.pi / (2.0 * self.image_radius)
         n_panels = int(np.ceil(self.tail_radius / panel))
         self._r_nodes, self._r_weights = _composite_gauss_legendre(self.tail_radius, n_panels)
         self._m_radial = multiplier_batch(spec, lam, A, self._r_nodes)

@@ -321,7 +321,9 @@ def bessel_ratio(order, r):
         q = rt * rt / 4.0
         acc = np.zeros_like(rt)
         for k in range(3, -1, -1):
-            c = (-1.0) ** k * math.exp(-math.lgamma(k + 1.0) - math.lgamma(nu + k + 1.0))
+            # 1/Gamma(nu + k + 1) is 0 at its pole (nu = -1, k = 0)
+            c = 0.0 if nu + k + 1.0 <= 0.0 else (-1.0) ** k * math.exp(
+                -math.lgamma(k + 1.0) - math.lgamma(nu + k + 1.0))
             acc = acc * q + c
         out[tiny] = acc / 2.0 ** nu
     return float(out[0]) if scalar else out

@@ -1,7 +1,11 @@
 """Slow reference paths kept for the tests: the bounding-box dual-lattice
 enumerator and the materialised torus mode sum that the slab-wise code
-replaced, the per-level sphere loop, the cell-by-cell CSV writer and the
-smoothed projector's per-mode spectral sum."""
+replaced, the per-level sphere loop, the cell-by-cell CSV writer, the
+smoothed projector's per-mode spectral sum and its images side on a radial
+rule of any panel width, with the clamped width the band-limit rule
+replaced."""
+
+import copy
 
 import numpy as np
 
@@ -112,3 +116,42 @@ def mode_sum_projector(sp, x, y):
     covol = sp.manifold.lattice.covolume
     return (float(np.sum(weights * np.cos(phases))) / covol,
             float(np.sum(np.abs(weights))) / covol)
+
+
+def clamped_panel(sp):
+    """The radial panel width the band-limit rule replaced: 13 nodes per
+    period of the fastest image oscillation (frequency support/A), clamped
+    to A/2 to resolve the multiplier transition."""
+    from weyl_lab.smoothing import _PANEL_PERIODS
+
+    return min(_PANEL_PERIODS * 2.0 * np.pi / sp.image_radius, sp.A / 2.0)
+
+
+def images_on_panel(sp, x, y, panel):
+    """`sp.images(x, y)` with the radial integral over [0, tail radius] on
+    16-node Gauss-Legendre panels of width at most `panel` (a copy of `sp`
+    carries the rule; `sp` is unchanged)."""
+    from weyl_lab.smoothing import _composite_gauss_legendre, multiplier_batch
+
+    other = copy.copy(sp)
+    n_panels = int(np.ceil(sp.tail_radius / panel))
+    other._r_nodes, other._r_weights = _composite_gauss_legendre(sp.tail_radius, n_panels)
+    other._m_radial = multiplier_batch(sp.spec, sp.lam, sp.A, other._r_nodes)
+    return other.images(x, y)
+
+
+def images_rounding_scale(sp, x, y):
+    """Per pair, (2 pi)^{-n} times the sum over images and radial nodes of
+    |m(r) r^{n-1} S_n(r |w|) weight|: the moduli the images side adds up,
+    the scale its rounding is measured against."""
+    from weyl_lab.lattice import deck_images
+    from weyl_lab.manifolds import point_pairs
+    from weyl_lab.specfun import sphere_fourier
+
+    xs, ys, _ = point_pairs(x, y)
+    n = sp.manifold.dim
+    base = np.abs(sp._m_radial * sp._r_weights * sp._r_nodes ** (n - 1))
+    images = deck_images(sp.manifold.lattice, xs, ys, sp.image_radius * (1.0 + 1e-12))
+    return np.array([sum(float(np.abs(sphere_fourier(n, length * sp._r_nodes)) @ base)
+                         for length in np.linalg.norm(w, axis=1))
+                     for w in images]) / (2.0 * np.pi) ** n

@@ -185,6 +185,23 @@ def test_smooth_compare_small_and_thread_env(tmp_path, monkeypatch):
     assert lines[0] == EXPECTED_HEADERS["smooth-compare"]
 
 
+@pytest.mark.parametrize("manifold, lam, A", [
+    ("torus:2:hex", "12", "0.2"),
+    ("torus:2:square2pi", "200", "%.17g" % (1.0 / np.log(200.0))),
+], ids=["hex-12", "square-200-one-over-log"])
+def test_smooth_compare_poisson_gap_in_the_paper_regime(tmp_path, manifold, lam, A):
+    # A ~ 1/log lambda, where the images side used to be the slow route;
+    # measured gaps 4.8e-14 (hex) and 1.4e-12 (square)
+    res = run_cli(["smooth-compare", "--manifold", manifold, "--lambda-grid",
+                   "%s:%s:1" % (lam, lam), "--A", A, "--pairs", "10", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    results = json.loads((tmp_path / "smooth-compare.manifest.json").read_text())["results"]
+    assert len(results) == 1
+    assert 0.0 < next(iter(results.values())) <= 1e-6
+    rows = np.loadtxt(tmp_path / "smooth-compare.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape[0] == 10
+
+
 def test_replay_ignores_the_removed_tol_key(tmp_path):
     # manifests written while smooth-compare still took --tol carry a "tol"
     # key; replaying one must write the same bytes as a fresh run

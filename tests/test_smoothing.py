@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -9,7 +10,13 @@ from numpy.polynomial.chebyshev import chebval
 from numpy.testing import assert_allclose
 
 import weyl_lab
-from oracles import mode_sum_projector, record_passes
+from oracles import (
+    clamped_panel,
+    images_on_panel,
+    images_rounding_scale,
+    mode_sum_projector,
+    record_passes,
+)
 from weyl_lab import lattice as lat
 from weyl_lab.cli import parse_manifold
 from weyl_lab.errors import DomainError, ResourceLimitError
@@ -441,6 +448,53 @@ def test_identity_image_matches_radial_moment():
     expected = (2.0 * np.pi) ** (-2) * 2.0 * np.pi * float(
         np.sum(sp._m_radial * sp._r_weights * sp._r_nodes))
     assert_allclose(sp.images(x, x), expected, rtol=1e-12)
+
+
+# (manifold, lambda, A, radial nodes under the band-limit rule, under the
+# clamped rule it replaced); the hex, square lambda 200 and skew cases have
+# A ~ 1/log lambda or a short cell, where the clamp to A/2 cost the most
+RULE_CASES = [
+    ("torus:2:square2pi", 12.5, 0.5, 2880, 7872),
+    ("torus:2:hex", 12.0, 0.2, 6336, 108656),
+    ("torus:2:square2pi", 200.0, 1.0 / np.log(200.0), 14992, 40976),
+    ("torus:2:mat:1,0.3;0,1.2", 10.0, 0.5, 5680, 97408),
+    ("torus:3:square2pi", 6.5, 0.5, 2720, 7424),
+]
+RULE_IDS = ["square-12.5", "hex-12", "square-200", "skew-10", "3d-6.5"]
+
+
+@functools.lru_cache(maxsize=None)
+def _rule_case(index):
+    name, lam, A, _, _ = RULE_CASES[index]
+    m = parse_manifold(name)
+    sp = SmoothedProjector(m, MollifierSpec.for_manifold(m), lam, A)
+    xs, ys = _oracle_pairs(m)
+    return sp, xs, ys, sp.images(xs, ys), images_rounding_scale(sp, xs, ys)
+
+
+@pytest.mark.parametrize("index", range(len(RULE_CASES)), ids=RULE_IDS)
+def test_band_limit_rule_matches_the_clamped_rule(index):
+    # the rule's panels hold 16/13 periods of the integrand's top frequency
+    # 2 support/A; the old panels were at most A/2 wide.  Both are converged,
+    # so they differ by rounding, measured against the moduli the sum adds
+    # (at lambda 200 ~4e3 times the values): at most 5.4e-15 of them (3-D);
+    # panels 5x the rule's width miss by 2.6e-12 to 1.4e-8 of them
+    sp, xs, ys, new, scale = _rule_case(index)
+    _, _, _, nodes, clamped_nodes = RULE_CASES[index]
+    assert sp._r_nodes.size == nodes
+    old = images_on_panel(sp, xs, ys, clamped_panel(sp))
+    assert old.size == xs.shape[0]
+    assert int(np.ceil(sp.tail_radius / clamped_panel(sp))) * 16 == clamped_nodes
+    assert np.all(np.abs(new - old) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("index", range(len(RULE_CASES)), ids=RULE_IDS)
+def test_band_limit_rule_is_converged(index):
+    # against panels a quarter as wide: at most 5.2e-15 of the moduli
+    sp, xs, ys, new, scale = _rule_case(index)
+    panel = sp.tail_radius / (sp._r_nodes.size // 16)
+    finer = images_on_panel(sp, xs, ys, panel / 4.0)
+    assert np.all(np.abs(new - finer) <= 1e-13 * scale)
 
 
 def test_truncation_validated_by_doubling():

@@ -133,6 +133,16 @@ def test_bessel_ratio_series_branch_is_pinned():
         assert bessel_ratio(nu, r) == bessel_j(nu, r) / r ** nu
 
 
+def test_bessel_ratio_order_minus_one_below_the_switch():
+    # r J_{-1}(r) = -r J_1(r); the series' leading coefficient 1/Gamma(0)
+    # is 0, not exp(-lgamma(0))
+    assert bessel_ratio(-1, 0.0) == 0.0
+    rs = np.array([0.0, 1e-7, 5e-7])
+    got = bessel_ratio(-1, rs)
+    assert got[0] == 0.0
+    assert_allclose(got[1:], -rs[1:] * j1(rs[1:]), rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("nu", [0, 0.5, 1, 2.5, 10])
 def test_bessel_ratio_arrays_mixing_both_branches(nu):
     # an array holding radii on both sides of the switch (and 1e-300, where
