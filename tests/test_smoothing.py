@@ -1,4 +1,3 @@
-import functools
 import os
 import subprocess
 import sys
@@ -463,35 +462,34 @@ RULE_CASES = [
 RULE_IDS = ["square-12.5", "hex-12", "square-200", "skew-10", "3d-6.5"]
 
 
-@functools.lru_cache(maxsize=None)
-def _rule_case(index):
-    name, lam, A, _, _ = RULE_CASES[index]
+@pytest.fixture(scope="module", params=RULE_CASES, ids=RULE_IDS)
+def rule_case(request):
+    """(projector, clamped-rule node count, pairs, images, rounding scale),
+    built once per case for both rule tests."""
+    name, lam, A, nodes, clamped_nodes = request.param
     m = parse_manifold(name)
     sp = SmoothedProjector(m, MollifierSpec.for_manifold(m), lam, A)
+    assert sp._r_nodes.size == nodes
     xs, ys = _oracle_pairs(m)
-    return sp, xs, ys, sp.images(xs, ys), images_rounding_scale(sp, xs, ys)
+    return sp, clamped_nodes, xs, ys, sp.images(xs, ys), images_rounding_scale(sp, xs, ys)
 
 
-@pytest.mark.parametrize("index", range(len(RULE_CASES)), ids=RULE_IDS)
-def test_band_limit_rule_matches_the_clamped_rule(index):
+def test_band_limit_rule_matches_the_clamped_rule(rule_case):
     # the rule's panels hold 16/13 periods of the integrand's top frequency
     # 2 support/A; the old panels were at most A/2 wide.  Both are converged,
     # so they differ by rounding, measured against the moduli the sum adds
-    # (at lambda 200 ~4e3 times the values): at most 5.4e-15 of them (3-D);
-    # panels 5x the rule's width miss by 2.6e-12 to 1.4e-8 of them
-    sp, xs, ys, new, scale = _rule_case(index)
-    _, _, _, nodes, clamped_nodes = RULE_CASES[index]
-    assert sp._r_nodes.size == nodes
-    old = images_on_panel(sp, xs, ys, clamped_panel(sp))
-    assert old.size == xs.shape[0]
+    # (at lambda 200 up to ~800 times 1 + |value| off the diagonal): at
+    # most 5.4e-15 of them (3-D); panels 5x the rule's width miss by
+    # 2.6e-12 to 1.4e-8 of them
+    sp, clamped_nodes, xs, ys, new, scale = rule_case
     assert int(np.ceil(sp.tail_radius / clamped_panel(sp))) * 16 == clamped_nodes
+    old = images_on_panel(sp, xs, ys, clamped_panel(sp))
     assert np.all(np.abs(new - old) <= 1e-13 * scale)
 
 
-@pytest.mark.parametrize("index", range(len(RULE_CASES)), ids=RULE_IDS)
-def test_band_limit_rule_is_converged(index):
+def test_band_limit_rule_is_converged(rule_case):
     # against panels a quarter as wide: at most 5.2e-15 of the moduli
-    sp, xs, ys, new, scale = _rule_case(index)
+    sp, _, xs, ys, new, scale = rule_case
     panel = sp.tail_radius / (sp._r_nodes.size // 16)
     finer = images_on_panel(sp, xs, ys, panel / 4.0)
     assert np.all(np.abs(new - finer) <= 1e-13 * scale)
