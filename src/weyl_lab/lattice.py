@@ -81,10 +81,21 @@ def check_cap(count, what: str):
 
 def coefficient_box(generator_matrix: np.ndarray, radius: float) -> np.ndarray:
     """Per-coordinate integer bounds M_i with |c_i| <= M_i for all lattice
-    points |G c| <= radius (rows of G^{-1} give the exact sup)."""
-    inv_rows = np.linalg.inv(generator_matrix)
-    row_norms = np.linalg.norm(inv_rows, axis=1)
-    return np.floor(radius * row_norms + 1e-9).astype(int)
+    points |G c| <= radius (rows of G^{-1} give the exact sup).
+
+    The bounds are floats, inf where they overflow: a caller checks the
+    `box_size` of the box against the cap before casting them to int, so a
+    huge radius is refused rather than wrapped to a negative bound."""
+    row_norms = np.linalg.norm(np.linalg.inv(generator_matrix), axis=1)
+    with np.errstate(over="ignore"):
+        return np.floor(radius * row_norms + 1e-9)
+
+
+def box_size(bounds) -> float:
+    """prod(2 M_i + 1), the point count of the box |c_i| <= M_i, as a float
+    (inf where it overflows)."""
+    with np.errstate(over="ignore"):
+        return float(np.prod(2.0 * np.asarray(bounds) + 1.0))
 
 
 def slab_prefixes(generator_matrix: np.ndarray, radius: float) -> np.ndarray:
@@ -97,9 +108,9 @@ def slab_prefixes(generator_matrix: np.ndarray, radius: float) -> np.ndarray:
     if radius <= 0.0:
         raise DomainError("radius must be positive")
     box = coefficient_box(generator_matrix, radius)[:-1]
-    total = int(np.prod(2 * box.astype(object) + 1))
-    check_cap(total, "the ball of radius %.6g meets %d coefficient slabs" % (radius, total))
-    grids = np.meshgrid(*[np.arange(-m, m + 1) for m in box], indexing="ij")
+    total = box_size(box)
+    check_cap(total, "the ball of radius %.6g meets %.12g coefficient slabs" % (radius, total))
+    grids = np.meshgrid(*[np.arange(-m, m + 1) for m in box.astype(np.int64)], indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
@@ -208,12 +219,14 @@ def _lattice_vectors(generator_matrix: np.ndarray, radius: float, inner: float =
     # the cells c + {sum t_i g_i : t in [0,1)^d} of the points c of a ball
     # of radius r cover the ball of radius r - D and lie in that of radius
     # r + D, D = sum |g_i|; so the row count has a lower bound that refuses
-    # a far oversized request before any slab is built
+    # a far oversized request before any slab is built (in floating point,
+    # where a huge radius gives inf rather than an OverflowError)
     d = generator_matrix.shape[0]
-    reach = float(np.sum(np.linalg.norm(generator_matrix, axis=0)))
-    volume = max(radius - reach, 0.0) ** d - (inner + reach) ** d * (inner >= 0.0)
-    lower = (np.pi ** (d / 2) / math.gamma(d / 2 + 1) * volume
-             / abs(np.linalg.det(generator_matrix)))
+    reach = np.sum(np.linalg.norm(generator_matrix, axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        volume = max(radius - reach, 0.0) ** d - (inner + reach) ** d * (inner >= 0.0)
+        lower = (np.pi ** (d / 2) / math.gamma(d / 2 + 1) * volume
+                 / abs(np.linalg.det(generator_matrix)))
     check_cap(lower, "enumeration holds at least %.4g lattice points" % lower)
     prefixes = slab_prefixes(generator_matrix, radius)
     form = slab_form(generator_matrix, prefixes)

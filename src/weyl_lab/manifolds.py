@@ -157,10 +157,12 @@ def spectral_window(m: ModelManifold, lo: float, hi: float) -> SpectralWindow:
     candidates l with sqrt(l(l+1))/R <= hi*R + 1, cut the same way.
     """
     if isinstance(m, RoundSphere2):
-        # sqrt(l(l+1)) > l, so every degree with root <= hi is below hi*R + 1
-        n_candidates = max(int(np.floor(hi * m.radius)) + 2, 0)
-        lat.check_cap(n_candidates, "sphere window holds %d candidate degrees" % n_candidates)
-        ls = np.arange(n_candidates)
+        # sqrt(l(l+1)) > l, so every degree with root <= hi is below hi*R + 1;
+        # counted in floating point, so a huge hi is refused, not overflowed
+        with np.errstate(over="ignore"):
+            n_candidates = max(np.floor(hi * m.radius) + 2.0, 0.0)
+        lat.check_cap(n_candidates, "sphere window holds %.12g candidate degrees" % n_candidates)
+        ls = np.arange(int(n_candidates))
         ball = SpectralWindow(np.sqrt(ls * (ls + 1.0)) / m.radius, 2 * ls + 1, degrees=ls)
     else:
         coeffs, vectors, norms = lat.dual_vectors(m.lattice, hi, inner=lo)
@@ -377,14 +379,15 @@ def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam:
                  guard: bool = False):
     """The exact mode sum over every window (lows[i], highs[i]] and pair: a
     float, or an array of shape (L,), (P,) or (L, P) as the lambda and
-    point arguments ask.  highs must be increasing.
+    point arguments ask.  One set of slabs (one ball of degrees) out to the
+    largest high serves every window.
 
     With `guard`, every high (a lambda) must be at least ON_SPECTRUM_TOL
     from the spectrum, else SpectrumError names the first that is not; the
     guard and the cap are checked before any sum.
     """
     xs, ys, many = point_pairs(x, y)
-    reach = highs[-1] + (2.0 * ON_SPECTRUM_TOL if guard else 0.0)
+    reach = np.max(highs) + (2.0 * ON_SPECTRUM_TOL if guard else 0.0)
     if isinstance(m, RoundSphere2):
         if not d.is_zero:
             raise DomainError("derivatives are unsupported on the sphere")
@@ -450,17 +453,25 @@ def spectral_function(m: ModelManifold, lam, x, y, d: DerivIndex = ZERO_DERIV):
     return _window_sums(m, np.full(lams.size, -1.0), lams, x, y, d, scalar, guard=True)
 
 
-def cluster_kernel(m: ModelManifold, lam, width: float, x, y, d: DerivIndex = ZERO_DERIV):
+def cluster_kernel(m: ModelManifold, lam, width, x, y, d: DerivIndex = ZERO_DERIV):
     """Windowed projector kernel over sqrt-eigenvalues in (lambda, lambda+width],
     computed as a single windowed mode sum.
 
     `lam`, x and y take grids and point arrays as in `spectral_function`,
-    with the same tolerance against the materialised torus sum.  Window
-    membership uses exact half-open comparisons, so representable boundary
-    values (e.g. integer lambda on the square 2 pi torus) are unambiguous
-    even when they sit on the spectrum.
+    with the same tolerance against the materialised torus sum.  `width` is
+    a scalar or an array of `lam`'s shape, one width per lambda (as the
+    1/log lambda rule needs); each value equals that of a scalar call bit
+    for bit.  Window membership uses exact half-open comparisons, so
+    representable boundary values (e.g. integer lambda on the square 2 pi
+    torus) are unambiguous even when they sit on the spectrum.
     """
     lams, scalar = _lambda_values(lam)
-    if lams[0] <= 0.0 or not width > 0.0 or not np.isfinite(width):
+    widths = np.asarray(width, dtype=float)
+    if widths.ndim and widths.shape != np.shape(lam):
+        raise DomainError("width must be a scalar or an array of lambda's shape %s, got %s"
+                          % (np.shape(lam), widths.shape))
+    if lams[0] <= 0.0 or not np.all((widths > 0.0) & (widths < np.inf)):
         raise DomainError("need lambda > 0 and finite width > 0")
-    return _window_sums(m, lams, lams + width, x, y, d, scalar)
+    with np.errstate(over="ignore"):  # an infinite window end meets the cap
+        highs = lams + widths
+    return _window_sums(m, lams, highs, x, y, d, scalar)

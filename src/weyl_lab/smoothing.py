@@ -424,8 +424,7 @@ class SmoothedProjector:
     return a float or a (P,) array.
     """
 
-    def __init__(self, m: FlatTorus, spec: MollifierSpec, lam: float, A: float,
-                 tail_factor: float = 1.0):
+    def __init__(self, m: FlatTorus, spec: MollifierSpec, lam: float, A: float):
         if not isinstance(m, FlatTorus):
             raise DomainError("smoothed projectors are defined on flat tori")
         self.manifold = m
@@ -433,20 +432,19 @@ class SmoothedProjector:
         self.lam = float(lam)
         self.A = float(A)
         self.h_decay = fit_h_decay(spec, lam, A)
-        # tail_factor > 1 stretches the truncation radius (doubling validation)
-        self.tail_radius = lam + tail_factor * (
-            spectral_tail_radius(spec, lam, A, decay=self.h_decay) - lam)
+        self.tail_radius = spectral_tail_radius(spec, lam, A, decay=self.h_decay)
         self.image_radius = spec.support / A
 
         # spectral side: W[c] = m(|G c|) on the coefficient box of the tail
         # ball, 0 outside the ball, with one multiplier evaluation per
         # distinct dual norm.  The box is checked against the cap before
         # anything is enumerated or allocated.
-        self._half = lat.coefficient_box(m.lattice.dual_basis, self.tail_radius)
-        shape = tuple(2 * self._half + 1)
-        size = int(np.prod(np.asarray(shape, dtype=object)))
+        half = lat.coefficient_box(m.lattice.dual_basis, self.tail_radius)
+        size = lat.box_size(half)
         lat.check_cap(size, "the weight box of the spectral tail ball (radius %.6g, lambda=%g, "
-                      "A=%g) holds %d coefficients" % (self.tail_radius, lam, A, size))
+                      "A=%g) holds %.12g coefficients" % (self.tail_radius, lam, A, size))
+        self._half = half.astype(np.int64)
+        shape = tuple(2 * self._half + 1)
         coeffs, vectors, norms = lat.dual_vectors(m.lattice, self.tail_radius)
         del vectors  # the box needs only the coefficients and norms
         # the norms come sorted, so each distinct norm is a run of equal values

@@ -3,7 +3,7 @@ enumerator and the materialised torus mode sum that the slab-wise code
 replaced, the per-level sphere loop, the cell-by-cell CSV writer, the
 smoothed projector's per-mode spectral sum and its images side on a radial
 rule of any panel width, with the clamped width the band-limit rule
-replaced."""
+replaced, and a projector with a stretched spectral tail."""
 
 import copy
 
@@ -116,6 +116,26 @@ def mode_sum_projector(sp, x, y):
     covol = sp.manifold.lattice.covolume
     return (float(np.sum(weights * np.cos(phases))) / covol,
             float(np.sum(np.abs(weights))) / covol)
+
+
+def stretched_projector(m, spec, lam, A, factor):
+    """A `SmoothedProjector` whose spectral tail radius R is stretched to
+    lam + factor * (R - lam), by patching `spectral_tail_radius` while it is
+    built: factor > 1 checks the truncation by doubling, and factor < 1
+    keeps a 3-D per-mode oracle cheap (the separable sum is an identity at
+    any radius)."""
+    import weyl_lab.smoothing as smoothing
+
+    original = smoothing.spectral_tail_radius
+
+    def stretched(spec, lam, A, decay=None):
+        return lam + factor * (original(spec, lam, A, decay=decay) - lam)
+
+    smoothing.spectral_tail_radius = stretched
+    try:
+        return smoothing.SmoothedProjector(m, spec, lam, A)
+    finally:
+        smoothing.spectral_tail_radius = original
 
 
 def clamped_panel(sp):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import record_passes
+from oracles import materialised_window_sum, record_passes
 from weyl_lab.analysis import (
     cluster_sup_scan,
     localized_integral,
@@ -227,10 +227,9 @@ def test_cluster_sup_scan_validation():
         cluster_sup_scan(TORUS, [10.0, 20.0, 30.0], 1.0, DerivIndex(alpha=(1, 0)))
     with pytest.raises(DomainError):
         cluster_sup_scan(TORUS, [10.0, 20.0, 30.0], "sometimes")
-    # 1/log(1) is infinite: a config error, not an enumeration of radius inf
+    # 1/log(1) is infinite: a config error, refused before the log is taken
     for grid in ([1.0, 2.0, 3.0], [0.5, 2.0, 3.0]):
-        with pytest.raises(DomainError, match="positive and finite"), \
-                np.errstate(divide="ignore"):
+        with pytest.raises(DomainError, match="positive and finite"):
             cluster_sup_scan(TORUS, grid, "one-over-log")
 
 
@@ -276,3 +275,19 @@ def test_cluster_sup_scan_matches_per_lambda_loop(monkeypatch, m, grid, A_rule, 
     assert len(passes["slabs"]) == (0 if isinstance(m, RoundSphere2) else 1)
     expected = per_lambda_cluster_sup(m, grid, A_rule, d)
     assert rep.sup_values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m,grid,A_rule", [
+    (FlatTorus(Lattice.from_basis([[1.0, 0.3], [0.0, 1.2]])), np.geomspace(50.0, 400.0, 4), 1.0),
+    (FlatTorus(Lattice.hexagonal(1.0)), np.linspace(30.0, 90.0, 4), 8.0),
+], ids=["skew", "hex"])
+def test_cluster_sup_scan_derivative_on_a_non_square_lattice(m, grid, A_rule):
+    # along the last coordinate the last dual generator varies within every
+    # slab run, unlike the first coordinate that --deriv sets
+    d = DerivIndex(alpha=(0, 1), beta=(0, 1))
+    rep = cluster_sup_scan(m, grid, A_rule, d)
+    x = np.zeros(2)
+    for lam, value in zip(grid, rep.sup_values):
+        A = 1.0 / np.log(lam) if A_rule == "one-over-log" else A_rule
+        expected, scale = materialised_window_sum(m, lam, lam + A, x, x, d)
+        assert abs(value - expected) <= 1e-12 * scale, lam

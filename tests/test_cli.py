@@ -118,6 +118,38 @@ def test_resource_cap_exits_3(tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["kernel", *TORUS_ARGS, "--lambda", "1e300"],
+    ["kernel", *TORUS_ARGS, "--lambda", "10", "--width", "1e308"],
+    ["eigens", "--manifold", "torus:3:square2pi", "--lambda-grid", "0:1e200:2"],
+    ["cluster-bessel", *TORUS_ARGS, "--lambda", "10", "--width", "1e308",
+     "--dist-grid", "0:0.2:3"],
+    ["randomwave", *TORUS_ARGS, "--mode", "covariance", "--lambda", "10",
+     "--width", "1e308"],
+    ["cluster-sup", *TORUS_ARGS, "--lambda-grid", "10:20:3", "--A-rule", "1e308"],
+], ids=["kernel-lambda", "kernel-width", "eigens-3d", "cluster-bessel", "randomwave",
+        "cluster-sup"])
+def test_overflowing_radius_exits_3_without_files(tmp_path, args):
+    # the coefficient box and the row lower bound are counted in floating
+    # point, so an int64 cast can neither wrap the box to a negative bound
+    # (an empty window, exit 0) nor overflow (exit 1)
+    out = tmp_path / "nothing"
+    res = run_cli(args + ["--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert res.stderr.startswith("resource limit: ")
+    assert not out.exists()
+
+
+def test_one_over_log_below_lambda_one_is_refused_without_a_warning(tmp_path):
+    out = tmp_path / "nothing"
+    res = run_cli(["cluster-sup", *TORUS_ARGS, "--lambda-grid", "1:3:3",
+                   "--A-rule", "one-over-log", "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.stderr == ("config error: window width must be positive and finite "
+                          "(the one-over-log rule needs lambda > 1)\n")
+    assert not out.exists()
+
+
 def test_manifest_written_and_replay_identical(tmp_path):
     out1 = tmp_path / "a"
     res = run_cli(["randomwave", "--manifold", "torus:2:square2pi",

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 from numpy.testing import assert_allclose
 
+from oracles import stretched_projector
 from weyl_lab.lattice import Lattice, deck_images, dual_vectors
 from weyl_lab.manifolds import DerivIndex, FlatTorus, eigenlevels, spectral_function
 from weyl_lab.projector import cluster_vs_bessel, leading_term
@@ -50,7 +51,7 @@ def test_poisson_oracle_hexagonal_torus():
 
 def test_poisson_oracle_three_dimensional_torus():
     spec = MollifierSpec.for_manifold(TORUS3)
-    sp = SmoothedProjector(TORUS3, spec, 3.0, 1.0, tail_factor=0.35)
+    sp = stretched_projector(TORUS3, spec, 3.0, 1.0, 0.35)
     rng = np.random.default_rng(7)
     for _ in range(4):
         x = TORUS3.lattice.basis @ rng.random(3)

@@ -256,6 +256,37 @@ def test_vectorised_kernels_equal_scalar_calls(case):
                        [cluster_kernel(m, grid[0], width, y, xs[2], d) for y in ys])
 
 
+@pytest.mark.parametrize("m", [TORUS, HEX, TORUS3, RoundSphere2(6.0)],
+                         ids=["square", "hex", "3d", "sphere2:6"])
+def test_per_lambda_widths_equal_scalar_calls(m):
+    # the window ends 23.1, 7.7, 12.3, 18.7 do not increase, so the slabs
+    # must reach the largest end, not the last
+    grid = np.array([3.1, 7.4, 11.9, 16.2])
+    widths = np.array([20.0, 0.3, 1.0 / np.log(11.9), 2.5])
+    if isinstance(m, RoundSphere2):
+        xs = np.array([sphere_point(0.0, radius=6.0), sphere_point(0.3, 1.0, radius=6.0)])
+        ys = np.array([sphere_point(0.0, radius=6.0), sphere_point(1.3, 0.2, radius=6.0)])
+        d = ZERO_DERIV
+    else:
+        xs, ys = _torus_points(m, 2, 3), _torus_points(m, 2, 4)
+        ys[0] = xs[0]
+        d = DerivIndex(alpha=(0, 1), beta=(0, 1))
+    assert_bitwise(cluster_kernel(m, grid, widths, xs, ys, d),
+                   [[cluster_kernel(m, lam, width, x, y, d) for x, y in zip(xs, ys)]
+                    for lam, width in zip(grid, widths)])
+    assert_bitwise(cluster_kernel(m, grid, widths, xs[0], ys[0], d),
+                   [cluster_kernel(m, lam, width, xs[0], ys[0], d)
+                    for lam, width in zip(grid, widths)])
+
+
+def test_width_array_must_have_the_shape_of_lambda():
+    x = np.array([0.7, 0.3])
+    for lam, width in (([3.1, 7.4], [1.0, 2.0, 3.0]), ([3.1, 7.4], [[1.0, 2.0]]),
+                       (3.1, [1.0]), ([3.1, 7.4], [1.0, 0.0]), ([3.1, 7.4], [1.0, np.nan])):
+        with pytest.raises(DomainError, match="width"):
+            cluster_kernel(TORUS, lam, width, x, x)
+
+
 def test_scalar_arguments_still_return_floats():
     x = np.array([0.7, 0.3])
     assert type(spectral_function(TORUS, 7.3, x, x)) is float

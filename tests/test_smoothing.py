@@ -15,6 +15,7 @@ from oracles import (
     images_rounding_scale,
     mode_sum_projector,
     record_passes,
+    stretched_projector,
 )
 from weyl_lab import lattice as lat
 from weyl_lab.cli import parse_manifold
@@ -327,8 +328,9 @@ def test_multiplier_table_build():
     assert np.count_nonzero(outside) > 0 and not np.any(sp._box[outside])
 
 
-# (manifold, lambda, A, tail_factor): the separable sum is an identity, so a
-# shortened 3-D tail keeps the per-mode oracle cheap without weakening it
+# (manifold, lambda, A, tail factor of `stretched_projector`): the separable
+# sum is an identity, so a shortened 3-D tail keeps the per-mode oracle cheap
+# without weakening it
 SEPARABLE_CASES = [
     ("torus:2:square2pi", 10.0, 0.5, 1.0),
     ("torus:2:hex", 12.0, 0.2, 1.0),
@@ -349,9 +351,9 @@ def _oracle_pairs(m, count=3, seed=21):
 
 @pytest.mark.parametrize("case", SEPARABLE_CASES, ids=[c[0] for c in SEPARABLE_CASES])
 def test_separable_spectral_sum_matches_per_mode_sum(case):
-    name, lam, A, tail_factor = case
+    name, lam, A, stretch = case
     m = parse_manifold(name)
-    sp = SmoothedProjector(m, MollifierSpec.for_manifold(m), lam, A, tail_factor=tail_factor)
+    sp = stretched_projector(m, MollifierSpec.for_manifold(m), lam, A, stretch)
     xs, ys = _oracle_pairs(m)
     values = sp.spectral(xs, ys)
     assert values.shape == (xs.shape[0],)
@@ -365,9 +367,9 @@ def test_array_calls_equal_scalar_calls(case):
     # images: bit for bit (row-wise sums, one image at a time per pair);
     # spectral: the batched matrix product may round differently per
     # column, so a few ulps of the sum of |m|
-    name, lam, A, tail_factor = case
+    name, lam, A, stretch = case
     m = parse_manifold(name)
-    sp = SmoothedProjector(m, MollifierSpec.for_manifold(m), lam, A, tail_factor=tail_factor)
+    sp = stretched_projector(m, MollifierSpec.for_manifold(m), lam, A, stretch)
     xs, ys = _oracle_pairs(m, count=1)
     images = sp.images(xs, ys)
     assert images.shape == (xs.shape[0],)
@@ -498,7 +500,7 @@ def test_band_limit_rule_is_converged(rule_case):
 def test_truncation_validated_by_doubling():
     x, y = np.array([0.4, 0.9]), np.array([1.0, 2.0])
     base = SmoothedProjector(TORUS, SPEC, 5.0, 0.5)
-    doubled = SmoothedProjector(TORUS, SPEC, 5.0, 0.5, tail_factor=2.0)
+    doubled = stretched_projector(TORUS, SPEC, 5.0, 0.5, 2.0)
     assert abs(base.spectral(x, y) - doubled.spectral(x, y)) < 1e-8
     assert abs(base.images(x, y) - doubled.images(x, y)) < 1e-8
 
