@@ -74,8 +74,9 @@ class Lattice:
 def check_cap(count, what: str):
     """ResourceLimitError when `count` exceeds ENUM_CAP (read at call
     time), to be called before anything of that size is allocated; `what`
-    says what `count` counts and opens the message."""
-    if count > ENUM_CAP:
+    says what `count` counts and opens the message.  A float count that
+    is inf or nan (a size overflowed) is refused too."""
+    if not count <= ENUM_CAP:
         raise ResourceLimitError("%s, exceeding the cap %d" % (what, ENUM_CAP))
 
 

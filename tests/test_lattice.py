@@ -72,6 +72,9 @@ def test_enumeration_cap(monkeypatch):
     # is built (3-D radius 4000 would need 6.4e7 slabs for the count)
     with pytest.raises(ResourceLimitError, match=r"at least 2\.675e\+11 lattice points"):
         dual_vectors(Lattice.square(2.0 * np.pi, dim=3), 4000.0)
+    # inner and outer volumes both overflow: the bound is inf - inf = nan
+    with pytest.raises(ResourceLimitError, match="at least nan lattice points"):
+        dual_vectors(SQUARE2PI, 1e300, inner=1e300)
 
 
 ENUMERATION_LATTICES = {
