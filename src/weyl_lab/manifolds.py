@@ -12,7 +12,9 @@ the values of separate scalar calls bit for bit.  On tori they never
 materialise the dual lattice: fixing every dual coefficient but the last
 splits a window into runs of consecutive points, and each run's sum is a
 Dirichlet kernel (with its beta-derivatives for derivative factors), so a
-(lambda, pair) costs O(lambda^{n-1}) slabs.  These sums match the
+(lambda, pair) costs O(lambda^{n-1}) slabs: within a grid each lambda
+settles only the slabs its own ball meets, and the slab phases are built
+once per call.  These sums match the
 materialised mode sum to within 1e-12 of the sum of the mode terms'
 moduli.  On the sphere one pass over the degrees serves every window.
 
@@ -251,20 +253,30 @@ def _dirichlet_moments(counts: np.ndarray, beta: np.ndarray, order: int) -> list
             d2 = (1.0 - counts * counts) * moments[0] - 2.0 * np.cos(x) / sin_x * d1
             moments += [-0.5 * d1, -0.25 * d2]
     series = counts * np.abs(beta) < SERIES_SWITCH
-    if not series.any():
-        return moments
-    h = 0.5 * counts[series]
+    # at beta = 0 every term past j = 0 adds a zero, so only that one is taken
+    zero = series & (beta == 0.0)
+    for rows, terms in ((series & ~zero, SERIES_TERMS), (zero, 1)):
+        if rows.any():
+            for moment, value in zip(moments, _moment_series(counts[rows], beta[rows],
+                                                             order, terms)):
+                moment[rows] = value
+    return moments
+
+
+def _moment_series(counts: np.ndarray, b: np.ndarray, order: int, terms: int) -> list:
+    """The first `terms` terms of `_dirichlet_moments`' power-sum series at
+    counts N and betas b (1-D arrays of one size): [E0] or [E0, E1, E2]."""
+    h = 0.5 * counts
     h2 = h * h
-    power = []   # P_0, P_2, ..., P_2J on the series entries
-    for coef in _POWER_SUMS:
+    power = []   # P_0, P_2, ..., as far as the terms reach
+    for coef in _POWER_SUMS[:terms + bool(order)]:
         acc = np.full(h.shape, coef[0])
         for c in coef[1:]:
             acc = acc * h2 + c
         power.append(h * acc)
-    b = beta[series]
     weight = np.ones_like(b)   # (-1)^j beta^2j / (2j)!
-    sums = [np.zeros_like(b) for _ in moments]
-    for j in range(SERIES_TERMS):
+    sums = [np.zeros_like(b) for _ in range(3 if order else 1)]
+    for j in range(terms):
         sums[0] += weight * power[j]
         if order:
             sums[1] += weight / (2 * j + 1) * power[j + 1]
@@ -272,15 +284,30 @@ def _dirichlet_moments(counts: np.ndarray, beta: np.ndarray, order: int) -> list
         weight = -weight * b * b / ((2 * j + 1) * (2 * j + 2))
     if order:
         sums[1] *= b
-    for moment, value in zip(moments, sums):
-        moment[series] = value
-    return moments
+    return sums
 
 
-def _slab_window_sums(m: FlatTorus, prefixes: np.ndarray, runs, xs, ys, d: DerivIndex):
+def _slab_phases(m: FlatTorus, prefixes: np.ndarray, xs, ys):
+    """The lambda-independent parts of `_slab_window_sums` for every pair
+    and slab: u, the part of each slab's prefix (S, dim); phi = <u, y-x>
+    (P, S); and beta = <g, y-x> reduced to [-pi, pi] (P, 1), g the last
+    dual generator."""
+    G = m.lattice.dual_basis
+    g = G[:, -1]
+    # elementwise products (no BLAS), so every value is the same whatever
+    # the number of slabs or pairs
+    u = sum(prefixes[:, i, None] * G[:, i] for i in range(m.dim - 1))
+    delta = ys - xs
+    phi = sum(delta[:, j, None] * u[None, :, j] for j in range(m.dim))
+    beta = sum(delta[:, j] * g[j] for j in range(m.dim))
+    return u, phi, (beta - 2.0 * np.pi * np.rint(beta / (2.0 * np.pi)))[:, None]
+
+
+def _slab_window_sums(m: FlatTorus, phases, runs, d: DerivIndex):
     """The windowed mode sum of d_x^alpha d_y^beta phi_k(x) phi_k(y) for
-    every pair, over runs of dual points: `runs` is the (slab, start, stop)
-    of `lattice.slab_runs`, and a run holds the points u + t g for
+    every pair, over runs of dual points: `phases` is the `_slab_phases`
+    of the slabs and pairs, `runs` the (slab, start, stop) of
+    `lattice.slab_runs`, and a run holds the points u + t g for
     start <= t <= stop, u the part of its slab's prefix and g the last
     dual generator.
 
@@ -292,15 +319,8 @@ def _slab_window_sums(m: FlatTorus, prefixes: np.ndarray, runs, xs, ys, d: Deriv
     depend only on the window, not on which other windows or pairs a call
     carries.
     """
-    G = m.lattice.dual_basis
-    g = G[:, -1]
-    # elementwise products (no BLAS), so every value is the same whatever
-    # the number of slabs or pairs
-    u = sum(prefixes[:, i, None] * G[:, i] for i in range(m.dim - 1))
-    delta = ys - xs
-    phi = sum(delta[:, j, None] * u[None, :, j] for j in range(m.dim))
-    beta = sum(delta[:, j] * g[j] for j in range(m.dim))
-    beta = (beta - 2.0 * np.pi * np.rint(beta / (2.0 * np.pi)))[:, None]
+    g = m.lattice.dual_basis[:, -1]
+    u, phi, beta = phases
     slab, starts, stops = runs
     counts = (stops - starts + 1).astype(float)
     mid = 0.5 * (starts + stops)
@@ -319,6 +339,49 @@ def _slab_window_sums(m: FlatTorus, prefixes: np.ndarray, runs, xs, ys, d: Deriv
     if axes:
         terms = terms + q[2] * moments[2] * np.cos(theta) - q[1] * moments[1] * np.sin(theta)
     return (-1.0) ** sum(alpha) * np.sum(terms, axis=1) / m.lattice.covolume
+
+
+def _lines_within(form, threshold):
+    """Whether each slab's line passes within threshold + ON_SPECTRUM_TOL
+    of the origin, from the prefixes' `slab_form` (q, const, vertex): on
+    the line |G (prefix, t)|^2 >= const - q vertex^2, and that difference
+    is taken with a margin of 1e-9 of its terms' size, far above its
+    rounding.  A slab whose line does not pass has no row within
+    ON_SPECTRUM_TOL of the threshold or below it."""
+    q, const, vertex = form
+    reach2 = (threshold + ON_SPECTRUM_TOL) ** 2
+    return const - q * vertex**2 <= reach2 + 1e-9 * (const + reach2)
+
+
+def _near_slab_ends(G, prefixes, form, threshold: float):
+    """`lattice.slab_ends` at `threshold` on only those slabs whose line
+    passes within it (`_lines_within`): (kept slab indices, a, b, gap).  A
+    slab left out is empty at the threshold and cannot trip the
+    on-spectrum guard."""
+    q, const, vertex = form
+    kept = np.flatnonzero(_lines_within(form, threshold))
+    return (kept,) + lat.slab_ends(G, prefixes[kept], threshold, (q, const[kept], vertex[kept]))
+
+
+def _near_slab_runs(G, prefixes, form, outer, lo: float):
+    """The `lattice.slab_runs` of the window (lo, hi] (lo < 0: the ball),
+    from `outer`, the `_near_slab_ends` at hi, with slab indices into
+    `prefixes`; the runs are those of a settle on every slab, in slab
+    order."""
+    slabs, a, b, _ = outer
+    inner = None
+    if lo >= 0.0:
+        # the slabs kept at lo are among those kept at hi > lo, as
+        # `_lines_within` grows with the threshold; the others are empty at
+        # lo, with slab_ends' ends for an empty slab, b = a - 1 = floor(vertex)
+        inner_slabs, a_in, b_in, _ = _near_slab_ends(G, prefixes, form, lo)
+        inner_b = np.floor(form[2][slabs]).astype(np.int64)
+        inner_a = inner_b + 1
+        at = np.searchsorted(slabs, inner_slabs)
+        inner_a[at], inner_b[at] = a_in, b_in
+        inner = (inner_a, inner_b)
+    slab, starts, stops = lat.slab_runs((a, b), inner)
+    return slabs[slab], starts, stops
 
 
 def _sphere_window_sums(m: RoundSphere2, windows, xs, ys) -> np.ndarray:
@@ -380,7 +443,9 @@ def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam:
     """The exact mode sum over every window (lows[i], highs[i]] and pair: a
     float, or an array of shape (L,), (P,) or (L, P) as the lambda and
     point arguments ask.  One set of slabs (one ball of degrees) out to the
-    largest high serves every window.
+    largest high serves every window; on tori each window end settles only
+    the slabs whose line passes within it (`_near_slab_ends`), and the
+    slab phases are built once.
 
     With `guard`, every high (a lambda) must be at least ON_SPECTRUM_TOL
     from the spectrum, else SpectrumError names the first that is not; the
@@ -404,12 +469,12 @@ def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam:
         G = m.lattice.dual_basis
         prefixes = lat.slab_prefixes(G, reach)
         form = lat.slab_form(G, prefixes)
-        outer = [lat.slab_ends(G, prefixes, hi, form) for hi in highs]
+        outer = [_near_slab_ends(G, prefixes, form, hi) for hi in highs]
         if guard:
-            _check_off_spectrum(highs, np.array([gap for _, _, gap in outer]))
+            _check_off_spectrum(highs, np.array([ends[3] for ends in outer]))
+        phases = _slab_phases(m, prefixes, xs, ys)
         values = np.array([
-            _slab_window_sums(m, prefixes, lat.slab_runs(
-                ends, None if lo < 0.0 else lat.slab_ends(G, prefixes, lo, form)), xs, ys, d)
+            _slab_window_sums(m, phases, _near_slab_runs(G, prefixes, form, ends, lo), d)
             for lo, ends in zip(lows, outer)])
     if not many:
         values = values[:, 0]

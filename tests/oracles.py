@@ -74,6 +74,25 @@ def record_passes(monkeypatch, dual_basis):
     return passes
 
 
+def record_settles(monkeypatch, dual_basis):
+    """The (threshold, slab count) of every `lattice.slab_ends` call on
+    `dual_basis` while `monkeypatch` is active: how many slabs each window
+    end settles.  Kept apart from `record_passes`, whose callers compare
+    its whole record."""
+    import weyl_lab.lattice as lattice
+
+    settles = []
+    slab_ends = lattice.slab_ends
+
+    def record_settle(*a, **k):
+        if np.array_equal(a[0], dual_basis):
+            settles.append((float(a[2]), a[1].shape[0]))
+        return slab_ends(*a, **k)
+
+    monkeypatch.setattr(lattice, "slab_ends", record_settle)
+    return settles
+
+
 def level_loop_sum(m, lo, hi, x, y):
     """The sphere level sum over lo < sqrt(l(l+1))/R <= hi, one level at a
     time in ascending order (the per-window loop the one-pass sum

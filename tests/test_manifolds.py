@@ -477,3 +477,131 @@ def test_sphere_sums_equal_the_level_loop():
     assert_bitwise(cluster_kernel(SPHERE, grid, 3.0, xs, ys),
                    [[level_loop_sum(SPHERE, lam, lam + 3.0, x, y) for x, y in zip(xs, ys)]
                     for lam in grid])
+
+
+# ---------------------------------------------------------------------------
+# per-lambda slabs: each window end settles only the slabs its ball meets
+
+SETTLE_TORI = {
+    "square": ("torus:2:square2pi", 60.0),
+    "hex": ("torus:2:hex", 60.0),
+    "skew": ("torus:2:mat:1,0.9;0,0.2", 60.0),
+    "3d": ("torus:3:square2pi", 14.0),
+}
+
+
+def _full_runs(G, prefixes, form, lo, hi):
+    """`lattice.slab_runs` of (lo, hi] settled on every slab, and the
+    guard's distance at hi."""
+    outer = lat.slab_ends(G, prefixes, hi, form)
+    inner = None if lo < 0.0 else lat.slab_ends(G, prefixes, lo, form)
+    return lat.slab_runs(outer, inner), outer[2]
+
+
+def _assert_pruned_settle_is_the_full_settle(G, prefixes, thresholds):
+    import weyl_lab.manifolds as mf
+
+    form = lat.slab_form(G, prefixes)
+    # every slab passes at its smallest row norm less the guard's distance,
+    # so the margin covers the rounding of const - q vertex^2
+    foot = np.floor(form[2]).astype(np.int64)
+    smallest = lat.slab_row_norms(G, prefixes, foot, (0, 1)).min(axis=0)
+    assert np.all(mf._lines_within(form, smallest - mf.ON_SPECTRUM_TOL))
+    thresholds = np.sort(thresholds)
+    for lo, hi in zip(np.concatenate(([-1.0], thresholds[:-1])), thresholds):
+        for low in (-1.0, lo):
+            (slab, starts, stops), gap = _full_runs(G, prefixes, form, low, hi)
+            outer = mf._near_slab_ends(G, prefixes, form, hi)
+            got = mf._near_slab_runs(G, prefixes, form, outer, low)
+            assert [r.tolist() for r in got] == [slab.tolist(), starts.tolist(),
+                                                 stops.tolist()], (low, hi)
+            assert (outer[3] < mf.ON_SPECTRUM_TOL) == (gap < mf.ON_SPECTRUM_TOL), hi
+
+
+@pytest.mark.parametrize("case", list(SETTLE_TORI))
+def test_pruned_settle_equals_the_full_settle(case):
+    spec, reach = SETTLE_TORI[case]
+    G = parse_manifold(spec).lattice.dual_basis
+    prefixes = lat.slab_prefixes(G, reach)
+    norms = np.unique(box_lattice_vectors(G, reach)[2])
+    roots = norms[np.linspace(1, norms.size - 1, 12).astype(int)]
+    # a wide grid, roots exactly, an ulp to either side, and inside the guard
+    thresholds = np.concatenate((
+        np.geomspace(0.05, reach, 25), roots, np.nextafter(roots, 0.0),
+        np.nextafter(roots, np.inf), roots - 5e-10, roots + 5e-10))
+    _assert_pruned_settle_is_the_full_settle(G, prefixes, np.unique(thresholds))
+
+
+def test_pruned_settle_equals_the_full_settle_far_below_the_reach():
+    # slabs out to 1e4 settled at lambda down to 0.5: on this basis
+    # const - q vertex^2 is 1/21 of const, the most cancellation of the tori
+    # tested, and const reaches 2e9
+    G = parse_manifold("torus:2:mat:1,0.9;0,0.2").lattice.dual_basis
+    _assert_pruned_settle_is_the_full_settle(G, lat.slab_prefixes(G, 1e4),
+                                             np.geomspace(0.5, 1e4, 24))
+
+
+@pytest.mark.parametrize("m", [TORUS, TORUS3], ids=["2d", "3d"])
+def test_guard_sees_a_small_lambda_of_a_grid(m):
+    # 5 is a root on both tori, and the slabs reach 50.5
+    x = np.zeros(m.dim)
+    for lam in (5.0, 5.0 + 5e-10):
+        with pytest.raises(SpectrumError, match=r"lambda=5(\.0000000005)? is within"):
+            spectral_function(m, [lam, 50.5], x, x)
+    # the cluster kernel has no guard: its windows (5, 6] and (50.5, 51.5]
+    # hold exactly the roots there, with (5, 0, ...) out and (6, 0, ...) in,
+    # and on the diagonal each window sums to its count over the covolume
+    norms = box_lattice_vectors(m.lattice.dual_basis, 52.0)[2]
+    for lam in (5.0, 5.0 + 5e-10):
+        counts = [np.count_nonzero((norms > lo) & (norms <= lo + 1.0)) for lo in (lam, 50.5)]
+        assert_bitwise(cluster_kernel(m, [lam, 50.5], 1.0, x, x),
+                       np.array(counts, dtype=float) / m.volume)
+
+
+def test_settles_touch_only_each_lambdas_own_slabs(monkeypatch):
+    import weyl_lab.manifolds as mf
+    from oracles import record_settles
+    from weyl_lab.cli import parse_grid
+
+    grid = parse_grid("20.5:59.5:4:log")
+    settles = record_settles(monkeypatch, TORUS3.lattice.dual_basis)
+    spectral_function(TORUS3, grid, np.zeros((2, 3)), _torus_points(TORUS3, 2, 7))
+    assert [t for t, _ in settles] == grid.tolist()
+    # the dual basis is the identity: the slab (p1, p2) has its line at
+    # squared distance p1^2 + p2^2, held to lambda plus the stated margin
+    p = np.arange(-59, 60)
+    line = (p[:, None] ** 2 + p[None, :] ** 2).ravel()
+    for lam, count in settles:
+        reach2 = (lam + mf.ON_SPECTRUM_TOL) ** 2
+        assert count <= np.count_nonzero(line <= reach2 + 1e-9 * (line + reach2)), lam
+    # against 14,161 slabs of lambda_max's ball for every lambda
+    assert sum(count for _, count in settles) < 0.4 * 4 * 14161
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_zero_beta_moments_equal_the_full_series(order):
+    import weyl_lab.manifolds as mf
+
+    def full_series(counts, beta):
+        return mf._moment_series(counts, beta, order, mf.SERIES_TERMS)
+
+    def assert_bits(got, expected):
+        # compares signed zeros too
+        for a, b in zip(got, expected):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    counts = np.arange(1.0, 1e4 + 1.0)
+    for zero in (0.0, -0.0):
+        beta = np.full(counts.size, zero)
+        assert_bits(mf._dirichlet_moments(counts, beta, order), full_series(counts, beta))
+    # mixed: zero, series (N |beta| < 1) and closed-form entries
+    rng = np.random.default_rng(3)
+    counts = np.floor(rng.uniform(1.0, 1e4, 3000))
+    beta = rng.choice([0.0, -0.0, 1e-7, -3e-5, 0.5, -2.0, np.pi], counts.size)
+    got = mf._dirichlet_moments(counts, beta, order)
+    zero = beta == 0.0
+    rest = mf._dirichlet_moments(counts[~zero], beta[~zero], order)
+    expected = [np.empty(counts.size) for _ in got]
+    for e, z, r in zip(expected, full_series(counts[zero], beta[zero]), rest):
+        e[zero], e[~zero] = z, r
+    assert_bits(got, expected)
