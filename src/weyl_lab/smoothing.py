@@ -188,69 +188,21 @@ class SineIntegralTable:
         return out
 
 
-# pi in the long double precision pocketfft takes its twiddle angle in
-_PI_LONG = np.longdouble("3.141592653589793238462643383279502884197")
-
-
-def _dct2_twiddles(n: int) -> np.ndarray:
-    """cos(pi i / (2n)) for i = 1..n-1 as pocketfft computes them: the real
-    part of the product of a fine and a coarse table entry of the 4n-th
-    roots of unity, each entry the sine or cosine of an angle of at most
-    pi/4 in steps of an angle rounded from long double."""
-    m = 4 * n
-    angle = float(0.25 * _PI_LONG / m)
-    shift = 1
-    while 4 ** shift < (m + 2) // 2:
-        shift += 1
-
-    def roots(x):
-        # (cos, sin) of 2 pi x / m for 0 <= x < n, folded at pi/4
-        eighth = 8 * x
-        near = eighth < m
-        a = np.where(near, eighth, 2 * m - eighth) * angle
-        cos, sin = np.cos(a), np.sin(a)
-        return np.where(near, cos, sin), np.where(near, sin, cos)
-
-    i = np.arange(1, n)
-    fine_re, fine_im = roots(i & ((1 << shift) - 1))
-    coarse_re, coarse_im = roots(i >> shift << shift)
-    return fine_re * coarse_re - fine_im * coarse_im
-
-
-def _dct2(values: np.ndarray) -> np.ndarray:
-    """Unnormalised DCT-II along the last axis,
-    y_k = 2 sum_j x_j cos(pi k (2j + 1) / (2n)),
-    by pocketfft's algorithm, which scipy.fft.dct runs: fold neighbouring
-    entries into a half-complex spectrum, take one inverse real FFT (numpy's
-    is pocketfft's), and rotate the pairs (k, n - k) by the twiddles.  The
-    order of operations is pocketfft's, so the values are scipy's."""
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients along the last axis of the series through
+    `values` at the first-kind nodes cos(pi (j + 1/2) / n): the DCT-II
+    2 sum_j x_j cos(pi k (2j + 1) / (2n)) over n, with c_0 halved.  Each
+    cosine is read at k (2j + 1) mod 4n, reduced in integers, from the
+    quarter wave cos(pi r / (2n)), r = 0..n, by exact symmetry.  Unreduced
+    angles moved J by 2.8e-13.  Reduced angles used directly are each short
+    by np.pi's relative error: the series then ends 7.5e-14 off pi/2, not 1e-14."""
     n = values.shape[-1]
-    c = np.array(values, dtype=float)
-    c[..., 0] *= 2.0
-    if n % 2 == 0:
-        c[..., -1] *= 2.0
-    odd, even = c[..., 1:n - 1:2].copy(), c[..., 2:n:2].copy()
-    c[..., 1:n - 1:2] = even + odd
-    c[..., 2:n:2] = even - odd
-    # c is now r0, r1, i1, r2, i2, ... (and the real r_{n/2} last for even n)
-    h = (n - 1) // 2
-    spectrum = np.zeros(c.shape[:-1] + (n // 2 + 1,), dtype=complex)
-    spectrum[..., 0] = c[..., 0]
-    spectrum.real[..., 1:h + 1] = c[..., 1:2 * h:2]
-    spectrum.imag[..., 1:h + 1] = c[..., 2:2 * h + 1:2]
-    if n % 2 == 0:
-        spectrum[..., -1] = c[..., -1]
-    c = np.fft.irfft(spectrum, n, norm="forward")
-    tw = _dct2_twiddles(n)
-    k = np.arange(1, (n + 1) // 2)
-    kc = n - k
-    t1 = tw[k - 1] * c[..., kc] + tw[kc - 1] * c[..., k]
-    t2 = tw[k - 1] * c[..., k] - tw[kc - 1] * c[..., kc]
-    c[..., k] = 0.5 * (t1 + t2)
-    c[..., kc] = 0.5 * (t1 - t2)
-    if n % 2 == 0:
-        c[..., n // 2] *= tw[n // 2 - 1]
-    return c
+    quarter = np.cos(np.pi * np.arange(n + 1) / (2 * n))
+    cycle = np.concatenate([quarter, -quarter[-2::-1], -quarter[1:], quarter[-2:0:-1]])
+    k = np.arange(n)
+    coeffs = 2.0 * (values @ cycle[np.outer(k, 2 * k + 1) % (4 * n)].T) / n
+    coeffs[..., 0] *= 0.5
+    return coeffs
 
 
 def _panel_table(nu0: float, coeffs: np.ndarray):
@@ -269,8 +221,7 @@ def _panel_table(nu0: float, coeffs: np.ndarray):
                              np.nextafter(edges[1:], 0.0), edges + 0.5 * width])
     nus = np.concatenate([(edges[:, None] + width * nodes).ravel(), probes])
     values = chebval(2.0 * nus / nu0 - 1.0, coeffs)
-    panel_coeffs = _dct2(values[:-probes.size].reshape(n_panels, n)) / n
-    panel_coeffs[:, 0] *= 0.5
+    panel_coeffs = _chebyshev_coefficients(values[:-probes.size].reshape(n_panels, n))
     panel_coeffs = np.ascontiguousarray(panel_coeffs.T)
     panel_coeffs.flags.writeable = False  # every caller shares the cached table
     error = np.max(np.abs(_panel_eval(panel_coeffs, nu0, probes) - values[-probes.size:]))
@@ -307,8 +258,7 @@ def sine_integral_table(spec: MollifierSpec) -> SineIntegralTable:
         n_panels = int(np.ceil(spec.support / panel))
         coarse = _sine_integrals(spec, nus, n_panels)
         fine = _sine_integrals(spec, nus, 2 * n_panels)
-        coeffs = _dct2(fine[:n]) / n
-        coeffs[0] *= 0.5
+        coeffs = _chebyshev_coefficients(fine[:n])
         coeffs.flags.writeable = False  # every caller shares the cached table
         residual = float(np.max(np.abs(fine - coarse)))
         trailing = float(np.max(np.abs(coeffs[-(n // 8):])))

@@ -51,14 +51,18 @@ def materialised_window_sum(m, lo, hi, x, y, d):
 
 
 def record_passes(monkeypatch, dual_basis):
-    """Radii of the dual-lattice passes made while `monkeypatch` is active:
-    "dual_vectors" lists the enumerations, "slabs" every `slab_prefixes`
-    call on `dual_basis` (each slab-wise kernel or count pass, and each
-    enumeration, which runs on slabs too)."""
+    """The dual-lattice passes made while `monkeypatch` is active:
+    "dual_vectors" lists the radii of the enumerations, "slabs" the radius
+    of every `slab_prefixes` call on `dual_basis` (each slab-wise kernel or
+    count pass, and each enumeration, which runs on slabs too), and
+    "settles" the (threshold, slab count) of every `slab_ends` call on
+    `dual_basis`: how many slabs each window end settles.  Callers assert
+    the keys they are about, so a new key leaves them unchanged."""
     import weyl_lab.lattice as lattice
 
-    passes = {"dual_vectors": [], "slabs": []}
-    dual_vectors, slab_prefixes = lattice.dual_vectors, lattice.slab_prefixes
+    passes = {"dual_vectors": [], "slabs": [], "settles": []}
+    dual_vectors, slab_prefixes, slab_ends = (lattice.dual_vectors, lattice.slab_prefixes,
+                                              lattice.slab_ends)
 
     def record_enumeration(*a, **k):
         passes["dual_vectors"].append(float(a[1]))
@@ -69,28 +73,15 @@ def record_passes(monkeypatch, dual_basis):
             passes["slabs"].append(float(a[1]))
         return slab_prefixes(*a, **k)
 
-    monkeypatch.setattr(lattice, "dual_vectors", record_enumeration)
-    monkeypatch.setattr(lattice, "slab_prefixes", record_slabs)
-    return passes
-
-
-def record_settles(monkeypatch, dual_basis):
-    """The (threshold, slab count) of every `lattice.slab_ends` call on
-    `dual_basis` while `monkeypatch` is active: how many slabs each window
-    end settles.  Kept apart from `record_passes`, whose callers compare
-    its whole record."""
-    import weyl_lab.lattice as lattice
-
-    settles = []
-    slab_ends = lattice.slab_ends
-
     def record_settle(*a, **k):
         if np.array_equal(a[0], dual_basis):
-            settles.append((float(a[2]), a[1].shape[0]))
+            passes["settles"].append((float(a[2]), a[1].shape[0]))
         return slab_ends(*a, **k)
 
+    monkeypatch.setattr(lattice, "dual_vectors", record_enumeration)
+    monkeypatch.setattr(lattice, "slab_prefixes", record_slabs)
     monkeypatch.setattr(lattice, "slab_ends", record_settle)
-    return settles
+    return passes
 
 
 def level_loop_sum(m, lo, hi, x, y):

@@ -492,7 +492,8 @@ def test_randomwave_modes_enumerate_once_per_ensemble(tmp_path, monkeypatch, mod
                    "--lambda", "200", "--samples", "50", "--dist-grid", grid,
                    "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
-    assert passes == expected
+    assert passes["dual_vectors"] == expected["dual_vectors"]
+    assert passes["slabs"] == expected["slabs"]
 
 
 @pytest.mark.parametrize("args,named", [

@@ -560,11 +560,11 @@ def test_guard_sees_a_small_lambda_of_a_grid(m):
 
 def test_settles_touch_only_each_lambdas_own_slabs(monkeypatch):
     import weyl_lab.manifolds as mf
-    from oracles import record_settles
+    from oracles import record_passes
     from weyl_lab.cli import parse_grid
 
     grid = parse_grid("20.5:59.5:4:log")
-    settles = record_settles(monkeypatch, TORUS3.lattice.dual_basis)
+    settles = record_passes(monkeypatch, TORUS3.lattice.dual_basis)["settles"]
     spectral_function(TORUS3, grid, np.zeros((2, 3)), _torus_points(TORUS3, 2, 7))
     assert [t for t, _ in settles] == grid.tolist()
     # the dual basis is the identity: the slab (p1, p2) has its line at
