@@ -431,11 +431,8 @@ def run_offdiag_scan(config: dict):
         u = uniform_matrix(seed + 33, np.arange(n_pairs), 2)
         radii = eps + (inj * 0.999 - eps) * u[:, 0]
         angles = 2.0 * np.pi * u[:, 1]
-        pairs = []
-        for i in range(n_pairs):
-            off = radii[i] * np.array([np.cos(angles[i]), np.sin(angles[i])]) \
-                if m.dim == 2 else radii[i] * np.eye(3)[0]
-            pairs.append((xs[i], xs[i] + off))
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1) if m.dim == 2 else np.eye(3)[0]
+        pairs = list(zip(xs, xs + radii[:, None] * dirs))
     else:
         u = uniform_matrix(seed + 7, np.arange(n_pairs), 1)[:, 0]
         lo = eps / m.radius

@@ -11,7 +11,6 @@ operator norms.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -261,43 +260,73 @@ def injectivity_radius(lattice: Lattice) -> float:
     return float(np.min(nonzero)) / 2.0
 
 
-def torus_log(lattice: Lattice, x, y) -> np.ndarray:
-    """Shortest lattice representative of y - x (the flat inverse exponential).
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> over the last axis, each the dot product np.dot takes of the
+    two vectors alone: a stacked (1, n) @ (n, 1) matmul makes that call per
+    row, where einsum and np.linalg.norm(axis=-1) sum in another order."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
-    Unique whenever d_g(x,y) < injectivity_radius; a tie within NORM_TIE_TOL
-    raises CutLocusError listing the tied representatives.
-    """
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """|a| over the last axis, bit for bit as np.linalg.norm takes it of one vector."""
+    return np.sqrt(row_dots(a, a))
+
+
+def point_pairs(x, y):
+    """Points x, y (vectors, or (P, dim) arrays; a single point pairs with
+    every row of the other) as two (P, dim) arrays, and whether either was
+    a point set."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != (lattice.dim,) or y.shape != (lattice.dim,):
+    if x.ndim not in (1, 2) or y.ndim not in (1, 2):
+        raise DomainError("points are vectors or (P, dim) arrays of vectors")
+    try:
+        xs, ys = np.broadcast_arrays(np.atleast_2d(x), np.atleast_2d(y))
+    except ValueError:
+        raise DomainError("point arrays of shapes %s and %s do not pair up"
+                          % (x.shape, y.shape)) from None
+    return xs, ys, x.ndim == 2 or y.ndim == 2
+
+
+def torus_log(lattice: Lattice, x, y) -> np.ndarray:
+    """Shortest lattice representative of y - x (the flat inverse
+    exponential), for points or (P, dim) point arrays paired as in
+    `point_pairs`, with the bits of per-pair calls.  Unique whenever
+    d_g(x,y) < injectivity_radius; a tie within NORM_TIE_TOL raises
+    CutLocusError naming the first such pair and all its tied
+    representatives."""
+    xs, ys, many = point_pairs(x, y)
+    if xs.shape[1] != lattice.dim:
         raise DomainError("points must be %d-vectors" % lattice.dim)
-    diff = y - x
-    # reduce into a neighborhood of the origin, then search a provably
-    # sufficient coefficient box around the reduced representative
-    base = diff - lattice.basis @ np.round(np.linalg.solve(lattice.basis, diff))
-    sigma_min = np.linalg.svd(lattice.basis, compute_uv=False)[-1]
-    reach = int(np.ceil(2.0 * np.linalg.norm(base) / sigma_min)) + 1
-    best = None
-    candidates = []
-    for c in itertools.product(range(-reach, reach + 1), repeat=lattice.dim):
-        w = base + lattice.basis @ np.asarray(c, dtype=float)
-        candidates.append((float(np.linalg.norm(w)), w))
-    candidates.sort(key=lambda t: t[0])
-    best_norm, best = candidates[0]
-    ties = [w for n, w in candidates[1:4]
-            if n - best_norm <= NORM_TIE_TOL * (1.0 + best_norm)
-            and np.linalg.norm(w - best) > 1e-12]
-    if ties:
-        raise CutLocusError(
-            "shortest representative of y - x is not unique (cut locus); "
-            "tied candidates: %s" % ([best] + ties),
-            ties=[best] + ties,
-        )
-    return best
+    basis, diffs = lattice.basis, ys - xs
+    # reduce into a neighbourhood of the origin, then search one coefficient
+    # box, sufficient for every pair, in lexicographic order; the stacked
+    # solves and products make a single pair's LAPACK and BLAS calls per row
+    base = diffs - (basis @ np.round(np.linalg.solve(basis, diffs[:, :, None])))[:, :, 0]
+    sigma_min = np.linalg.svd(basis, compute_uv=False)[-1]
+    reach = int(np.ceil(2.0 * np.max(row_norms(base), initial=0.0) / sigma_min)) + 1
+    count = len(xs) * (2.0 * reach + 1.0) ** lattice.dim
+    check_cap(count, "the pairs' shortest representatives have %.12g candidates" % count)
+    span = np.arange(-reach, reach + 1, dtype=float)
+    coeffs = np.stack(np.meshgrid(*[span] * lattice.dim, indexing="ij"), axis=-1)
+    candidates = base[:, None, :] + (basis @ coeffs.reshape(-1, lattice.dim, 1))[:, :, 0]
+    norms = row_norms(candidates)
+    best = (np.arange(len(xs)), np.argmin(norms, axis=1))
+    tied = norms - norms[best][:, None] <= NORM_TIE_TOL * (1.0 + norms[best][:, None])
+    on_cut = np.count_nonzero(tied, axis=1) > 1
+    if on_cut.any():
+        p = int(np.argmax(on_cut))
+        rows = np.flatnonzero(tied[p])
+        ties = list(candidates[p, rows[np.argsort(norms[p, rows], kind="stable")]])
+        raise CutLocusError("shortest representative of y - x is not unique (cut locus) at "
+                            "pair %d, x = %s, y = %s; tied candidates: %s"
+                            % (p, xs[p], ys[p], ties), ties=ties)
+    return candidates[best] if many else candidates[best][0]
 
 
-def torus_distance(lattice: Lattice, x, y) -> float:
-    return float(np.linalg.norm(torus_log(lattice, x, y)))
+def torus_distance(lattice: Lattice, x, y):
+    """|torus_log(x, y)|: a float, or a (P,) array for point arrays."""
+    return row_norms(torus_log(lattice, x, y))
 
 
 def deck_images(lattice: Lattice, x, y, radius: float):
@@ -311,10 +340,8 @@ def deck_images(lattice: Lattice, x, y, radius: float):
     """
     if radius <= 0.0:
         raise DomainError("radius must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    many = x.ndim == 2 or y.ndim == 2
-    diffs = np.atleast_2d(y - x)
+    xs, ys, many = point_pairs(x, y)
+    diffs = ys - xs
     # |gamma| <= radius + |diff| covers every admissible image
     reach = radius + float(np.max(np.linalg.norm(diffs, axis=1), initial=0.0))
     _, gammas, _ = _lattice_vectors(lattice.basis, reach)

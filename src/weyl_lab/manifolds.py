@@ -33,7 +33,7 @@ import numpy as np
 
 from . import lattice as lat
 from .errors import DomainError, SpectrumError
-from .lattice import Lattice
+from .lattice import Lattice, point_pairs, row_dots, row_norms
 from .specfun import legendre_p, legendre_step
 
 # lambda must stay this far from the spectrum (avoids half-counting
@@ -191,16 +191,17 @@ def eigenlevels(m: ModelManifold, lambda_max: float):
     return [EigenLevel(float(norms[a]), int(b - a)) for a, b in zip(starts, stops)]
 
 
-def sphere_angle(m: RoundSphere2, x, y) -> float:
-    """Angle between two points given as 3-vectors of length `radius`."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (3,) or y.shape != (3,):
+def sphere_angle(m: RoundSphere2, x, y):
+    """Angle between points given as 3-vectors of length `radius`, for
+    points or (P, 3) point arrays paired as in `point_pairs`: a float or a
+    (P,) array, with the bits of per-pair calls."""
+    xs, ys, many = point_pairs(x, y)
+    if xs.shape[1] != 3:
         raise DomainError("sphere points are 3-vectors")
-    for p in (x, y):
-        if abs(np.linalg.norm(p) - m.radius) > 1e-9 * m.radius:
-            raise DomainError("point does not lie on the sphere of radius %g" % m.radius)
-    return float(np.arctan2(np.linalg.norm(np.cross(x, y)), float(x @ y)))
+    if np.any(np.abs(row_norms(np.vstack([xs, ys])) - m.radius) > 1e-9 * m.radius):
+        raise DomainError("point does not lie on the sphere of radius %g" % m.radius)
+    angles = np.arctan2(row_norms(np.cross(xs, ys)), row_dots(xs, ys))
+    return angles if many else float(angles[0])
 
 
 def _bernoulli(top: int) -> list:
@@ -391,7 +392,7 @@ def _sphere_window_sums(m: RoundSphere2, windows, xs, ys) -> np.ndarray:
     `legendre_step` per degree, so every P_l is legendre_p(l, .) bit for
     bit at O(1) cost.  Each window accumulates its own degrees from 0.0 in
     ascending order, exactly as a per-window loop."""
-    cosines = np.array([np.cos(sphere_angle(m, x, y)) for x, y in zip(xs, ys)])
+    cosines = np.cos(sphere_angle(m, xs, ys))
     first = np.array([w.degrees[0] if w.degrees.size else 0 for w in windows])
     stop = np.array([w.degrees[-1] + 1 if w.degrees.size else 0 for w in windows])
     totals = np.zeros((len(windows), cosines.size))
@@ -420,22 +421,6 @@ def _lambda_values(lam):
     if np.any(np.diff(lams) <= 0.0):
         raise DomainError("lambda grid must be strictly increasing")
     return lams, False
-
-
-def point_pairs(x, y):
-    """Points x, y (vectors, or (P, dim) arrays; a single point pairs with
-    every row of the other) as two (P, dim) arrays, and whether either was
-    a point set."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim not in (1, 2) or y.ndim not in (1, 2):
-        raise DomainError("points are vectors or (P, dim) arrays of vectors")
-    try:
-        xs, ys = np.broadcast_arrays(np.atleast_2d(x), np.atleast_2d(y))
-    except ValueError:
-        raise DomainError("point arrays of shapes %s and %s do not pair up"
-                          % (x.shape, y.shape)) from None
-    return xs, ys, x.ndim == 2 or y.ndim == 2
 
 
 def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam: bool,

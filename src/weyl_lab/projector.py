@@ -3,7 +3,9 @@ extraction, scaling scans, and the cluster-vs-Bessel comparison.
 
 Leading-term derivatives are exact Bessel-ladder formulas chain-ruled
 through w = torus_log(x, y); no finite differences anywhere (they would
-contaminate exponent fits at scale lambda * d).
+contaminate exponent fits at scale lambda * d).  The leading term takes
+lambda grids and point arrays as `spectral_function` does, so a scan's
+remainder is one subtraction of (L, P) arrays.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .manifolds import (
     FlatTorus,
     ModelManifold,
     RoundSphere2,
+    _lambda_values,
     cluster_kernel,
     spectral_function,
     spectral_window,
@@ -29,24 +32,23 @@ from .manifolds import (
 from .specfun import bessel_ratio
 
 
-def _profile_derivative(nu: float, u: np.ndarray, gamma) -> float:
-    """D^gamma of (2 pi)^{n/2} J_nu(|u|)/|u|^nu for u in R^n, |gamma| <= 2,
-    via d/dr [J_nu(r)/r^nu] = -r * J_{nu+1}(r)/r^{nu+1}.  nu = n/2 is the
-    unit-ball Fourier transform, nu = (n-2)/2 the unit-sphere one."""
-    r = float(np.linalg.norm(u))
-    c = (2.0 * np.pi) ** (u.size / 2.0)
-    total = int(sum(gamma))
+def _profile_derivative(nu: float, u: np.ndarray, gamma) -> np.ndarray:
+    """D^gamma of (2 pi)^{n/2} J_nu(|u|)/|u|^nu for each u in R^n, the rows
+    of a (..., n) array, |gamma| <= 2, via d/dr [J_nu(r)/r^nu] =
+    -r * J_{nu+1}(r)/r^{nu+1}.  nu = n/2 is the unit-ball Fourier
+    transform, nu = (n-2)/2 the unit-sphere one."""
+    r = lat.row_norms(u)
+    c = (2.0 * np.pi) ** (u.shape[-1] / 2.0)
     # the ladder runs f_nu, f_{nu+1}, f_{nu+2}
-    if total == 0:
-        return c * float(bessel_ratio(nu, r))
     idx = [j for j, g in enumerate(gamma) for _ in range(g)]
-    if total == 1:
-        (j,) = idx
-        return -c * float(u[j]) * float(bessel_ratio(nu + 1.0, r))
+    if not idx:
+        return c * bessel_ratio(nu, r)
+    if len(idx) == 1:
+        return -c * u[..., idx[0]] * bessel_ratio(nu + 1.0, r)
     i, j = idx
-    val = float(u[i]) * float(u[j]) * float(bessel_ratio(nu + 2.0, r))
+    val = u[..., i] * u[..., j] * bessel_ratio(nu + 2.0, r)
     if i == j:
-        val -= float(bessel_ratio(nu + 1.0, r))
+        val -= bessel_ratio(nu + 1.0, r)
     return c * val
 
 
@@ -55,28 +57,28 @@ def _combined_gamma(m: FlatTorus, d: DerivIndex):
     return alpha, tuple(a + b for a, b in zip(alpha, beta))
 
 
-def leading_term(m: FlatTorus, lam: float, x, y, d: DerivIndex = ZERO_DERIV) -> float:
+def leading_term(m: FlatTorus, lam, x, y, d: DerivIndex = ZERO_DERIV):
     """Universal ball-Fourier leading term of the two-point Weyl law on a
     flat torus: (lambda^n/(2pi)^n) * B_n(lambda * d_g(x,y)), with exact
-    closed-form derivatives."""
+    closed-form derivatives.  Grids, point arrays and the result's shape
+    are as in `spectral_function`, with the bits of scalar calls."""
     if not isinstance(m, FlatTorus):
         raise DomainError("leading_term is defined on flat tori")
-    if lam <= 0.0:
+    lams, scalar = _lambda_values(lam)
+    if lams[0] <= 0.0:
         raise DomainError("lambda must be positive")
     n = m.dim
     w = lat.torus_log(m.lattice, x, y)
     alpha, gamma = _combined_gamma(m, d)
-    base = lam**n / (2.0 * np.pi) ** n
-    deriv_scale = (-1.0) ** sum(alpha) * lam ** int(sum(gamma))
-    return base * deriv_scale * _profile_derivative(n / 2.0, lam * w, gamma)
-
-
-def _check_pairs_within(m: FlatTorus, point_pairs, bound: float, what: str):
-    for x, y in point_pairs:
-        dval = lat.torus_distance(m.lattice, x, y)
-        if dval > bound + 1e-12:
-            raise PreconditionError(
-                "pair at distance %.6g violates %s <= %.6g" % (dval, what, bound))
+    # the lambda factors are taken in Python floats: numpy's array power
+    # does not round as the scalar pow does
+    sign, order = (-1.0) ** sum(alpha), int(sum(gamma))
+    scale = np.array([lam**n / (2.0 * np.pi) ** n * (sign * lam**order) for lam in lams.tolist()])
+    lam_axes = (-1,) + (1,) * (w.ndim - 1)
+    values = scale.reshape(lam_axes) * _profile_derivative(
+        n / 2.0, lams.reshape(lam_axes + (1,)) * w, gamma)
+    values = values[0] if scalar else values
+    return float(values) if values.ndim == 0 else values
 
 
 def _pair_arrays(point_pairs):
@@ -91,34 +93,34 @@ def remainder_scan(m: FlatTorus, lambda_grid, point_pairs,
                    d: DerivIndex = ZERO_DERIV) -> ScanReport:
     """Sup over the pair set of |remainder| per lambda, with a log-log
     exponent fit (empirical growth of the Weyl remainder).  The exact
-    kernel of the whole (lambda, pair) grid is one `spectral_function`
-    call, so the dual lattice is enumerated once."""
-    grid = np.asarray(lambda_grid, dtype=float)
-    _check_pairs_within(m, point_pairs, 0.5 * lat.injectivity_radius(m.lattice),
-                        "d_g(x,y) (half the injectivity radius)")
-    exact = spectral_function(m, grid, *_pair_arrays(point_pairs), d)
-    sups = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        sups[i] = max(abs(e - leading_term(m, lam, x, y, d))
-                      for e, (x, y) in zip(exact[i], point_pairs))
-    return scan_report(grid, sups)
+    kernel and the leading term of the whole (lambda, pair) grid are one
+    call each, so the dual lattice is enumerated once."""
+    xs, ys = _pair_arrays(point_pairs)
+    bound = 0.5 * lat.injectivity_radius(m.lattice)
+    dists = lat.torus_distance(m.lattice, xs, ys)
+    far = dists > bound + 1e-12
+    if far.any():
+        raise PreconditionError("pair at distance %.6g violates d_g(x,y) (half the injectivity "
+                                "radius) <= %.6g" % (dists[far][0], bound))
+    remainders = (spectral_function(m, lambda_grid, xs, ys, d)
+                  - leading_term(m, lambda_grid, xs, ys, d))
+    return scan_report(lambda_grid, np.max(np.abs(remainders), axis=1))
 
 
 def offdiagonal_scan(m: ModelManifold, lambda_grid, eps: float, sample_pairs) -> ScanReport:
     """Sup over pairs at distance >= eps of |E_lambda(x,y)| per lambda,
     with the fitted growth exponent; one `spectral_function` call."""
-    grid = np.asarray(lambda_grid, dtype=float)
     if eps <= 0.0:
         raise DomainError("eps must be positive")
-    for x, y in sample_pairs:
-        if isinstance(m, RoundSphere2):
-            dval = sphere_angle(m, x, y) * m.radius
-        else:
-            dval = lat.torus_distance(m.lattice, x, y)
-        if dval < eps - 1e-12:
-            raise PreconditionError("pair at distance %.6g violates d_g >= %.6g" % (dval, eps))
-    values = spectral_function(m, grid, *_pair_arrays(sample_pairs))
-    return scan_report(grid, np.max(np.abs(values), axis=1))
+    xs, ys = _pair_arrays(sample_pairs)
+    dists = (sphere_angle(m, xs, ys) * m.radius if isinstance(m, RoundSphere2)
+             else lat.torus_distance(m.lattice, xs, ys))
+    near = dists < eps - 1e-12
+    if near.any():
+        raise PreconditionError("pair at distance %.6g violates d_g >= %.6g"
+                                % (dists[near][0], eps))
+    values = spectral_function(m, lambda_grid, xs, ys)
+    return scan_report(lambda_grid, np.max(np.abs(values), axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,27 +149,18 @@ def cluster_prediction(m: ModelManifold, lam: float, width: float, dist,
     the Taylor step F(lam+width) - F(lam) ~ width * F'(lam_mid) evaluated at
     the window's multiplicity-weighted mean shell radius."""
     n = m.dim
+    if not (d.is_zero or isinstance(m, FlatTorus)):
+        raise DomainError("derivative predictions are torus-only")
     lam_mid = _window_mean_shell_radius(m, lam, width)
     dist = np.asarray(dist, dtype=float)
-    scalar = dist.ndim == 0
-    dist = np.atleast_1d(dist)
-    if d.is_zero:
-        vals = (width * lam_mid ** (n - 1) / (2.0 * np.pi) ** n
-                * (2.0 * np.pi) ** (n / 2.0) * bessel_ratio((n - 2) / 2.0, lam_mid * dist))
-    else:
-        if not isinstance(m, FlatTorus):
-            raise DomainError("derivative predictions are torus-only")
-        direction = (np.eye(n)[0] if direction is None
-                     else np.asarray(direction, dtype=float))
-        direction = direction / np.linalg.norm(direction)
-        alpha, gamma = _combined_gamma(m, d)
-        base = width * lam_mid ** (n - 1) / (2.0 * np.pi) ** n
-        scale = (-1.0) ** sum(alpha) * lam_mid ** int(sum(gamma))
-        vals = np.array([
-            base * scale * _profile_derivative((n - 2) / 2.0, lam_mid * r * direction, gamma)
-            for r in dist
-        ])
-    return (float(vals[0]), float(lam_mid)) if scalar else (vals, float(lam_mid))
+    direction = np.eye(n)[0] if direction is None else np.asarray(direction, dtype=float)
+    direction = direction / np.linalg.norm(direction)
+    alpha, gamma = _combined_gamma(m, d)
+    base = width * lam_mid ** (n - 1) / (2.0 * np.pi) ** n
+    scale = (-1.0) ** sum(alpha) * lam_mid ** int(sum(gamma))
+    vals = base * scale * _profile_derivative(
+        (n - 2) / 2.0, (lam_mid * dist)[..., None] * direction, gamma)
+    return (float(vals), float(lam_mid)) if np.ndim(vals) == 0 else (vals, float(lam_mid))
 
 
 def geodesic_points(m: ModelManifold, dists, x0=None, direction=None):
@@ -215,8 +208,8 @@ def cluster_vs_bessel(m: ModelManifold, lam: float, width: float, x0, dist_grid,
     return ClusterBesselTable(
         dists=dist_grid,
         cluster=cluster,
-        bessel_prediction=np.asarray(prediction),
-        abs_error=np.abs(cluster - np.asarray(prediction)),
+        bessel_prediction=prediction,
+        abs_error=np.abs(cluster - prediction),
         diagonal=float(diagonal),
         mean_shell_radius=lam_mid,
     )

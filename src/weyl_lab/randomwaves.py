@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError
+from .lattice import row_norms
 from .manifolds import FlatTorus, ModelManifold, point_pairs, cluster_kernel, spectral_window
 from .rng import BLOCK_VALUES, gaussian_matrix
 from .specfun import universal_covariance
@@ -213,19 +214,15 @@ def rescaled_covariance_error(ens: RandomWaveEnsemble, x0, u, v):
     v = np.asarray(v, dtype=float)
     r_lam = default_rescaling_radius(ens.lam)
     for name, vecs in (("u", u), ("v", v)):
-        for vec in np.atleast_2d(vecs):
-            if np.linalg.norm(vec) > r_lam:
-                raise PreconditionError(
-                    "|%s| = %.6g exceeds the rescaling radius %.6g (the covariance "
-                    "scaling limit holds for |u|,|v| = O(sqrt(lam/log lam)))"
-                    % (name, float(np.linalg.norm(vec)), r_lam))
+        norms = row_norms(np.atleast_2d(vecs))
+        if np.any(norms > r_lam):
+            raise PreconditionError(
+                "|%s| = %.6g exceeds the rescaling radius %.6g (the covariance "
+                "scaling limit holds for |u|,|v| = O(sqrt(lam/log lam)))"
+                % (name, norms[norms > r_lam][0], r_lam))
     x0 = np.asarray(x0, dtype=float)
     x = x0 + u / ens.lam
     y = x0 + v / ens.lam
     exact_rescaled = exact_covariance(ens, x, y)
-    # |u - v| row by row, as np.linalg.norm takes it of one vector
-    separations = np.array([np.linalg.norm(w) for w in np.atleast_2d(u - v)])
-    universal = universal_covariance(n, separations)
-    if np.ndim(exact_rescaled) == 0:
-        universal = float(universal[0])
+    universal = universal_covariance(n, row_norms(u - v))
     return exact_rescaled, universal, abs(exact_rescaled - universal)

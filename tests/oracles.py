@@ -1,16 +1,20 @@
 """Slow reference paths kept for the tests: the bounding-box dual-lattice
 enumerator and the materialised torus mode sum that the slab-wise code
-replaced, the per-level sphere loop, the cell-by-cell CSV writer, the
-smoothed projector's per-mode spectral sum and its images side on a radial
-rule of any panel width, with the clamped width the band-limit rule
-replaced, and a projector with a stretched spectral tail."""
+replaced, the per-level sphere loop, the per-point Weyl leading term and
+Bessel prediction with the per-pair candidate search of `torus_log`, the
+cell-by-cell CSV writer, the smoothed projector's per-mode spectral sum
+and its images side on a radial rule of any panel width, with the clamped
+width the band-limit rule replaced, and a projector with a stretched
+spectral tail."""
 
 import copy
+import itertools
 
 import numpy as np
 
 from weyl_lab.errors import DomainError
 from weyl_lab.lattice import check_cap
+from weyl_lab.specfun import bessel_ratio
 
 
 def box_lattice_vectors(generator_matrix, radius):
@@ -98,6 +102,71 @@ def level_loop_sum(m, lo, hi, x, y):
             total += (2 * l + 1) / m.volume * legendre_p(l, c)
         l += 1
     return float(total)
+
+
+def per_pair_torus_log(lattice, x, y):
+    """The shortest representative of y - x by the per-pair search the
+    array search replaced: every candidate of the pair's own coefficient
+    box, each with its own matrix-vector product and norm, sorted by norm
+    in Python (ties are not checked)."""
+    diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+    base = diff - lattice.basis @ np.round(np.linalg.solve(lattice.basis, diff))
+    sigma_min = np.linalg.svd(lattice.basis, compute_uv=False)[-1]
+    reach = int(np.ceil(2.0 * np.linalg.norm(base) / sigma_min)) + 1
+    candidates = []
+    for c in itertools.product(range(-reach, reach + 1), repeat=lattice.dim):
+        w = base + lattice.basis @ np.asarray(c, dtype=float)
+        candidates.append((float(np.linalg.norm(w)), w))
+    candidates.sort(key=lambda t: t[0])
+    return candidates[0][1]
+
+
+def per_point_profile_derivative(nu, u, gamma):
+    """`projector._profile_derivative` at one vector u, in scalar calls."""
+    r = float(np.linalg.norm(u))
+    c = (2.0 * np.pi) ** (u.size / 2.0)
+    idx = [j for j, g in enumerate(gamma) for _ in range(g)]
+    if not idx:
+        return c * float(bessel_ratio(nu, r))
+    if len(idx) == 1:
+        (j,) = idx
+        return -c * float(u[j]) * float(bessel_ratio(nu + 1.0, r))
+    i, j = idx
+    val = float(u[i]) * float(u[j]) * float(bessel_ratio(nu + 2.0, r))
+    if i == j:
+        val -= float(bessel_ratio(nu + 1.0, r))
+    return c * val
+
+
+def _deriv_orders(m, d):
+    alpha, beta = d.padded(m.dim)
+    return alpha, tuple(a + b for a, b in zip(alpha, beta))
+
+
+def per_point_leading_term(m, lam, x, y, d):
+    """The Weyl leading term at one lambda and one pair, in scalar calls
+    (the per-point `leading_term` the array one replaced)."""
+    n = m.dim
+    w = per_pair_torus_log(m.lattice, x, y)
+    alpha, gamma = _deriv_orders(m, d)
+    base = lam**n / (2.0 * np.pi) ** n
+    deriv_scale = (-1.0) ** sum(alpha) * lam ** int(sum(gamma))
+    return base * deriv_scale * per_point_profile_derivative(n / 2.0, lam * w, gamma)
+
+
+def per_point_prediction(m, lam_mid, width, dists, d, direction=None):
+    """`cluster_prediction`'s values at the mean shell radius lam_mid, one
+    distance at a time along `direction` (default the first axis), by the
+    per-distance loop it replaced, taken for every d."""
+    n = m.dim
+    direction = np.eye(n)[0] if direction is None else np.asarray(direction, dtype=float)
+    direction = direction / np.linalg.norm(direction)
+    alpha, gamma = _deriv_orders(m, d)
+    base = width * lam_mid ** (n - 1) / (2.0 * np.pi) ** n
+    scale = (-1.0) ** sum(alpha) * lam_mid ** int(sum(gamma))
+    return [base * scale * per_point_profile_derivative((n - 2) / 2.0, lam_mid * r * direction,
+                                                        gamma)
+            for r in dists]
 
 
 def cellwise_csv_bytes(header, rows):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import box_lattice_vectors
+from oracles import box_lattice_vectors, per_pair_torus_log
+from weyl_lab.cli import parse_manifold
 from weyl_lab.errors import CutLocusError, DomainError, ResourceLimitError
 from weyl_lab.lattice import (
     Lattice,
@@ -15,6 +16,7 @@ from weyl_lab.lattice import (
     slab_form,
     slab_prefixes,
     slab_row_norms,
+    torus_distance,
     torus_log,
 )
 
@@ -67,6 +69,10 @@ def test_enumeration_cap(monkeypatch):
         dual_vectors(SQUARE2PI, 10.0)
     monkeypatch.setattr(lat, "ENUM_CAP", 64)
     assert dual_vectors(SQUARE2PI, 10.0, inner=9.0)[2].size == 64
+    # torus_log's shared box counts too: 3 pairs, 5 x 5 candidates each
+    monkeypatch.setattr(lat, "ENUM_CAP", 74)
+    with pytest.raises(ResourceLimitError, match="have 75 candidates, exceeding the cap 74"):
+        torus_log(SQUARE2PI, np.zeros((3, 2)), np.full((3, 2), 0.5))
     monkeypatch.undo()
     # far over the cap, a lower bound on the rows refuses before any slab
     # is built (3-D radius 4000 would need 6.4e7 slabs for the count)
@@ -214,9 +220,50 @@ def test_torus_log_antisymmetry():
 
 
 def test_torus_log_cut_locus():
-    with pytest.raises(CutLocusError) as err:
-        torus_log(SQUARE2PI, np.zeros(2), np.array([np.pi, 0.0]))
-    assert len(err.value.ties) >= 2
+    # the edge midpoint of the square cell ties 2 representatives, its
+    # corner 4 and the corner of the cube 8; every one of them is listed
+    square3 = Lattice.square(2.0 * np.pi, dim=3)
+    for lattice, offset in ((SQUARE2PI, [np.pi, 0.0]), (SQUARE2PI, [np.pi, np.pi]),
+                            (square3, [np.pi] * 3)):
+        with pytest.raises(CutLocusError) as err:
+            torus_log(lattice, np.zeros(lattice.dim), np.array(offset))
+        expected = {tuple(s * np.pi if o else 0.0 for s, o in zip(signs, offset))
+                    for signs in itertools.product((-1.0, 1.0), repeat=lattice.dim)}
+        ties = err.value.ties
+        assert len(ties) == len(expected)
+        assert {tuple(np.round(w, 12) + 0.0) for w in ties} == {
+            tuple(np.round(w, 12) + 0.0) for w in expected}
+    # an array call names the first pair on the cut locus
+    xs = np.array([[0.0, 0.0], [0.3, 0.1], [1.0, 1.0]])
+    ys = xs + np.array([[1.0, 0.0], [np.pi, np.pi], [0.0, np.pi]])
+    with pytest.raises(CutLocusError, match=r"at pair 1, x = \[0.3 0.1\]") as err:
+        torus_log(SQUARE2PI, xs, ys)
+    assert len(err.value.ties) == 4
+
+
+LOG_LATTICES = {"square": SQUARE2PI, "hex": Lattice.hexagonal(1.0),
+                "skew": parse_manifold("torus:2:mat:1,0.9;0,0.2").lattice,
+                "3d": Lattice.square(2.0 * np.pi, dim=3)}
+
+
+@pytest.mark.parametrize("name", sorted(LOG_LATTICES))
+def test_torus_log_arrays_match_per_pair_calls(name):
+    # one array call equals per-pair calls, and the per-pair candidate
+    # search it replaced, bit for bit; so does the distance
+    lattice = LOG_LATTICES[name]
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-3.0, 9.0, (60, lattice.dim))
+    ys = rng.uniform(-3.0, 9.0, (60, lattice.dim))
+    got = torus_log(lattice, xs, ys)
+    assert got.shape == xs.shape
+    for rows in ([torus_log(lattice, x, y) for x, y in zip(xs, ys)],
+                 [per_pair_torus_log(lattice, x, y) for x, y in zip(xs, ys)]):
+        assert got.tobytes() == np.array(rows).tobytes()
+    assert torus_distance(lattice, xs, ys).tobytes() == np.array(
+        [np.linalg.norm(w) for w in got]).tobytes()
+    # a single point pairs with every row of the other
+    assert torus_log(lattice, xs[0], ys).tobytes() == np.array(
+        [torus_log(lattice, xs[0], y) for y in ys]).tobytes()
 
 
 def test_deck_images_zero_offset():

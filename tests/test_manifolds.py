@@ -192,6 +192,21 @@ def test_sphere_angle_robust():
     assert_allclose(sphere_angle(SPHERE, NORTH, sphere_point(1.3)), 1.3, rtol=1e-12)
     with pytest.raises(DomainError):
         sphere_angle(SPHERE, NORTH, 2.0 * NORTH)
+    # point arrays: every angle equals a per-pair call bit for bit, and so
+    # equals the scalar expression arctan2(|x cross y|, x . y)
+    big = RoundSphere2(radius=1.7)
+    rng = np.random.default_rng(8)
+    xs, ys = (big.radius * v / np.linalg.norm(v, axis=1, keepdims=True)
+              for v in rng.standard_normal((2, 500, 3)))
+    got = sphere_angle(big, xs, ys)
+    expected = [np.arctan2(np.linalg.norm(np.cross(x, y)), float(x @ y)) for x, y in zip(xs, ys)]
+    for rows in ([sphere_angle(big, x, y) for x, y in zip(xs, ys)], expected):
+        assert got.tobytes() == np.array(rows).tobytes()
+    assert np.cos(got).tobytes() == np.array([np.cos(a) for a in expected]).tobytes()
+    # one point off the sphere fails the whole array
+    ys[123] *= 1.01
+    with pytest.raises(DomainError, match="does not lie on the sphere"):
+        sphere_angle(big, xs, ys)
 
 
 def test_sphere_radius_scaling():

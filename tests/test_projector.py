@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import record_passes
+from oracles import per_point_leading_term, per_point_prediction, record_passes
+from weyl_lab import lattice as lat
+from weyl_lab.cli import parse_manifold
 from weyl_lab.errors import DomainError, PreconditionError
 from weyl_lab.lattice import Lattice
 from weyl_lab.manifolds import (
@@ -230,7 +232,8 @@ def per_lambda_offdiagonal(m, grid, pairs):
 
 
 def per_lambda_remainder(m, grid, pairs, d):
-    return [max(abs(remainder(m, lam, x, y, d)) for x, y in pairs) for lam in grid]
+    return [max(abs(spectral_function(m, lam, x, y, d) - per_point_leading_term(m, lam, x, y, d))
+                for x, y in pairs) for lam in grid]
 
 
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -253,19 +256,46 @@ def test_offdiagonal_scan_matches_per_lambda_loop(monkeypatch):
     assert_bitwise(rep.sup_values, per_lambda_offdiagonal(SPHERE, grid, pairs))
 
 
+HEX = FlatTorus(Lattice.hexagonal(1.0))
+SKEW = parse_manifold("torus:2:mat:1,0.9;0,0.2")
+D11 = DerivIndex(alpha=(1, 0), beta=(1, 0))
+D20 = DerivIndex(alpha=(2, 0))
+
+
+def scan_pairs(m):
+    """Pairs within the scans' half injectivity radius: the diagonal, and
+    offsets of several lengths and directions, one of them shifted by a
+    period."""
+    n = m.dim
+    reach = 0.45 * lat.injectivity_radius(m.lattice)
+    tilted = np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0))
+    far = np.full(n, 5.0)
+    return [(np.zeros(n), np.zeros(n)),
+            (np.full(n, 0.2), np.full(n, 0.2) + 0.7 * reach * np.eye(n)[0]),
+            (np.full(n, 1.1), np.full(n, 1.1) - reach * tilted),
+            (far, far + 0.4 * reach * tilted[::-1] + m.lattice.basis @ np.eye(n)[-1])]
+
+
 @pytest.mark.parametrize("m,grid,d", [
     (TORUS, np.geomspace(50.5, 200.5, 6), DerivIndex()),
-    (TORUS, np.geomspace(50.5, 200.5, 6), DerivIndex(alpha=(1, 0), beta=(1, 0))),
+    (TORUS, np.geomspace(50.5, 200.5, 6), D11),
+    (TORUS, np.geomspace(50.5, 200.5, 6), D20),
+    (HEX, np.geomspace(10.3, 60.3, 5), D11),
+    (SKEW, np.geomspace(10.3, 40.3, 5), D20),
+    (SKEW, np.geomspace(10.3, 40.3, 5), DerivIndex(beta=(0, 1))),
     (TORUS3, np.geomspace(10.5, 30.5, 4), DerivIndex()),
-], ids=["2d", "deriv-1-1", "3d"])
+    (TORUS3, np.geomspace(10.5, 30.5, 4), DerivIndex(alpha=(0, 1), beta=(0, 0, 1))),
+], ids=["2d", "deriv-1-1", "deriv-2-0", "hex-1-1", "skew-2-0", "skew-0-1", "3d", "3d-mixed"])
 def test_remainder_scan_matches_per_lambda_loop(monkeypatch, m, grid, d):
-    n = m.dim
-    pairs = [(np.zeros(n), np.zeros(n)), (np.full(n, 0.2), np.full(n, 0.2) + 0.3 * np.eye(n)[0]),
-             (np.full(n, 1.1), np.full(n, 1.0))]
+    pairs = scan_pairs(m)
     passes = record_passes(monkeypatch, m.lattice.dual_basis)
     rep = remainder_scan(m, grid, pairs, d)
     assert passes["dual_vectors"] == []
     assert passes["slabs"] == [pytest.approx(grid[-1])]
+    # the leading term of a grid and point arrays, as one call and per point
+    xs, ys = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
+    assert_bitwise(leading_term(m, grid, xs, ys, d),
+                   [[per_point_leading_term(m, lam, x, y, d) for x, y in pairs] for lam in grid])
     assert_bitwise(rep.sup_values, per_lambda_remainder(m, grid, pairs, d))
 
 
@@ -286,24 +316,35 @@ def test_remainder_exponent_over_two_decades():
     assert rep.fitted_exponent < 1.0
 
 
-@pytest.mark.parametrize("m,lam,x0,dists,d", [
-    (TORUS, 40.0, np.array([0.3, 1.1]), np.linspace(0.0, 0.3, 7),
-     DerivIndex(alpha=(1, 0), beta=(1, 0))),
-    (TORUS3, 12.0, np.zeros(3), np.linspace(0.0, 0.5, 4), DerivIndex()),
-    (SPHERE, 30.0, None, np.linspace(0.0, 0.6, 7), DerivIndex()),
-], ids=["torus", "3d", "sphere"])
-def test_cluster_vs_bessel_matches_per_point_loop(monkeypatch, m, lam, x0, dists, d):
+@pytest.mark.parametrize("m,lam,x0,dists,d,direction", [
+    (TORUS, 40.0, np.array([0.3, 1.1]), np.linspace(0.0, 0.3, 7), D11, None),
+    (TORUS, 40.0, np.array([0.3, 1.1]), np.linspace(0.0, 0.3, 7), D20, np.array([1.0, 2.0])),
+    (TORUS, 40.0, np.array([0.3, 1.1]), np.linspace(0.0, 0.3, 7), DerivIndex(),
+     np.array([1.0, 2.0])),
+    (TORUS, 40.0, np.array([0.3, 1.1]), np.linspace(0.0, 0.3, 7), DerivIndex(beta=(0, 1)),
+     np.array([1.0, 2.0])),
+    (HEX, 30.0, np.array([0.1, 0.2]), np.linspace(0.0, 0.2, 5), D11, np.array([1.0, 1.0])),
+    (SKEW, 20.0, np.zeros(2), np.linspace(0.0, 0.05, 5), D20, np.array([0.3, -1.0])),
+    (TORUS3, 12.0, np.zeros(3), np.linspace(0.0, 0.5, 4), DerivIndex(), None),
+    (TORUS3, 12.0, np.zeros(3), np.linspace(0.0, 0.5, 4), D11, np.array([1.0, 2.0, 2.0])),
+    (SPHERE, 30.0, None, np.linspace(0.0, 0.6, 7), DerivIndex(), None),
+], ids=["torus", "torus-2-0", "torus-tilted", "torus-0-1", "hex-1-1", "skew-2-0", "3d", "3d-1-1",
+        "sphere"])
+def test_cluster_vs_bessel_matches_per_point_loop(monkeypatch, m, lam, x0, dists, d, direction):
     dual_basis = m.lattice.dual_basis if isinstance(m, FlatTorus) else None
     passes = record_passes(monkeypatch, dual_basis)
-    table = cluster_vs_bessel(m, lam, 1.0, x0, dists, d)
+    table = cluster_vs_bessel(m, lam, 1.0, x0, dists, d, direction)
     if isinstance(m, FlatTorus):
         # one slab pass for the kernels; the mean shell radius enumerates
         # the window's shell alone (on slabs as well)
         assert passes["dual_vectors"] == [lam + 1.0]
         assert passes["slabs"] == [lam + 1.0] * 2
-        points = [x0 + r * np.eye(m.dim)[0] for r in dists]
+        unit = np.eye(m.dim)[0] if direction is None else direction / np.linalg.norm(direction)
+        points = [x0 + r * unit for r in dists]
     else:
-        x0 = NORTH
+        x0, unit = NORTH, None
         points = [np.array([np.sin(r), 0.0, np.cos(r)]) for r in dists]
     assert_bitwise(table.cluster, [cluster_kernel(m, lam, 1.0, x0, pt, d) for pt in points])
+    assert_bitwise(table.bessel_prediction,
+                   per_point_prediction(m, table.mean_shell_radius, 1.0, dists, d, unit))
     assert table.diagonal == cluster_kernel(m, lam, 1.0, x0, x0, d)

@@ -182,11 +182,15 @@ def _longdouble_sine_integral(spec, nus):
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is float64 here")
 @pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
 def test_sine_integral_table_against_a_dense_reference(spec):
-    # 2000 points across [0, nu0): measured 1.8e-14 (square) and 1.5e-14
-    # (hex), both at nu = 0; the reference is checked against mpmath at one
-    # point
+    # 2000 points across [0, nu0), and the last 1/2000 of it at
+    # nu0 (1 - 10^-k), k = 4..9, and one ulp below nu0: measured 1.8e-14
+    # (square) and 1.5e-14 (hex), both at nu = 0, and at most 1.3e-15 and
+    # 4.0e-15 on those last points; the reference is checked against mpmath
+    # at one point
     table = sine_integral_table(spec)
-    nus = np.linspace(0.0, table.nu0, 2001)[:-1]
+    nus = np.concatenate([np.linspace(0.0, table.nu0, 2001)[:-1],
+                          table.nu0 * (1.0 - 10.0 ** -np.arange(4.0, 10.0)),
+                          [np.nextafter(table.nu0, 0.0)]])
     reference = _longdouble_sine_integral(spec, nus)
     assert np.max(np.abs(table(nus) - reference.astype(float))) <= 2e-14
     with mp.workdps(30):
