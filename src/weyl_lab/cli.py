@@ -30,7 +30,7 @@ from .errors import (
     ResourceLimitError,
     WeylLabError,
 )
-from .lattice import Lattice, injectivity_radius
+from .lattice import Lattice
 from .manifolds import (
     ZERO_DERIV,
     DerivIndex,
@@ -166,25 +166,39 @@ def seeded_cell_points(lattice: Lattice, count: int, seed: int, salt: int) -> np
     return u @ lattice.basis.T
 
 
-def seeded_pairs(lattice: Lattice, count: int, seed: int, max_dist: float | None = None):
-    """(x, y) pairs with y = x + offset; offsets have seeded directions and
-    radii spread over (0, max_dist] (default: half the injectivity radius).
-    DomainError unless there is at least one pair."""
-    if count < 1:
-        raise DomainError("--pairs must be >= 1, got %d" % count)
-    if max_dist is None:
-        max_dist = 0.5 * injectivity_radius(lattice)
+def seeded_directions(u: np.ndarray, dim: int) -> np.ndarray:
+    """Unit vectors from the uniform columns of `u`: the angle 2 pi u[:, 0]
+    in 2-D, and in 3-D also the height z = 2 u[:, 1] - 1, which makes them
+    uniform on the sphere."""
+    angles = 2.0 * np.pi * u[:, 0]
+    if dim == 2:
+        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    z = 2.0 * u[:, 1] - 1.0
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([r * np.cos(angles), r * np.sin(angles), z], axis=1)
+
+
+def seeded_pairs(lattice: Lattice, count: int, seed: int, max_dist: float):
+    """(xs, ys), two (count, dim) arrays with ys = xs + offsets; the offsets
+    have seeded directions and radii spread over (0, max_dist]."""
     xs = seeded_cell_points(lattice, count, seed, salt=101)
     u = uniform_matrix(seed + 202, np.arange(count), 2)
     radii = max_dist * (np.arange(1, count + 1) / count)
-    angles = 2.0 * np.pi * u[:, 0]
-    if lattice.dim == 2:
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    else:
-        z = 2.0 * u[:, 1] - 1.0
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        dirs = np.stack([r * np.cos(angles), r * np.sin(angles), z], axis=1)
-    return [(xs[i], xs[i] + radii[i] * dirs[i]) for i in range(count)]
+    return xs, xs + radii[:, None] * seeded_directions(u, lattice.dim)
+
+
+def pair_count(config: dict) -> int:
+    """The --pairs of `config`; DomainError below 1."""
+    count = int(config["pairs"])
+    if count < 1:
+        raise DomainError("--pairs must be >= 1, got %d" % count)
+    return count
+
+
+def scan_outputs(rep, column: str, **results):
+    """A scan's CSV header, its rows (lambda, `column`) and its fit results."""
+    return (["lambda", column], list(zip(rep.lambda_grid, rep.sup_values)),
+            {"fitted_exponent": rep.fitted_exponent, "fit_residual": rep.fit_residual, **results})
 
 
 def _cell_format(kind: type) -> str:
@@ -398,18 +412,14 @@ def run_remainder_scan(config: dict):
         raise DomainError("remainder-scan is defined on flat tori")
     grid = parse_grid(config["lambda_grid"])
     d = parse_deriv(config.get("deriv"))
-    n_pairs = int(config["pairs"])
-    seed = int(config["seed"])
-    if n_pairs <= 1:
-        pairs = [(np.zeros(m.dim), np.zeros(m.dim))]
+    n_pairs = pair_count(config)
+    if n_pairs == 1:
+        xs, ys = np.zeros(m.dim), np.zeros(m.dim)
     else:
-        pairs = seeded_pairs(m.lattice, n_pairs, seed,
-                             max_dist=0.45 * injectivity_radius(m.lattice))
-    rep = remainder_scan(m, grid, pairs, d)
-    rows = list(zip(rep.lambda_grid, rep.sup_values))
-    header = ["lambda", "sup_abs_remainder"]
-    return header, rows, {"fitted_exponent": rep.fitted_exponent,
-                          "fit_residual": rep.fit_residual, "num_pairs": len(pairs)}
+        xs, ys = seeded_pairs(m.lattice, n_pairs, int(config["seed"]),
+                              max_dist=0.45 * m.injectivity_radius)
+    return scan_outputs(remainder_scan(m, grid, xs, ys, d), "sup_abs_remainder",
+                        num_pairs=n_pairs)
 
 
 @subcommand("offdiag-scan", manifold_option, lambda_grid_option,
@@ -421,30 +431,27 @@ def run_offdiag_scan(config: dict):
     m = parse_manifold(config["manifold"])
     grid = parse_grid(config["lambda_grid"])
     eps = float(config["eps"])
-    n_pairs = int(config["pairs"])
+    n_pairs = pair_count(config)
     seed = int(config["seed"])
     if isinstance(m, FlatTorus):
-        inj = injectivity_radius(m.lattice)
+        inj = m.injectivity_radius
         if eps >= inj:
             raise DomainError("eps must be below the injectivity radius %.6g" % inj)
         xs = seeded_cell_points(m.lattice, n_pairs, seed, salt=11)
-        u = uniform_matrix(seed + 33, np.arange(n_pairs), 2)
+        u = uniform_matrix(seed + 33, np.arange(n_pairs), m.dim)
         radii = eps + (inj * 0.999 - eps) * u[:, 0]
-        angles = 2.0 * np.pi * u[:, 1]
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1) if m.dim == 2 else np.eye(3)[0]
-        pairs = list(zip(xs, xs + radii[:, None] * dirs))
+        ys = xs + radii[:, None] * seeded_directions(u[:, 1:], m.dim)
     else:
+        # the angles are drawn in [eps/R, pi - eps/R], empty from pi R/2 on
+        bound = 0.5 * m.injectivity_radius
+        if eps >= bound:
+            raise DomainError("eps must be below pi R/2 = %.6g on the sphere" % bound)
         u = uniform_matrix(seed + 7, np.arange(n_pairs), 1)[:, 0]
         lo = eps / m.radius
         thetas = lo + (np.pi - 2.0 * lo) * u
-        north = m.radius * np.array([0.0, 0.0, 1.0])
-        pairs = [(north, m.radius * np.array([np.sin(t), 0.0, np.cos(t)]))
-                 for t in thetas]
-    rep = offdiagonal_scan(m, grid, eps, pairs)
-    rows = list(zip(rep.lambda_grid, rep.sup_values))
-    header = ["lambda", "sup_abs_spectral_function"]
-    return header, rows, {"fitted_exponent": rep.fitted_exponent,
-                          "fit_residual": rep.fit_residual}
+        xs = m.radius * np.array([0.0, 0.0, 1.0])
+        ys = m.radius * np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
+    return scan_outputs(offdiagonal_scan(m, grid, eps, xs, ys), "sup_abs_spectral_function")
 
 
 @subcommand("smooth-compare", manifold_option, lambda_grid_option,
@@ -458,14 +465,9 @@ def run_smooth_compare(config: dict):
         raise DomainError("smooth-compare is defined on flat tori")
     grid = parse_grid(config["lambda_grid"])
     a_values = _numbers(str(config["A"]))
-    n_pairs = int(config["pairs"])
-    seed = int(config["seed"])
     spec = MollifierSpec.for_manifold(m)
-    cell = m.lattice.basis @ (0.5 * np.ones(m.dim))
-    max_dist = float(np.linalg.norm(cell))
-    pairs = seeded_pairs(m.lattice, n_pairs, seed, max_dist=max_dist)
-    xs = np.array([x for x, _ in pairs]).reshape(-1, m.dim)
-    ys = np.array([y for _, y in pairs]).reshape(-1, m.dim)
+    max_dist = float(np.linalg.norm(m.lattice.basis @ (0.5 * np.ones(m.dim))))
+    xs, ys = seeded_pairs(m.lattice, pair_count(config), int(config["seed"]), max_dist)
     rows, results = [], {}
     for lam in grid:
         for a in a_values:
@@ -473,8 +475,8 @@ def run_smooth_compare(config: dict):
             spectral = proj.spectral(xs, ys)
             images = proj.images(xs, ys)
             diffs = np.abs(spectral - images)
-            for i, (x, y) in enumerate(pairs):
-                rows.append((lam, a, i, *x, *y, spectral[i], images[i], diffs[i]))
+            for i in range(len(xs)):
+                rows.append((lam, a, i, *xs[i], *ys[i], spectral[i], images[i], diffs[i]))
             results["max_rel_err_lambda=%s_A=%s" % (fmt(float(lam)), fmt(a))] = float(
                 np.max(diffs / (1.0 + np.abs(spectral)), initial=0.0))
     coords = range(1, m.dim + 1)

@@ -18,6 +18,9 @@ once per call.  These sums match the
 materialised mode sum to within 1e-12 of the sum of the mode terms'
 moduli.  On the sphere one pass over the degrees serves every window.
 
+Each model carries its own `dim`, `volume`, `injectivity_radius` and
+`distance(x, y)` (for points or point arrays, as the kernels take them).
+
 Eigenfunction conventions: torus modes e^{i<k,x>}/sqrt(covol) with k a dual
 point and eigenvalue |k|^2; sphere level l has sqrt-eigenvalue
 sqrt(l(l+1))/R and multiplicity 2l+1.
@@ -53,6 +56,14 @@ class FlatTorus:
     def volume(self) -> float:
         return self.lattice.covolume
 
+    @property
+    def injectivity_radius(self) -> float:
+        return lat.injectivity_radius(self.lattice)
+
+    def distance(self, x, y):
+        """|torus_log(x, y)|: a float, or a (P,) array for point arrays."""
+        return lat.torus_distance(self.lattice, x, y)
+
 
 @dataclass(frozen=True)
 class RoundSphere2:
@@ -69,6 +80,14 @@ class RoundSphere2:
     @property
     def volume(self) -> float:
         return 4.0 * np.pi * self.radius**2
+
+    @property
+    def injectivity_radius(self) -> float:
+        return np.pi * self.radius
+
+    def distance(self, x, y):
+        """radius * `sphere_angle(x, y)`: a float, or a (P,) array for point arrays."""
+        return self.radius * sphere_angle(self, x, y)
 
     def level_sqrt_eigenvalue(self, l: int) -> float:
         return float(np.sqrt(l * (l + 1.0)) / self.radius)

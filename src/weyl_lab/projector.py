@@ -5,7 +5,9 @@ Leading-term derivatives are exact Bessel-ladder formulas chain-ruled
 through w = torus_log(x, y); no finite differences anywhere (they would
 contaminate exponent fits at scale lambda * d).  The leading term takes
 lambda grids and point arrays as `spectral_function` does, so a scan's
-remainder is one subtraction of (L, P) arrays.
+remainder is one subtraction of (L, P) arrays.  The scans take their pair
+set the same way, as two points or (P, dim) point arrays, and measure it
+with the model's own `distance` and `injectivity_radius`.
 """
 
 from __future__ import annotations
@@ -22,12 +24,10 @@ from .manifolds import (
     DerivIndex,
     FlatTorus,
     ModelManifold,
-    RoundSphere2,
     _lambda_values,
     cluster_kernel,
     spectral_function,
     spectral_window,
-    sphere_angle,
 )
 from .specfun import bessel_ratio
 
@@ -81,23 +81,22 @@ def leading_term(m: FlatTorus, lam, x, y, d: DerivIndex = ZERO_DERIV):
     return float(values) if values.ndim == 0 else values
 
 
-def _pair_arrays(point_pairs):
-    """(x, y) pairs as two (P, dim) arrays."""
-    if len(point_pairs) == 0:
+def _scan_pairs(m: ModelManifold, x, y):
+    """A scan's pair set as two (P, dim) arrays, paired as in `point_pairs`,
+    and the pairs' distances; DomainError when the set is empty."""
+    xs, ys, _ = lat.point_pairs(x, y)
+    if len(xs) == 0:
         raise DomainError("the pair set is empty: a scan needs at least one (x, y) pair")
-    xs, ys = zip(*point_pairs)
-    return np.array(xs, dtype=float), np.array(ys, dtype=float)
+    return xs, ys, m.distance(xs, ys)
 
 
-def remainder_scan(m: FlatTorus, lambda_grid, point_pairs,
-                   d: DerivIndex = ZERO_DERIV) -> ScanReport:
-    """Sup over the pair set of |remainder| per lambda, with a log-log
+def remainder_scan(m: FlatTorus, lambda_grid, x, y, d: DerivIndex = ZERO_DERIV) -> ScanReport:
+    """Sup over the pairs (x, y) of |remainder| per lambda, with a log-log
     exponent fit (empirical growth of the Weyl remainder).  The exact
     kernel and the leading term of the whole (lambda, pair) grid are one
     call each, so the dual lattice is enumerated once."""
-    xs, ys = _pair_arrays(point_pairs)
-    bound = 0.5 * lat.injectivity_radius(m.lattice)
-    dists = lat.torus_distance(m.lattice, xs, ys)
+    xs, ys, dists = _scan_pairs(m, x, y)
+    bound = 0.5 * m.injectivity_radius
     far = dists > bound + 1e-12
     if far.any():
         raise PreconditionError("pair at distance %.6g violates d_g(x,y) (half the injectivity "
@@ -107,14 +106,12 @@ def remainder_scan(m: FlatTorus, lambda_grid, point_pairs,
     return scan_report(lambda_grid, np.max(np.abs(remainders), axis=1))
 
 
-def offdiagonal_scan(m: ModelManifold, lambda_grid, eps: float, sample_pairs) -> ScanReport:
-    """Sup over pairs at distance >= eps of |E_lambda(x,y)| per lambda,
-    with the fitted growth exponent; one `spectral_function` call."""
+def offdiagonal_scan(m: ModelManifold, lambda_grid, eps: float, x, y) -> ScanReport:
+    """Sup over the pairs (x, y) at distance >= eps of |E_lambda(x,y)| per
+    lambda, with the fitted growth exponent; one `spectral_function` call."""
     if eps <= 0.0:
         raise DomainError("eps must be positive")
-    xs, ys = _pair_arrays(sample_pairs)
-    dists = (sphere_angle(m, xs, ys) * m.radius if isinstance(m, RoundSphere2)
-             else lat.torus_distance(m.lattice, xs, ys))
+    xs, ys, dists = _scan_pairs(m, x, y)
     near = dists < eps - 1e-12
     if near.any():
         raise PreconditionError("pair at distance %.6g violates d_g >= %.6g"
@@ -195,9 +192,7 @@ def cluster_vs_bessel(m: ModelManifold, lam: float, width: float, x0, dist_grid,
     dist_grid = np.asarray(dist_grid, dtype=float)
     if np.any(dist_grid < 0.0):
         raise DomainError("distances must be nonnegative")
-    inj = (lat.injectivity_radius(m.lattice) if isinstance(m, FlatTorus)
-           else np.pi * m.radius)
-    if np.max(dist_grid) > 0.5 * inj:
+    if np.max(dist_grid) > 0.5 * m.injectivity_radius:
         raise PreconditionError("distance grid exceeds half the injectivity radius")
     x0, points, direction = geodesic_points(m, dist_grid, x0, direction)
     # one window for the geodesic points and, last, the diagonal

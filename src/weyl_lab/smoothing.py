@@ -93,10 +93,7 @@ class MollifierSpec:
     def for_manifold(cls, m: ModelManifold) -> "MollifierSpec":
         """The cutoff tied to the injectivity radius: plateau = inj/2,
         support = 0.9 * inj."""
-        if isinstance(m, FlatTorus):
-            inj = lat.injectivity_radius(m.lattice)
-        else:
-            inj = np.pi * m.radius
+        inj = m.injectivity_radius
         return cls(plateau=0.5 * inj, support=0.9 * inj)
 
 

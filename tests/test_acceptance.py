@@ -41,15 +41,16 @@ ORIGIN = np.zeros(2)
 # 0.5 to stay off the square-torus spectrum (integers are dual norms)
 SCAN_GRID = np.geomspace(50.5, 400.5, 30)
 
-# documented off-diagonal pair set (distances >= 1, within one cell)
-OFFDIAG_PAIRS = [
-    (ORIGIN, np.array([1.0, 0.0])),
-    (ORIGIN, np.array([1.3, 0.45])),
-    (ORIGIN, np.array([np.pi / 2, np.pi / 2])),
-    (ORIGIN, np.array([2.0, 0.7])),
-    (ORIGIN, np.array([1.1, 2.3])),
-    (ORIGIN, np.array([3.0, 0.2])),
-]
+# documented off-diagonal pair set: the origin against these points
+# (distances >= 1, within one cell)
+OFFDIAG_POINTS = np.array([
+    [1.0, 0.0],
+    [1.3, 0.45],
+    [np.pi / 2, np.pi / 2],
+    [2.0, 0.7],
+    [1.1, 2.3],
+    [3.0, 0.2],
+])
 
 
 def report(num, slug, ok, detail):
@@ -78,9 +79,8 @@ def test_acceptance_1_poisson_parametrix_oracle():
 
 
 def test_acceptance_2_weyl_remainder_exponents():
-    pairs = [(ORIGIN, ORIGIN)]
-    base = remainder_scan(TORUS, SCAN_GRID, pairs)
-    deriv = remainder_scan(TORUS, SCAN_GRID, pairs,
+    base = remainder_scan(TORUS, SCAN_GRID, ORIGIN, ORIGIN)
+    deriv = remainder_scan(TORUS, SCAN_GRID, ORIGIN, ORIGIN,
                            DerivIndex(alpha=(1, 0), beta=(1, 0)))
     shift = deriv.fitted_exponent - base.fitted_exponent
     ok = base.fitted_exponent <= 1.0 and abs(shift - 2.0) <= 0.3
@@ -138,7 +138,7 @@ def test_acceptance_4_cluster_bessel():
 
 
 def test_acceptance_5_offdiagonal_decay():
-    rep = offdiagonal_scan(TORUS, SCAN_GRID, 1.0, OFFDIAG_PAIRS)
+    rep = offdiagonal_scan(TORUS, SCAN_GRID, 1.0, ORIGIN, OFFDIAG_POINTS)
     ok = rep.fitted_exponent <= 0.75
     report(5, "offdiagonal-decay", ok,
            "fitted exponent %.3f (bound 0.75; flat model ~0.5)" % rep.fitted_exponent)

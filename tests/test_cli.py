@@ -1,8 +1,11 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from oracles import cellwise_csv_bytes, record_passes
 from weyl_lab.cli import csv_bytes, main, parse_grid, parse_manifold
 from weyl_lab.errors import DomainError
 from weyl_lab.manifolds import FlatTorus, RoundSphere2
+from weyl_lab.projector import offdiagonal_scan
+from weyl_lab.rng import uniform_matrix
 
 TORUS_ARGS = ["--manifold", "torus:2:square2pi"]
 
@@ -393,8 +398,8 @@ def test_smooth_compare_writes_every_coordinate_in_3d(tmp_path, monkeypatch):
                         "spectral,images,abs_diff")
     m = parse_manifold(manifold)
     cell = m.lattice.basis @ (0.5 * np.ones(3))
-    pairs = cli.seeded_pairs(m.lattice, 2, 1, max_dist=float(np.linalg.norm(cell)))
-    for line, (x, y) in zip(lines[1:], pairs):
+    xs, ys = cli.seeded_pairs(m.lattice, 2, 1, max_dist=float(np.linalg.norm(cell)))
+    for line, x, y in zip(lines[1:], xs, ys):
         fields = line.split(",")
         assert len(fields) == 12
         assert [float(v) for v in fields[3:9]] == [*x, *y]
@@ -540,12 +545,60 @@ def test_unusable_geodesic_exits_2_without_files(tmp_path, args):
     assert not out.exists()
 
 
-def test_offdiag_scan_without_pairs_exits_2(tmp_path):
-    res = run_cli(["offdiag-scan", *TORUS_ARGS, "--lambda-grid", "30.3:60.3:4:log",
-                   "--eps", "1", "--pairs", "0", "--out", str(tmp_path)])
+@pytest.mark.parametrize("pairs", ["0", "-2"])
+@pytest.mark.parametrize("args", [
+    ["remainder-scan", *TORUS_ARGS, "--lambda-grid", "30.3:60.3:4:log"],
+    ["offdiag-scan", *TORUS_ARGS, "--lambda-grid", "30.3:60.3:4:log", "--eps", "1"],
+    ["smooth-compare", *TORUS_ARGS, "--lambda-grid", "3:3:1", "--A", "1"],
+], ids=lambda args: args[0])
+def test_pairs_below_one_exits_2(tmp_path, args, pairs):
+    out = tmp_path / "nothing"
+    res = run_cli(args + ["--pairs", pairs, "--out", str(out)])
     assert res.exit_code == 2
-    assert res.stderr.startswith("config error: the pair set is empty")
-    assert not (tmp_path / "offdiag-scan.csv").exists()
+    assert res.stderr.startswith("config error: --pairs must be >= 1, got %s" % pairs)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("manifold,eps,bound", [
+    ("sphere2", "2", "1.5708"), ("sphere2", "1.5707963267948966", "1.5708"),
+    ("sphere2:1.7", "2.6704", "2.67035")])
+def test_sphere_offdiag_eps_past_a_quarter_circle_exits_2(tmp_path, manifold, eps, bound):
+    # the meridian angles are drawn in [eps/R, pi - eps/R]: refused up front,
+    # naming pi R/2, instead of blaming a drawn pair's distance
+    out = tmp_path / "nothing"
+    res = run_cli(["offdiag-scan", "--manifold", manifold, "--lambda-grid", "10.3:30.3:3:log",
+                   "--eps", eps, "--pairs", "2", "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.stderr == "config error: eps must be below pi R/2 = %s on the sphere\n" % bound
+    assert not out.exists()
+    res = run_cli(["offdiag-scan", "--manifold", manifold, "--lambda-grid", "10.3:30.3:3:log",
+                   "--eps", "1.5", "--pairs", "2", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+
+
+def test_offdiag_scan_3d_offsets_take_seeded_directions(tmp_path, monkeypatch):
+    # every offset has its own seeded direction (uniform on the sphere), not
+    # the first axis, and a radius in [eps, inj)
+    import weyl_lab.cli as cli
+
+    seen = {}
+
+    def capture(m, grid, eps, xs, ys):
+        seen.update(xs=xs, ys=ys)
+        return offdiagonal_scan(m, grid, eps, xs, ys)
+
+    monkeypatch.setattr(cli, "offdiagonal_scan", capture)
+    res = run_cli(["offdiag-scan", "--manifold", "torus:3:square2pi",
+                   "--lambda-grid", "10.5:20.5:3:log", "--eps", "1", "--pairs", "6",
+                   "--seed", "4", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    offsets = seen["ys"] - seen["xs"]
+    radii = np.linalg.norm(offsets, axis=1)
+    assert np.all(radii >= 1.0) and np.all(radii < np.pi)
+    u = uniform_matrix(4 + 33, np.arange(6), 3)
+    assert np.allclose(offsets / radii[:, None], cli.seeded_directions(u[:, 1:], 3),
+                       rtol=0.0, atol=1e-12)
+    assert np.linalg.matrix_rank(offsets) == 3
 
 
 # each subcommand's manifest config keys: the replay contract
@@ -638,15 +691,6 @@ def test_finite_float_options_keep_their_help():
         assert "--lambda FLOAT" in help_text or "--eps FLOAT" in help_text
 
 
-@pytest.mark.parametrize("pairs", ["0", "-2"])
-def test_smooth_compare_without_pairs_exits_2(tmp_path, pairs):
-    res = run_cli(["smooth-compare", *TORUS_ARGS, "--lambda-grid", "3:3:1", "--A", "1",
-                   "--pairs", pairs, "--out", str(tmp_path)])
-    assert res.exit_code == 2
-    assert res.stderr.startswith("config error: --pairs must be >= 1")
-    assert not (tmp_path / "smooth-compare.csv").exists()
-
-
 OFFDIAG_ARGS = ["offdiag-scan", *TORUS_ARGS, "--lambda-grid", "30.3:60.3:4:log", "--eps", "1",
                 "--pairs", "2"]
 
@@ -692,3 +736,38 @@ def test_replay_gives_absent_optional_keys_their_defaults(tmp_path):
         (tmp_path / "fresh" / "kernel.csv").read_bytes()
     replayed = json.loads((tmp_path / "replayed" / "kernel.manifest.json").read_text())
     assert replayed["full_config"] == fresh["full_config"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list:
+    """The `weyl-lab` and `cmp` lines of the README's sh blocks, split as
+    the shell splits them (continuation lines joined, comments dropped)."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines
+            if line.startswith(("weyl-lab ", "cmp "))]
+
+
+def test_readme_examples_run_and_replay(tmp_path, monkeypatch):
+    # the README's commands as written, from an empty directory; then every
+    # manifest they wrote replays to the same bytes
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert [c[1] for c in commands if c[0] == "weyl-lab"] == [
+        "eigens", "replay", "kernel", "remainder-scan", "smooth-compare", "randomwave"]
+    for command in commands:
+        if command[0] == "cmp":
+            assert Path(command[1]).read_bytes() == Path(command[2]).read_bytes()
+            continue
+        res = run_cli(command[1:])
+        assert res.exit_code == 0, (command, res.output)
+    manifests = sorted(tmp_path.rglob("*.manifest.json"))
+    assert len(manifests) == 6
+    for k, manifest in enumerate(manifests):
+        out = tmp_path / "replayed" / str(k)
+        res = run_cli(["replay", str(manifest), "--out", str(out)])
+        assert res.exit_code == 0, (manifest, res.output)
+        csv = manifest.name[:-len(".manifest.json")] + ".csv"
+        assert (out / csv).read_bytes() == (manifest.parent / csv).read_bytes()

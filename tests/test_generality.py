@@ -111,7 +111,7 @@ def test_remainder_identity_other_lattices():
     for torus, point in ((HEX, np.array([0.2, 0.1])),
                          (FlatTorus(Lattice.from_basis(np.diag([2 * np.pi, 4 * np.pi]))),
                           np.array([0.5, 1.0]))):
-        rep = remainder_scan(torus, grid, [(np.zeros(2), point)])
+        rep = remainder_scan(torus, grid, np.zeros(2), point)
         for lam, sup in zip(grid, rep.sup_values):
             exact = spectral_function(torus, lam, np.zeros(2), point)
             assert sup == abs(exact - leading_term(torus, lam, np.zeros(2), point))

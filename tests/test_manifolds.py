@@ -209,6 +209,30 @@ def test_sphere_angle_robust():
         sphere_angle(big, xs, ys)
 
 
+@pytest.mark.parametrize("spec", ["torus:2:square2pi", "torus:2:hex", "torus:2:mat:1,0.9;0,0.2",
+                                  "torus:3:square2pi", "sphere2:1.7"])
+def test_models_carry_their_distance_and_injectivity_radius(spec):
+    # bit for bit the per-model expressions the scans, the mollifier, the
+    # cluster-vs-Bessel grid check and the CLI chose between
+    m = parse_manifold(spec)
+    rng = np.random.default_rng(11)
+    if isinstance(m, RoundSphere2):
+        xs, ys = (m.radius * v / np.linalg.norm(v, axis=1, keepdims=True)
+                  for v in rng.standard_normal((2, 50, 3)))
+        inj = np.pi * m.radius
+        dists = sphere_angle(m, xs, ys) * m.radius
+        first = sphere_angle(m, xs[0], ys[0]) * m.radius
+    else:
+        xs = rng.uniform(-4.0, 4.0, (50, m.dim))
+        ys = xs + rng.standard_normal((50, m.dim))
+        inj = lat.injectivity_radius(m.lattice)
+        dists = lat.torus_distance(m.lattice, xs, ys)
+        first = lat.torus_distance(m.lattice, xs[0], ys[0])
+    assert m.injectivity_radius == inj
+    assert m.distance(xs, ys).tobytes() == dists.tobytes()
+    assert np.float64(m.distance(xs[0], ys[0])).tobytes() == np.float64(first).tobytes()
+
+
 def test_sphere_radius_scaling():
     big = RoundSphere2(radius=2.0)
     lam = big.level_sqrt_eigenvalue(3)

@@ -30,6 +30,9 @@ TORUS = FlatTorus(Lattice.square(2.0 * np.pi))
 TORUS3 = FlatTorus(Lattice.square(2.0 * np.pi, dim=3))
 SPHERE = RoundSphere2()
 ORIGIN = np.zeros(2)
+NORTH = np.array([0.0, 0.0, 1.0])
+# meridian points at angles 0.7, 1.2 and 2.0 from the north pole
+MERIDIAN = np.array([[np.sin(t), 0.0, np.cos(t)] for t in (0.7, 1.2, 2.0)])
 
 # brute-force integer-grid counts, frozen (double loop oracle)
 BRUTE_COUNTS = {100.3: 31617, 61.3: 11817, 83.7: 22009, 120.4: 45549, 47.9: 7201}
@@ -93,36 +96,31 @@ def test_diagonal_remainder_is_gauss_circle_error(lam):
 
 def test_remainder_scan_exponent_bounds():
     grid = np.geomspace(50.5, 150.5, 10)
-    pairs = [(ORIGIN, ORIGIN)]
-    rep = remainder_scan(TORUS, grid, pairs)
+    rep = remainder_scan(TORUS, grid, ORIGIN, ORIGIN)
     assert rep.fitted_exponent <= 1.0
     d = DerivIndex(alpha=(1, 0), beta=(1, 0))
-    rep2 = remainder_scan(TORUS, grid, pairs, d)
+    rep2 = remainder_scan(TORUS, grid, ORIGIN, ORIGIN, d)
     assert abs((rep2.fitted_exponent - rep.fitted_exponent) - 2.0) < 0.45
 
 
 def test_remainder_scan_rejects_far_pairs():
     with pytest.raises(PreconditionError):
-        remainder_scan(TORUS, np.array([10.0, 20.0, 30.0]),
-                       [(ORIGIN, np.array([2.0, 0.0]))])
+        remainder_scan(TORUS, np.array([10.0, 20.0, 30.0]), ORIGIN, np.array([2.0, 0.0]))
 
 
 def test_offdiagonal_scan_torus():
     grid = np.geomspace(50.5, 400.5, 20)
-    pairs = [(ORIGIN, np.array([1.0, 0.0])), (ORIGIN, np.array([1.3, 0.45])),
-             (ORIGIN, np.array([np.pi / 2, np.pi / 2])), (ORIGIN, np.array([2.0, 0.7])),
-             (ORIGIN, np.array([1.1, 2.3])), (ORIGIN, np.array([3.0, 0.2]))]
-    rep = offdiagonal_scan(TORUS, grid, 1.0, pairs)
+    ys = np.array([[1.0, 0.0], [1.3, 0.45], [np.pi / 2, np.pi / 2], [2.0, 0.7],
+                   [1.1, 2.3], [3.0, 0.2]])
+    rep = offdiagonal_scan(TORUS, grid, 1.0, ORIGIN, ys)
     assert rep.fitted_exponent <= 0.75
     with pytest.raises(PreconditionError):
-        offdiagonal_scan(TORUS, grid, 2.0, pairs)
+        offdiagonal_scan(TORUS, grid, 2.0, ORIGIN, ys)
 
 
 def test_offdiagonal_scan_sphere_finite():
-    north = np.array([0.0, 0.0, 1.0])
-    pairs = [(north, np.array([np.sin(t), 0.0, np.cos(t)])) for t in (0.7, 1.2, 2.0)]
     grid = np.geomspace(20.3, 60.3, 6)
-    rep = offdiagonal_scan(SPHERE, grid, 0.5, pairs)
+    rep = offdiagonal_scan(SPHERE, grid, 0.5, NORTH, MERIDIAN)
     assert np.all(np.isfinite(rep.sup_values))
     assert np.isfinite(rep.fitted_exponent)
 
@@ -196,10 +194,25 @@ def test_leading_term_domain_checks():
 
 
 def test_scans_reject_an_empty_pair_set():
-    with pytest.raises(DomainError, match="pair set is empty"):
-        remainder_scan(TORUS, [10.5, 20.5], [])
-    with pytest.raises(DomainError, match="pair set is empty"):
-        offdiagonal_scan(TORUS, [10.5, 20.5], 1.0, [])
+    grid = np.geomspace(10.5, 30.5, 4)
+    for m, x, y in [(TORUS, ORIGIN, np.array([1.3, 0.45])),
+                    (TORUS3, np.full(3, 0.2), np.array([1.1, 0.3, 0.7])),
+                    (SPHERE, NORTH, MERIDIAN[1])]:
+        # one pair given as two points is the (1, dim) array call, bit for bit
+        rep = offdiagonal_scan(m, grid, 1.0, x, y)
+        assert_bitwise(rep.sup_values,
+                       offdiagonal_scan(m, grid, 1.0, x[None], y[None]).sup_values)
+        empty = np.zeros((0, x.size))
+        with pytest.raises(DomainError, match="pair set is empty"):
+            offdiagonal_scan(m, grid, 1.0, empty, empty)
+        with pytest.raises(DomainError, match="pair set is empty"):
+            offdiagonal_scan(m, grid, 1.0, x, empty)
+        if isinstance(m, FlatTorus):
+            y = x + 0.3 * (y - x) / np.linalg.norm(y - x)
+            rep = remainder_scan(m, grid, x, y)
+            assert_bitwise(rep.sup_values, remainder_scan(m, grid, x[None], y[None]).sup_values)
+            with pytest.raises(DomainError, match="pair set is empty"):
+                remainder_scan(m, grid, empty, empty)
 
 
 def test_geodesic_points_domain():
@@ -227,33 +240,31 @@ def assert_bitwise(got, expected):
     assert got.tobytes() == expected.tobytes()
 
 
-def per_lambda_offdiagonal(m, grid, pairs):
-    return [max(abs(spectral_function(m, lam, x, y)) for x, y in pairs) for lam in grid]
+def per_lambda_offdiagonal(m, grid, x, y):
+    xs, ys, _ = lat.point_pairs(x, y)
+    return [max(abs(spectral_function(m, lam, x, y)) for x, y in zip(xs, ys)) for lam in grid]
 
 
-def per_lambda_remainder(m, grid, pairs, d):
+def per_lambda_remainder(m, grid, xs, ys, d):
     return [max(abs(spectral_function(m, lam, x, y, d) - per_point_leading_term(m, lam, x, y, d))
-                for x, y in pairs) for lam in grid]
+                for x, y in zip(xs, ys)) for lam in grid]
 
 
-NORTH = np.array([0.0, 0.0, 1.0])
-TORUS_PAIRS = [(np.array([0.3, 0.1]), np.array([1.5, 0.4])),
-               (np.array([2.0, 5.0]), np.array([0.4, 3.9])),
-               (ORIGIN, np.array([np.pi / 2, np.pi / 2]))]
+TORUS_XS = np.array([[0.3, 0.1], [2.0, 5.0], [0.0, 0.0]])
+TORUS_YS = np.array([[1.5, 0.4], [0.4, 3.9], [np.pi / 2, np.pi / 2]])
 
 
 def test_offdiagonal_scan_matches_per_lambda_loop(monkeypatch):
     grid = np.geomspace(50.5, 200.5, 6)
     passes = record_passes(monkeypatch, TORUS.lattice.dual_basis)
-    rep = offdiagonal_scan(TORUS, grid, 1.0, TORUS_PAIRS)
+    rep = offdiagonal_scan(TORUS, grid, 1.0, TORUS_XS, TORUS_YS)
     # one slab pass (reaching just past the guard) and no enumeration
     assert passes["dual_vectors"] == []
     assert passes["slabs"] == [pytest.approx(200.5)]
-    assert_bitwise(rep.sup_values, per_lambda_offdiagonal(TORUS, grid, TORUS_PAIRS))
-    pairs = [(NORTH, np.array([np.sin(t), 0.0, np.cos(t)])) for t in (0.7, 1.2, 2.0)]
+    assert_bitwise(rep.sup_values, per_lambda_offdiagonal(TORUS, grid, TORUS_XS, TORUS_YS))
     grid = np.geomspace(20.3, 60.3, 5)
-    rep = offdiagonal_scan(SPHERE, grid, 0.5, pairs)
-    assert_bitwise(rep.sup_values, per_lambda_offdiagonal(SPHERE, grid, pairs))
+    rep = offdiagonal_scan(SPHERE, grid, 0.5, NORTH, MERIDIAN)
+    assert_bitwise(rep.sup_values, per_lambda_offdiagonal(SPHERE, grid, NORTH, MERIDIAN))
 
 
 HEX = FlatTorus(Lattice.hexagonal(1.0))
@@ -263,17 +274,17 @@ D20 = DerivIndex(alpha=(2, 0))
 
 
 def scan_pairs(m):
-    """Pairs within the scans' half injectivity radius: the diagonal, and
-    offsets of several lengths and directions, one of them shifted by a
+    """(xs, ys) within the scans' half injectivity radius: the diagonal,
+    and offsets of several lengths and directions, one of them shifted by a
     period."""
     n = m.dim
     reach = 0.45 * lat.injectivity_radius(m.lattice)
     tilted = np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0))
     far = np.full(n, 5.0)
-    return [(np.zeros(n), np.zeros(n)),
-            (np.full(n, 0.2), np.full(n, 0.2) + 0.7 * reach * np.eye(n)[0]),
-            (np.full(n, 1.1), np.full(n, 1.1) - reach * tilted),
-            (far, far + 0.4 * reach * tilted[::-1] + m.lattice.basis @ np.eye(n)[-1])]
+    xs = np.array([np.zeros(n), np.full(n, 0.2), np.full(n, 1.1), far])
+    offsets = np.array([np.zeros(n), 0.7 * reach * np.eye(n)[0], -reach * tilted,
+                        0.4 * reach * tilted[::-1] + m.lattice.basis @ np.eye(n)[-1]])
+    return xs, xs + offsets
 
 
 @pytest.mark.parametrize("m,grid,d", [
@@ -287,16 +298,16 @@ def scan_pairs(m):
     (TORUS3, np.geomspace(10.5, 30.5, 4), DerivIndex(alpha=(0, 1), beta=(0, 0, 1))),
 ], ids=["2d", "deriv-1-1", "deriv-2-0", "hex-1-1", "skew-2-0", "skew-0-1", "3d", "3d-mixed"])
 def test_remainder_scan_matches_per_lambda_loop(monkeypatch, m, grid, d):
-    pairs = scan_pairs(m)
+    xs, ys = scan_pairs(m)
     passes = record_passes(monkeypatch, m.lattice.dual_basis)
-    rep = remainder_scan(m, grid, pairs, d)
+    rep = remainder_scan(m, grid, xs, ys, d)
     assert passes["dual_vectors"] == []
     assert passes["slabs"] == [pytest.approx(grid[-1])]
     # the leading term of a grid and point arrays, as one call and per point
-    xs, ys = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
     assert_bitwise(leading_term(m, grid, xs, ys, d),
-                   [[per_point_leading_term(m, lam, x, y, d) for x, y in pairs] for lam in grid])
-    assert_bitwise(rep.sup_values, per_lambda_remainder(m, grid, pairs, d))
+                   [[per_point_leading_term(m, lam, x, y, d) for x, y in zip(xs, ys)]
+                    for lam in grid])
+    assert_bitwise(rep.sup_values, per_lambda_remainder(m, grid, xs, ys, d))
 
 
 def test_remainder_exponent_over_two_decades():
@@ -305,10 +316,10 @@ def test_remainder_exponent_over_two_decades():
     # fitted exponent stays below n - 1 = 1, as O(lambda^{n-1}/log lambda)
     # implies (measured 0.486 for these pairs)
     grid = np.round(np.geomspace(50.0, 10000.0, 24)) + 0.5
-    pairs = [(np.zeros(2), np.zeros(2)), (np.full(2, 0.2), np.array([0.5, 0.2])),
-             (np.full(2, 1.1), np.full(2, 1.0))]
+    xs = np.array([[0.0, 0.0], [0.2, 0.2], [1.1, 1.1]])
+    ys = np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]])
     start = time.perf_counter()
-    rep = remainder_scan(TORUS, grid, pairs)
+    rep = remainder_scan(TORUS, grid, xs, ys)
     elapsed = time.perf_counter() - start
     print("two-decade remainder exponent %.3f (residual %.2f) in %.2f s"
           % (rep.fitted_exponent, rep.fit_residual, elapsed))
