@@ -434,12 +434,14 @@ def run_offdiag_scan(config: dict):
     n_pairs = pair_count(config)
     seed = int(config["seed"])
     if isinstance(m, FlatTorus):
-        inj = m.injectivity_radius
-        if eps >= inj:
-            raise DomainError("eps must be below the injectivity radius %.6g" % inj)
+        # the radii are drawn in [eps, 0.999 inj], empty from 0.999 inj on
+        bound = 0.999 * m.injectivity_radius
+        if eps >= bound:
+            raise DomainError("eps must be below 0.999 times the injectivity radius = %.6g "
+                              "on the torus" % bound)
         xs = seeded_cell_points(m.lattice, n_pairs, seed, salt=11)
         u = uniform_matrix(seed + 33, np.arange(n_pairs), m.dim)
-        radii = eps + (inj * 0.999 - eps) * u[:, 0]
+        radii = eps + (bound - eps) * u[:, 0]
         ys = xs + radii[:, None] * seeded_directions(u[:, 1:], m.dim)
     else:
         # the angles are drawn in [eps/R, pi - eps/R], empty from pi R/2 on

@@ -28,6 +28,7 @@ sqrt(l(l+1))/R and multiplicity 2l+1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -56,8 +57,9 @@ class FlatTorus:
     def volume(self) -> float:
         return self.lattice.covolume
 
-    @property
+    @functools.cached_property
     def injectivity_radius(self) -> float:
+        """Computed on first access (one period-lattice enumeration), then kept."""
         return lat.injectivity_radius(self.lattice)
 
     def distance(self, x, y):

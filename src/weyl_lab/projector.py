@@ -96,6 +96,10 @@ def remainder_scan(m: FlatTorus, lambda_grid, x, y, d: DerivIndex = ZERO_DERIV) 
     kernel and the leading term of the whole (lambda, pair) grid are one
     call each, so the dual lattice is enumerated once."""
     xs, ys, dists = _scan_pairs(m, x, y)
+    if d.total_order % 2 and not dists.any():
+        raise DomainError("every pair lies on the diagonal, where an odd total derivative "
+                          "order (%d) makes the kernel and the leading term vanish by the "
+                          "k <-> -k symmetry: there is no remainder to fit" % d.total_order)
     bound = 0.5 * m.injectivity_radius
     far = dists > bound + 1e-12
     if far.any():

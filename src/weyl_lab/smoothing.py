@@ -42,11 +42,23 @@ pi A / support times 16/13 and does not depend on lambda.
 Images with |w| >= support/A vanish identically: the integrand's time
 support [|w|, inf) misses the cutoff's. Truncation radii are computed from
 fitted h-decay constants with a 2x safety factor.
+
+Memory stays bounded at any size.  The J-table quadrature and the images
+side's radial kernel are evaluated in row blocks of about _BLOCK_VALUES
+values; the J-table rows are rounded down to a power of two, which keeps
+BLAS's matrix-vector product on the bits of the unblocked one (blocks of
+6 or 22 rows moved J by 5e-15).  The weight box is filled from dual-lattice
+shells at radii R (k/K)^{1/n}, k = 1..K, K chosen so that a shell holds
+about _SHELL_ROWS rows (ball volume over covolume), so besides the box only
+one shell's rows are held at a time.  A row within rounding of a shell edge
+may come in twice, with the same weight both times, so the box has the
+bits of a one-shell fill.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +87,10 @@ _DEGREE_PER_PANEL = 8
 _PANEL_DEGREE = 24
 # the spectral sum stops where the fitted h-decay puts |m| below this
 _TAIL_THRESHOLD = 1e-12
+# the values of one block of the J-table quadrature or of the images side
+_BLOCK_VALUES = 2**18
+# the rows of one dual-lattice shell of the weight box
+_SHELL_ROWS = 2**20
 
 
 @dataclass(frozen=True)
@@ -131,9 +147,10 @@ def _sine_integrals(spec: MollifierSpec, nus: np.ndarray, n_panels: int) -> np.n
     nodes, weights = _composite_gauss_legendre(spec.support, n_panels)
     base = rho_hat(spec, nodes) * weights / nodes
     out = np.empty(nus.size)
-    chunk = max(1, int(4e6 // max(nodes.size, 1)))
-    for lo in range(0, nus.size, chunk):
-        out[lo:lo + chunk] = np.sin(np.outer(nus[lo:lo + chunk], nodes)) @ base
+    # a power-of-two row count keeps the products on the unblocked bits
+    rows = 1 << max((_BLOCK_VALUES // nodes.size).bit_length() - 1, 0)
+    for lo in range(0, nus.size, rows):
+        out[lo:lo + rows] = np.sin(np.outer(nus[lo:lo + rows], nodes)) @ base
     return out
 
 
@@ -384,23 +401,34 @@ class SmoothedProjector:
 
         # spectral side: W[c] = m(|G c|) on the coefficient box of the tail
         # ball, 0 outside the ball, with one multiplier evaluation per
-        # distinct dual norm.  The box is checked against the cap before
-        # anything is enumerated or allocated.
+        # distinct dual norm of each shell.  The box is checked against the
+        # cap before anything is enumerated or allocated.
         half = lat.coefficient_box(m.lattice.dual_basis, self.tail_radius)
         size = lat.box_size(half)
         lat.check_cap(size, "the weight box of the spectral tail ball (radius %.6g, lambda=%g, "
                       "A=%g) holds %.12g coefficients" % (self.tail_radius, lam, A, size))
         self._half = half.astype(np.int64)
-        shape = tuple(2 * self._half + 1)
-        coeffs, vectors, norms = lat.dual_vectors(m.lattice, self.tail_radius)
-        del vectors  # the box needs only the coefficients and norms
-        # the norms come sorted, so each distinct norm is a run of equal values
-        starts = np.flatnonzero(np.concatenate([[True], norms[1:] != norms[:-1]]))
-        weights = multiplier_batch(spec, lam, A, norms[starts])
-        del norms
-        coeffs += self._half
-        self._box = np.zeros(shape)
-        self._box[tuple(coeffs.T)] = np.repeat(weights, np.diff(np.append(starts, coeffs.shape[0])))
+        self._box = np.zeros(tuple(2 * self._half + 1))
+        # about _SHELL_ROWS rows a shell, the ball's rows predicted as its
+        # volume over the dual covolume
+        n = m.dim
+        ball = np.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * self.tail_radius ** n
+        shells = math.ceil(ball / abs(np.linalg.det(m.lattice.dual_basis)) / _SHELL_ROWS)
+        radii = self.tail_radius * (np.arange(1, shells + 1) / shells) ** (1.0 / n)
+        radii[-1] = self.tail_radius
+        inner = -1.0  # the first shell is the ball of radius radii[0]
+        for outer in radii.tolist():
+            coeffs, vectors, norms = lat.dual_vectors(m.lattice, outer, inner)
+            del vectors  # the box needs only the coefficients and norms
+            # the norms come sorted, so each distinct norm is a run of equal values
+            starts = np.flatnonzero(np.concatenate([[True], norms[1:] != norms[:-1]]))
+            weights = multiplier_batch(spec, lam, A, norms[starts])
+            del norms
+            coeffs += self._half
+            self._box[tuple(coeffs.T)] = np.repeat(
+                weights, np.diff(np.append(starts, coeffs.shape[0])))
+            del coeffs
+            inner = outer
 
         # images side: panels hold _PANEL_PERIODS periods of 2 support/A,
         # the radial integrand's exponential type (see the module docstring)
@@ -444,7 +472,7 @@ class SmoothedProjector:
         lengths = np.linalg.norm(np.concatenate(images), axis=1) if images else np.empty(0)
         base = self._m_radial * self._r_weights * self._r_nodes ** (n - 1)
         terms = np.empty(lengths.size)
-        chunk = max(1, int(4e6 // self._r_nodes.size))
+        chunk = max(1, _BLOCK_VALUES // self._r_nodes.size)
         for lo in range(0, lengths.size, chunk):
             radii = np.multiply.outer(lengths[lo:lo + chunk], self._r_nodes)
             # a row-wise sum adds each row alike at any chunk size

@@ -4,8 +4,8 @@ replaced, the per-level sphere loop, the per-point Weyl leading term and
 Bessel prediction with the per-pair candidate search of `torus_log`, the
 cell-by-cell CSV writer, the smoothed projector's per-mode spectral sum
 and its images side on a radial rule of any panel width, with the clamped
-width the band-limit rule replaced, and a projector with a stretched
-spectral tail."""
+width the band-limit rule replaced, a projector with a stretched spectral
+tail, and the J-table quadrature in one block."""
 
 import copy
 import itertools
@@ -254,3 +254,12 @@ def images_rounding_scale(sp, x, y):
     return np.array([sum(float(np.abs(sphere_fourier(n, length * sp._r_nodes)) @ base)
                          for length in np.linalg.norm(w, axis=1))
                      for w in images]) / (2.0 * np.pi) ** n
+
+
+def unblocked_sine_integrals(spec, nus, n_panels):
+    """`smoothing._sine_integrals` as one sine block and one matrix-vector
+    product over every nu (the row blocks replaced it)."""
+    from weyl_lab.smoothing import _composite_gauss_legendre, rho_hat
+
+    nodes, weights = _composite_gauss_legendre(spec.support, n_panels)
+    return np.sin(np.outer(nus, nodes)) @ (rho_hat(spec, nodes) * weights / nodes)

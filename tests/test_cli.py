@@ -576,6 +576,41 @@ def test_sphere_offdiag_eps_past_a_quarter_circle_exits_2(tmp_path, manifold, ep
     assert res.exit_code == 0, res.output
 
 
+@pytest.mark.parametrize("eps", ["3.14", "3.1385", "3.141592653589793"])
+def test_torus_offdiag_eps_past_0999_injectivity_radius_exits_2(tmp_path, eps):
+    # the offset radii are drawn in [eps, 0.999 inj]: refused up front,
+    # naming that bound, instead of blaming a drawn pair's distance
+    out = tmp_path / "nothing"
+    res = run_cli(["offdiag-scan", *TORUS_ARGS, "--lambda-grid", "30.5:60.5:4:log",
+                   "--eps", eps, "--pairs", "3", "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.stderr == ("config error: eps must be below 0.999 times the injectivity "
+                          "radius = 3.13845 on the torus\n")
+    assert not out.exists()
+    res = run_cli(["offdiag-scan", *TORUS_ARGS, "--lambda-grid", "30.5:60.5:4:log",
+                   "--eps", "3.138", "--pairs", "3", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("manifold", ["torus:2:hex", "torus:2:square2pi"])
+@pytest.mark.parametrize("deriv", ["0,1", "1,0"])
+def test_diagonal_remainder_scan_with_odd_order_exits_2(tmp_path, manifold, deriv):
+    # on the diagonal the kernel and the leading term of odd total order
+    # vanish by the k <-> -k symmetry: hex fitted an exponent to rounding
+    # noise and square failed in the fit; both are refused up front
+    out = tmp_path / "nothing"
+    res = run_cli(["remainder-scan", "--manifold", manifold, "--lambda-grid", "50.5:200.5:6",
+                   "--pairs", "1", "--deriv", deriv, "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.stderr == ("config error: every pair lies on the diagonal, where an odd total "
+                          "derivative order (1) makes the kernel and the leading term vanish "
+                          "by the k <-> -k symmetry: there is no remainder to fit\n")
+    assert not out.exists()
+    res = run_cli(["remainder-scan", "--manifold", manifold, "--lambda-grid", "50.5:200.5:6",
+                   "--pairs", "3", "--deriv", deriv, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+
+
 def test_offdiag_scan_3d_offsets_take_seeded_directions(tmp_path, monkeypatch):
     # every offset has its own seeded direction (uniform on the sphere), not
     # the first axis, and a radius in [eps, inj)

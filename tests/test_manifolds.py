@@ -644,3 +644,23 @@ def test_zero_beta_moments_equal_the_full_series(order):
     for e, z, r in zip(expected, full_series(counts[zero], beta[zero]), rest):
         e[zero], e[~zero] = z, r
     assert_bits(got, expected)
+
+
+@pytest.mark.parametrize("spec", ["torus:2:square2pi", "torus:2:hex", "torus:2:mat:1,0.9;0,0.2",
+                                  "torus:3:square2pi"])
+def test_torus_injectivity_radius_is_computed_once(monkeypatch, spec):
+    m = parse_manifold(spec)
+    calls = []
+    lattice_vectors = lat._lattice_vectors
+
+    def record(*a, **k):
+        calls.append(a[1])
+        return lattice_vectors(*a, **k)
+
+    monkeypatch.setattr(lat, "_lattice_vectors", record)
+    first = m.injectivity_radius
+    assert len(calls) == 1
+    assert m.injectivity_radius == first
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert np.float64(first).tobytes() == np.float64(lat.injectivity_radius(m.lattice)).tobytes()

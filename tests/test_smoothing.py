@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -16,8 +17,10 @@ from oracles import (
     mode_sum_projector,
     record_passes,
     stretched_projector,
+    unblocked_sine_integrals,
 )
 from weyl_lab import lattice as lat
+from weyl_lab import smoothing
 from weyl_lab.cli import parse_manifold
 from weyl_lab.errors import DomainError, ResourceLimitError
 from weyl_lab.lattice import Lattice, deck_images, dual_vectors
@@ -263,6 +266,36 @@ def test_sine_integral_table_not_built_at_import():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+TABLE_MANIFOLDS = ["torus:2:square2pi", "torus:2:hex", "torus:2:mat:1,0.9;0,0.2",
+                   "torus:3:square2pi"]
+
+
+@pytest.mark.parametrize("name", TABLE_MANIFOLDS)
+def test_blocked_sine_integral_table_equals_the_unblocked_build(monkeypatch, name):
+    # power-of-two row blocks keep every row's matrix-vector product on the
+    # bits of the one-block quadrature
+    spec = MollifierSpec.for_manifold(parse_manifold(name))
+    table = sine_integral_table(spec)
+    monkeypatch.setattr(smoothing, "_sine_integrals", unblocked_sine_integrals)
+    oracle = sine_integral_table.__wrapped__(spec)
+    assert table.coeffs.tobytes() == oracle.coeffs.tobytes()
+    assert table.panel_coeffs.tobytes() == oracle.panel_coeffs.tobytes()
+    assert ((table.residual, table.trailing, table.tail, table.panel_error)
+            == (oracle.residual, oracle.trailing, oracle.tail, oracle.panel_error))
+
+
+def test_sine_integral_table_build_memory():
+    # the one-block quadrature peaked at 55.7 MiB (its 632 x 5760 sine
+    # block and the block's outer product); in row blocks it peaks at 5.8 MiB
+    tracemalloc.start()
+    try:
+        sine_integral_table.__wrapped__(SPEC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_multiplier_endpoint_half():
     # the endpoint limit is 1/2 for an even cutoff
     for lam, A in [(10.0, 0.5), (20.0, 1.0), (40.0, 0.25)]:
@@ -407,6 +440,66 @@ def test_weight_box_over_cap_raises_before_enumerating(monkeypatch):
     assert passes["slabs"] == []
     monkeypatch.setattr(lat, "ENUM_CAP", 58081)
     assert SmoothedProjector(TORUS, SPEC, 10.0, 0.5)._box.size == 58081
+
+
+# (manifold, lambda, A, tail factor of `stretched_projector`), each ball
+# well over three shells of 2**14 rows
+SHELL_CASES = [("torus:2:square2pi", 12.5, 0.5, 1.0), ("torus:3:square2pi", 2.5, 1.0, 0.2)]
+
+
+@pytest.mark.parametrize("case", SHELL_CASES, ids=["2d", "3d"])
+def test_shelled_weight_box_equals_one_shell(monkeypatch, case):
+    name, lam, A, stretch = case
+    m = parse_manifold(name)
+    spec = MollifierSpec.for_manifold(m)
+    passes = record_passes(monkeypatch, m.lattice.dual_basis)
+    one = stretched_projector(m, spec, lam, A, stretch)
+    assert passes["dual_vectors"] == [one.tail_radius]
+    passes["dual_vectors"].clear()
+    monkeypatch.setattr(smoothing, "_SHELL_ROWS", 2**14)
+    shelled = stretched_projector(m, spec, lam, A, stretch)
+    radii = passes["dual_vectors"]
+    assert len(radii) >= 3 and radii == sorted(radii) and radii[-1] == shelled.tail_radius
+    assert shelled._box.tobytes() == one._box.tobytes()
+    xs, ys = _oracle_pairs(m)
+    assert shelled.spectral(xs, ys).tobytes() == one.spectral(xs, ys).tobytes()
+    assert shelled.images(xs, ys).tobytes() == one.images(xs, ys).tobytes()
+
+
+def test_shelled_build_memory(monkeypatch):
+    # besides the box, a build holds one shell's rows: measured 170 bytes a
+    # shell row here, against 42 MiB over the box for the one-shell build
+    name, lam, A, stretch = SHELL_CASES[1]
+    m = parse_manifold(name)
+    spec = MollifierSpec.for_manifold(m)
+    sine_integral_table(spec)  # built before the measurement
+    monkeypatch.setattr(smoothing, "_SHELL_ROWS", 2**14)
+    tracemalloc.start()
+    try:
+        sp = stretched_projector(m, spec, lam, A, stretch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sp._box.nbytes + 256 * smoothing._SHELL_ROWS
+
+
+def test_3d_smooth_compare_peak_rss(tmp_path):
+    # the child's own peak resident set (ru_maxrss from wait4): 258 MiB
+    # with shells, 916 MiB when the whole tail ball was enumerated at once
+    src = os.path.dirname(os.path.dirname(weyl_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "weyl_lab.cli", "smooth-compare",
+             "--manifold", "torus:3:square2pi", "--lambda-grid", "6.5:6.5:1", "--A", "0.5",
+             "--pairs", "3", "--out", str(tmp_path / "out")],
+            env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        assert proc.returncode == 0, err.read()
+    assert usage.ru_maxrss < 350 * 1024  # KiB on Linux
 
 
 def test_smoothed_projector_below_first_eigenvalue():
