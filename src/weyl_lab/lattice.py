@@ -2,8 +2,9 @@
 
 Conventions: the lattice basis holds period vectors as columns; the dual
 basis satisfies <b_i, b*_j> = 2 pi delta_ij, so torus eigenfunctions are
-e^{i<k,x>} with k a dual point and eigenvalue |k|^2.  Enumeration works slab
-by slab: fixing every coefficient but the last, the ball meets the slab in
+e^{i<k,x>} with k a dual point and eigenvalue |k|^2.  Every lattice search
+(dual balls and shells, deck images, `torus_log`'s period ball) walks
+slabs: fixing every coefficient but the last, the ball meets the slab in
 an integer interval read off the quadratic form and settled on the exact
 row norms; the slabs come from a coefficient bounding box derived from
 operator norms.
@@ -23,6 +24,10 @@ ENUM_CAP = 10**8
 
 # tie tolerance for cut-locus detection
 NORM_TIE_TOL = 1e-9
+
+# lambda must stay this far from the spectrum (avoids half-counting
+# ambiguity); an absolute distance, unlike the relative tie rule of eigenlevels
+ON_SPECTRUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -145,19 +150,25 @@ def slab_ends(generator_matrix: np.ndarray, prefixes: np.ndarray, threshold: flo
               form=None):
     """Per slab, the last coefficients t with |G (prefix, t)| <= threshold:
     the integer interval [a, b], as two int arrays, and the distance from
-    threshold to the nearest norm among the rows a - 1, a, b and b + 1 of
-    every slab, which by convexity is the nearest norm of any row.
+    threshold to the nearest row norm, exact wherever it is below
+    ON_SPECTRUM_TOL (elsewhere it may be larger).
 
-    The quadratic form in t gives the ends up to rounding; each end is then
-    settled among its neighbours by `slab_row_norms`, so membership is
-    exactly that of the enumeration (a row on the threshold is in, one an
-    ulp above is out).  An empty slab has b = a - 1 = floor(vertex), so
-    a - 1 and b + 1 are the rows nearest the parabola's vertex.  The
-    distance reads the settled candidates' norms.  `form` is the prefixes'
-    `slab_form`, computed here when not given; a caller with many
-    thresholds passes it once computed.
+    Only the slabs whose line passes within threshold + ON_SPECTRUM_TOL are
+    settled (on the line |G (prefix, t)|^2 >= const - q vertex^2, taken with
+    a margin of 1e-9 of its terms' size); the others are empty, with
+    b = a - 1 = floor(vertex) as every empty slab.  A settled slab's ends
+    come from the quadratic form up to rounding and are settled among their
+    neighbours by `slab_row_norms`, so membership is exactly that of the
+    enumeration; by convexity its nearest norm is among the rows a - 1, a,
+    b and b + 1.  `form` is the prefixes' `slab_form`, computed here when
+    not given; a caller with many thresholds passes it once computed.
     """
     q, const, vertex = slab_form(generator_matrix, prefixes) if form is None else form
+    reach2 = (threshold + ON_SPECTRUM_TOL) ** 2
+    near = np.flatnonzero(const - q * vertex**2 <= reach2 + 1e-9 * (const + reach2))
+    ends_a = np.floor(vertex).astype(np.int64) + 1
+    ends_b = ends_a - 1
+    prefixes, const, vertex = prefixes[near], const[near], vertex[near]
     half = np.sqrt(np.maximum(vertex**2 - (const - threshold**2) / q, 0.0))
     lo = np.ceil(vertex - half).astype(np.int64)
     hi = np.floor(vertex + half).astype(np.int64)
@@ -184,7 +195,8 @@ def slab_ends(generator_matrix: np.ndarray, prefixes: np.ndarray, threshold: flo
         found = (index >= 0) & (index <= 2)
         norms = (lo_norms if lo_side else hi_norms)[index[found], slabs[found]]
         gap = min(gap, float(np.min(np.abs(norms - threshold), initial=np.inf)))
-    return a, b, gap
+    ends_a[near], ends_b[near] = a, b
+    return ends_a, ends_b, gap
 
 
 def slab_runs(ends, inner_ends=None):
@@ -195,16 +207,15 @@ def slab_runs(ends, inner_ends=None):
     runs, in slab order and ascending within a slab (lexicographic order
     of the rows)."""
     a, b = ends[:2]
+    # only the slabs with rows in the ball can hold runs
+    slabs = np.flatnonzero(b >= a)
     if inner_ends is None:
-        starts, stops = a[:, None], b[:, None]
-    else:
-        a_in, b_in = inner_ends[:2]
-        starts = np.stack([a, b_in + 1], axis=1)
-        stops = np.stack([a_in - 1, b], axis=1)
-    slab = np.repeat(np.arange(a.size), starts.shape[1])
-    starts, stops = starts.ravel(), stops.ravel()
+        return slabs, a[slabs], b[slabs]
+    a_in, b_in = inner_ends[0][slabs], inner_ends[1][slabs]
+    starts = np.stack([a[slabs], b_in + 1], axis=1).ravel()
+    stops = np.stack([a_in - 1, b[slabs]], axis=1).ravel()
     keep = stops >= starts
-    return slab[keep], starts[keep], stops[keep]
+    return np.repeat(slabs, 2)[keep], starts[keep], stops[keep]
 
 
 def _lattice_vectors(generator_matrix: np.ndarray, radius: float, inner: float = -1.0):
@@ -299,17 +310,17 @@ def torus_log(lattice: Lattice, x, y) -> np.ndarray:
     if xs.shape[1] != lattice.dim:
         raise DomainError("points must be %d-vectors" % lattice.dim)
     basis, diffs = lattice.basis, ys - xs
-    # reduce into a neighbourhood of the origin, then search one coefficient
-    # box, sufficient for every pair, in lexicographic order; the stacked
-    # solves and products make a single pair's LAPACK and BLAS calls per row
+    # reduce into a neighbourhood of the origin (the stacked solves and
+    # products make a single pair's LAPACK and BLAS calls per row); the
+    # shortest base + gamma, and every one tied with it, has |gamma| below
+    # twice the largest |base| with the tie allowance, so one walk of that
+    # period ball serves every pair
     base = diffs - (basis @ np.round(np.linalg.solve(basis, diffs[:, :, None])))[:, :, 0]
-    sigma_min = np.linalg.svd(basis, compute_uv=False)[-1]
-    reach = int(np.ceil(2.0 * np.max(row_norms(base), initial=0.0) / sigma_min)) + 1
-    count = len(xs) * (2.0 * reach + 1.0) ** lattice.dim
-    check_cap(count, "the pairs' shortest representatives have %.12g candidates" % count)
-    span = np.arange(-reach, reach + 1, dtype=float)
-    coeffs = np.stack(np.meshgrid(*[span] * lattice.dim, indexing="ij"), axis=-1)
-    candidates = base[:, None, :] + (basis @ coeffs.reshape(-1, lattice.dim, 1))[:, :, 0]
+    reach = float(np.max(row_norms(base), initial=0.0))
+    _, gammas, _ = _lattice_vectors(basis, 2.0 * (reach * (1.0 + NORM_TIE_TOL) + NORM_TIE_TOL))
+    count = len(xs) * gammas.shape[0]
+    check_cap(count, "the pairs' shortest representatives have %d candidates" % count)
+    candidates = base[:, None, :] + gammas
     norms = row_norms(candidates)
     best = (np.arange(len(xs)), np.argmin(norms, axis=1))
     tied = norms - norms[best][:, None] <= NORM_TIE_TOL * (1.0 + norms[best][:, None])

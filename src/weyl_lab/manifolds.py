@@ -13,10 +13,12 @@ materialise the dual lattice: fixing every dual coefficient but the last
 splits a window into runs of consecutive points, and each run's sum is a
 Dirichlet kernel (with its beta-derivatives for derivative factors), so a
 (lambda, pair) costs O(lambda^{n-1}) slabs: within a grid each lambda
-settles only the slabs its own ball meets, and the slab phases are built
-once per call.  These sums match the
-materialised mode sum to within 1e-12 of the sum of the mode terms'
-moduli.  On the sphere one pass over the degrees serves every window.
+settles only the slabs its own ball meets (`lattice.slab_ends`, which also
+gives the on-spectrum guard its distance), and the slab phases are built
+once per call.  These sums match the materialised mode sum to within
+1e-12 of the sum of the mode terms' moduli.  On the sphere one pass over
+the degrees serves every window, on |cos angle| with the odd degrees'
+signs, so antipodal pairs sum the exact P_l(-1) = (-1)^l.
 
 Each model carries its own `dim`, `volume`, `injectivity_radius` and
 `distance(x, y)` (for points or point arrays, as the kernels take them).
@@ -37,12 +39,8 @@ import numpy as np
 
 from . import lattice as lat
 from .errors import DomainError, SpectrumError
-from .lattice import Lattice, point_pairs, row_dots, row_norms
-from .specfun import legendre_p, legendre_step
-
-# lambda must stay this far from the spectrum (avoids half-counting
-# ambiguity); an absolute distance, unlike the relative tie rule of eigenlevels
-ON_SPECTRUM_TOL = 1e-9
+from .lattice import ON_SPECTRUM_TOL, Lattice, point_pairs, row_dots, row_norms
+from .specfun import legendre_fold, legendre_p, legendre_step
 
 
 @dataclass(frozen=True)
@@ -363,57 +361,15 @@ def _slab_window_sums(m: FlatTorus, phases, runs, d: DerivIndex):
     return (-1.0) ** sum(alpha) * np.sum(terms, axis=1) / m.lattice.covolume
 
 
-def _lines_within(form, threshold):
-    """Whether each slab's line passes within threshold + ON_SPECTRUM_TOL
-    of the origin, from the prefixes' `slab_form` (q, const, vertex): on
-    the line |G (prefix, t)|^2 >= const - q vertex^2, and that difference
-    is taken with a margin of 1e-9 of its terms' size, far above its
-    rounding.  A slab whose line does not pass has no row within
-    ON_SPECTRUM_TOL of the threshold or below it."""
-    q, const, vertex = form
-    reach2 = (threshold + ON_SPECTRUM_TOL) ** 2
-    return const - q * vertex**2 <= reach2 + 1e-9 * (const + reach2)
-
-
-def _near_slab_ends(G, prefixes, form, threshold: float):
-    """`lattice.slab_ends` at `threshold` on only those slabs whose line
-    passes within it (`_lines_within`): (kept slab indices, a, b, gap).  A
-    slab left out is empty at the threshold and cannot trip the
-    on-spectrum guard."""
-    q, const, vertex = form
-    kept = np.flatnonzero(_lines_within(form, threshold))
-    return (kept,) + lat.slab_ends(G, prefixes[kept], threshold, (q, const[kept], vertex[kept]))
-
-
-def _near_slab_runs(G, prefixes, form, outer, lo: float):
-    """The `lattice.slab_runs` of the window (lo, hi] (lo < 0: the ball),
-    from `outer`, the `_near_slab_ends` at hi, with slab indices into
-    `prefixes`; the runs are those of a settle on every slab, in slab
-    order."""
-    slabs, a, b, _ = outer
-    inner = None
-    if lo >= 0.0:
-        # the slabs kept at lo are among those kept at hi > lo, as
-        # `_lines_within` grows with the threshold; the others are empty at
-        # lo, with slab_ends' ends for an empty slab, b = a - 1 = floor(vertex)
-        inner_slabs, a_in, b_in, _ = _near_slab_ends(G, prefixes, form, lo)
-        inner_b = np.floor(form[2][slabs]).astype(np.int64)
-        inner_a = inner_b + 1
-        at = np.searchsorted(slabs, inner_slabs)
-        inner_a[at], inner_b[at] = a_in, b_in
-        inner = (inner_a, inner_b)
-    slab, starts, stops = lat.slab_runs((a, b), inner)
-    return slabs[slab], starts, stops
-
-
 def _sphere_window_sums(m: RoundSphere2, windows, xs, ys) -> np.ndarray:
     """Level sums sum_l (2l+1)/vol P_l(cos angle) over each window's
     degrees, shape (L, P).  One ascent of legendre_p's recurrence serves
-    every window: it starts from P_1 = legendre_p(1, .) and takes one
-    `legendre_step` per degree, so every P_l is legendre_p(l, .) bit for
-    bit at O(1) cost.  Each window accumulates its own degrees from 0.0 in
-    ascending order, exactly as a per-window loop."""
-    cosines = np.cos(sphere_angle(m, xs, ys))
+    every window: it starts from P_1 = legendre_p(1, .) on |cos angle| and
+    takes one `legendre_step` per degree, the odd degrees taking the sign
+    of the cosine, so every P_l is legendre_p(l, .) bit for bit at O(1)
+    cost.  Each window accumulates its own degrees from 0.0 in ascending
+    order, exactly as a per-window loop."""
+    cosines, sign = legendre_fold(np.cos(sphere_angle(m, xs, ys)))
     first = np.array([w.degrees[0] if w.degrees.size else 0 for w in windows])
     stop = np.array([w.degrees[-1] + 1 if w.degrees.size else 0 for w in windows])
     totals = np.zeros((len(windows), cosines.size))
@@ -424,8 +380,8 @@ def _sphere_window_sums(m: RoundSphere2, windows, xs, ys) -> np.ndarray:
             p, d = legendre_step(l - 1, cosines, p, d)
         rows = (first <= l) & (l < stop)
         if rows.any():
-            # P_0 = 1
-            totals[rows] += (2 * l + 1) / m.volume * (p if l else 1.0)
+            level = p * sign if l % 2 else (p if l else 1.0)   # P_0 = 1
+            totals[rows] += (2 * l + 1) / m.volume * level
     return totals
 
 
@@ -450,7 +406,7 @@ def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam:
     float, or an array of shape (L,), (P,) or (L, P) as the lambda and
     point arguments ask.  One set of slabs (one ball of degrees) out to the
     largest high serves every window; on tori each window end settles only
-    the slabs whose line passes within it (`_near_slab_ends`), and the
+    the slabs whose line passes within it (`lattice.slab_ends`), and the
     slab phases are built once.
 
     With `guard`, every high (a lambda) must be at least ON_SPECTRUM_TOL
@@ -475,13 +431,17 @@ def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam:
         G = m.lattice.dual_basis
         prefixes = lat.slab_prefixes(G, reach)
         form = lat.slab_form(G, prefixes)
-        outer = [_near_slab_ends(G, prefixes, form, hi) for hi in highs]
+        # each window keeps its runs, which hold only its nonempty slabs
+        windows, gaps = [], []
+        for lo, hi in zip(lows, highs):
+            outer = lat.slab_ends(G, prefixes, hi, form)
+            inner = lat.slab_ends(G, prefixes, lo, form) if lo >= 0.0 else None
+            windows.append(lat.slab_runs(outer, inner))
+            gaps.append(outer[2])
         if guard:
-            _check_off_spectrum(highs, np.array([ends[3] for ends in outer]))
+            _check_off_spectrum(highs, np.array(gaps))
         phases = _slab_phases(m, prefixes, xs, ys)
-        values = np.array([
-            _slab_window_sums(m, phases, _near_slab_runs(G, prefixes, form, ends, lo), d)
-            for lo, ends in zip(lows, outer)])
+        values = np.array([_slab_window_sums(m, phases, runs, d) for runs in windows])
     if not many:
         values = values[:, 0]
     if scalar_lam:

@@ -193,7 +193,10 @@ def empirical_covariance(ens: RandomWaveEnsemble, x, y):
 
 
 def default_rescaling_radius(lam: float) -> float:
-    """Largest |u| admitted in rescaled coordinates: sqrt(lam / log lam)."""
+    """Largest |u| admitted in rescaled coordinates: sqrt(lam / log lam),
+    defined for lam > 1 only (DomainError otherwise)."""
+    if not lam > 1.0:
+        raise DomainError("the rescaling radius sqrt(lam/log lam) needs lam > 1, got %g" % lam)
     return float(np.sqrt(lam / np.log(lam)))
 
 

@@ -398,6 +398,15 @@ class SmoothedProjector:
         self.h_decay = fit_h_decay(spec, lam, A)
         self.tail_radius = spectral_tail_radius(spec, lam, A, decay=self.h_decay)
         self.image_radius = spec.support / A
+        # images side: panels hold _PANEL_PERIODS periods of 2 support/A,
+        # the radial integrand's exponential type (see the module
+        # docstring); its node count, which grows as 1/A, is checked before
+        # anything is allocated
+        panel = _PANEL_PERIODS * 2.0 * np.pi / (2.0 * self.image_radius)
+        n_panels = np.ceil(self.tail_radius / panel)
+        nodes = _GL_NODES.size * n_panels
+        lat.check_cap(nodes, "the radial rule of the images side (A=%g, image radius %.6g) "
+                      "holds %.12g nodes" % (A, self.image_radius, nodes))
 
         # spectral side: W[c] = m(|G c|) on the coefficient box of the tail
         # ball, 0 outside the ball, with one multiplier evaluation per
@@ -430,11 +439,7 @@ class SmoothedProjector:
             del coeffs
             inner = outer
 
-        # images side: panels hold _PANEL_PERIODS periods of 2 support/A,
-        # the radial integrand's exponential type (see the module docstring)
-        panel = _PANEL_PERIODS * 2.0 * np.pi / (2.0 * self.image_radius)
-        n_panels = int(np.ceil(self.tail_radius / panel))
-        self._r_nodes, self._r_weights = _composite_gauss_legendre(self.tail_radius, n_panels)
+        self._r_nodes, self._r_weights = _composite_gauss_legendre(self.tail_radius, int(n_panels))
         self._m_radial = multiplier_batch(spec, lam, A, self._r_nodes)
 
     def spectral(self, x, y):

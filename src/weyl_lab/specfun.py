@@ -273,21 +273,32 @@ def legendre_p(l: int, x):
     """Legendre polynomial P_l(x) on [-1, 1].
 
     The difference-form upward recurrence from P_1 = x and d_1 = x - 1 (see
-    `legendre_step`); P_l(1) = 1 exactly; |x| > 1 raises a domain error.
+    `legendre_step`), run on |x| with P_l(-x) = (-1)^l P_l(x): d_k is the
+    accurate quantity only next to x = 1, so P_l(+-1) = +-1 exactly;
+    |x| > 1 raises a domain error.
     """
     if l < 0 or not isinstance(l, (int, np.integer)):
         raise DomainError("degree l must be a nonnegative integer")
     xa = np.asarray(x, dtype=float)
     if np.any(np.abs(xa) > 1.0 + 1e-14):
         raise DomainError("legendre_p requires |x| <= 1")
-    xa = np.clip(xa, -1.0, 1.0)
+    xa, sign = legendre_fold(np.clip(xa, -1.0, 1.0))
     if l == 0:
         out = np.ones_like(xa)
     else:
         out, d = xa, xa - 1.0
         for k in range(1, l):
             out, d = legendre_step(k, xa, out, d)
+        if l % 2:
+            out = out * sign
     return float(out) if xa.ndim == 0 else out
+
+
+def legendre_fold(x):
+    """(|x|, sign) with sign -1.0 where x < 0 and 1.0 elsewhere, so that
+    P_l(x) = sign^l P_l(|x|); x >= 0 (-0.0 too) is returned as it is."""
+    negative = x < 0.0
+    return np.where(negative, -x, x), np.where(negative, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

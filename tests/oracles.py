@@ -1,19 +1,22 @@
 """Slow reference paths kept for the tests: the bounding-box dual-lattice
 enumerator and the materialised torus mode sum that the slab-wise code
-replaced, the per-level sphere loop, the per-point Weyl leading term and
-Bessel prediction with the per-pair candidate search of `torus_log`, the
-cell-by-cell CSV writer, the smoothed projector's per-mode spectral sum
-and its images side on a radial rule of any panel width, with the clamped
-width the band-limit rule replaced, a projector with a stretched spectral
-tail, and the J-table quadrature in one block."""
+replaced, the settle of every slab that `slab_ends` narrowed to the slabs
+near its threshold, the per-level sphere loop, the per-point Weyl leading
+term and Bessel prediction with the per-pair candidate search of
+`torus_log`, its coefficient-box array search that the period-ball walk
+replaced, the cell-by-cell CSV writer, the smoothed projector's per-mode
+spectral sum and its images side on a radial rule of any panel width,
+with the clamped width the band-limit rule replaced, a projector with a
+stretched spectral tail, and the J-table quadrature in one block."""
 
 import copy
 import itertools
 
 import numpy as np
 
-from weyl_lab.errors import DomainError
-from weyl_lab.lattice import check_cap
+from weyl_lab.errors import CutLocusError, DomainError
+from weyl_lab.lattice import (NORM_TIE_TOL, check_cap, point_pairs, row_norms, slab_form,
+                              slab_row_norms)
 from weyl_lab.specfun import bessel_ratio
 
 
@@ -38,6 +41,34 @@ def box_lattice_vectors(generator_matrix, radius):
     return coeffs[order], vectors[order], norms[order]
 
 
+def full_slab_ends(generator_matrix, prefixes, threshold, form=None):
+    """`lattice.slab_ends` settled on every slab: (a, b, gap) with the ends
+    of each slab and the exact distance from threshold to the nearest row
+    norm, read off the rows a - 1, a, b and b + 1 of every slab."""
+    q, const, vertex = slab_form(generator_matrix, prefixes) if form is None else form
+    half = np.sqrt(np.maximum(vertex**2 - (const - threshold**2) / q, 0.0))
+    lo = np.ceil(vertex - half).astype(np.int64)
+    hi = np.floor(vertex + half).astype(np.int64)
+    lo_norms = slab_row_norms(generator_matrix, prefixes, lo, (1, 0, -1))
+    hi_norms = slab_row_norms(generator_matrix, prefixes, hi, (-1, 0, 1))
+    a = np.full(prefixes.shape[0], np.iinfo(np.int64).max)
+    b = np.full(prefixes.shape[0], np.iinfo(np.int64).min)
+    for j, step in enumerate((1, 0, -1)):
+        a = np.where(lo_norms[j] <= threshold, lo + step, a)
+        b = np.where(hi_norms[j] <= threshold, hi - step, b)
+    empty = a > b
+    b[empty] = np.floor(vertex[empty]).astype(np.int64)
+    a[empty] = b[empty] + 1
+    slabs = np.arange(prefixes.shape[0])
+    gap = np.inf
+    for end, shift, lo_side in ((a, -1, True), (a, 0, True), (b, 0, False), (b, 1, False)):
+        index = lo + 1 - (end + shift) if lo_side else end + shift - hi + 1
+        found = (index >= 0) & (index <= 2)
+        norms = (lo_norms if lo_side else hi_norms)[index[found], slabs[found]]
+        gap = min(gap, float(np.min(np.abs(norms - threshold), initial=np.inf)))
+    return a, b, gap
+
+
 def materialised_window_sum(m, lo, hi, x, y, d):
     """The torus mode sum of d_x^alpha d_y^beta phi_k(x) phi_k(y) over the
     dual points with lo < |k| <= hi, term by term, and the sum of the
@@ -60,13 +91,15 @@ def record_passes(monkeypatch, dual_basis):
     of every `slab_prefixes` call on `dual_basis` (each slab-wise kernel or
     count pass, and each enumeration, which runs on slabs too), and
     "settles" the (threshold, slab count) of every `slab_ends` call on
-    `dual_basis`: how many slabs each window end settles.  Callers assert
-    the keys they are about, so a new key leaves them unchanged."""
+    `dual_basis`: how many slabs each window end settles, counted as the
+    slabs its `slab_row_norms` calls take.  Callers assert the keys they
+    are about, so a new key leaves them unchanged."""
     import weyl_lab.lattice as lattice
 
     passes = {"dual_vectors": [], "slabs": [], "settles": []}
     dual_vectors, slab_prefixes, slab_ends = (lattice.dual_vectors, lattice.slab_prefixes,
                                               lattice.slab_ends)
+    settled = []
 
     def record_enumeration(*a, **k):
         passes["dual_vectors"].append(float(a[1]))
@@ -77,14 +110,21 @@ def record_passes(monkeypatch, dual_basis):
             passes["slabs"].append(float(a[1]))
         return slab_prefixes(*a, **k)
 
+    def record_row_norms(*a, **k):
+        settled.append(a[1].shape[0])
+        return slab_row_norms(*a, **k)
+
     def record_settle(*a, **k):
+        mark = len(settled)
+        ends = slab_ends(*a, **k)
         if np.array_equal(a[0], dual_basis):
-            passes["settles"].append((float(a[2]), a[1].shape[0]))
-        return slab_ends(*a, **k)
+            passes["settles"].append((float(a[2]), settled[mark]))
+        return ends
 
     monkeypatch.setattr(lattice, "dual_vectors", record_enumeration)
     monkeypatch.setattr(lattice, "slab_prefixes", record_slabs)
     monkeypatch.setattr(lattice, "slab_ends", record_settle)
+    monkeypatch.setattr(lattice, "slab_row_norms", record_row_norms)
     return passes
 
 
@@ -119,6 +159,26 @@ def per_pair_torus_log(lattice, x, y):
         candidates.append((float(np.linalg.norm(w)), w))
     candidates.sort(key=lambda t: t[0])
     return candidates[0][1]
+
+
+def box_torus_log(lattice, x, y):
+    """`lattice.torus_log` by the search the period-ball walk replaced: one
+    coefficient box of reach ceil(2 max|base| / sigma_min) + 1 for every
+    pair, in lexicographic order, with the same tie check."""
+    xs, ys, many = point_pairs(x, y)
+    basis, diffs = lattice.basis, ys - xs
+    base = diffs - (basis @ np.round(np.linalg.solve(basis, diffs[:, :, None])))[:, :, 0]
+    sigma_min = np.linalg.svd(basis, compute_uv=False)[-1]
+    reach = int(np.ceil(2.0 * np.max(row_norms(base), initial=0.0) / sigma_min)) + 1
+    span = np.arange(-reach, reach + 1, dtype=float)
+    coeffs = np.stack(np.meshgrid(*[span] * lattice.dim, indexing="ij"), axis=-1)
+    candidates = base[:, None, :] + (basis @ coeffs.reshape(-1, lattice.dim, 1))[:, :, 0]
+    norms = row_norms(candidates)
+    best = (np.arange(len(xs)), np.argmin(norms, axis=1))
+    tied = norms - norms[best][:, None] <= NORM_TIE_TOL * (1.0 + norms[best][:, None])
+    if np.any(np.count_nonzero(tied, axis=1) > 1):
+        raise CutLocusError("shortest representative of y - x is not unique")
+    return candidates[best] if many else candidates[best][0]
 
 
 def per_point_profile_derivative(nu, u, gamma):

@@ -292,6 +292,20 @@ def test_smooth_compare_exits_1_when_the_panel_table_fails(tmp_path, monkeypatch
     assert not (tmp_path / "smooth-compare.csv").exists()
 
 
+def test_smooth_compare_with_a_radial_rule_past_the_cap_exits_3(tmp_path):
+    # the radial rule has 16 nodes per panel and ~1/A panels: at A = 1e-9
+    # that is 1.5e11 nodes (68 GiB once allocated), refused before the
+    # weight box or the rule is built
+    out = tmp_path / "nothing"
+    res = run_cli(["smooth-compare", *TORUS_ARGS, "--lambda-grid", "12.5:12.5:1",
+                   "--A", "1e-9", "--pairs", "1", "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert res.stderr == ("resource limit: the radial rule of the images side (A=1e-09, "
+                          "image radius 2.82743e+09) holds 146250002592 nodes, exceeding "
+                          "the cap 100000000\n")
+    assert not out.exists()
+
+
 def test_appendix_a_rejects_a_fractional_p(tmp_path):
     # the localized integrals have closed forms for integer p only
     res = run_cli(["appendix-a", "--lambda-grid", "50:200:3", "--p", "0,0.5",

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import box_lattice_vectors, per_pair_torus_log
+from oracles import box_lattice_vectors, box_torus_log, full_slab_ends, per_pair_torus_log
 from weyl_lab.cli import parse_manifold
 from weyl_lab.errors import CutLocusError, DomainError, ResourceLimitError
 from weyl_lab.lattice import (
+    ON_SPECTRUM_TOL,
     Lattice,
     deck_images,
     dual_vectors,
@@ -69,10 +70,13 @@ def test_enumeration_cap(monkeypatch):
         dual_vectors(SQUARE2PI, 10.0)
     monkeypatch.setattr(lat, "ENUM_CAP", 64)
     assert dual_vectors(SQUARE2PI, 10.0, inner=9.0)[2].size == 64
-    # torus_log's shared box counts too: 3 pairs, 5 x 5 candidates each
-    monkeypatch.setattr(lat, "ENUM_CAP", 74)
-    with pytest.raises(ResourceLimitError, match="have 75 candidates, exceeding the cap 74"):
-        torus_log(SQUARE2PI, np.zeros((3, 2)), np.full((3, 2), 0.5))
+    # torus_log's candidates count too: 3 pairs, each against the 5 periods
+    # of the ball of radius 2 |(3, 3)| (plus the tie allowance) they share
+    monkeypatch.setattr(lat, "ENUM_CAP", 15)
+    assert torus_log(SQUARE2PI, np.zeros((3, 2)), np.full((3, 2), 3.0)).shape == (3, 2)
+    monkeypatch.setattr(lat, "ENUM_CAP", 14)
+    with pytest.raises(ResourceLimitError, match="have 15 candidates, exceeding the cap 14"):
+        torus_log(SQUARE2PI, np.zeros((3, 2)), np.full((3, 2), 3.0))
     monkeypatch.undo()
     # far over the cap, a lower bound on the rows refuses before any slab
     # is built (3-D radius 4000 would need 6.4e7 slabs for the count)
@@ -121,29 +125,38 @@ def test_dual_vectors_equal_the_box_enumerator(name):
 
 @pytest.mark.parametrize("name", list(ENUMERATION_LATTICES))
 def test_slab_ends_gap_is_the_nearest_edge_row_norm(name):
-    # the on-spectrum guard reads the gap off slab_ends: it must be the
-    # nearest of the norms slab_row_norms gives rows a - 1, a, b, b + 1,
-    # slab by slab (a whole symmetric box would hide a wrong hi side), for
-    # thresholds on a root, one ulp either side of it, and generic ones
-    # (empty slabs included)
+    # the on-spectrum guard reads the gap off slab_ends.  Settled on every
+    # slab (the oracle), the gap is the nearest of the norms slab_row_norms
+    # gives rows a - 1, a, b, b + 1, slab by slab (a whole symmetric box
+    # would hide a wrong hi side).  slab_ends settles only the slabs that
+    # come within ON_SPECTRUM_TOL of the threshold: its ends must be the
+    # oracle's, and its gap never below the exact one and equal to it below
+    # ON_SPECTRUM_TOL, for thresholds on a root, an ulp either side of it,
+    # inside the guard and generic ones (empty slabs included)
     G = ENUMERATION_LATTICES[name].dual_basis
     radius = 12.0 if G.shape[0] == 2 else 7.0
     prefixes = slab_prefixes(G, radius)
     roots = box_lattice_vectors(G, radius)[2]
     thresholds = [0.0, 0.3, 2.71, radius]
     for root in roots[[1, roots.size // 3, -1]]:
-        thresholds += [root, np.nextafter(root, 0.0), np.nextafter(root, np.inf)]
+        thresholds += [root, np.nextafter(root, 0.0), np.nextafter(root, np.inf),
+                       root - 5e-10, root + 5e-10]
     for threshold in thresholds:
         a, b, gap = slab_ends(G, prefixes, threshold)
+        full_a, full_b, exact = full_slab_ends(G, prefixes, threshold)
+        assert a.tobytes() == full_a.tobytes() and b.tobytes() == full_b.tobytes(), threshold
         rows = np.stack([a - 1, a, b, b + 1])
         norms = np.concatenate([slab_row_norms(G, prefixes, t) for t in rows])
-        assert gap == np.min(np.abs(norms - threshold)), threshold
+        assert exact == np.min(np.abs(norms - threshold)), threshold
+        assert gap >= exact and (gap == exact or exact >= ON_SPECTRUM_TOL), threshold
         assert np.all(norms[[1, 2]][:, a <= b] <= threshold)
         assert np.all(norms[[0, 3]] > threshold)
         for s in range(prefixes.shape[0]):
             single = slab_ends(G, prefixes[s:s + 1], threshold)
             assert (single[0][0], single[1][0]) == (a[s], b[s])
-            assert single[2] == np.min(np.abs(norms[:, s] - threshold)), (threshold, s)
+            nearest = np.min(np.abs(norms[:, s] - threshold))
+            assert single[2] >= nearest, (threshold, s)
+            assert single[2] == nearest or nearest >= ON_SPECTRUM_TOL, (threshold, s)
     assert slab_ends(G, prefixes, roots[-1])[2] == 0.0
 
 
@@ -264,6 +277,37 @@ def test_torus_log_arrays_match_per_pair_calls(name):
     # a single point pairs with every row of the other
     assert torus_log(lattice, xs[0], ys).tobytes() == np.array(
         [torus_log(lattice, xs[0], y) for y in ys]).tobytes()
+
+
+NEAR_DEGENERATE = parse_manifold("torus:2:mat:1,0.99;0,0.01").lattice
+
+
+def test_torus_log_on_a_near_degenerate_basis_equals_the_box_search():
+    # the coefficient box this basis needs has reach ~281 per pair; the
+    # period-ball walk returns the same representatives, up to the rounding
+    # of the periods' products (the walk's gemm against the box's matvecs)
+    rng = np.random.default_rng(23)
+    xs = rng.uniform(-3.0, 9.0, (24, 2))
+    ys = rng.uniform(-3.0, 9.0, (24, 2))
+    got = torus_log(NEAR_DEGENERATE, xs, ys)
+    want = np.array([box_torus_log(NEAR_DEGENERATE, x, y) for x, y in zip(xs, ys)])
+    assert np.max(np.abs(got - want)) <= 2e-15
+
+
+def test_torus_log_memory_on_a_near_degenerate_basis():
+    # the box search peaked at ~2.5 GiB of tracemalloc for these 300 pairs
+    import tracemalloc
+
+    rng = np.random.default_rng(29)
+    xs = rng.uniform(-3.0, 9.0, (300, 2))
+    ys = rng.uniform(-3.0, 9.0, (300, 2))
+    tracemalloc.start()
+    try:
+        torus_log(NEAR_DEGENERATE, xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_deck_images_zero_offset():

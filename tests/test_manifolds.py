@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import box_lattice_vectors, level_loop_sum, materialised_window_sum
+from oracles import (box_lattice_vectors, full_slab_ends, level_loop_sum,
+                     materialised_window_sum)
 from weyl_lab import lattice as lat
 from weyl_lab.cli import parse_manifold
 from weyl_lab.errors import DomainError, ResourceLimitError, SpectrumError
 from weyl_lab.lattice import Lattice, dual_vectors
 from weyl_lab.manifolds import (
+    ON_SPECTRUM_TOL,
     ZERO_DERIV,
     DerivIndex,
     FlatTorus,
@@ -518,6 +520,19 @@ def test_sphere_sums_equal_the_level_loop():
                     for lam in grid])
 
 
+@pytest.mark.parametrize("lam", [200.5, 800.5])
+def test_sphere_antipodal_sum_is_the_alternating_level_count(lam):
+    # P_l(-1) = (-1)^l exactly, so E_lambda(N, -N) is the exact
+    # sum (2l+1)(-1)^l / (4 pi) to rounding (the recurrence on cos = -1
+    # itself missed it by 9.6e-11 at lambda 800.5)
+    ls = np.arange(int(lam) + 1)
+    exact = float(np.sum((2 * ls + 1) * (-1.0) ** ls)) / (4.0 * np.pi)
+    got = spectral_function(SPHERE, lam, NORTH, -NORTH)
+    assert abs(got - exact) <= 1e-13 * abs(exact)
+    assert_bitwise(spectral_function(SPHERE, [lam], NORTH, -NORTH), [level_loop_sum(
+        SPHERE, -1.0, lam, NORTH, -NORTH)])
+
+
 # ---------------------------------------------------------------------------
 # per-lambda slabs: each window end settles only the slabs its ball meets
 
@@ -526,35 +541,45 @@ SETTLE_TORI = {
     "hex": ("torus:2:hex", 60.0),
     "skew": ("torus:2:mat:1,0.9;0,0.2", 60.0),
     "3d": ("torus:3:square2pi", 14.0),
+    # dual vectors of length ~0.1, where the guard's distance, not the
+    # margin's 1e-9 of the squared terms, keeps the slabs near a threshold
+    "coarse": ("torus:2:diag:60,70", 3.0),
 }
 
 
 def _full_runs(G, prefixes, form, lo, hi):
-    """`lattice.slab_runs` of (lo, hi] settled on every slab, and the
-    guard's distance at hi."""
-    outer = lat.slab_ends(G, prefixes, hi, form)
-    inner = None if lo < 0.0 else lat.slab_ends(G, prefixes, lo, form)
+    """`lattice.slab_runs` of (lo, hi] settled on every slab (the oracle),
+    and the guard's exact distance at hi."""
+    outer = full_slab_ends(G, prefixes, hi, form)
+    inner = None if lo < 0.0 else full_slab_ends(G, prefixes, lo, form)
     return lat.slab_runs(outer, inner), outer[2]
 
 
 def _assert_pruned_settle_is_the_full_settle(G, prefixes, thresholds):
-    import weyl_lab.manifolds as mf
-
     form = lat.slab_form(G, prefixes)
-    # every slab passes at its smallest row norm less the guard's distance,
-    # so the margin covers the rounding of const - q vertex^2
+    # per slab, its smallest row norm less the guard's distance, raised by
+    # ulps until the gap is below it: settled alone, the slab must report
+    # that gap, which it can only do if the margin on const - q vertex^2
+    # covers the rounding there and keeps the slab
     foot = np.floor(form[2]).astype(np.int64)
     smallest = lat.slab_row_norms(G, prefixes, foot, (0, 1)).min(axis=0)
-    assert np.all(mf._lines_within(form, smallest - mf.ON_SPECTRUM_TOL))
+    below = smallest - ON_SPECTRUM_TOL
+    while np.any(smallest - below >= ON_SPECTRUM_TOL):
+        up = smallest - below >= ON_SPECTRUM_TOL
+        below[up] = np.nextafter(below[up], np.inf)
+    for s in np.flatnonzero(below > 0.0):
+        one = (form[0], form[1][s:s + 1], form[2][s:s + 1])
+        assert lat.slab_ends(G, prefixes[s:s + 1], below[s], one)[2] < ON_SPECTRUM_TOL, s
     thresholds = np.sort(thresholds)
     for lo, hi in zip(np.concatenate(([-1.0], thresholds[:-1])), thresholds):
         for low in (-1.0, lo):
-            (slab, starts, stops), gap = _full_runs(G, prefixes, form, low, hi)
-            outer = mf._near_slab_ends(G, prefixes, form, hi)
-            got = mf._near_slab_runs(G, prefixes, form, outer, low)
-            assert [r.tolist() for r in got] == [slab.tolist(), starts.tolist(),
-                                                 stops.tolist()], (low, hi)
-            assert (outer[3] < mf.ON_SPECTRUM_TOL) == (gap < mf.ON_SPECTRUM_TOL), hi
+            (slab, starts, stops), exact = _full_runs(G, prefixes, form, low, hi)
+            outer = lat.slab_ends(G, prefixes, hi, form)
+            inner = None if low < 0.0 else lat.slab_ends(G, prefixes, low, form)
+            got = lat.slab_runs(outer, inner)
+            assert [r.tobytes() for r in got] == [slab.tobytes(), starts.tobytes(),
+                                                  stops.tobytes()], (low, hi)
+            assert (outer[2] < ON_SPECTRUM_TOL) == (exact < ON_SPECTRUM_TOL), hi
 
 
 @pytest.mark.parametrize("case", list(SETTLE_TORI))
@@ -598,7 +623,6 @@ def test_guard_sees_a_small_lambda_of_a_grid(m):
 
 
 def test_settles_touch_only_each_lambdas_own_slabs(monkeypatch):
-    import weyl_lab.manifolds as mf
     from oracles import record_passes
     from weyl_lab.cli import parse_grid
 
@@ -611,7 +635,7 @@ def test_settles_touch_only_each_lambdas_own_slabs(monkeypatch):
     p = np.arange(-59, 60)
     line = (p[:, None] ** 2 + p[None, :] ** 2).ravel()
     for lam, count in settles:
-        reach2 = (lam + mf.ON_SPECTRUM_TOL) ** 2
+        reach2 = (lam + ON_SPECTRUM_TOL) ** 2
         assert count <= np.count_nonzero(line <= reach2 + 1e-9 * (line + reach2)), lam
     # against 14,161 slabs of lambda_max's ball for every lambda
     assert sum(count for _, count in settles) < 0.4 * 4 * 14161

@@ -125,6 +125,17 @@ def test_offdiagonal_scan_sphere_finite():
     assert np.isfinite(rep.fitted_exponent)
 
 
+def test_offdiagonal_scan_sphere_grows_at_the_conjugate_point():
+    # the antipode is the sphere's conjugate point, which the paper's
+    # hypothesis excludes: there E_lambda = sum (2l+1)(-1)^l / (4 pi) grows
+    # like lambda^(n-1) = lambda, while the torus scan above decays
+    grid = np.geomspace(50.5, 400.5, 8)
+    theta = np.pi - np.array([0.0, 2e-4, 5e-4, 1e-3])
+    ys = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1)
+    rep = offdiagonal_scan(SPHERE, grid, 1.0, NORTH, ys)
+    assert abs(rep.fitted_exponent - 1.0) <= 0.05
+
+
 def test_cluster_vs_bessel_torus_diagonal():
     lam, width = 30.0, 1.0
     table = cluster_vs_bessel(TORUS, lam, width, ORIGIN, np.array([0.0, 0.05, 0.1]))

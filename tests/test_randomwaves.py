@@ -255,6 +255,17 @@ def test_rescaled_radius_constraint():
                                   np.array([r * 1.01, 0.0]))
 
 
+@pytest.mark.parametrize("lam", [0.8, 1.0])
+def test_rescaling_radius_needs_lambda_above_one(lam):
+    # sqrt(lam/log lam) is nan below 1 and inf at 1, which admitted every
+    # |u| without a word
+    with pytest.raises(DomainError, match="needs lam > 1, got %g" % lam):
+        default_rescaling_radius(lam)
+    ens = RandomWaveEnsemble(TORUS, lam, 1.0, seed=1, num_samples=2)
+    with pytest.raises(DomainError):
+        rescaled_covariance_error(ens, np.zeros(2), np.zeros(2), np.array([0.3, 0.0]))
+
+
 def test_sample_wave_grid_matches_pointwise():
     ens = RandomWaveEnsemble(TORUS, 10.3, 1.0, seed=4, num_samples=5)
     pts = np.array([[0.0, 0.0], [0.3, 1.0]])

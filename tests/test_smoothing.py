@@ -296,6 +296,20 @@ def test_sine_integral_table_build_memory():
     assert peak < 8 * 2**20
 
 
+def test_radial_rule_refusal_allocates_nothing():
+    # A = 1e-9 asks for 1.5e11 radial nodes: refused with the table built
+    # and nothing of the rule's size allocated (the rule alone is 68 GiB)
+    sine_integral_table(SPEC)  # built before the measurement
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="holds 146250002592 nodes"):
+            SmoothedProjector(TORUS, SPEC, 12.5, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_multiplier_endpoint_half():
     # the endpoint limit is 1/2 for an even cutoff
     for lam, A in [(10.0, 0.5), (20.0, 1.0), (40.0, 0.25)]:

@@ -11,6 +11,7 @@ from weyl_lab.specfun import (
     RADIAL_SERIES_SWITCH,
     bessel_j,
     bessel_ratio,
+    legendre_fold,
     legendre_p,
     legendre_step,
     sphere_fourier,
@@ -215,25 +216,48 @@ def test_legendre_mpmath_at_scan_degrees(l):
 @pytest.mark.parametrize("l", [0, 1, 2, 5, 50, 204, 400, 800])
 def test_legendre_matches_eval_legendre(l):
     # the difference-form recurrence is scipy's: equal bit for bit where
-    # |x| >= 1e-5.  Below, scipy switches to a power series and the
-    # recurrence stays; the drift there is measured <= 6.8e-15 absolute at
-    # degree 800 (<= 1.7e-16 up to degree 204)
+    # |x| >= 1e-5, on x itself for x >= 0 and on |x| with the sign (-1)^l
+    # for x < 0.  scipy's recurrence on a negative x itself drifts from that
+    # by up to 1.5e-12 at degree 800 (its P_800(-1) is 1 + 1.5e-12).  Below
+    # 1e-5, scipy switches to a power series and the recurrence stays; the
+    # drift there is measured <= 6.8e-15 absolute at degree 800 (<= 1.7e-16
+    # up to degree 204)
     rng = np.random.default_rng(7)
     xs = np.concatenate([rng.uniform(-1.0, 1.0, 2000), [-1.0, 1.0, 1e-5, -1e-5],
                          1.0 - np.geomspace(1e-15, 1e-2, 40)])
-    assert np.array_equal(legendre_p(l, xs), eval_legendre(l, xs))
+    got, negative = legendre_p(l, xs), xs < 0.0
+    assert np.array_equal(got[~negative], eval_legendre(l, xs[~negative]))
+    assert np.array_equal(got[negative], (-1.0) ** l * eval_legendre(l, -xs[negative]))
+    assert np.max(np.abs(got - eval_legendre(l, xs))) <= 1.6e-12
     small = np.concatenate([[0.0, 1e-12, -3e-9], rng.uniform(-1e-5, 1e-5, 200)])
     assert np.max(np.abs(legendre_p(l, small) - eval_legendre(l, small))) <= 1e-14
     assert legendre_p(l, 1.0) == 1.0
 
 
 def test_legendre_steps_continue_legendre_p():
-    # an ascent by legendre_step from P_1 reproduces legendre_p at every degree
+    # an ascent by legendre_step from P_1 on |x|, the odd degrees taking the
+    # sign of x, reproduces legendre_p at every degree
     xs = np.linspace(-1.0, 1.0, 101)
-    p, d = legendre_p(1, xs), xs - 1.0
+    folded, sign = legendre_fold(xs)
+    p, d = legendre_p(1, folded), folded - 1.0
     for l in range(2, 60):
-        p, d = legendre_step(l - 1, xs, p, d)
-        assert np.array_equal(p, legendre_p(l, xs)), l
+        p, d = legendre_step(l - 1, folded, p, d)
+        assert np.array_equal(p * sign if l % 2 else p, legendre_p(l, xs)), l
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3, 10, 51, 200, 801])
+def test_legendre_parity_is_exact(l):
+    # P_l(-x) = (-1)^l P_l(x) bit for bit on (0, 1], and P_l(+-1) = +-1
+    # exactly; x >= 0 (-0.0 included) keeps the bits of the plain ascent
+    xs = np.concatenate([np.linspace(1e-6, 1.0, 997), [1e-300, 0.5, 1.0]])
+    assert legendre_p(l, -xs).tobytes() == ((-1.0) ** l * legendre_p(l, xs)).tobytes()
+    assert legendre_p(l, -1.0) == (-1.0) ** l
+    plain = np.concatenate([[0.0, -0.0], xs])
+    p = np.ones_like(plain) if l == 0 else plain
+    d = plain - 1.0
+    for k in range(1, l):
+        p, d = legendre_step(k, plain, p, d)
+    assert legendre_p(l, plain).tobytes() == p.tobytes()
 
 
 def test_legendre_domain():
