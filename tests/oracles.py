@@ -14,9 +14,8 @@ import itertools
 
 import numpy as np
 
-from weyl_lab.errors import CutLocusError, DomainError
-from weyl_lab.lattice import (NORM_TIE_TOL, check_cap, point_pairs, row_norms, slab_form,
-                              slab_row_norms)
+from weyl_lab.errors import DomainError
+from weyl_lab.lattice import check_cap, point_pairs, row_norms, slab_form, slab_row_norms
 from weyl_lab.specfun import bessel_ratio
 
 
@@ -164,7 +163,7 @@ def per_pair_torus_log(lattice, x, y):
 def box_torus_log(lattice, x, y):
     """`lattice.torus_log` by the search the period-ball walk replaced: one
     coefficient box of reach ceil(2 max|base| / sigma_min) + 1 for every
-    pair, in lexicographic order, with the same tie check."""
+    pair, in lexicographic order (ties are not checked)."""
     xs, ys, many = point_pairs(x, y)
     basis, diffs = lattice.basis, ys - xs
     base = diffs - (basis @ np.round(np.linalg.solve(basis, diffs[:, :, None])))[:, :, 0]
@@ -173,11 +172,7 @@ def box_torus_log(lattice, x, y):
     span = np.arange(-reach, reach + 1, dtype=float)
     coeffs = np.stack(np.meshgrid(*[span] * lattice.dim, indexing="ij"), axis=-1)
     candidates = base[:, None, :] + (basis @ coeffs.reshape(-1, lattice.dim, 1))[:, :, 0]
-    norms = row_norms(candidates)
-    best = (np.arange(len(xs)), np.argmin(norms, axis=1))
-    tied = norms - norms[best][:, None] <= NORM_TIE_TOL * (1.0 + norms[best][:, None])
-    if np.any(np.count_nonzero(tied, axis=1) > 1):
-        raise CutLocusError("shortest representative of y - x is not unique")
+    best = (np.arange(len(xs)), np.argmin(row_norms(candidates), axis=1))
     return candidates[best] if many else candidates[best][0]
 
 
