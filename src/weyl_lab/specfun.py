@@ -1,18 +1,17 @@
-"""Special functions for the kernels: Bessel J of integer/half-integer order,
-Legendre polynomials, and the radial Fourier kernels of spheres.
+"""Special functions for the kernels: Bessel J_0 and J_1, the radial ratio
+J_nu(r)/r^nu of integer and half-integer order, Legendre polynomials, and
+the radial Fourier kernels of spheres.
 
-Everything is numpy.  Orders 0 and 1 (the 2-D radial kernels
-sphere_fourier(2, .) and universal_covariance(2, .), the 2-D Weyl leading
-term) are the Cephes rational approximations j0 and j1, with Cephes'
-coefficients and order of operations, evaluated in place on chunks that
-stay in cache.  Every other order steps the three-term recurrence up from
-orders 0 and 1 (integer orders) or from the closed forms of orders -1/2
-and 1/2 (half-integer orders) where x >= nu, where that recurrence is
-stable, and sums the power series where x < nu.  P_l is the upward
-recurrence in the difference form d_k = P_k - P_{k-1} that is accurate
-next to x = 1.  This module fixes the domain (orders -1 <= nu <= NU_MAX in
-half steps, x >= 0, |x| <= 1) and fills in the removable singularity of
-J_nu(r)/r^nu at r = 0.
+Everything is numpy.  J_0 and J_1 are the Cephes rational approximations
+j0 and j1, with Cephes' coefficients and order of operations, evaluated in
+place on chunks that stay in cache.  The ratio f_nu = J_nu(r)/r^nu, the
+only form in which other orders enter, is its power series near 0 and
+elsewhere its own upward recurrence from f_0 and f_1 or f_{-1/2} and
+f_{1/2}, with no power of r.  P_l is the upward recurrence in the
+difference form d_k = P_k - P_{k-1} that is accurate next to x = 1.  This
+module fixes the domain (orders 0 <= nu <= NU_MAX in half steps, x >= 0,
+|x| <= 1) and fills in the removable singularity of J_nu(r)/r^nu at
+r = 0.
 """
 
 from __future__ import annotations
@@ -27,19 +26,19 @@ from .errors import DomainError
 # the oscillation envelope on [0, 1e4]); larger orders are rejected as input.
 NU_MAX = 10.0
 
-# Radial kernels switch to their Taylor limit below this radius.
+# Radial kernels switch to their power series below this radius.
 RADIAL_SERIES_SWITCH = 1e-6
 
 
 def _order(nu) -> float:
     """The Bessel order nu as a float, checked: an integer or half-integer
-    with -1 <= nu <= NU_MAX."""
+    with 0 <= nu <= NU_MAX."""
     twice = 2.0 * float(nu)
     if abs(twice - round(twice)) > 1e-12:
         raise DomainError("order %r is not an integer or half-integer" % (nu,))
     nu = round(twice) / 2.0
-    if nu < -1.0:
-        raise DomainError("order nu=%g < -1 is not supported" % nu)
+    if nu < 0.0:
+        raise DomainError("order nu=%g < 0 is not supported" % nu)
     if nu > NU_MAX:
         raise DomainError("order nu=%g exceeds the validated envelope nu <= %g" % (nu, NU_MAX))
     return nu
@@ -181,77 +180,16 @@ def _j01(order: int, x: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(x))
 
 
-# ---------------------------------------------------------------------------
-# other orders
-
-
-def _j_series(nu: float, x: np.ndarray) -> np.ndarray:
-    """J_nu(x) = (x/2)^nu sum_k (-x^2/4)^k / (k! Gamma(nu + k + 1)), summed
-    until the terms fall below 2^-60 of the sum (x < nu <= NU_MAX keeps the
-    largest term within 10 of the sum)."""
-    q = -0.25 * x * x
-    term = np.full(x.shape, 1.0 / math.gamma(nu + 1.0))
-    total = term.copy()
-    for k in range(1, 200):
-        term = term * q / (k * (nu + k))
-        total += term
-        if np.all(np.abs(term) <= 2.0 ** -60 * np.abs(total)):
-            break
-    return (0.5 * x) ** nu * total
-
-
-def _j_upward(nu: float, x: np.ndarray) -> np.ndarray:
-    """J_nu(x) for x > 0 by the recurrence J_{k+1} = (2k/x) J_k - J_{k-1},
-    stepped up from orders (0, 1) or (-1/2, 1/2)."""
-    if nu == int(nu):
-        k, lower, upper = 1.0, _j01(0, x), _j01(1, x)
-    else:
-        # J_{-1/2}(0) is +inf (and the unused J_{1/2}(0) a nan)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            amp = np.sqrt(2.0 / (np.pi * x))
-            k, lower, upper = 0.5, amp * np.cos(x), amp * np.sin(x)
-        if nu == -0.5:
-            return lower
-    while k < nu:
-        lower, upper = upper, (2.0 * k / x) * upper - lower
-        k += 1.0
-    return upper
-
-
-def _j_general(nu: float, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    series = x < nu
-    if np.any(series):
-        out[series] = _j_series(nu, x[series])
-    if not np.all(series):
-        out[~series] = _j_upward(nu, x[~series])
-    return out
-
-
 def bessel_j(order, x):
-    """Bessel function of the first kind J_nu(x) for x >= 0.
-
-    Parameters
-    ----------
-    order : int | float
-        Integer or half-integer order, -1 <= nu <= NU_MAX.
-    x : float or array_like
-        Nonnegative argument(s).
-
-    Returns
-    -------
-    float or ndarray, matching the shape of `x`.
-    """
-    nu = _order(order)
+    """Bessel J_0 or J_1 (order 0 or 1) at x >= 0, a float or an array
+    of the shape of x; other orders enter only through `bessel_ratio`."""
+    if order not in (0, 1):
+        raise DomainError("bessel_j serves orders 0 and 1, not %r; bessel_ratio "
+                          "gives J_nu(r) / r^nu at every order" % (order,))
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0):
         raise DomainError("bessel_j requires x >= 0")
-    if nu in (0.0, 1.0):
-        out = _j01(int(nu), xa)
-    elif nu == -1.0:
-        out = -_j01(1, xa)
-    else:
-        out = _j_general(nu, np.atleast_1d(xa)).reshape(xa.shape)
+    out = _j01(int(order), xa)
     return float(out) if xa.ndim == 0 else out
 
 
@@ -305,11 +243,51 @@ def legendre_fold(x):
 # radial kernels
 
 
-def bessel_ratio(order, r):
-    """J_nu(r) / r^nu, with the removable singularity at r = 0 filled in.
+def _ratio_series(nu: float, r: np.ndarray) -> np.ndarray:
+    """J_nu(r) / r^nu = sum_k (-r^2/4)^k / (2^nu k! Gamma(nu + k + 1)),
+    summed until the terms fall below 2^-60 of the sum (r < nu <= NU_MAX
+    or r < RADIAL_SERIES_SWITCH keeps the largest term within 10 of the
+    sum, which is positive there)."""
+    q = -0.25 * r * r
+    term = np.full(r.shape, math.exp(-math.lgamma(nu + 1.0)) / 2.0 ** nu)
+    total = term.copy()
+    for k in range(1, 200):
+        term = term * q / (k * (nu + k))
+        total += term
+        if np.all(np.abs(term) <= 2.0 ** -60 * total):
+            break
+    return total
 
-    For r < RADIAL_SERIES_SWITCH a 4-term Taylor expansion is used; the
-    leading coefficient is 1 / (2^nu Gamma(nu+1)).
+
+def _ratio_upward(nu: float, r: np.ndarray) -> np.ndarray:
+    """J_nu(r) / r^nu for r > 0 by f_{k+1} = (2k f_k - f_{k-1}) / r^2, the
+    recurrence J_{k+1} = (2k/r) J_k - J_{k-1} divided by r^{k+1}, stepped
+    up from f_0 = J_0 and f_1 = J_1 / r (integer orders) or from
+    f_{-1/2} = sqrt(2/pi) cos r and f_{1/2} = sqrt(2/pi) sin r / r
+    (half-integer orders); orders 0, 1/2 and 1 take their one seed."""
+    if nu == 0.0:
+        return bessel_j(0, r)
+    integer = nu == int(nu)
+    k = 1.0 if integer else 0.5
+    upper = bessel_j(1, r) / r if integer else _SQRT_2_OVER_PI * np.sin(r) / r
+    if nu == k:
+        return upper
+    lower = bessel_j(0, r) if integer else _SQRT_2_OVER_PI * np.cos(r)
+    r2 = r * r
+    while k < nu:
+        lower, upper = upper, (2.0 * k * upper - lower) / r2
+        k += 1.0
+    return upper
+
+
+def bessel_ratio(order, r):
+    """J_nu(r) / r^nu for r >= 0, with the removable singularity at r = 0
+    filled in, computed as the ratio itself (no power of r is taken).
+
+    The power series serves r < RADIAL_SERIES_SWITCH and, for nu > 1,
+    r < nu, where the upward recurrence is unstable; its leading
+    coefficient, the value at r = 0, is 1 / (2^nu Gamma(nu+1)).  The
+    upward recurrence serves the rest.
     """
     nu = _order(order)
     ra = np.asarray(r, dtype=float)
@@ -317,26 +295,16 @@ def bessel_ratio(order, r):
     ra = np.atleast_1d(ra)
     if np.any(ra < 0.0):
         raise DomainError("bessel_ratio requires r >= 0")
-    tiny = ra < RADIAL_SERIES_SWITCH
-    if tiny.all():
+    series = ra < (nu if nu > 1.0 else RADIAL_SERIES_SWITCH)
+    if series.all():
         out = np.empty_like(ra)
     else:
-        # the series replaces the entries below the switch, where
-        # J_nu(r) / r^nu may be 0/0 or inf/inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = bessel_j(nu, ra)
-            if nu != 0.0:  # r ** 0.0 is 1.0: dividing by it changes nothing
-                out /= ra ** nu
-    if tiny.any():
-        rt = ra[tiny]
-        q = rt * rt / 4.0
-        acc = np.zeros_like(rt)
-        for k in range(3, -1, -1):
-            # 1/Gamma(nu + k + 1) is 0 at its pole (nu = -1, k = 0)
-            c = 0.0 if nu + k + 1.0 <= 0.0 else (-1.0) ** k * math.exp(
-                -math.lgamma(k + 1.0) - math.lgamma(nu + k + 1.0))
-            acc = acc * q + c
-        out[tiny] = acc / 2.0 ** nu
+        # the recurrence runs on every entry and the series overwrites the
+        # ones it serves, where the recurrence may divide by 0 or overflow
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = _ratio_upward(nu, ra)
+    if series.any():
+        out[series] = _ratio_series(nu, ra[series])
     return float(out[0]) if scalar else out
 
 

@@ -22,13 +22,15 @@ from weyl_lab.specfun import (
 def test_bessel_trivial_values():
     assert bessel_j(0, 0.0) == 1.0
     assert bessel_j(1, 0.0) == 0.0
-    assert bessel_j(1.5, 0.0) == 0.0
+    # J_{3/2}(r) / r^{3/2} -> sqrt(2/pi) / 3 as r -> 0
+    assert_allclose(bessel_ratio(1.5, 0.0), math.sqrt(2.0 / math.pi) / 3.0, rtol=1e-15)
 
 
 def test_bessel_half_integer_closed_form():
     # sqrt(2/(pi x)) sin x at x = pi/2; cross-checked by a 30-digit series oracle
-    assert_allclose(bessel_j(0.5, math.pi / 2), 0.63661977236758134308, rtol=1e-14)
-    assert_allclose(bessel_j(0.5, math.pi / 2), 2.0 / math.pi, rtol=1e-14)
+    x = math.pi / 2
+    assert_allclose(bessel_ratio(0.5, x) * x ** 0.5, 0.63661977236758134308, rtol=1e-14)
+    assert_allclose(bessel_ratio(0.5, x) * x ** 0.5, 2.0 / math.pi, rtol=1e-14)
 
 
 def test_bessel_j0_root():
@@ -47,7 +49,7 @@ def test_bessel_j0_root():
     ],
 )
 def test_bessel_integer_quadrature_oracle(nu, x, expected):
-    assert_allclose(bessel_j(nu, x), expected, rtol=0, atol=1e-12)
+    assert_allclose(bessel_ratio(nu, x) * x ** nu, expected, rtol=0, atol=1e-12)
 
 
 SWEEP_XS = np.concatenate(
@@ -57,10 +59,10 @@ SWEEP_XS = np.concatenate(
 
 def test_bessel_ten_digit_sweep():
     # >= 10 significant digits relative to the oscillation envelope on [0, 1e4]
-    orders = [-1, -0.5, 0, 0.5, 1, 1.5, 2, 3.5, 5, 10]
+    orders = [0, 0.5, 1, 1.5, 2, 3.5, 5, 10]
     xs = SWEEP_XS
     for nu in orders:
-        got = bessel_j(nu, xs)
+        got = [f * x ** nu for x, f in zip(xs.tolist(), bessel_ratio(nu, xs))]
         for x, g in zip(xs, got):
             with mp.workdps(30):
                 want = float(mp.besselj(mp.mpf(nu), mp.mpf(x)))
@@ -93,55 +95,43 @@ def test_bessel_orders_zero_and_one_are_cephes_bit_for_bit(nu, cephes):
     block = xs[:100_000].reshape(5, -1)
     assert np.array_equal(bessel_j(nu, block), cephes(block))
     assert bessel_j(nu, 7.25) == cephes(7.25)
-    assert np.array_equal(bessel_j(-1, xs), -j1(xs))
 
 
-# every order bessel_j steps by recurrence or sums as a series
-GENERAL_ORDERS = [-0.5, 0.5, 1.5, 2, 2.5, 3, 3.5, 5, 7.5, 9.5, 10]
+# every order bessel_ratio steps by recurrence or sums as a series
+GENERAL_ORDERS = [0.5, 1.5, 2, 2.5, 3, 3.5, 5, 7.5, 9.5, 10]
 
 
 @pytest.mark.parametrize("nu", GENERAL_ORDERS)
 def test_bessel_general_orders_against_mpmath(nu):
-    # series below x = nu, upward recurrence from (J_0, J_1) or
-    # (J_{-1/2}, J_{1/2}) above it, probed on both sides of the switch.
+    # J_nu(x) = x^nu f_nu(x), with f_nu = J_nu(x) / x^nu summed as a series
+    # below x = nu (nu > 1) and stepped up from (f_0, f_1) or
+    # (f_{-1/2}, f_{1/2}) above it, probed on both sides of the switch.
     # Measured: <= 3.9e-15 absolute (integer orders inherit j0/j1's error
-    # at x ~ 1e4) and <= 3.1e-16 for half-integer orders; relative to the
+    # at x ~ 1e4) and <= 5.6e-16 for half-integer orders; relative to the
     # envelope max(|J|, sqrt(2/(pi x))) <= 3.7e-13
     switch = np.arange(0.5, 10.5, 0.5)
     xs = np.concatenate([SWEEP_XS, switch, switch * (1.0 + 1e-12), switch * (1.0 - 1e-12)])
-    got = bessel_j(nu, xs)
+    ratios = bessel_ratio(nu, xs)
+    got = [f * x ** nu for x, f in zip(xs.tolist(), ratios)]
     with mp.workdps(30):
         for x, g in zip(xs, got):
             want = float(mp.besselj(mp.mpf(nu), mp.mpf(x)))
             env = max(abs(want), math.sqrt(2.0 / (math.pi * x)))
             assert abs(g - want) <= 5e-15, (nu, x)
             assert abs(g - want) <= 1e-12 * env, (nu, x)
-    assert np.array_equal([bessel_j(nu, float(x)) for x in xs], got)
+    assert np.array_equal([bessel_ratio(nu, float(x)) for x in xs], ratios)
 
 
 def test_bessel_ratio_series_branch_is_pinned():
-    # below the switch the ratio is the 4-term Taylor series, whatever
-    # routine serves the order; at the switch it is J_nu(r) / r^nu
-    for nu in (0, 1):
-        for r in (0.0, 1e-9, 5e-7, np.nextafter(RADIAL_SERIES_SWITCH, 0.0)):
-            q = r * r / 4.0
-            acc = 0.0
-            for k in range(3, -1, -1):
-                acc = acc * q + (-1.0) ** k * math.exp(
-                    -math.lgamma(k + 1.0) - math.lgamma(nu + k + 1.0))
-            assert bessel_ratio(nu, r) == acc / 2.0 ** nu, (nu, r)
-        r = RADIAL_SERIES_SWITCH
-        assert bessel_ratio(nu, r) == bessel_j(nu, r) / r ** nu
-
-
-def test_bessel_ratio_order_minus_one_below_the_switch():
-    # r J_{-1}(r) = -r J_1(r); the series' leading coefficient 1/Gamma(0)
-    # is 0, not exp(-lgamma(0))
-    assert bessel_ratio(-1, 0.0) == 0.0
-    rs = np.array([0.0, 1e-7, 5e-7])
-    got = bessel_ratio(-1, rs)
-    assert got[0] == 0.0
-    assert_allclose(got[1:], -rs[1:] * j1(rs[1:]), rtol=1e-15, atol=0.0)
+    # at r = 0 the ratio is the series' leading coefficient 1 / (2^nu
+    # Gamma(nu + 1)), taken as exp(-lgamma(nu + 1)) / 2^nu, at every order;
+    # at the switch orders 0 and 1 are J_0(r) and J_1(r) / r
+    for twice in range(0, 21):
+        nu = twice / 2.0
+        assert bessel_ratio(nu, 0.0) == math.exp(-math.lgamma(nu + 1.0)) / 2.0 ** nu, nu
+    r = RADIAL_SERIES_SWITCH
+    assert bessel_ratio(0, r) == bessel_j(0, r)
+    assert bessel_ratio(1, r) == bessel_j(1, r) / r
 
 
 @pytest.mark.parametrize("nu", [0, 0.5, 1, 2.5, 10])
@@ -154,32 +144,72 @@ def test_bessel_ratio_arrays_mixing_both_branches(nu):
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         got = bessel_ratio(nu, rs)
     assert np.array_equal(got, [bessel_ratio(nu, float(r)) for r in rs])
-    big = rs >= RADIAL_SERIES_SWITCH
-    assert np.array_equal(got[big], bessel_j(nu, rs[big]) / rs[big] ** nu)
+    # every entry is J_nu(r) / r^nu to 1e-12 of the envelope, which below
+    # r = 2 (before the first zero) is the value itself
+    with mp.workdps(30):
+        for r, g in zip(rs.tolist(), got):
+            want = float(mp.besselj(nu, mp.mpf(r)) / mp.mpf(r) ** nu if r > 0.0
+                         else 1.0 / (mp.mpf(2) ** nu * mp.gamma(nu + 1)))
+            env = (max(abs(want), math.sqrt(2.0 / (math.pi * r)) / r ** nu) if r >= 2.0
+                   else abs(want))
+            assert abs(g - want) <= 1e-12 * env, (nu, r)
+
+
+# the orders src/ asks of bessel_ratio: (n - 2)/2 and the ball's n/2 with
+# its derivative ladder, n = 2, 3
+SOURCE_ORDERS = [0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5]
+
+
+@pytest.mark.parametrize("nu", SOURCE_ORDERS)
+def test_bessel_ratio_scalar_and_array_calls_agree(nu):
+    # radii either side of the series switch and of r = nu, where orders
+    # above 1 switch between the series and the recurrence
+    rs = np.array([0.0, 1e-7, np.nextafter(RADIAL_SERIES_SWITCH, 0.0), RADIAL_SERIES_SWITCH,
+                   0.5 * nu, np.nextafter(nu, 0.0), nu, np.nextafter(nu, np.inf),
+                   nu + 0.5, 7.0, 40.0, 1e3])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        got = bessel_ratio(nu, rs)
+        scalars = [bessel_ratio(nu, float(r)) for r in rs]
+    assert np.array_equal(got, scalars)
+
+
+def test_removed_orders_raise():
+    # bessel_j is J_0 and J_1 only; bessel_ratio takes no negative order
+    for nu in (2, 0.5, 10, 25, -1, 0.3):
+        with pytest.raises(DomainError, match="bessel_ratio"):
+            bessel_j(nu, 1.0)
+    for nu in (-0.5, -1):
+        with pytest.raises(DomainError, match="< 0"):
+            bessel_ratio(nu, np.array([0.0, 1.0]))
 
 
 def test_bessel_recurrence_invariant():
-    # J_{nu-1}(x) + J_{nu+1}(x) = (2 nu / x) J_nu(x), relative 1e-9 on [0.1, 100]
+    # J_{nu-1}(x) + J_{nu+1}(x) = (2 nu / x) J_nu(x), relative 1e-9 on
+    # [0.1, 100], with J_nu(x) = x^nu bessel_ratio(nu, x)
     xs = np.geomspace(0.1, 100.0, 60)
-    for tw in range(0, 13):  # nu = 0 .. 6 in half steps (nu-1 >= -1 required)
+
+    def j(nu):
+        return bessel_ratio(nu, xs) * np.array([x ** nu for x in xs.tolist()])
+
+    for tw in range(2, 13):  # nu = 1 .. 6 in half steps (nu-1 >= 0 required)
         nu = tw / 2.0
-        lhs = bessel_j(nu - 1.0, xs) + bessel_j(nu + 1.0, xs)
-        rhs = (2.0 * nu / xs) * bessel_j(nu, xs)
+        lhs = j(nu - 1.0) + j(nu + 1.0)
+        rhs = (2.0 * nu / xs) * j(nu)
         scale = np.maximum(np.abs(rhs), np.sqrt(2.0 / (np.pi * xs)))
         assert np.all(np.abs(lhs - rhs) <= 1e-9 * scale), nu
 
 
 def test_bessel_order_validation():
-    with pytest.raises(DomainError, match="< -1"):
-        bessel_j(-1.5, 1.0)
+    with pytest.raises(DomainError, match="< 0"):
+        bessel_ratio(-1.5, 1.0)
     with pytest.raises(DomainError, match="half-integer"):
-        bessel_j(0.3, 1.0)
+        bessel_ratio(0.3, 1.0)
     with pytest.raises(DomainError, match="envelope"):
-        bessel_j(25, 1.0)
+        bessel_ratio(25, 1.0)
     with pytest.raises(DomainError, match="envelope"):
         bessel_ratio(10.5, 1.0)
     # a float order within 1e-12 of a half-integer is that order
-    assert bessel_j(2.5 + 1e-13, 3.0) == bessel_j(2.5, 3.0)
+    assert bessel_ratio(2.5 + 1e-13, 3.0) == bessel_ratio(2.5, 3.0)
     with pytest.raises(DomainError):
         bessel_j(0, -1.0)
 
