@@ -250,11 +250,10 @@ def write_outputs(out_dir: str, name: str, header, rows, config: dict,
 
 
 def check_replay(manifest: dict, data: bytes):
-    """ReplayError unless `data` has the CSV sha256 the manifest recorded
-    (a manifest without one, written before digests were kept, passes)."""
-    recorded = manifest.get("csv_sha256")
+    """ReplayError unless `data` has the CSV sha256 the manifest recorded."""
+    recorded = manifest["csv_sha256"]
     got = hashlib.sha256(data).hexdigest()
-    if recorded is not None and got != recorded:
+    if got != recorded:
         raise ReplayError(
             "replay would write a different CSV: sha256 %s, the manifest recorded %s "
             "(manifest artifact_version %s, this artifact_version %s); nothing written"
@@ -390,6 +389,9 @@ def run_kernel(config: dict):
     m = parse_manifold(config["manifold"])
     lam = float(config["lam"])
     width = float(config["width"])
+    if width < 0.0:
+        raise DomainError("--width %g is negative: 0 evaluates E_lambda, > 0 the "
+                          "cluster window" % width)
     d = parse_deriv(config.get("deriv"))
     dists = parse_grid(config["dist_grid"])
     x0, points, _ = geodesic_points(m, dists, *_base_and_direction(config, m.dim))
@@ -615,6 +617,9 @@ def replay(manifest_path, out):
     name = manifest.get("subcommand")
     if name not in RUNNERS:
         raise DomainError("manifest names unknown subcommand %r" % name)
+    if "csv_sha256" not in manifest:
+        raise DomainError("manifest %s has no csv_sha256, so a replay could not be "
+                          "checked; nothing written" % manifest_path)
     execute(name, replay_config(name, manifest.get("full_config")), out, replayed=manifest)
 
 

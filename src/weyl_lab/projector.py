@@ -170,8 +170,10 @@ def geodesic_points(m: ModelManifold, dists, x0=None, direction=None):
     the direction to the first axis.  On the sphere the geodesic is the
     meridian from the north pole (sphere kernels are rotation invariant), so
     x0 may only name that pole, no direction is taken, and None is returned
-    for it."""
+    for it.  Distances must be nonnegative."""
     dists = np.asarray(dists, dtype=float)
+    if np.any(dists < 0.0):
+        raise DomainError("distances must be nonnegative")
     if isinstance(m, FlatTorus):
         x0 = np.zeros(m.dim) if x0 is None else np.asarray(x0, dtype=float)
         direction = (np.eye(m.dim)[0] if direction is None
@@ -194,11 +196,9 @@ def cluster_vs_bessel(m: ModelManifold, lam: float, width: float, x0, dist_grid,
     """Cluster kernel along a geodesic from x0 (see `geodesic_points`)
     against the universal Bessel prediction of the window."""
     dist_grid = np.asarray(dist_grid, dtype=float)
-    if np.any(dist_grid < 0.0):
-        raise DomainError("distances must be nonnegative")
+    x0, points, direction = geodesic_points(m, dist_grid, x0, direction)
     if np.max(dist_grid) > 0.5 * m.injectivity_radius:
         raise PreconditionError("distance grid exceeds half the injectivity radius")
-    x0, points, direction = geodesic_points(m, dist_grid, x0, direction)
     # one window for the geodesic points and, last, the diagonal
     values = cluster_kernel(m, lam, width, x0, np.vstack([points, x0]), d)
     cluster, diagonal = values[:-1], values[-1]

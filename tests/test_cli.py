@@ -465,17 +465,20 @@ def test_replay_of_a_tampered_config_exits_1_and_writes_nothing(tmp_path):
     assert not out.exists()
 
 
-def test_replay_of_a_manifest_without_a_digest_runs_as_before(tmp_path):
-    csv_path, manifest_path = _fresh_cluster_sup(tmp_path)
+def test_replay_of_a_manifest_without_a_digest_exits_2_and_writes_nothing(tmp_path):
+    # with nothing to compare against, a replay could write other bytes
+    # unnoticed, so it is refused before anything runs
+    _, manifest_path = _fresh_cluster_sup(tmp_path)
     manifest = json.loads(manifest_path.read_text())
     del manifest["csv_sha256"]
     manifest["full_config"]["A_rule"] = "2.0"
     old = tmp_path / "old.manifest.json"
     old.write_text(json.dumps(manifest))
-    res = run_cli(["replay", str(old), "--out", str(tmp_path / "replayed")])
-    assert res.exit_code == 0, res.output
-    # nothing to compare against, so the changed config simply runs
-    assert (tmp_path / "replayed" / "cluster-sup.csv").read_bytes() != csv_path.read_bytes()
+    out = tmp_path / "replayed"
+    res = run_cli(["replay", str(old), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("config error: manifest %s has no csv_sha256" % old)
+    assert not out.exists()
 
 
 def test_scan_grid_with_an_on_spectrum_lambda_exits_2(tmp_path):
@@ -556,6 +559,29 @@ def test_unusable_geodesic_exits_2_without_files(tmp_path, args):
     assert res.exit_code == 2
     assert res.stderr.startswith("config error: ")
     assert "no length" in res.stderr or "torus only" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,named", [
+    (["kernel", *TORUS_ARGS, "--lambda", "10.5", "--width", "-1", "--dist-grid", "0:0.5:3"],
+     "--width -1 is negative"),
+    (["kernel", "--manifold", "sphere2", "--lambda", "10.5", "--width", "-1"],
+     "--width -1 is negative"),
+    (["kernel", *TORUS_ARGS, "--lambda", "10.5", "--dist-grid", "-1:0.5:3"],
+     "distances must be nonnegative"),
+    (["randomwave", *TORUS_ARGS, "--mode", "covariance", "--lambda", "20", "--samples", "50",
+      "--dist-grid", "-0.5:0.5:3"], "distances must be nonnegative"),
+    (["cluster-bessel", *TORUS_ARGS, "--lambda", "20", "--dist-grid", "-0.5:0.5:3"],
+     "distances must be nonnegative"),
+], ids=["kernel-torus-width", "kernel-sphere-width", "kernel-dist", "randomwave-dist",
+        "cluster-bessel-dist"])
+def test_negative_width_or_distance_exits_2_without_files(tmp_path, args, named):
+    # width 0 evaluates E_lambda and a positive width the cluster window; a
+    # negative one, or a negative geodesic distance, means neither
+    out = tmp_path / "nothing"
+    res = run_cli(args + ["--out", str(out)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("config error: ") and named in res.stderr
     assert not out.exists()
 
 

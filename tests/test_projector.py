@@ -238,6 +238,10 @@ def test_geodesic_points_domain():
                    {"direction": np.array([1.0, 0.0])}):
         with pytest.raises(DomainError, match="torus only"):
             geodesic_points(SPHERE, [0.0, 0.5], **kwargs)
+    # distances are along the geodesic, so never negative
+    for m in (TORUS, SPHERE):
+        with pytest.raises(DomainError, match="distances must be nonnegative"):
+            geodesic_points(m, [0.0, -0.1])
 
 
 # ---------------------------------------------------------------------------
