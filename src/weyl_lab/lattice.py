@@ -159,9 +159,12 @@ def slab_ends(generator_matrix: np.ndarray, prefixes: np.ndarray, threshold: flo
     b = a - 1 = floor(vertex) as every empty slab.  A settled slab's ends
     come from the quadratic form up to rounding and are settled among their
     neighbours by `slab_row_norms`, so membership is exactly that of the
-    enumeration; by convexity its nearest norm is among the rows a - 1, a,
-    b and b + 1.  `form` is the prefixes' `slab_form`, computed here when
-    not given; a caller with many thresholds passes it once computed.
+    enumeration.  The gap is the least distance over those six candidate
+    rows: by convexity the nearest norm is among the rows a - 1, a, b and
+    b + 1, and each of them is a candidate or lies a step beyond an end
+    that rounding put next to the threshold, so is never the nearest.
+    `form` is the prefixes' `slab_form`, computed here when not given; a
+    caller with many thresholds passes it once computed.
     """
     q, const, vertex = slab_form(generator_matrix, prefixes) if form is None else form
     reach2 = (threshold + ON_SPECTRUM_TOL) ** 2
@@ -184,17 +187,8 @@ def slab_ends(generator_matrix: np.ndarray, prefixes: np.ndarray, threshold: flo
     empty = a > b
     b[empty] = np.floor(vertex[empty]).astype(np.int64)
     a[empty] = b[empty] + 1
-    # rows a - 1 and a are read off the lo-side candidates, b and b + 1 off
-    # the hi-side ones.  A row that is not a candidate lies a step beyond an
-    # end that rounding put next to the threshold, so it is never the
-    # nearest and is skipped.
-    slabs = np.arange(prefixes.shape[0])
-    gap = np.inf
-    for end, shift, lo_side in ((a, -1, True), (a, 0, True), (b, 0, False), (b, 1, False)):
-        index = lo + 1 - (end + shift) if lo_side else end + shift - hi + 1
-        found = (index >= 0) & (index <= 2)
-        norms = (lo_norms if lo_side else hi_norms)[index[found], slabs[found]]
-        gap = min(gap, float(np.min(np.abs(norms - threshold), initial=np.inf)))
+    gap = min(float(np.min(np.abs(norms - threshold), initial=np.inf))
+              for norms in (lo_norms, hi_norms))
     ends_a[near], ends_b[near] = a, b
     return ends_a, ends_b, gap
 
