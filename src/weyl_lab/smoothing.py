@@ -156,18 +156,34 @@ def _sine_integrals(spec: MollifierSpec, nus: np.ndarray, n_panels: int) -> np.n
 
 def _panel_eval(panel_coeffs: np.ndarray, nu0: float, nus: np.ndarray) -> np.ndarray:
     """The panel Chebyshev series at nus in [0, nu0): each nu's panel is
-    floor(nu P / nu0), and one Clenshaw recurrence runs on all of them,
-    gathering each step's coefficient per panel."""
-    n_panels = panel_coeffs.shape[1]
+    floor(nu P / nu0), and one Clenshaw recurrence runs on all of them.
+
+    The coefficients of every step are gathered per panel in one take, in
+    column blocks of about _BLOCK_VALUES values, and the recurrence
+    b_k = c_k + 2x b_{k+1} - b_{k+2} then runs in place on the gathered
+    rows: each row becomes its b_k as (2x b_{k+1} + c_k) - b_{k+2}, which
+    has the bits of c_k + 2x b_{k+1} - b_{k+2} since IEEE addition is
+    commutative, so every value is that of the per-step gather."""
+    terms, n_panels = panel_coeffs.shape
     scaled = nus * (n_panels / nu0)
     panel = np.clip(np.floor(scaled), 0, n_panels - 1).astype(np.intp)
     x = 2.0 * (scaled - panel) - 1.0
-    x2 = 2.0 * x
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for row in panel_coeffs[:0:-1]:
-        b1, b2 = np.take(row, panel) + x2 * b1 - b2, b1
-    return np.take(panel_coeffs[0], panel) + x * b1 - b2
+    out = np.empty_like(x)
+    block = max(1, _BLOCK_VALUES // terms)
+    for lo in range(0, x.size, block):
+        rows = np.take(panel_coeffs, panel[lo:lo + block], axis=1)
+        xs = x[lo:lo + block]
+        x2 = 2.0 * xs
+        b1 = np.zeros_like(xs)
+        b2 = np.zeros_like(xs)
+        step = np.empty_like(xs)
+        for row in rows[:0:-1]:
+            row += np.multiply(x2, b1, out=step)
+            row -= b2
+            b1, b2 = row, b1
+        rows[0] += np.multiply(xs, b1, out=step)
+        np.subtract(rows[0], b2, out=out[lo:lo + block])
+    return out
 
 
 @dataclass(frozen=True, eq=False)

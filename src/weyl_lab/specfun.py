@@ -300,9 +300,12 @@ def bessel_ratio(order, r):
         out = np.empty_like(ra)
     else:
         # the recurrence runs on every entry and the series overwrites the
-        # ones it serves, where the recurrence may divide by 0 or overflow
+        # ones it serves; there the recurrence starts from a radius past
+        # Cephes' near branch, so that branch runs only on entries it keeps
+        # (r * r may still overflow at huge radii, to a value that is kept)
+        seeds = np.where(series, 2.0 * _CEPHES_SPLIT, ra) if series.any() else ra
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = _ratio_upward(nu, ra)
+            out = _ratio_upward(nu, seeds)
     if series.any():
         out[series] = _ratio_series(nu, ra[series])
     return float(out[0]) if scalar else out

@@ -7,7 +7,9 @@ term and Bessel prediction with the per-pair candidate search of
 replaced, the cell-by-cell CSV writer, the smoothed projector's per-mode
 spectral sum and its images side on a radial rule of any panel width,
 with the clamped width the band-limit rule replaced, a projector with a
-stretched spectral tail, and the J-table quadrature in one block."""
+stretched spectral tail, the J-table quadrature in one block, the J
+panels' Clenshaw recurrence with one gather per step, and `bessel_ratio`
+with its recurrence run on the radii the series serves too."""
 
 import copy
 import itertools
@@ -16,7 +18,8 @@ import numpy as np
 
 from weyl_lab.errors import DomainError
 from weyl_lab.lattice import check_cap, point_pairs, row_norms, slab_form, slab_row_norms
-from weyl_lab.specfun import bessel_ratio
+from weyl_lab.specfun import (RADIAL_SERIES_SWITCH, _order, _ratio_series, _ratio_upward,
+                              bessel_ratio)
 
 
 def box_lattice_vectors(generator_matrix, radius):
@@ -318,3 +321,31 @@ def unblocked_sine_integrals(spec, nus, n_panels):
 
     nodes, weights = _composite_gauss_legendre(spec.support, n_panels)
     return np.sin(np.outer(nus, nodes)) @ (rho_hat(spec, nodes) * weights / nodes)
+
+
+def per_step_panel_eval(panel_coeffs, nu0, nus):
+    """`smoothing._panel_eval` gathering each Clenshaw step's coefficients
+    per panel with its own take (one block gather replaced it)."""
+    n_panels = panel_coeffs.shape[1]
+    scaled = nus * (n_panels / nu0)
+    panel = np.clip(np.floor(scaled), 0, n_panels - 1).astype(np.intp)
+    x = 2.0 * (scaled - panel) - 1.0
+    x2 = 2.0 * x
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for row in panel_coeffs[:0:-1]:
+        b1, b2 = np.take(row, panel) + x2 * b1 - b2, b1
+    return np.take(panel_coeffs[0], panel) + x * b1 - b2
+
+
+def unseeded_bessel_ratio(nu, r):
+    """`specfun.bessel_ratio` on an array, its recurrence run on every
+    radius as given, the ones the series then overwrites included (seeding
+    those past Cephes' near branch replaced it)."""
+    nu = _order(nu)
+    ra = np.asarray(r, dtype=float)
+    series = ra < (nu if nu > 1.0 else RADIAL_SERIES_SWITCH)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = _ratio_upward(nu, ra)
+    out[series] = _ratio_series(nu, ra[series])
+    return out

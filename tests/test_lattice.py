@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from weyl_lab.errors import CutLocusError, DomainError, ResourceLimitError
 from weyl_lab.lattice import (
     ON_SPECTRUM_TOL,
     Lattice,
+    _column_sum_norms,
+    _lattice_vectors,
     deck_images,
     dual_vectors,
     injectivity_radius,
@@ -296,8 +299,6 @@ def test_torus_log_on_a_near_degenerate_basis_equals_the_box_search():
 
 def test_torus_log_memory_on_a_near_degenerate_basis():
     # the box search peaked at ~2.5 GiB of tracemalloc for these 300 pairs
-    import tracemalloc
-
     rng = np.random.default_rng(29)
     xs = rng.uniform(-3.0, 9.0, (300, 2))
     ys = rng.uniform(-3.0, 9.0, (300, 2))
@@ -376,3 +377,44 @@ def test_deck_images_point_arrays_equal_single_pairs(name):
     for got, y in zip(deck_images(lattice, xs[0], ys, radius), ys):
         assert got.tobytes() == deck_images(lattice, xs[0], y, radius).tobytes()
     assert deck_images(lattice, xs[:0], ys[:0], radius) == []
+
+
+def test_column_sum_norms_equal_linalg_norm_bit_for_bit():
+    # the enumeration and slab_row_norms take their norms this way; it must
+    # be np.linalg.norm(axis=1), which the box oracle and the scans use,
+    # on random rows of many scales, on non-contiguous arrays and where a
+    # square overflows
+    rng = np.random.default_rng(31)
+    for d in (2, 3):
+        rows = rng.standard_normal((200_000, d)) * np.exp(rng.uniform(-30.0, 30.0, (200_000, 1)))
+        rows[:5] = 0.0
+        rows[5:10, 0] = -rows[5:10, 1]
+        wide = rng.standard_normal((1000, 2 * d + 1))
+        for v in (rows, np.asfortranarray(rows), rows[::3], wide[:, 1::2], wide[::-2, :d]):
+            got = _column_sum_norms(v)
+            assert got.tobytes() == np.linalg.norm(v, axis=1).tobytes(), (d, v.strides)
+        huge = np.array([[1e200, 1.0, 1e-300][:d], [1e154, 1e154, 0.0][:d], [-1e308] * d])
+        with np.errstate(over="ignore"):
+            assert _column_sum_norms(huge).tobytes() == np.linalg.norm(huge, axis=1).tobytes()
+        with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+            _column_sum_norms(huge)
+
+
+@pytest.mark.parametrize("dim, rows, bound", [(2, 47_441, 72), (3, 267_731, 96)])
+def test_lattice_vectors_peak_bytes_per_row(dim, rows, bound):
+    # the enumeration's tracemalloc peak over its row count, returned rows
+    # included (56 bytes a 3-D row, 40 a 2-D one): the build with
+    # column_stack, np.linalg.norm and fancy-index gathers peaked at 137
+    # and 104 bytes a row on these two balls, this one at 89.4 and 64.3
+    if dim == 2:  # the smoothed-projector benchmark item's tail ball
+        G, radius = SQUARE2PI.dual_basis, 122.93639892984935
+    else:
+        G, radius = np.eye(3), (267_731 / (4.0 / 3.0 * np.pi)) ** (1.0 / 3.0)
+    tracemalloc.start()
+    try:
+        coeffs, _, _ = _lattice_vectors(G, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coeffs.shape[0] == rows
+    assert peak <= bound * rows

@@ -15,6 +15,7 @@ from oracles import (
     images_on_panel,
     images_rounding_scale,
     mode_sum_projector,
+    per_step_panel_eval,
     record_passes,
     stretched_projector,
     unblocked_sine_integrals,
@@ -30,6 +31,7 @@ from weyl_lab.smoothing import (
     SmoothedProjector,
     _chebyshev_coefficients,
     _composite_gauss_legendre,
+    _panel_eval,
     fit_h_constant,
     fit_h_decay,
     h_error,
@@ -235,6 +237,28 @@ def test_panel_table_at_panel_edges(spec):
     assert got[2] == np.pi / 2
     assert table.panel_error <= 1e-13
     assert not table.panel_coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
+def test_panel_eval_equals_the_per_step_gather(monkeypatch, spec):
+    # one gather of every step's coefficients, in blocks, runs the same
+    # Clenshaw arithmetic as a gather per step: random nu on every panel,
+    # every panel edge and one ulp either side of it, 0 and nu0 - 1 ulp;
+    # in one block and in blocks of 7 columns with a remainder
+    table = sine_integral_table(spec)
+    coeffs, nu0 = table.panel_coeffs, table.nu0
+    n_panels = coeffs.shape[1]
+    rng = np.random.default_rng(37)
+    edges = nu0 * np.arange(1, n_panels) / n_panels
+    nus = np.concatenate([
+        ((np.arange(n_panels) + rng.uniform(0.0, 1.0, (5, n_panels))) * nu0 / n_panels).ravel(),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        [0.0, np.nextafter(nu0, 0.0)]])
+    want = per_step_panel_eval(coeffs, nu0, nus)
+    assert _panel_eval(coeffs, nu0, nus).tobytes() == want.tobytes()
+    monkeypatch.setattr(smoothing, "_BLOCK_VALUES", 7 * coeffs.shape[0] + 3)
+    assert _panel_eval(coeffs, nu0, nus).tobytes() == want.tobytes()
+    assert nus.size % 7 and _panel_eval(coeffs, nu0, nus[:0]).size == 0
 
 
 def test_table_scalar_and_array_calls_agree_bitwise():

@@ -6,6 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import eval_legendre, j0, j1, jv
 
+from oracles import unseeded_bessel_ratio
+from weyl_lab import specfun
 from weyl_lab.errors import DomainError
 from weyl_lab.specfun import (
     RADIAL_SERIES_SWITCH,
@@ -171,6 +173,27 @@ def test_bessel_ratio_scalar_and_array_calls_agree(nu):
         got = bessel_ratio(nu, rs)
         scalars = [bessel_ratio(nu, float(r)) for r in rs]
     assert np.array_equal(got, scalars)
+
+
+def test_bessel_ratio_seeds_keep_the_unseeded_bits(monkeypatch):
+    # the recurrence starts from radius 10 where the series serves the
+    # entry, so Cephes' near branch runs only on entries the recurrence
+    # keeps; every value keeps the bits of the recurrence run on the radii
+    # as given, over the sweep radii, r = 0 and both sides of r = nu
+    switch = np.arange(0.5, 10.5, 0.5)
+    rs = np.concatenate([[0.0, 1e-300, 1e-7], SWEEP_XS, switch, np.nextafter(switch, 0.0),
+                         np.nextafter(switch, np.inf)])
+    for twice in range(4, 21):
+        nu = twice / 2.0
+        assert bessel_ratio(nu, rs).tobytes() == unseeded_bessel_ratio(nu, rs).tobytes(), nu
+    near = []
+    j01_near = specfun._j01_near
+    monkeypatch.setattr(specfun, "_j01_near", lambda order, x: near.append(x) or j01_near(order, x))
+    for nu in range(3, 11):
+        bessel_ratio(nu, np.array([0.0, 1.65, 2.9, 7.0, 40.0]))
+    assert near == []
+    bessel_ratio(2, np.array([0.0, 1.65, 2.9, 7.0, 40.0]))
+    assert [x.tolist() for x in near] == [[2.9], [2.9]]
 
 
 def test_removed_orders_raise():
