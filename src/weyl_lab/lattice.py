@@ -233,13 +233,12 @@ def _lattice_vectors(generator_matrix: np.ndarray, radius: float, inner: float =
     lexicographic order and stably sorted by norm; the cap bounds the row
     count before the rows are allocated.
 
-    The coefficients are written column by column into one int64 array
-    (integers, so exact), the vectors are the same matrix product as ever,
-    and the norms are `_column_sum_norms`, which adds the squares in
-    np.linalg.norm's order, so rows, order and bits are those of the
-    column_stack / np.linalg.norm / fancy-index build this replaces.  The
-    sorted outputs are gathered with np.take along the rows, a faster
-    gather than fancy indexing with the same elements.
+    The coefficients are written column by column into one int64 array, in
+    integers, so exactly.  The norms are `_column_sum_norms`, bit for bit
+    np.linalg.norm(axis=1) of the vectors, so the stable sort sees the same
+    keys; np.take along the rows gathers the same elements as fancy
+    indexing, in fewer passes over memory, and each unsorted array is
+    freed once its sorted copy exists.
     """
     # the cells c + {sum t_i g_i : t in [0,1)^d} of the points c of a ball
     # of radius r cover the ball of radius r - D and lie in that of radius
@@ -271,7 +270,6 @@ def _lattice_vectors(generator_matrix: np.ndarray, radius: float, inner: float =
     vectors = coeffs @ generator_matrix.T
     norms = _column_sum_norms(vectors)
     order = np.argsort(norms, kind="stable")
-    # each unsorted array is dropped as soon as its sorted copy exists
     norms = np.take(norms, order)
     coeffs = np.take(coeffs, order, axis=0)
     vectors = np.take(vectors, order, axis=0)
