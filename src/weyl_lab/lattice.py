@@ -224,9 +224,11 @@ def slab_runs(ends, inner_ends=None):
     return np.repeat(slabs, 2)[keep], starts[keep], stops[keep]
 
 
-def _lattice_vectors(generator_matrix: np.ndarray, radius: float, inner: float = -1.0):
+def _lattice_vectors(generator_matrix: np.ndarray, radius: float, inner: float = -1.0,
+                     half: bool = False):
     """All integer-combination vectors inner < |G c| <= radius, with
-    coefficients.
+    coefficients; with `half`, only those of the canonical half c >= 0 in
+    lexicographic order (the origin and one of each pair c, -c).
 
     Returns (coeffs (N,d) int array, vectors (N,d), norms (N,)), sorted by
     (norm, lexicographic coeffs).  Rows are generated slab by slab in
@@ -239,24 +241,40 @@ def _lattice_vectors(generator_matrix: np.ndarray, radius: float, inner: float =
     keys; np.take along the rows gathers the same elements as fancy
     indexing, in fewer passes over memory, and each unsorted array is
     freed once its sorted copy exists.
+
+    The half keeps the slabs whose prefix is lexicographically positive and
+    the zero-prefix slab from last coefficient 0 upward, and builds and
+    sorts their rows as the full call does: its result is the subsequence
+    of the full call's rows that lie in the half, in the same order and
+    with the same bits.
     """
     # the cells c + {sum t_i g_i : t in [0,1)^d} of the points c of a ball
     # of radius r cover the ball of radius r - D and lie in that of radius
     # r + D, D = sum |g_i|; so the row count has a lower bound that refuses
     # a far oversized request before any slab is built (in floating point,
-    # where a huge radius gives inf rather than an OverflowError)
+    # where a huge radius gives inf rather than an OverflowError); the half
+    # holds at least half of them
     d = generator_matrix.shape[0]
     reach = np.sum(np.linalg.norm(generator_matrix, axis=0))
     with np.errstate(over="ignore", invalid="ignore"):
         volume = max(radius - reach, 0.0) ** d - (inner + reach) ** d * (inner >= 0.0)
         lower = (np.pi ** (d / 2) / math.gamma(d / 2 + 1) * volume
-                 / abs(np.linalg.det(generator_matrix)))
+                 / abs(np.linalg.det(generator_matrix))) * (0.5 if half else 1.0)
     check_cap(lower, "enumeration holds at least %.4g lattice points" % lower)
     prefixes = slab_prefixes(generator_matrix, radius)
+    if half:
+        # the prefix box is symmetric and in lexicographic order, so p and
+        # -p sit mirrored about the zero prefix in the middle
+        prefixes = prefixes[prefixes.shape[0] // 2:]
     form = slab_form(generator_matrix, prefixes)
     slab, starts, stops = slab_runs(
         slab_ends(generator_matrix, prefixes, radius * (1.0 + 1e-15), form),
         slab_ends(generator_matrix, prefixes, inner, form) if inner >= 0.0 else None)
+    if half:
+        # the zero slab (the first) keeps its last coefficients from 0 upward
+        starts[slab == 0] = np.maximum(starts[slab == 0], 0)
+        keep = stops >= starts
+        slab, starts, stops = slab[keep], starts[keep], stops[keep]
     counts = stops - starts + 1
     total = int(counts.sum())
     check_cap(total, "enumeration holds %d lattice points" % total)
@@ -276,11 +294,12 @@ def _lattice_vectors(generator_matrix: np.ndarray, radius: float, inner: float =
     return coeffs, vectors, norms
 
 
-def dual_vectors(lattice: Lattice, radius: float, inner: float = -1.0):
+def dual_vectors(lattice: Lattice, radius: float, inner: float = -1.0, half: bool = False):
     """All dual-lattice points with inner < norm <= radius as arrays
     (coeffs, vectors, norms), sorted by (norm, lexicographic coeffs).  The
-    default inner radius takes the whole ball."""
-    return _lattice_vectors(lattice.dual_basis, radius, inner)
+    default inner radius takes the whole ball; `half` keeps the points
+    whose coefficients are lexicographically >= 0, as `_lattice_vectors`."""
+    return _lattice_vectors(lattice.dual_basis, radius, inner, half)
 
 
 def injectivity_radius(lattice: Lattice) -> float:

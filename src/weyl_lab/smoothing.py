@@ -34,10 +34,13 @@ radial kernel of every image of every pair in one pass.
 The radial rule is sized by band limit: m(r) = int g(t) e^{itr} dt is the
 transform of g(t) = rho_hat(At) sin(t lambda)/(pi t), supported in
 |t| <= T = support/A, so m has exponential type T; S_n(r |w|) has type
-|w| <= T and r^{n-1} type 0, so the integrand has type at most 2T.  Its
-16-node Gauss-Legendre panels hold 16/13 periods of frequency 2T (13 nodes
-per shortest period, as in the J-table build), so the panel width is
-pi A / support times 16/13 and does not depend on lambda.
+|w| <= T and r^{n-1} type 0, so the integrand f has type at most 2T and
+|f^(32)| <= (2T)^32 sup|f|.  The 16-node Gauss-Legendre remainder on a
+panel of half-width h is then at most C_16 (2T h)^32 times h sup|f|, with
+C_16 = 2^33 (16!)^4 / (33 (32!)^3), so panels of width omega / T, where
+C_16 omega^32 = 2^-53 (omega = 7.834), keep it at rounding level.  The
+width does not depend on lambda; a panel holds 2.03 times the 16/13
+periods of the J-table build's panels.
 
 Images with |w| >= support/A vanish identically: the integrand's time
 support [|w|, inf) misses the cutoff's. Truncation radii are computed from
@@ -48,11 +51,15 @@ side's radial kernel are evaluated in row blocks of about _BLOCK_VALUES
 values; the J-table rows are rounded down to a power of two, which keeps
 BLAS's matrix-vector product on the bits of the unblocked one (blocks of
 6 or 22 rows moved J by 5e-15).  The weight box is filled from dual-lattice
-shells at radii R (k/K)^{1/n}, k = 1..K, K chosen so that a shell holds
-about _SHELL_ROWS rows (ball volume over covolume), so besides the box only
-one shell's rows are held at a time.  A row within rounding of a shell edge
-may come in twice, with the same weight both times, so the box has the
-bits of a one-shell fill.
+shells at radii R (k/K)^{1/n}, k = 1..K, K chosen so that a shell of the
+whole ball holds about _SHELL_ROWS rows (ball volume over covolume).  A
+shell enumerates only its canonical half, the c that are lexicographically
+>= 0, so about _SHELL_ROWS / 2 rows, and each weight goes to W[c] and
+W[-c]: |G c| and |G (-c)| have the same bits, so the box has the bits of
+the whole ball's fill.  Besides the box only one half shell's rows are
+held at a time.  A row within rounding of a shell edge may come in twice,
+with the same weight both times, so the box has the bits of a one-shell
+fill.
 """
 
 from __future__ import annotations
@@ -70,8 +77,14 @@ from .manifolds import FlatTorus, ModelManifold, point_pairs
 from .specfun import sphere_fourier
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# 16-node panels sized for ~13 nodes per oscillation period
+# the J-table build's 16-node panels hold 16/13 periods (~13 nodes a period)
 _PANEL_PERIODS = 16.0 / 13.0
+# the n-node Gauss-Legendre remainder on [-1, 1] is C_n f^(2n)(xi) with
+# C_n = 2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3); for f of exponential type w,
+# |f^(2n)| <= w^(2n) sup|f|, so panels of half-width h keep the remainder
+# below 2^-53 of sup|f| per unit length wherever w h <= (2^-53 / C_16)^(1/32)
+_GL_REMAINDER = 2**33 * math.factorial(16) ** 4 / (33 * math.factorial(32) ** 3)
+_GL_REACH = (2.0**-53 / _GL_REMAINDER) ** (1.0 / 32.0)
 # J is tabulated on [0, nu0] with nu0 * (support - plateau) = 420; past
 # that the exp-bridge keeps |J - pi/2| near 1e-14
 _NU0_TRANSITION = 420.0
@@ -414,11 +427,11 @@ class SmoothedProjector:
         self.h_decay = fit_h_decay(spec, lam, A)
         self.tail_radius = spectral_tail_radius(spec, lam, A, decay=self.h_decay)
         self.image_radius = spec.support / A
-        # images side: panels hold _PANEL_PERIODS periods of 2 support/A,
-        # the radial integrand's exponential type (see the module
+        # images side: panels of half-width _GL_REACH / (2 T), T = support/A,
+        # for the radial integrand of exponential type 2T (see the module
         # docstring); its node count, which grows as 1/A, is checked before
         # anything is allocated
-        panel = _PANEL_PERIODS * 2.0 * np.pi / (2.0 * self.image_radius)
+        panel = _GL_REACH / self.image_radius
         n_panels = np.ceil(self.tail_radius / panel)
         nodes = _GL_NODES.size * n_panels
         lat.check_cap(nodes, "the radial rule of the images side (A=%g, image radius %.6g) "
@@ -426,7 +439,9 @@ class SmoothedProjector:
 
         # spectral side: W[c] = m(|G c|) on the coefficient box of the tail
         # ball, 0 outside the ball, with one multiplier evaluation per
-        # distinct dual norm of each shell.  The box is checked against the
+        # distinct dual norm of each shell.  |G c| and |G (-c)| have the same
+        # bits, so each shell enumerates only its half c >= 0 and writes
+        # every weight to W[c] and W[-c].  The box is checked against the
         # cap before anything is enumerated or allocated.
         half = lat.coefficient_box(m.lattice.dual_basis, self.tail_radius)
         size = lat.box_size(half)
@@ -434,8 +449,9 @@ class SmoothedProjector:
                       "A=%g) holds %.12g coefficients" % (self.tail_radius, lam, A, size))
         self._half = half.astype(np.int64)
         self._box = np.zeros(tuple(2 * self._half + 1))
-        # about _SHELL_ROWS rows a shell, the ball's rows predicted as its
-        # volume over the dual covolume
+        # about _SHELL_ROWS rows a shell of the whole ball (so half of them
+        # enumerated), the ball's rows predicted as its volume over the dual
+        # covolume
         n = m.dim
         ball = np.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * self.tail_radius ** n
         shells = math.ceil(ball / abs(np.linalg.det(m.lattice.dual_basis)) / _SHELL_ROWS)
@@ -443,16 +459,19 @@ class SmoothedProjector:
         radii[-1] = self.tail_radius
         inner = -1.0  # the first shell is the ball of radius radii[0]
         for outer in radii.tolist():
-            coeffs, vectors, norms = lat.dual_vectors(m.lattice, outer, inner)
+            coeffs, vectors, norms = lat.dual_vectors(m.lattice, outer, inner, half=True)
             del vectors  # the box needs only the coefficients and norms
             # the norms come sorted, so each distinct norm is a run of equal values
             starts = np.flatnonzero(np.concatenate([[True], norms[1:] != norms[:-1]]))
-            weights = multiplier_batch(spec, lam, A, norms[starts])
+            weights = np.repeat(multiplier_batch(spec, lam, A, norms[starts]),
+                                np.diff(np.append(starts, norms.size)))
             del norms
             coeffs += self._half
-            self._box[tuple(coeffs.T)] = np.repeat(
-                weights, np.diff(np.append(starts, coeffs.shape[0])))
-            del coeffs
+            self._box[tuple(coeffs.T)] = weights
+            # the box index of -c is 2 half - (c + half)
+            np.subtract(2 * self._half, coeffs, out=coeffs)
+            self._box[tuple(coeffs.T)] = weights
+            del coeffs, weights
             inner = outer
 
         self._r_nodes, self._r_weights = _composite_gauss_legendre(self.tail_radius, int(n_panels))

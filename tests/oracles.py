@@ -5,7 +5,8 @@ near its threshold, the per-level sphere loop, the per-point Weyl leading
 term and Bessel prediction with the per-pair candidate search of
 `torus_log`, its coefficient-box array search that the period-ball walk
 replaced, the cell-by-cell CSV writer, the smoothed projector's per-mode
-spectral sum and its images side on a radial rule of any panel width,
+spectral sum, its weight box filled from whole balls (the half-ball fill
+replaced it) and its images side on a radial rule of any panel width,
 with the clamped width the band-limit rule replaced, a projector with a
 stretched spectral tail, the J-table quadrature in one block, the J
 panels' Clenshaw recurrence with one gather per step, and `bessel_ratio`
@@ -282,6 +283,33 @@ def clamped_panel(sp):
     from weyl_lab.smoothing import _PANEL_PERIODS
 
     return min(_PANEL_PERIODS * 2.0 * np.pi / sp.image_radius, sp.A / 2.0)
+
+
+def full_ball_box(sp):
+    """The weight box of `sp` filled from the whole ball of each shell (the
+    half-ball fill replaced it): the shells of the build, every row of a
+    shell enumerated, one multiplier evaluation per distinct norm, and each
+    weight written to its own row's coefficients."""
+    import math
+
+    from weyl_lab.lattice import dual_vectors
+    from weyl_lab.smoothing import _SHELL_ROWS, multiplier_batch
+
+    lattice, n = sp.manifold.lattice, sp.manifold.dim
+    ball = np.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * sp.tail_radius ** n
+    shells = math.ceil(ball / abs(np.linalg.det(lattice.dual_basis)) / _SHELL_ROWS)
+    radii = sp.tail_radius * (np.arange(1, shells + 1) / shells) ** (1.0 / n)
+    radii[-1] = sp.tail_radius
+    box = np.zeros_like(sp._box)
+    inner = -1.0
+    for outer in radii.tolist():
+        coeffs, _, norms = dual_vectors(lattice, outer, inner)
+        starts = np.flatnonzero(np.concatenate([[True], norms[1:] != norms[:-1]]))
+        weights = multiplier_batch(sp.spec, sp.lam, sp.A, norms[starts])
+        box[tuple((coeffs + sp._half).T)] = np.repeat(
+            weights, np.diff(np.append(starts, norms.size)))
+        inner = outer
+    return box
 
 
 def images_on_panel(sp, x, y, panel):

@@ -294,14 +294,14 @@ def test_smooth_compare_exits_1_when_the_panel_table_fails(tmp_path, monkeypatch
 
 def test_smooth_compare_with_a_radial_rule_past_the_cap_exits_3(tmp_path):
     # the radial rule has 16 nodes per panel and ~1/A panels: at A = 1e-9
-    # that is 1.5e11 nodes (68 GiB once allocated), refused before the
+    # that is 7.2e10 nodes (538 GiB of nodes once allocated), refused before the
     # weight box or the rule is built
     out = tmp_path / "nothing"
     res = run_cli(["smooth-compare", *TORUS_ARGS, "--lambda-grid", "12.5:12.5:1",
                    "--A", "1e-9", "--pairs", "1", "--out", str(out)])
     assert res.exit_code == 3, res.output
     assert res.stderr == ("resource limit: the radial rule of the images side (A=1e-09, "
-                          "image radius 2.82743e+09) holds 146250002592 nodes, exceeding "
+                          "image radius 2.82743e+09) holds 72181065104 nodes, exceeding "
                           "the cap 100000000\n")
     assert not out.exists()
 

@@ -126,6 +126,57 @@ def test_dual_vectors_equal_the_box_enumerator(name):
                 assert a.tobytes() == b.tobytes(), (hi, lo)
 
 
+def _canonical_half(coeffs):
+    """Rows whose first nonzero coefficient is positive, and the origin."""
+    first = coeffs[np.arange(coeffs.shape[0]), np.argmax(coeffs != 0, axis=1)]
+    return first >= 0
+
+
+HALF_LATTICES = {"square2pi": SQUARE2PI, "hex": Lattice.hexagonal(1.0),
+                 "mat:1,0.9;0,0.2": parse_manifold("torus:2:mat:1,0.9;0,0.2").lattice,
+                 "3d": ENUMERATION_LATTICES["3d"]}
+
+
+@pytest.mark.parametrize("name", list(HALF_LATTICES))
+def test_half_ball_is_the_canonical_half_of_the_full_call(name):
+    lattice = HALF_LATTICES[name]
+    # the zero slab holds the multiples of the last dual generator: inner
+    # balls past its length cut that slab, on a norm and one ulp off it
+    edge = float(np.linalg.norm(lattice.dual_basis[:, -1]))
+    radius = max(40.0, 6.0 * edge) if lattice.dim == 2 else 14.0
+    norms = dual_vectors(lattice, radius)[2]
+    mid = float(norms[norms.size // 2])
+    assert mid > 2.0 * edge
+    cases = [(r, -1.0) for r in (0.5, edge, 3.3, radius)]
+    cases += [(radius, lo) for lo in (0.0, edge, np.nextafter(edge, 0.0), 2.5 * edge, mid,
+                                      np.nextafter(mid, np.inf))]
+    for hi, lo in cases:
+        full = dual_vectors(lattice, hi, inner=lo)
+        half = dual_vectors(lattice, hi, inner=lo, half=True)
+        keep = _canonical_half(full[0])
+        for want, have in zip(full, half):
+            assert want.dtype == have.dtype, (hi, lo)
+            assert want[keep].tobytes() == have.tobytes(), (hi, lo)
+        origin = np.count_nonzero(~half[0].any(axis=1))
+        assert origin == (1 if lo < 0.0 else 0), (hi, lo)
+        assert 2 * half[2].size - origin == full[2].size, (hi, lo)
+
+
+def test_half_ball_cap_counts_half_the_rows(monkeypatch):
+    import weyl_lab.lattice as lat
+
+    # radius 10 on the integer dual grid: 317 rows, 159 in the half; the
+    # volume bound on the whole ball is pi 8^2 = 201.1 rows, past a cap that
+    # the half stays within
+    monkeypatch.setattr(lat, "ENUM_CAP", 159)
+    assert dual_vectors(SQUARE2PI, 10.0, half=True)[2].size == 159
+    with pytest.raises(ResourceLimitError, match=r"at least 201\.1 lattice points"):
+        dual_vectors(SQUARE2PI, 10.0)
+    monkeypatch.setattr(lat, "ENUM_CAP", 158)
+    with pytest.raises(ResourceLimitError, match="holds 159 lattice points, exceeding the cap 158"):
+        dual_vectors(SQUARE2PI, 10.0, half=True)
+
+
 @pytest.mark.parametrize("name", list(ENUMERATION_LATTICES))
 def test_slab_ends_gap_is_the_nearest_edge_row_norm(name):
     # the on-spectrum guard reads the gap off slab_ends.  Settled on every

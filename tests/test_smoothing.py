@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +14,7 @@ from numpy.testing import assert_allclose
 import weyl_lab
 from oracles import (
     clamped_panel,
+    full_ball_box,
     images_on_panel,
     images_rounding_scale,
     mode_sum_projector,
@@ -27,6 +30,8 @@ from weyl_lab.errors import DomainError, ResourceLimitError
 from weyl_lab.lattice import Lattice, deck_images, dual_vectors
 from weyl_lab.manifolds import FlatTorus, spectral_function
 from weyl_lab.smoothing import (
+    _GL_NODES,
+    _GL_REACH,
     MollifierSpec,
     SmoothedProjector,
     _chebyshev_coefficients,
@@ -321,12 +326,12 @@ def test_sine_integral_table_build_memory():
 
 
 def test_radial_rule_refusal_allocates_nothing():
-    # A = 1e-9 asks for 1.5e11 radial nodes: refused with the table built
-    # and nothing of the rule's size allocated (the rule alone is 68 GiB)
+    # A = 1e-9 asks for 7.2e10 radial nodes: refused with the table built
+    # and nothing of the rule's size allocated (its nodes alone are 538 GiB)
     sine_integral_table(SPEC)  # built before the measurement
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="holds 146250002592 nodes"):
+        with pytest.raises(ResourceLimitError, match="holds 72181065104 nodes"):
             SmoothedProjector(TORUS, SPEC, 12.5, 1e-9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -596,11 +601,11 @@ def test_identity_image_matches_radial_moment():
 # clamped rule it replaced); the hex, square lambda 200 and skew cases have
 # A ~ 1/log lambda or a short cell, where the clamp to A/2 cost the most
 RULE_CASES = [
-    ("torus:2:square2pi", 12.5, 0.5, 2880, 7872),
-    ("torus:2:hex", 12.0, 0.2, 6336, 108656),
-    ("torus:2:square2pi", 200.0, 1.0 / np.log(200.0), 14992, 40976),
-    ("torus:2:mat:1,0.3;0,1.2", 10.0, 0.5, 5680, 97408),
-    ("torus:3:square2pi", 6.5, 0.5, 2720, 7424),
+    ("torus:2:square2pi", 12.5, 0.5, 1424, 7872),
+    ("torus:2:hex", 12.0, 0.2, 3136, 108656),
+    ("torus:2:square2pi", 200.0, 1.0 / np.log(200.0), 7408, 40976),
+    ("torus:2:mat:1,0.3;0,1.2", 10.0, 0.5, 2800, 97408),
+    ("torus:3:square2pi", 6.5, 0.5, 1344, 7424),
 ]
 RULE_IDS = ["square-12.5", "hex-12", "square-200", "skew-10", "3d-6.5"]
 
@@ -618,12 +623,13 @@ def rule_case(request):
 
 
 def test_band_limit_rule_matches_the_clamped_rule(rule_case):
-    # the rule's panels hold 16/13 periods of the integrand's top frequency
-    # 2 support/A; the old panels were at most A/2 wide.  Both are converged,
-    # so they differ by rounding, measured against the moduli the sum adds
-    # (at lambda 200 up to ~800 times 1 + |value| off the diagonal): at
-    # most 5.4e-15 of them (3-D); panels 5x the rule's width miss by
-    # 2.6e-12 to 1.4e-8 of them
+    # the rule's panels are _GL_REACH / T wide, where the 16-node
+    # Gauss-Legendre error bound for the integrand's type 2T, T = support/A,
+    # reaches 2^-53; the old panels were at most A/2 wide.  Both are
+    # converged, so they differ by rounding, measured against the moduli
+    # the sum adds (at lambda 200 up to ~800 times 1 + |value| off the
+    # diagonal): at most 7.4e-15 of them (skew); panels 2.5x the rule's
+    # width miss by 1.5e-12 to 3.7e-9 of them
     sp, clamped_nodes, xs, ys, new, scale = rule_case
     assert int(np.ceil(sp.tail_radius / clamped_panel(sp))) * 16 == clamped_nodes
     old = images_on_panel(sp, xs, ys, clamped_panel(sp))
@@ -631,11 +637,44 @@ def test_band_limit_rule_matches_the_clamped_rule(rule_case):
 
 
 def test_band_limit_rule_is_converged(rule_case):
-    # against panels a quarter as wide: at most 5.2e-15 of the moduli
+    # against panels a quarter as wide: at most 8.7e-15 of the moduli
     sp, _, xs, ys, new, scale = rule_case
     panel = sp.tail_radius / (sp._r_nodes.size // 16)
     finer = images_on_panel(sp, xs, ys, panel / 4.0)
     assert np.all(np.abs(new - finer) <= 1e-13 * scale)
+
+
+def test_gauss_legendre_reach_is_its_formula():
+    # (2^-53 / C_16)^(1/32), C_16 = 2^33 (16!)^4 / (33 (32!)^3): the float
+    # lies within one ulp of the exact root
+    c16 = Fraction(2**33 * math.factorial(16) ** 4, 33 * math.factorial(32) ** 3)
+    target = Fraction(1, 2**53) / c16
+    below, above = np.nextafter(_GL_REACH, 0.0), np.nextafter(_GL_REACH, np.inf)
+    assert Fraction(below) ** 32 < target < Fraction(above) ** 32
+
+
+def test_gauss_legendre_integrates_cos_at_its_reach():
+    # 16 nodes integrate cos(w x) over [-1, 1] within 2^-53 of 2 sin(w)/w at
+    # w = _GL_REACH (measured 7.1e-17); at 1.1 w they miss by 1.4e-15
+    with mp.workdps(50):
+        nodes, weights = [], []
+        for x in map(mp.mpf, _GL_NODES.tolist()):
+            for _ in range(6):  # Newton steps on P_16 from the float nodes
+                slope = 16 * (x * mp.legendre(16, x) - mp.legendre(15, x)) / (x * x - 1)
+                x -= mp.legendre(16, x) / slope
+            slope = 16 * (x * mp.legendre(16, x) - mp.legendre(15, x)) / (x * x - 1)
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * slope**2))
+        w = mp.mpf(_GL_REACH)
+        rule = mp.fsum(c * mp.cos(w * x) for c, x in zip(weights, nodes))
+        assert abs(rule - 2 * mp.sin(w) / w) <= mp.mpf(2) ** -53
+
+
+def test_half_ball_box_equals_the_full_ball_fill(rule_case):
+    # W[c] = W[-c]: the box filled from the half balls has the bits of the
+    # fill from the whole balls, shell by shell
+    sp = rule_case[0]
+    assert sp._box.tobytes() == full_ball_box(sp).tobytes()
 
 
 def test_truncation_validated_by_doubling():
