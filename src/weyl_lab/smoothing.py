@@ -14,9 +14,13 @@ MollifierSpec gets one Chebyshev table of J, built on first use, validated
 when it is built (panel doubling, trailing coefficients, distance from pi/2
 past the table's end) and shared by every multiplier evaluation.  Calls do
 not sum that global series (degree ~600): it is cut into P ~ degree/8
-equal panels, each a degree-24 series checked against the global one at
-every panel edge when the table is built, so a J value costs one panel
-lookup and a 25-step Clenshaw recurrence.
+equal panels, each a degree-24 Chebyshev series checked against the global
+one at every panel edge.  Each panel is cut again into 20 equal
+sub-panels, each a degree-8 polynomial in the offset from its centre (the
+panel series' Chebyshev truncation, derived with + - * / only) and checked
+against the global series at every panel edge and every sub-panel edge,
+all when the table is built.  So a J value costs one gather of 9
+coefficients and 8 Horner steps.
 
 The spectral side is a multiplier-weighted mode sum and each deck image
 contributes the radial integral (2pi)^{-n} int m(r) r^{n-1} S_n(r |w|) dr.
@@ -98,6 +102,12 @@ _TABLE_DOUBLINGS = 1
 # rounding; one panel per 11 coefficients already fails the 1e-13 check)
 _DEGREE_PER_PANEL = 8
 _PANEL_DEGREE = 24
+# calls evaluate J by Horner on each panel's 20 equal sub-panels, each a
+# degree-8 polynomial: 4.3e-15 from the panel form on square 2pi and hex
+# (12 sub-panels: 3.7e-13; 16: 2.9e-14; degree 7 on 25: 5.2e-14; degree 9
+# on 16: 8.9e-16 but 7% longer a call at 1 value and 11% at 8,080)
+_SUB_PANELS = 20
+_SUB_DEGREE = 8
 # the spectral sum stops where the fitted h-decay puts |m| below this
 _TAIL_THRESHOLD = 1e-12
 # the values of one block of the J-table quadrature or of the images side
@@ -199,15 +209,46 @@ def _panel_eval(panel_coeffs: np.ndarray, nu0: float, nus: np.ndarray) -> np.nda
     return out
 
 
+def _horner_eval(sub_coeffs: np.ndarray, nu0: float, nus: np.ndarray) -> np.ndarray:
+    """The sub-panel polynomials at nus in [0, nu0): each nu's sub-panel is
+    floor(nu S / nu0) for S sub-panels, and its polynomial, highest power
+    first, is summed by Horner in the offset u = nu S / nu0 - sub-panel -
+    1/2 from the sub-panel's centre.  The coefficients are gathered in one
+    take per column block of about _BLOCK_VALUES values and the steps
+    acc = acc u + c run in place on the gathered rows, so every value has
+    the same bits at any block size."""
+    terms, n_sub = sub_coeffs.shape
+    scaled = nus * (n_sub / nu0)
+    # truncation is floor on the clamped values, all >= 0
+    sub = np.minimum(np.maximum(scaled, 0.0), n_sub - 1).astype(np.intp)
+    u = scaled - sub
+    u -= 0.5
+    out = np.empty_like(u)
+    block = max(1, _BLOCK_VALUES // terms)
+    for lo in range(0, u.size, block):
+        rows = np.take(sub_coeffs, sub[lo:lo + block], axis=1)
+        us = u[lo:lo + block]
+        acc = rows[0]
+        for row in rows[1:]:
+            acc *= us
+            acc += row
+        out[lo:lo + block] = acc
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SineIntegralTable:
     """J on [0, nu0] and pi/2 beyond, with the residuals it was validated
     on.
 
     `coeffs` is the validated global Chebyshev series in 2 nu/nu0 - 1.
-    Calls evaluate `panel_coeffs` instead: a (panel degree + 1, P) table of
-    low-degree Chebyshev series on P equal panels of [0, nu0], derived from
-    the global series and checked against it (`panel_error`) when built.
+    `panel_coeffs` is a (panel degree + 1, P) table of low-degree Chebyshev
+    series on P equal panels of [0, nu0], derived from the global series
+    and checked against it (`panel_error`) when built.  Calls evaluate
+    `sub_coeffs`: a (sub-panel degree + 1, P * _SUB_PANELS) table of
+    polynomials, highest power first, on the panels cut into equal
+    sub-panels, derived from `panel_coeffs` and checked against the global
+    series (`sub_error`) when built.
     """
 
     nu0: float
@@ -218,6 +259,8 @@ class SineIntegralTable:
     tail: float  # max |J - pi/2| on probes in [nu0, 1.5 nu0)
     panel_coeffs: np.ndarray
     panel_error: float  # max |panel form - global series| on edge probes
+    sub_coeffs: np.ndarray
+    sub_error: float  # max |sub-panel form - global series| on edge probes
 
     @property
     def degree(self) -> int:
@@ -225,9 +268,11 @@ class SineIntegralTable:
 
     def __call__(self, nus) -> np.ndarray:
         nus = np.asarray(nus, dtype=float)
+        inside = nus < self.nu0  # false for nan and inf: pi/2, never gathered
+        if inside.all():
+            return _horner_eval(self.sub_coeffs, self.nu0, nus.ravel()).reshape(nus.shape)
         out = np.full(nus.shape, 0.5 * np.pi)
-        inside = nus < self.nu0
-        out[inside] = _panel_eval(self.panel_coeffs, self.nu0, nus[inside])
+        out[inside] = _horner_eval(self.sub_coeffs, self.nu0, nus[inside])
         return out
 
 
@@ -248,20 +293,27 @@ def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def _panel_probes(nu0: float, count: int) -> np.ndarray:
+    """Every edge of `count` equal panels of [0, nu0), one ulp either side
+    of it (nu0 excluded), then every panel's midpoint."""
+    width = nu0 / count
+    edges = width * np.arange(count)
+    return np.concatenate([edges, np.nextafter(edges, nu0),
+                           np.nextafter(edges[1:], 0.0), edges + 0.5 * width])
+
+
 def _panel_table(nu0: float, coeffs: np.ndarray):
     """Per-panel Chebyshev coefficients of the global series `coeffs`: P
     equal panels of [0, nu0] for P ~ degree / _DEGREE_PER_PANEL, each a
     series of degree _PANEL_DEGREE from the global series at its
     first-kind nodes.  Also returns the panel form's largest distance from
-    the global series on probes at every panel edge, one ulp either side
-    of it and at every panel's midpoint."""
+    the global series on `_panel_probes`."""
     n_panels = int(np.ceil(coeffs.size / _DEGREE_PER_PANEL))
     n = _PANEL_DEGREE + 1
     width = nu0 / n_panels
     nodes = 0.5 * (1.0 + np.cos(np.pi * (np.arange(n) + 0.5) / n))
     edges = width * np.arange(n_panels)
-    probes = np.concatenate([edges, np.nextafter(edges, nu0),
-                             np.nextafter(edges[1:], 0.0), edges + 0.5 * width])
+    probes = _panel_probes(nu0, n_panels)
     nus = np.concatenate([(edges[:, None] + width * nodes).ravel(), probes])
     values = chebval(2.0 * nus / nu0 - 1.0, coeffs)
     panel_coeffs = _chebyshev_coefficients(values[:-probes.size].reshape(n_panels, n))
@@ -269,6 +321,80 @@ def _panel_table(nu0: float, coeffs: np.ndarray):
     panel_coeffs.flags.writeable = False  # every caller shares the cached table
     error = np.max(np.abs(_panel_eval(panel_coeffs, nu0, probes) - values[-probes.size:]))
     return panel_coeffs, float(error)
+
+
+def _shifted_chebyshev(terms: int, centres: np.ndarray, scale: float) -> np.ndarray:
+    """basis[n, k, j], the coefficient of t^k in T_n(centres[j] + scale t)
+    for n, k < terms, from T_{n+1}(y) = 2 y T_n(y) - T_{n-1}(y) run on
+    polynomials in t."""
+    basis = np.zeros((terms, terms, centres.size))
+    basis[0, 0] = 1.0
+    basis[1, 0] = centres
+    basis[1, 1] = scale
+    for n in range(2, terms):
+        np.multiply(2.0 * centres, basis[n - 1], out=basis[n])
+        basis[n, 1:] += (2.0 * scale) * basis[n - 1, :-1]
+        basis[n] -= basis[n - 2]
+    return basis
+
+
+def _series_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The Chebyshev series `coeffs` at x by Clenshaw's recurrence in three
+    reused buffers.  chebval allocates at every step and took ~1.5 times as
+    long on the ~1,850 probes of the sub-panel check, whose cost every
+    process pays once."""
+    x2 = 2.0 * x
+    b1, b2, step = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    for c in coeffs[:0:-1]:
+        np.multiply(x2, b1, out=step)
+        step -= b2
+        step += c
+        b1, b2, step = step, b1, b2
+    return coeffs[0] + x * b1 - b2
+
+
+def _sub_panel_table(nu0: float, coeffs: np.ndarray, panel_coeffs: np.ndarray):
+    """Each panel of `panel_coeffs` cut into _SUB_PANELS equal sub-panels,
+    each a polynomial of degree _SUB_DEGREE, highest power first, in the
+    offset u in [-1/2, 1/2] from the sub-panel's centre in units of its
+    width: the panel series' Chebyshev truncation there, in t = 2u.
+
+    With x_j the centre of sub-panel j in the panel variable, the panel
+    series is sum_n c_n T_n(x_j + 2u / _SUB_PANELS); its powers of u come
+    from `_shifted_chebyshev`.  Each power u^k above the degree is then
+    economized, top down: T_k(2u) is u^k times its leading coefficient
+    2^(2k-1) plus powers of degree k - 2 and below, so rewriting u^k by
+    those powers drops the series' T_k(t) term and nothing else.  The c_n
+    are summed in a fixed order with elementwise products only, no BLAS,
+    so a given panel table gives the same bits on every host.
+
+    Also returns the largest distance from the global series on the panel
+    table's probes and one ulp either side of every sub-panel edge e (nu0
+    from below and nu0 itself).  The series is summed at e alone: J moves
+    by at most 2^-52 over one ulp of e, since J'(nu) = int rho_hat(u)
+    cos(u nu) du = -int rho_hat'(u) sin(u nu) du / nu and rho_hat falls
+    monotonically from 1 to 0, so |J'(nu)| <= 1/nu.  That halves the probes
+    of the series, whose sum is most of the check's cost."""
+    terms, n_panels = panel_coeffs.shape
+    centres = (2.0 * np.arange(_SUB_PANELS) + 1.0) / _SUB_PANELS - 1.0
+    basis = _shifted_chebyshev(terms, centres, 2.0 / _SUB_PANELS)
+    doubled = _shifted_chebyshev(terms, np.zeros(1), 2.0)[:, :, 0]  # T_k(2u)
+    for k in range(terms - 1, _SUB_DEGREE, -1):
+        lower = doubled[k, k - 2::-2] / doubled[k, k]
+        basis[:, k - 2::-2] -= basis[:, k:k + 1] * lower[:, None]
+    sub = np.zeros((_SUB_DEGREE + 1, n_panels, _SUB_PANELS))
+    for c, b in zip(panel_coeffs, basis[:, _SUB_DEGREE::-1]):
+        sub += b[:, None, :] * c[:, None]
+    sub_coeffs = sub.reshape(_SUB_DEGREE + 1, -1)
+    sub_coeffs.flags.writeable = False  # every caller shares the cached table
+    count = sub_coeffs.shape[1]
+    probes = _panel_probes(nu0, n_panels)
+    edges = np.append(nu0 / count * np.arange(1, count), nu0)
+    want = _series_eval(coeffs, 2.0 * np.concatenate([probes, edges]) / nu0 - 1.0)
+    want = np.concatenate([want, want[probes.size:]])
+    nus = np.concatenate([probes, np.nextafter(edges, 0.0), np.nextafter(edges, nu0)])
+    error = np.max(np.abs(_horner_eval(sub_coeffs, nu0, nus) - want))
+    return sub_coeffs, float(error)
 
 
 @functools.lru_cache(maxsize=16)
@@ -283,7 +409,10 @@ def sine_integral_table(spec: MollifierSpec) -> SineIntegralTable:
     still fail, QuadratureError carries the last attempt's diagnostics.
     The accepted series is then cut into panels, which must match it to
     1e-13 as well, else QuadratureError names the panel count, the panel
-    degree and the measured error.
+    degree and the measured error.  The panels are cut into the sub-panels
+    that calls evaluate, which are held to the same 1e-13 against the
+    global series, else QuadratureError names the sub-panel count, degree
+    and error.
     """
     width = spec.support - spec.plateau
     nu0 = _NU0_TRANSITION / width
@@ -323,10 +452,18 @@ def sine_integral_table(spec: MollifierSpec) -> SineIntegralTable:
             "tolerance=%.0e"
             % (spec.plateau, spec.support, panel_coeffs.shape[1],
                panel_coeffs.shape[0] - 1, panel_error, _TABLE_TOL))
+    sub_coeffs, sub_error = _sub_panel_table(nu0, coeffs, panel_coeffs)
+    if sub_error > _TABLE_TOL:
+        raise QuadratureError(
+            "sine-integral sub-panel table did not validate: plateau=%g support=%g "
+            "sub-panel count=%d sub-panel degree=%d |sub-panel - global series|=%.3e "
+            "tolerance=%.0e"
+            % (spec.plateau, spec.support, sub_coeffs.shape[1],
+               sub_coeffs.shape[0] - 1, sub_error, _TABLE_TOL))
     return SineIntegralTable(
         nu0=nu0, coeffs=coeffs, panels=2 * n_panels, residual=residual,
         trailing=trailing, tail=tail, panel_coeffs=panel_coeffs,
-        panel_error=panel_error)
+        panel_error=panel_error, sub_coeffs=sub_coeffs, sub_error=sub_error)
 
 
 def multiplier_batch(spec: MollifierSpec, lam: float, A: float, taus) -> np.ndarray:

@@ -9,13 +9,15 @@ spectral sum, its weight box filled from whole balls (the half-ball fill
 replaced it) and its images side on a radial rule of any panel width,
 with the clamped width the band-limit rule replaced, a projector with a
 stretched spectral tail, the J-table quadrature in one block, the J
-panels' Clenshaw recurrence with one gather per step, and `bessel_ratio`
-with its recurrence run on the radii the series serves too."""
+panels' Clenshaw recurrence with one gather per step, the J sub-panels'
+polynomials from numpy's Chebyshev derivatives, and `bessel_ratio` with
+its recurrence run on the radii the series serves too."""
 
 import copy
 import itertools
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from weyl_lab.errors import DomainError
 from weyl_lab.lattice import check_cap, point_pairs, row_norms, slab_form, slab_row_norms
@@ -364,6 +366,27 @@ def per_step_panel_eval(panel_coeffs, nu0, nus):
     for row in panel_coeffs[:0:-1]:
         b1, b2 = np.take(row, panel) + x2 * b1 - b2, b1
     return np.take(panel_coeffs[0], panel) + x * b1 - b2
+
+
+def taylor_sub_panels(panel_coeffs, sub_panels, degree):
+    """`smoothing._sub_panel_table`'s coefficients by another route: the
+    Taylor coefficients p^(k)(x_j) / (k! sub_panels^k) of each panel series
+    p at every sub-panel centre x_j from numpy's chebder and chebval, in
+    t in [-1, 1] across the sub-panel; t^k, k > degree, economized top down
+    with cheb2poly's T_k; then the powers of t = 2u taken to powers of u."""
+    terms, n_panels = panel_coeffs.shape
+    centres = (2.0 * np.arange(sub_panels) + 1.0) / sub_panels - 1.0
+    series = np.array(panel_coeffs)
+    taylor = np.empty((terms, n_panels, sub_panels))
+    for k in range(terms):
+        taylor[k] = chebyshev.chebval(centres, series)
+        series = chebyshev.chebder(series, scl=1.0 / sub_panels) / (k + 1)
+    for k in range(terms - 1, degree, -1):
+        t_k = chebyshev.cheb2poly(np.eye(k + 1)[k]) * 2.0 ** (1 - k)
+        for j in range(k - 2, -1, -2):
+            taylor[j] -= taylor[k] * t_k[j]
+    return (taylor[degree::-1] * 2.0 ** np.arange(degree, -1, -1)[:, None, None]).reshape(
+        degree + 1, -1)
 
 
 def unseeded_bessel_ratio(nu, r):

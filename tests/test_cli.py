@@ -292,6 +292,26 @@ def test_smooth_compare_exits_1_when_the_panel_table_fails(tmp_path, monkeypatch
     assert not (tmp_path / "smooth-compare.csv").exists()
 
 
+def test_smooth_compare_exits_1_when_the_sub_panel_table_fails(tmp_path, monkeypatch):
+    import weyl_lab.smoothing as smoothing
+
+    # degree-3 sub-panels cannot follow the global series to 1e-13
+    monkeypatch.setattr(smoothing, "_SUB_DEGREE", 3)
+    smoothing.sine_integral_table.cache_clear()
+    res = run_cli(["smooth-compare", "--manifold", "torus:2:square2pi",
+                   "--lambda-grid", "3:3:1", "--A", "1.0", "--pairs", "2",
+                   "--out", str(tmp_path)])
+    smoothing.sine_integral_table.cache_clear()
+    assert res.exit_code == 1
+    assert res.stderr.startswith(
+        "numeric failure: sine-integral sub-panel table did not validate")
+    assert "sub-panel count=1540 " in res.stderr
+    assert "sub-panel degree=3 " in res.stderr
+    for field in ("|sub-panel - global series|=", "tolerance=1e-13"):
+        assert field in res.stderr
+    assert not (tmp_path / "smooth-compare.csv").exists()
+
+
 def test_smooth_compare_with_a_radial_rule_past_the_cap_exits_3(tmp_path):
     # the radial rule has 16 nodes per panel and ~1/A panels: at A = 1e-9
     # that is 7.2e10 nodes (538 GiB of nodes once allocated), refused before the

@@ -21,6 +21,7 @@ from oracles import (
     per_step_panel_eval,
     record_passes,
     stretched_projector,
+    taylor_sub_panels,
     unblocked_sine_integrals,
 )
 from weyl_lab import lattice as lat
@@ -32,10 +33,13 @@ from weyl_lab.manifolds import FlatTorus, spectral_function
 from weyl_lab.smoothing import (
     _GL_NODES,
     _GL_REACH,
+    _SUB_DEGREE,
+    _SUB_PANELS,
     MollifierSpec,
     SmoothedProjector,
     _chebyshev_coefficients,
     _composite_gauss_legendre,
+    _horner_eval,
     _panel_eval,
     fit_h_constant,
     fit_h_decay,
@@ -193,10 +197,11 @@ def _longdouble_sine_integral(spec, nus):
 @pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
 def test_sine_integral_table_against_a_dense_reference(spec):
     # 2000 points across [0, nu0), and the last 1/2000 of it at
-    # nu0 (1 - 10^-k), k = 4..9, and one ulp below nu0: measured 1.8e-14
-    # (square) and 1.5e-14 (hex), both at nu = 0, and at most 1.3e-15 and
-    # 4.0e-15 on those last points; the reference is checked against mpmath
-    # at one point
+    # nu0 (1 - 10^-k), k = 4..9, and one ulp below nu0: measured 1.5e-14
+    # (square) and 1.1e-14 (hex), both at nu = 0, and at most 1.1e-15 and
+    # 4.0e-15 on those last points (the panel form read 1.9e-14, 1.5e-14,
+    # 1.3e-15 and 4.0e-15); the reference is checked against mpmath at one
+    # point
     table = sine_integral_table(spec)
     nus = np.concatenate([np.linspace(0.0, table.nu0, 2001)[:-1],
                           table.nu0 * (1.0 - 10.0 ** -np.arange(4.0, 10.0)),
@@ -266,6 +271,69 @@ def test_panel_eval_equals_the_per_step_gather(monkeypatch, spec):
     assert nus.size % 7 and _panel_eval(coeffs, nu0, nus[:0]).size == 0
 
 
+def _sub_panel_probes(table, rng):
+    """Random nu in every sub-panel, every sub-panel edge and one ulp either
+    side of it, 0 and nu0 - 1 ulp."""
+    count = table.sub_coeffs.shape[1]
+    edges = table.nu0 * np.arange(1, count) / count
+    return np.concatenate([
+        ((np.arange(count) + rng.uniform(0.0, 1.0, (3, count))) * table.nu0 / count).ravel(),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        [0.0, np.nextafter(table.nu0, 0.0)]])
+
+
+@pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
+def test_sub_panel_table_against_the_panel_oracle(spec):
+    # the Horner sub-panels follow the Clenshaw panels they are cut from:
+    # measured 4.0e-15 on both
+    table = sine_integral_table(spec)
+    n_panels = table.panel_coeffs.shape[1]
+    assert table.sub_coeffs.shape == (_SUB_DEGREE + 1, _SUB_PANELS * n_panels)
+    nus = _sub_panel_probes(table, np.random.default_rng(41))
+    want = _panel_eval(table.panel_coeffs, table.nu0, nus)
+    assert np.max(np.abs(table(nus) - want)) <= 1e-14
+    assert table.sub_error <= 1e-13
+    assert not table.sub_coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        table.sub_coeffs[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
+def test_sub_panel_table_against_the_taylor_oracle(spec):
+    # the same Chebyshev truncation reached through numpy's chebder and
+    # chebval at the sub-panel centres and cheb2poly's economization:
+    # coefficients and values within 1.1e-15 on both (measured)
+    table = sine_integral_table(spec)
+    oracle = taylor_sub_panels(table.panel_coeffs, _SUB_PANELS, _SUB_DEGREE)
+    assert np.max(np.abs(table.sub_coeffs - oracle)) <= 4e-15
+    nus = _sub_panel_probes(table, np.random.default_rng(43))
+    assert np.max(np.abs(table(nus) - _horner_eval(oracle, table.nu0, nus))) <= 4e-15
+
+
+@pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
+def test_horner_eval_in_blocks_equals_one_block(monkeypatch, spec):
+    # blocks of 7 columns with a remainder give every value its bits
+    table = sine_integral_table(spec)
+    nus = _sub_panel_probes(table, np.random.default_rng(47))
+    want = _horner_eval(table.sub_coeffs, table.nu0, nus)
+    assert want.size <= smoothing._BLOCK_VALUES // (_SUB_DEGREE + 1)
+    monkeypatch.setattr(smoothing, "_BLOCK_VALUES", 7 * (_SUB_DEGREE + 1) + 3)
+    assert _horner_eval(table.sub_coeffs, table.nu0, nus).tobytes() == want.tobytes()
+    assert nus.size % 7 and _horner_eval(table.sub_coeffs, table.nu0, nus[:0]).size == 0
+    assert table(nus).tobytes() == want.tobytes()
+
+
+def test_table_past_nu0_and_non_finite_is_half_pi():
+    # nan, inf, nu0 and beyond return pi/2 exactly, next to inside values,
+    # and no RuntimeWarning (an error in this suite) comes from the gather
+    table = sine_integral_table(SPEC)
+    nus = np.array([np.nan, 0.5 * table.nu0, np.inf, table.nu0, 3.0 * table.nu0])
+    got = table(nus)
+    assert np.array_equal(got[[0, 2, 3, 4]], np.full(4, 0.5 * np.pi))
+    assert got[1] == table(np.array([0.5 * table.nu0]))[0]
+    assert table(np.array([np.nan]))[0] == 0.5 * np.pi
+
+
 def test_table_scalar_and_array_calls_agree_bitwise():
     table = sine_integral_table(SPEC)
     rng = np.random.default_rng(11)
@@ -309,8 +377,10 @@ def test_blocked_sine_integral_table_equals_the_unblocked_build(monkeypatch, nam
     oracle = sine_integral_table.__wrapped__(spec)
     assert table.coeffs.tobytes() == oracle.coeffs.tobytes()
     assert table.panel_coeffs.tobytes() == oracle.panel_coeffs.tobytes()
-    assert ((table.residual, table.trailing, table.tail, table.panel_error)
-            == (oracle.residual, oracle.trailing, oracle.tail, oracle.panel_error))
+    assert table.sub_coeffs.tobytes() == oracle.sub_coeffs.tobytes()
+    assert ((table.residual, table.trailing, table.tail, table.panel_error, table.sub_error)
+            == (oracle.residual, oracle.trailing, oracle.tail, oracle.panel_error,
+                oracle.sub_error))
 
 
 def test_sine_integral_table_build_memory():
