@@ -9,11 +9,14 @@ multiplier
                       = (J((lambda+tau)/A) + sign(lambda-tau) J(|lambda-tau|/A))/pi
 
 with J(nu) = int_0^support rho_hat(u) sin(u nu)/u du (substitute u = At in
-the product-to-sum split).  J depends on neither lambda nor A, so each
-MollifierSpec gets one Chebyshev table of J, built on first use, validated
-when it is built (panel doubling, trailing coefficients, distance from pi/2
-past the table's end) and shared by every multiplier evaluation.  Calls do
-not sum that global series (degree ~600): it is cut into P ~ degree/8
+the product-to-sum split).  J depends on neither lambda nor A.  Every
+cutoff has the same shape, plateau 5/9 of its support, so substituting
+u = support v gives J(nu) = J_ref(support nu), with J_ref the J of the
+reference cutoff of support 1.  The process holds one Chebyshev table of
+J_ref, built on first use, validated when it is built (panel doubling,
+trailing coefficients, distance from pi/2 past the table's end) and shared
+by every multiplier evaluation of every torus.  Calls do not sum that
+global series (degree 615): it is cut into P ~ degree/8
 equal panels, each a degree-24 Chebyshev series checked against the global
 one at every panel edge.  Each panel is cut again into 20 equal
 sub-panels, each a degree-8 polynomial in the offset from its centre (the
@@ -73,7 +76,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
 from . import lattice as lat
 from .errors import DomainError, QuadratureError
@@ -89,14 +91,15 @@ _PANEL_PERIODS = 16.0 / 13.0
 # below 2^-53 of sup|f| per unit length wherever w h <= (2^-53 / C_16)^(1/32)
 _GL_REMAINDER = 2**33 * math.factorial(16) ** 4 / (33 * math.factorial(32) ** 3)
 _GL_REACH = (2.0**-53 / _GL_REMAINDER) ** (1.0 / 32.0)
-# J is tabulated on [0, nu0] with nu0 * (support - plateau) = 420; past
-# that the exp-bridge keeps |J - pi/2| near 1e-14
-_NU0_TRANSITION = 420.0
-# J' is band-limited to [-support, support]; the Chebyshev coefficients
-# reach the rounding floor near degree 0.6 nu0 support
-_DEGREE_PER_BANDWIDTH = 0.65
+# the cutoff's plateau over its support: for_manifold's inj/2 over 0.9 inj
+_PLATEAU_RATIO = 5.0 / 9.0
+# J_ref is tabulated on [0, nu0] with nu0 (1 - 5/9) = 420; past that the
+# exp-bridge keeps |J_ref - pi/2| near 1e-14
+_NU0 = 945.0
+# J_ref' is band-limited to [-1, 1]; the Chebyshev coefficients reach the
+# rounding floor near degree 0.6 nu0
+_DEGREE = 615
 _TABLE_TOL = 1e-13
-_TABLE_DOUBLINGS = 1
 # calls evaluate J panel by panel: one panel per 8 global coefficients,
 # each a series of degree 24 (truncation below the series' own ~2e-14
 # rounding; one panel per 11 coefficients already fails the 1e-13 check)
@@ -119,21 +122,24 @@ _SHELL_ROWS = 2**20
 @dataclass(frozen=True)
 class MollifierSpec:
     """Even C^inf cutoff rho_hat: identically 1 on [-plateau, plateau],
-    identically 0 outside (-support, support), exp-bridge in between."""
+    identically 0 outside (-support, support), exp-bridge in between, with
+    plateau = 5/9 support."""
 
-    plateau: float
     support: float
 
     def __post_init__(self):
-        if not (0.0 < self.plateau < self.support):
-            raise DomainError("need 0 < plateau < support")
+        if not (0.0 < self.support < math.inf):
+            raise DomainError("need a finite support > 0")
+
+    @property
+    def plateau(self) -> float:
+        return _PLATEAU_RATIO * self.support
 
     @classmethod
     def for_manifold(cls, m: ModelManifold) -> "MollifierSpec":
-        """The cutoff tied to the injectivity radius: plateau = inj/2,
-        support = 0.9 * inj."""
-        inj = m.injectivity_radius
-        return cls(plateau=0.5 * inj, support=0.9 * inj)
+        """The cutoff tied to the injectivity radius: support = 0.9 * inj,
+        so plateau = inj/2."""
+        return cls(support=0.9 * m.injectivity_radius)
 
 
 def rho_hat(spec: MollifierSpec, t):
@@ -165,10 +171,11 @@ def _composite_gauss_legendre(T: float, n_panels: int):
     return nodes, weights
 
 
-def _sine_integrals(spec: MollifierSpec, nus: np.ndarray, n_panels: int) -> np.ndarray:
-    """J(nu) = int_0^support rho_hat(u) sin(u nu)/u du on a fixed rule."""
-    nodes, weights = _composite_gauss_legendre(spec.support, n_panels)
-    base = rho_hat(spec, nodes) * weights / nodes
+def _sine_integrals(nus: np.ndarray, n_panels: int) -> np.ndarray:
+    """J_ref(nu) = int_0^1 rho_hat(u) sin(u nu)/u du, for the reference
+    cutoff of support 1, on a fixed rule."""
+    nodes, weights = _composite_gauss_legendre(1.0, n_panels)
+    base = rho_hat(MollifierSpec(support=1.0), nodes) * weights / nodes
     out = np.empty(nus.size)
     # a power-of-two row count keeps the products on the unblocked bits
     rows = 1 << max((_BLOCK_VALUES // nodes.size).bit_length() - 1, 0)
@@ -238,8 +245,8 @@ def _horner_eval(sub_coeffs: np.ndarray, nu0: float, nus: np.ndarray) -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class SineIntegralTable:
-    """J on [0, nu0] and pi/2 beyond, with the residuals it was validated
-    on.
+    """J_ref on [0, nu0] and pi/2 beyond, with the residuals it was
+    validated on.  A negative nu raises DomainError.
 
     `coeffs` is the validated global Chebyshev series in 2 nu/nu0 - 1.
     `panel_coeffs` is a (panel degree + 1, P) table of low-degree Chebyshev
@@ -268,6 +275,10 @@ class SineIntegralTable:
 
     def __call__(self, nus) -> np.ndarray:
         nus = np.asarray(nus, dtype=float)
+        negative = nus < 0.0
+        if negative.any():
+            raise DomainError("the sine-integral table needs nu >= 0, got nu=%r"
+                              % float(nus[negative][0]))
         inside = nus < self.nu0  # false for nan and inf: pi/2, never gathered
         if inside.all():
             return _horner_eval(self.sub_coeffs, self.nu0, nus.ravel()).reshape(nus.shape)
@@ -315,7 +326,7 @@ def _panel_table(nu0: float, coeffs: np.ndarray):
     edges = width * np.arange(n_panels)
     probes = _panel_probes(nu0, n_panels)
     nus = np.concatenate([(edges[:, None] + width * nodes).ravel(), probes])
-    values = chebval(2.0 * nus / nu0 - 1.0, coeffs)
+    values = _series_eval(coeffs, 2.0 * nus / nu0 - 1.0)
     panel_coeffs = _chebyshev_coefficients(values[:-probes.size].reshape(n_panels, n))
     panel_coeffs = np.ascontiguousarray(panel_coeffs.T)
     panel_coeffs.flags.writeable = False  # every caller shares the cached table
@@ -340,17 +351,21 @@ def _shifted_chebyshev(terms: int, centres: np.ndarray, scale: float) -> np.ndar
 
 def _series_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The Chebyshev series `coeffs` at x by Clenshaw's recurrence in three
-    reused buffers.  chebval allocates at every step and took ~1.5 times as
-    long on the ~1,850 probes of the sub-panel check, whose cost every
-    process pays once."""
+    reused buffers: the one sum of the global series, for the panel
+    table's nodes and probes and for the sub-panel check.  Each step is
+    b_k = (c_k - b_{k+2}) + 2x b_{k+1} and the sum (c_0 - b_2) + x b_1, the
+    order of numpy's chebval, so the values have chebval's bits, but
+    chebval allocates at every step and took ~1.5 times as long on the
+    ~1,850 probes of the sub-panel check.  (Summed as 2x b_{k+1} - b_{k+2}
+    + c_k, the series gave panels that read J_ref(0) = -1.8e-14, not
+    -1.3e-14.)"""
     x2 = 2.0 * x
     b1, b2, step = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
     for c in coeffs[:0:-1]:
-        np.multiply(x2, b1, out=step)
-        step -= b2
-        step += c
-        b1, b2, step = step, b1, b2
-    return coeffs[0] + x * b1 - b2
+        np.subtract(c, b2, out=b2)
+        b2 += np.multiply(x2, b1, out=step)
+        b1, b2 = b2, b1
+    return (coeffs[0] - b2) + x * b1
 
 
 def _sub_panel_table(nu0: float, coeffs: np.ndarray, panel_coeffs: np.ndarray):
@@ -397,78 +412,63 @@ def _sub_panel_table(nu0: float, coeffs: np.ndarray, panel_coeffs: np.ndarray):
     return sub_coeffs, float(error)
 
 
-@functools.lru_cache(maxsize=16)
-def sine_integral_table(spec: MollifierSpec) -> SineIntegralTable:
-    """The spec's J table, built on first use and then shared.
+@functools.cache
+def sine_integral_table() -> SineIntegralTable:
+    """The J_ref table of the reference cutoff (support 1), built on first
+    use and then shared by every spec: J(nu) = J_ref(support nu).
 
-    J is sampled at first-kind Chebyshev nodes by the composite rule at two
-    panel counts; the global coefficients come from a DCT.  They are
+    J_ref is sampled at first-kind Chebyshev nodes by the composite rule at
+    two panel counts; the global coefficients come from a DCT.  They are
     accepted when the panel-doubling residual, the trailing coefficients
-    and the distance from pi/2 past nu0 are all below 1e-13.  Otherwise the
-    degree doubles once (and nu0 with it if the tail failed); if the checks
-    still fail, QuadratureError carries the last attempt's diagnostics.
-    The accepted series is then cut into panels, which must match it to
-    1e-13 as well, else QuadratureError names the panel count, the panel
-    degree and the measured error.  The panels are cut into the sub-panels
-    that calls evaluate, which are held to the same 1e-13 against the
-    global series, else QuadratureError names the sub-panel count, degree
-    and error.
+    and the distance from pi/2 past nu0 are all below 1e-13, else
+    QuadratureError carries the diagnostics.  The accepted series is then
+    cut into panels, which must match it to 1e-13 as well, else
+    QuadratureError names the panel count, the panel degree and the
+    measured error.  The panels are cut into the sub-panels that calls
+    evaluate, which are held to the same 1e-13 against the global series,
+    else QuadratureError names the sub-panel count, degree and error.
     """
-    width = spec.support - spec.plateau
-    nu0 = _NU0_TRANSITION / width
-    n = int(np.ceil(_DEGREE_PER_BANDWIDTH * nu0 * spec.support)) + 1
-    for attempt in range(_TABLE_DOUBLINGS + 1):
-        if attempt:
-            if tail > _TABLE_TOL:
-                nu0 *= 2.0
-            n *= 2
-        theta = np.pi * (np.arange(n) + 0.5) / n
-        probes = nu0 * (1.0 + np.arange(16) / 32.0)
-        nus = np.concatenate([nu0 * np.cos(0.5 * theta) ** 2, probes])
-        panel = min(_PANEL_PERIODS * 2.0 * np.pi / float(nus.max()),
-                    width / 6.0, spec.support / 4.0)
-        n_panels = int(np.ceil(spec.support / panel))
-        coarse = _sine_integrals(spec, nus, n_panels)
-        fine = _sine_integrals(spec, nus, 2 * n_panels)
-        coeffs = _chebyshev_coefficients(fine[:n])
-        coeffs.flags.writeable = False  # every caller shares the cached table
-        residual = float(np.max(np.abs(fine - coarse)))
-        trailing = float(np.max(np.abs(coeffs[-(n // 8):])))
-        tail = float(np.max(np.abs(fine[n:] - 0.5 * np.pi)))
-        if max(residual, trailing, tail) <= _TABLE_TOL:
-            break
-    else:
+    n = _DEGREE + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    probes = _NU0 * (1.0 + np.arange(16) / 32.0)
+    nus = np.concatenate([_NU0 * np.cos(0.5 * theta) ** 2, probes])
+    # each panel holds _PANEL_PERIODS periods of the fastest sine
+    n_panels = int(np.ceil(float(nus.max()) / (_PANEL_PERIODS * 2.0 * np.pi)))
+    coarse = _sine_integrals(nus, n_panels)
+    fine = _sine_integrals(nus, 2 * n_panels)
+    coeffs = _chebyshev_coefficients(fine[:n])
+    coeffs.flags.writeable = False  # every caller shares the cached table
+    residual = float(np.max(np.abs(fine - coarse)))
+    trailing = float(np.max(np.abs(coeffs[-(n // 8):])))
+    tail = float(np.max(np.abs(fine[n:] - 0.5 * np.pi)))
+    if max(residual, trailing, tail) > _TABLE_TOL:
         raise QuadratureError(
-            "sine-integral table did not validate: plateau=%g support=%g "
-            "degree=%d nu0=%.6g panels=%d panel-doubling residual=%.3e "
-            "trailing coefficients=%.3e |J - pi/2| past nu0=%.3e tolerance=%.0e"
-            % (spec.plateau, spec.support, n - 1, nu0, 2 * n_panels, residual,
-               trailing, tail, _TABLE_TOL))
-    panel_coeffs, panel_error = _panel_table(nu0, coeffs)
+            "sine-integral table did not validate: degree=%d nu0=%.6g panels=%d "
+            "panel-doubling residual=%.3e trailing coefficients=%.3e "
+            "|J - pi/2| past nu0=%.3e tolerance=%.0e"
+            % (_DEGREE, _NU0, 2 * n_panels, residual, trailing, tail, _TABLE_TOL))
+    panel_coeffs, panel_error = _panel_table(_NU0, coeffs)
     if panel_error > _TABLE_TOL:
         raise QuadratureError(
-            "sine-integral panel table did not validate: plateau=%g support=%g "
-            "panel count=%d panel degree=%d |panel - global series|=%.3e "
-            "tolerance=%.0e"
-            % (spec.plateau, spec.support, panel_coeffs.shape[1],
-               panel_coeffs.shape[0] - 1, panel_error, _TABLE_TOL))
-    sub_coeffs, sub_error = _sub_panel_table(nu0, coeffs, panel_coeffs)
+            "sine-integral panel table did not validate: panel count=%d panel degree=%d "
+            "|panel - global series|=%.3e tolerance=%.0e"
+            % (panel_coeffs.shape[1], panel_coeffs.shape[0] - 1, panel_error, _TABLE_TOL))
+    sub_coeffs, sub_error = _sub_panel_table(_NU0, coeffs, panel_coeffs)
     if sub_error > _TABLE_TOL:
         raise QuadratureError(
-            "sine-integral sub-panel table did not validate: plateau=%g support=%g "
-            "sub-panel count=%d sub-panel degree=%d |sub-panel - global series|=%.3e "
-            "tolerance=%.0e"
-            % (spec.plateau, spec.support, sub_coeffs.shape[1],
-               sub_coeffs.shape[0] - 1, sub_error, _TABLE_TOL))
+            "sine-integral sub-panel table did not validate: sub-panel count=%d "
+            "sub-panel degree=%d |sub-panel - global series|=%.3e tolerance=%.0e"
+            % (sub_coeffs.shape[1], sub_coeffs.shape[0] - 1, sub_error, _TABLE_TOL))
     return SineIntegralTable(
-        nu0=nu0, coeffs=coeffs, panels=2 * n_panels, residual=residual,
+        nu0=_NU0, coeffs=coeffs, panels=2 * n_panels, residual=residual,
         trailing=trailing, tail=tail, panel_coeffs=panel_coeffs,
         panel_error=panel_error, sub_coeffs=sub_coeffs, sub_error=sub_error)
 
 
 def multiplier_batch(spec: MollifierSpec, lam: float, A: float, taus) -> np.ndarray:
-    """m_{lambda,A} on an array of tau values from the spec's J table:
-    m = (J((lambda+tau)/A) + sign(lambda-tau) J(|lambda-tau|/A))/pi."""
+    """m_{lambda,A} on an array of tau values from the J_ref table:
+    m = (J((lambda+tau)/A) + sign(lambda-tau) J(|lambda-tau|/A))/pi with
+    J(nu) = J_ref(support nu)."""
     if lam <= 0.0:
         raise DomainError("lambda must be positive")
     if not (0.0 < A <= 1.0):
@@ -477,7 +477,8 @@ def multiplier_batch(spec: MollifierSpec, lam: float, A: float, taus) -> np.ndar
     scalar = taus.ndim == 0
     taus = np.atleast_1d(taus)
     minus = lam - taus
-    vals = sine_integral_table(spec)(np.concatenate([lam + taus, np.abs(minus)]) / A)
+    nus = np.concatenate([lam + taus, np.abs(minus)]) * (spec.support / A)
+    vals = sine_integral_table()(nus)
     n = taus.size
     m = (vals[:n] + np.sign(minus) * vals[n:]) / np.pi
     return float(m[0]) if scalar else m
@@ -533,13 +534,10 @@ def fit_h_decay(spec: MollifierSpec, lam: float, A: float) -> tuple[float, float
     return big_c, float(c)
 
 
-def spectral_tail_radius(spec: MollifierSpec, lam: float, A: float,
-                         decay: tuple[float, float] | None = None) -> float:
+def spectral_tail_radius(spec: MollifierSpec, lam: float, A: float) -> float:
     """Radius beyond which the fitted h-decay (2x safety on the constant)
     guarantees |m| < _TAIL_THRESHOLD, so the spectral sum may stop there."""
-    if decay is None:
-        decay = fit_h_decay(spec, lam, A)
-    big_c, c = decay
+    big_c, c = fit_h_decay(spec, lam, A)
     s_star = (np.log(2.0 * max(big_c, _TAIL_THRESHOLD) / _TAIL_THRESHOLD) / c) ** 2
     return lam + A * max(s_star, 10.0)
 
@@ -561,8 +559,7 @@ class SmoothedProjector:
         self.spec = spec
         self.lam = float(lam)
         self.A = float(A)
-        self.h_decay = fit_h_decay(spec, lam, A)
-        self.tail_radius = spectral_tail_radius(spec, lam, A, decay=self.h_decay)
+        self.tail_radius = spectral_tail_radius(spec, lam, A)
         self.image_radius = spec.support / A
         # images side: panels of half-width _GL_REACH / (2 T), T = support/A,
         # for the radial integrand of exponential type 2T (see the module

@@ -268,8 +268,8 @@ def stretched_projector(m, spec, lam, A, factor):
 
     original = smoothing.spectral_tail_radius
 
-    def stretched(spec, lam, A, decay=None):
-        return lam + factor * (original(spec, lam, A, decay=decay) - lam)
+    def stretched(spec, lam, A):
+        return lam + factor * (original(spec, lam, A) - lam)
 
     smoothing.spectral_tail_radius = stretched
     try:
@@ -344,13 +344,14 @@ def images_rounding_scale(sp, x, y):
                      for w in images]) / (2.0 * np.pi) ** n
 
 
-def unblocked_sine_integrals(spec, nus, n_panels):
+def unblocked_sine_integrals(nus, n_panels):
     """`smoothing._sine_integrals` as one sine block and one matrix-vector
     product over every nu (the row blocks replaced it)."""
-    from weyl_lab.smoothing import _composite_gauss_legendre, rho_hat
+    from weyl_lab.smoothing import MollifierSpec, _composite_gauss_legendre, rho_hat
 
-    nodes, weights = _composite_gauss_legendre(spec.support, n_panels)
-    return np.sin(np.outer(nus, nodes)) @ (rho_hat(spec, nodes) * weights / nodes)
+    nodes, weights = _composite_gauss_legendre(1.0, n_panels)
+    base = rho_hat(MollifierSpec(support=1.0), nodes) * weights / nodes
+    return np.sin(np.outer(nus, nodes)) @ base
 
 
 def per_step_panel_eval(panel_coeffs, nu0, nus):

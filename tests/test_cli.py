@@ -261,7 +261,7 @@ def test_smooth_compare_exits_1_when_the_sine_table_fails(tmp_path, monkeypatch)
 
     # a rule whose value moves with the panel count never passes panel doubling
     monkeypatch.setattr(smoothing, "_sine_integrals",
-                        lambda spec, nus, n_panels: np.full(nus.size, 1.0 / n_panels))
+                        lambda nus, n_panels: np.full(nus.size, 1.0 / n_panels))
     smoothing.sine_integral_table.cache_clear()
     res = run_cli(["smooth-compare", "--manifold", "torus:2:square2pi",
                    "--lambda-grid", "3:3:1", "--A", "1.0", "--pairs", "2",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -41,6 +42,7 @@ from weyl_lab.smoothing import (
     _composite_gauss_legendre,
     _horner_eval,
     _panel_eval,
+    _series_eval,
     fit_h_constant,
     fit_h_decay,
     h_error,
@@ -54,6 +56,8 @@ from weyl_lab.smoothing import (
 TORUS = FlatTorus(Lattice.square(2.0 * np.pi))
 SPEC = MollifierSpec.for_manifold(TORUS)  # plateau = pi/2, support = 0.9 pi
 HEX_SPEC = MollifierSpec.for_manifold(FlatTorus(Lattice.hexagonal(1.0)))
+SKEW_SPEC = MollifierSpec.for_manifold(parse_manifold("torus:2:mat:1,0.9;0,0.2"))
+DIAG_SPEC = MollifierSpec.for_manifold(parse_manifold("torus:3:diag:6.283,7.1,8.86"))
 
 
 def _quadrature_multiplier(spec, lam, A, taus):
@@ -97,8 +101,13 @@ def _mpmath_sine_integral(spec, nu):
 def test_mollifier_defaults():
     assert_allclose(SPEC.plateau, np.pi / 2, rtol=1e-14)
     assert_allclose(SPEC.support, 0.9 * np.pi, rtol=1e-14)
-    with pytest.raises(DomainError):
-        MollifierSpec(plateau=1.0, support=0.5)
+    for support in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            MollifierSpec(support=support)
+    # one settable field: the plateau is 5/9 of the support
+    assert [f.name for f in dataclasses.fields(MollifierSpec)] == ["support"]
+    with pytest.raises(AttributeError):
+        SPEC.plateau = 1.0
 
 
 def test_rho_hat_shape():
@@ -130,12 +139,14 @@ def test_multiplier_against_mpmath_oracle(lam, A, tau, expected):
     assert_allclose(multiplier(SPEC, lam, A, tau), expected, rtol=0, atol=2e-10)
 
 
-@pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
+@pytest.mark.parametrize("spec", [SPEC, HEX_SPEC, SKEW_SPEC, DIAG_SPEC],
+                         ids=["square", "hex", "skew", "diag-3d"])
 def test_table_matches_quadrature_oracle(spec):
     # 3000 random (lambda, A, tau): per A, 30 lambdas with 25 taus each,
     # spread so that nu = (lambda +- tau)/A falls on both sides of the
-    # table's end nu0
-    nu0 = sine_integral_table(spec).nu0
+    # spec's table end nu0 / support.  The oracle integrates the spec's own
+    # cutoff, so this checks J(nu) = J_ref(support nu) as well
+    nu0 = sine_integral_table().nu0 / spec.support
     rng = np.random.default_rng(7)
     for A in (1.0, 0.5, 0.25, 0.2):
         lams = rng.uniform(0.05, 0.6 * nu0 * A, 30)
@@ -151,16 +162,17 @@ def test_table_matches_quadrature_oracle(spec):
 
 
 def test_sine_integral_table_against_mpmath():
-    table = sine_integral_table(SPEC)
+    # square 2pi's J(nu) read from the reference table at support nu
+    table = sine_integral_table()
     nus = [0.75, 6.3, 57.1, 290.0]
-    got = table(np.array(nus))
+    got = table(SPEC.support * np.array(nus))
     with mp.workdps(30):
         for nu, g in zip(nus, got):
             assert abs(g - float(_mpmath_sine_integral(SPEC, nu))) <= 2e-14, nu
         # past nu0 the table returns pi/2 exactly
-        beyond = 1.2 * table.nu0
+        beyond = 1.2 * table.nu0 / SPEC.support
         assert abs(float(_mpmath_sine_integral(SPEC, beyond)) - np.pi / 2) <= 1e-13
-    assert table(np.array([beyond]))[0] == np.pi / 2
+    assert table(np.array([SPEC.support * beyond]))[0] == np.pi / 2
 
 
 def _quadrature_sine_integral(spec, nus):
@@ -197,19 +209,20 @@ def _longdouble_sine_integral(spec, nus):
 @pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
 def test_sine_integral_table_against_a_dense_reference(spec):
     # 2000 points across [0, nu0), and the last 1/2000 of it at
-    # nu0 (1 - 10^-k), k = 4..9, and one ulp below nu0: measured 1.5e-14
-    # (square) and 1.1e-14 (hex), both at nu = 0, and at most 1.1e-15 and
-    # 4.0e-15 on those last points (the panel form read 1.9e-14, 1.5e-14,
-    # 1.3e-15 and 4.0e-15); the reference is checked against mpmath at one
-    # point
-    table = sine_integral_table(spec)
+    # nu0 (1 - 10^-k), k = 4..9, and one ulp below nu0, read from the
+    # reference table and held against the spec's own J at nu / support:
+    # measured 1.3e-14 on both, at nu = 0, and at most 2.2e-15 (square) and
+    # 1.6e-15 (hex) on those last points; the reference is checked against
+    # mpmath at one point
+    table = sine_integral_table()
     nus = np.concatenate([np.linspace(0.0, table.nu0, 2001)[:-1],
                           table.nu0 * (1.0 - 10.0 ** -np.arange(4.0, 10.0)),
                           [np.nextafter(table.nu0, 0.0)]])
-    reference = _longdouble_sine_integral(spec, nus)
+    spec_nus = nus / spec.support
+    reference = _longdouble_sine_integral(spec, spec_nus)
     assert np.max(np.abs(table(nus) - reference.astype(float))) <= 2e-14
     with mp.workdps(30):
-        want = _mpmath_sine_integral(spec, float(nus[171]))
+        want = _mpmath_sine_integral(spec, float(spec_nus[171]))
     assert abs(float(reference[171] - np.longdouble(mp.nstr(want, 25)))) <= 3e-15
 
 
@@ -217,7 +230,7 @@ def test_sine_integral_table_against_a_dense_reference(spec):
 def test_chebyshev_coefficients_against_the_dct_sum():
     # the DCT-II's defining sum over n, c_0 halved, with the angles and the
     # sum in long double: on every length up to 40, on odd and prime
-    # lengths, on the J tables' lengths (616, and 1232 after a doubling)
+    # lengths, on the J table's length (616) and twice it
     # and on 2-D input, measured within 1.2e-15 of max |c| (seeds 0-7)
     rng = np.random.default_rng(3)
     pi = np.arccos(np.longdouble(-1.0))
@@ -235,14 +248,16 @@ def test_chebyshev_coefficients_against_the_dct_sum():
 @pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
 def test_panel_table_at_panel_edges(spec):
     # every panel edge and one ulp either side, 0, nu0 - 1 ulp and nu0:
-    # within 1e-12 of the quadrature oracle and 1e-13 of the global series
-    table = sine_integral_table(spec)
+    # within 1e-12 of the spec's quadrature oracle at nu / support and
+    # 1e-13 of the global series
+    table = sine_integral_table()
     n_panels = table.panel_coeffs.shape[1]
     edges = table.nu0 * np.arange(1, n_panels) / n_panels
     nus = np.concatenate([[0.0, np.nextafter(table.nu0, 0.0), table.nu0], edges,
                           np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
     got = table(nus)
-    assert_allclose(got, _quadrature_sine_integral(spec, nus), rtol=0, atol=1e-12)
+    want = _quadrature_sine_integral(spec, nus / spec.support)
+    assert_allclose(got, want, rtol=0, atol=1e-12)
     assert np.max(np.abs(got - chebval(2.0 * nus / table.nu0 - 1.0, table.coeffs))) <= 1e-13
     assert got[2] == np.pi / 2
     assert table.panel_error <= 1e-13
@@ -253,9 +268,10 @@ def test_panel_table_at_panel_edges(spec):
 def test_panel_eval_equals_the_per_step_gather(monkeypatch, spec):
     # one gather of every step's coefficients, in blocks, runs the same
     # Clenshaw arithmetic as a gather per step: random nu on every panel,
-    # every panel edge and one ulp either side of it, 0 and nu0 - 1 ulp;
+    # every panel edge, one ulp either side of it and as the spec's
+    # multipliers reach it (support (edge / support)), 0 and nu0 - 1 ulp;
     # in one block and in blocks of 7 columns with a remainder
-    table = sine_integral_table(spec)
+    table = sine_integral_table()
     coeffs, nu0 = table.panel_coeffs, table.nu0
     n_panels = coeffs.shape[1]
     rng = np.random.default_rng(37)
@@ -263,7 +279,7 @@ def test_panel_eval_equals_the_per_step_gather(monkeypatch, spec):
     nus = np.concatenate([
         ((np.arange(n_panels) + rng.uniform(0.0, 1.0, (5, n_panels))) * nu0 / n_panels).ravel(),
         edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
-        [0.0, np.nextafter(nu0, 0.0)]])
+        spec.support * (edges / spec.support), [0.0, np.nextafter(nu0, 0.0)]])
     want = per_step_panel_eval(coeffs, nu0, nus)
     assert _panel_eval(coeffs, nu0, nus).tobytes() == want.tobytes()
     monkeypatch.setattr(smoothing, "_BLOCK_VALUES", 7 * coeffs.shape[0] + 3)
@@ -271,25 +287,26 @@ def test_panel_eval_equals_the_per_step_gather(monkeypatch, spec):
     assert nus.size % 7 and _panel_eval(coeffs, nu0, nus[:0]).size == 0
 
 
-def _sub_panel_probes(table, rng):
-    """Random nu in every sub-panel, every sub-panel edge and one ulp either
-    side of it, 0 and nu0 - 1 ulp."""
+def _sub_panel_probes(table, rng, spec):
+    """Random nu in every sub-panel, every sub-panel edge, one ulp either
+    side of it and as the spec's multipliers reach it (support (edge /
+    support)), 0 and nu0 - 1 ulp."""
     count = table.sub_coeffs.shape[1]
     edges = table.nu0 * np.arange(1, count) / count
     return np.concatenate([
         ((np.arange(count) + rng.uniform(0.0, 1.0, (3, count))) * table.nu0 / count).ravel(),
         edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
-        [0.0, np.nextafter(table.nu0, 0.0)]])
+        spec.support * (edges / spec.support), [0.0, np.nextafter(table.nu0, 0.0)]])
 
 
 @pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
 def test_sub_panel_table_against_the_panel_oracle(spec):
     # the Horner sub-panels follow the Clenshaw panels they are cut from:
     # measured 4.0e-15 on both
-    table = sine_integral_table(spec)
+    table = sine_integral_table()
     n_panels = table.panel_coeffs.shape[1]
     assert table.sub_coeffs.shape == (_SUB_DEGREE + 1, _SUB_PANELS * n_panels)
-    nus = _sub_panel_probes(table, np.random.default_rng(41))
+    nus = _sub_panel_probes(table, np.random.default_rng(41), spec)
     want = _panel_eval(table.panel_coeffs, table.nu0, nus)
     assert np.max(np.abs(table(nus) - want)) <= 1e-14
     assert table.sub_error <= 1e-13
@@ -303,18 +320,18 @@ def test_sub_panel_table_against_the_taylor_oracle(spec):
     # the same Chebyshev truncation reached through numpy's chebder and
     # chebval at the sub-panel centres and cheb2poly's economization:
     # coefficients and values within 1.1e-15 on both (measured)
-    table = sine_integral_table(spec)
+    table = sine_integral_table()
     oracle = taylor_sub_panels(table.panel_coeffs, _SUB_PANELS, _SUB_DEGREE)
     assert np.max(np.abs(table.sub_coeffs - oracle)) <= 4e-15
-    nus = _sub_panel_probes(table, np.random.default_rng(43))
+    nus = _sub_panel_probes(table, np.random.default_rng(43), spec)
     assert np.max(np.abs(table(nus) - _horner_eval(oracle, table.nu0, nus))) <= 4e-15
 
 
 @pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
 def test_horner_eval_in_blocks_equals_one_block(monkeypatch, spec):
     # blocks of 7 columns with a remainder give every value its bits
-    table = sine_integral_table(spec)
-    nus = _sub_panel_probes(table, np.random.default_rng(47))
+    table = sine_integral_table()
+    nus = _sub_panel_probes(table, np.random.default_rng(47), spec)
     want = _horner_eval(table.sub_coeffs, table.nu0, nus)
     assert want.size <= smoothing._BLOCK_VALUES // (_SUB_DEGREE + 1)
     monkeypatch.setattr(smoothing, "_BLOCK_VALUES", 7 * (_SUB_DEGREE + 1) + 3)
@@ -326,7 +343,7 @@ def test_horner_eval_in_blocks_equals_one_block(monkeypatch, spec):
 def test_table_past_nu0_and_non_finite_is_half_pi():
     # nan, inf, nu0 and beyond return pi/2 exactly, next to inside values,
     # and no RuntimeWarning (an error in this suite) comes from the gather
-    table = sine_integral_table(SPEC)
+    table = sine_integral_table()
     nus = np.array([np.nan, 0.5 * table.nu0, np.inf, table.nu0, 3.0 * table.nu0])
     got = table(nus)
     assert np.array_equal(got[[0, 2, 3, 4]], np.full(4, 0.5 * np.pi))
@@ -334,8 +351,30 @@ def test_table_past_nu0_and_non_finite_is_half_pi():
     assert table(np.array([np.nan]))[0] == 0.5 * np.pi
 
 
+def test_table_refuses_negative_nu():
+    # J is odd, but the table holds only [0, nu0], and its first
+    # sub-panel's polynomial read at -5 gives 630.7 where J = -1.581: a
+    # negative nu is refused, naming the first one, in the all-inside path
+    # and next to nan, inf and nu past nu0
+    table = sine_integral_table()
+    for nus in ([1.0, -5.0, -1.0], [np.nan, 2.0 * table.nu0, -5.0, np.inf, -50.0], -5.0,
+                [[3.0, 4.0], [-5.0, -np.inf]]):
+        with pytest.raises(DomainError, match=r"nu=-5\.0$"):
+            table(nus)
+    with pytest.raises(DomainError, match="nu=-inf"):
+        table([-np.inf, 1.0])
+    assert table(-0.0) == table(0.0)
+
+
+def test_series_eval_has_chebval_bits():
+    # the global series' one Clenshaw sum runs chebval's order of operations
+    table = sine_integral_table()
+    x = np.concatenate([np.linspace(-1.0, 1.0, 4001), [np.nextafter(-1.0, 0.0)]])
+    assert _series_eval(table.coeffs, x).tobytes() == chebval(x, table.coeffs).tobytes()
+
+
 def test_table_scalar_and_array_calls_agree_bitwise():
-    table = sine_integral_table(SPEC)
+    table = sine_integral_table()
     rng = np.random.default_rng(11)
     nus = np.concatenate([rng.uniform(0.0, 1.2 * table.nu0, 300),
                           table.nu0 * np.arange(8) / table.panel_coeffs.shape[1]])
@@ -348,10 +387,14 @@ def test_table_scalar_and_array_calls_agree_bitwise():
 
 
 def test_sine_integral_table_is_shared_and_validated():
-    table = sine_integral_table(SPEC)
-    assert sine_integral_table(MollifierSpec(SPEC.plateau, SPEC.support)) is table
+    # multipliers on square, hex and 3-D tori read one table
+    for name in ("torus:2:square2pi", "torus:2:hex", "torus:3:square2pi"):
+        multiplier(MollifierSpec.for_manifold(parse_manifold(name)), 10.0, 0.5, 3.0)
+    assert sine_integral_table.cache_info().currsize == 1
+    table = sine_integral_table()
+    assert sine_integral_table() is table
     assert max(table.residual, table.trailing, table.tail) <= 1e-13
-    assert table.degree >= 0.6 * table.nu0 * SPEC.support
+    assert table.degree >= 0.6 * table.nu0
 
 
 def test_sine_integral_table_not_built_at_import():
@@ -367,20 +410,33 @@ TABLE_MANIFOLDS = ["torus:2:square2pi", "torus:2:hex", "torus:2:mat:1,0.9;0,0.2"
                    "torus:3:square2pi"]
 
 
+@pytest.fixture(scope="module")
+def unblocked_table():
+    """The J_ref table built from the one-block quadrature."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smoothing, "_sine_integrals", unblocked_sine_integrals)
+        return sine_integral_table.__wrapped__()
+
+
 @pytest.mark.parametrize("name", TABLE_MANIFOLDS)
-def test_blocked_sine_integral_table_equals_the_unblocked_build(monkeypatch, name):
+def test_blocked_sine_integral_table_equals_the_unblocked_build(unblocked_table, name):
     # power-of-two row blocks keep every row's matrix-vector product on the
-    # bits of the one-block quadrature
-    spec = MollifierSpec.for_manifold(parse_manifold(name))
-    table = sine_integral_table(spec)
-    monkeypatch.setattr(smoothing, "_sine_integrals", unblocked_sine_integrals)
-    oracle = sine_integral_table.__wrapped__(spec)
+    # bits of the one-block quadrature, and the manifold's multipliers read
+    # that table at (lambda +- tau) support / A
+    table, oracle = sine_integral_table(), unblocked_table
     assert table.coeffs.tobytes() == oracle.coeffs.tobytes()
     assert table.panel_coeffs.tobytes() == oracle.panel_coeffs.tobytes()
     assert table.sub_coeffs.tobytes() == oracle.sub_coeffs.tobytes()
     assert ((table.residual, table.trailing, table.tail, table.panel_error, table.sub_error)
             == (oracle.residual, oracle.trailing, oracle.tail, oracle.panel_error,
                 oracle.sub_error))
+    spec = MollifierSpec.for_manifold(parse_manifold(name))
+    lam, A = 10.0, 0.5
+    taus = np.linspace(0.0, 3.0 * lam, 301)
+    scale = spec.support / A
+    want = (oracle((lam + taus) * scale)
+            + np.sign(lam - taus) * oracle(np.abs(lam - taus) * scale)) / np.pi
+    assert multiplier_batch(spec, lam, A, taus).tobytes() == want.tobytes()
 
 
 def test_sine_integral_table_build_memory():
@@ -388,7 +444,7 @@ def test_sine_integral_table_build_memory():
     # block and the block's outer product); in row blocks it peaks at 5.8 MiB
     tracemalloc.start()
     try:
-        sine_integral_table.__wrapped__(SPEC)
+        sine_integral_table.__wrapped__()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -398,7 +454,7 @@ def test_sine_integral_table_build_memory():
 def test_radial_rule_refusal_allocates_nothing():
     # A = 1e-9 asks for 7.2e10 radial nodes: refused with the table built
     # and nothing of the rule's size allocated (its nodes alone are 538 GiB)
-    sine_integral_table(SPEC)  # built before the measurement
+    sine_integral_table()  # built before the measurement
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="holds 72181065104 nodes"):
@@ -585,7 +641,7 @@ def test_shelled_build_memory(monkeypatch):
     name, lam, A, stretch = SHELL_CASES[1]
     m = parse_manifold(name)
     spec = MollifierSpec.for_manifold(m)
-    sine_integral_table(spec)  # built before the measurement
+    sine_integral_table()  # built before the measurement
     monkeypatch.setattr(smoothing, "_SHELL_ROWS", 2**14)
     tracemalloc.start()
     try:
