@@ -56,14 +56,21 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 
 
+def _cell_format(kind: type) -> str:
+    """The %-format of a value of this type in CSVs and results: bools as
+    True/False, integers in decimal, floats to 17 significant digits (they
+    read back to the same bits), anything else as str writes it."""
+    if issubclass(kind, (bool, np.bool_)):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g"
+    return "%s"
+
+
 def fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
-    return str(value)
+    return _cell_format(type(value)) % (value,)
 
 
 def _number(piece: str, text: str, kind=float):
@@ -199,17 +206,6 @@ def scan_outputs(rep, column: str, **results):
     """A scan's CSV header, its rows (lambda, `column`) and its fit results."""
     return (["lambda", column], list(zip(rep.lambda_grid, rep.sup_values)),
             {"fitted_exponent": rep.fitted_exponent, "fit_residual": rep.fit_residual, **results})
-
-
-def _cell_format(kind: type) -> str:
-    """The %-format that writes a value of this type as `fmt` does."""
-    if issubclass(kind, (bool, np.bool_)):
-        return "%s"
-    if issubclass(kind, (int, np.integer)):
-        return "%d"
-    if issubclass(kind, (float, np.floating)):
-        return "%.17g"
-    return "%s"
 
 
 def csv_bytes(header, rows) -> bytes:

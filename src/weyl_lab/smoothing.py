@@ -16,14 +16,14 @@ reference cutoff of support 1.  The process holds one Chebyshev table of
 J_ref, built on first use, validated when it is built (panel doubling,
 trailing coefficients, distance from pi/2 past the table's end) and shared
 by every multiplier evaluation of every torus.  Calls do not sum that
-global series (degree 615): it is cut into P ~ degree/8
-equal panels, each a degree-24 Chebyshev series checked against the global
-one at every panel edge.  Each panel is cut again into 20 equal
+global series (degree 615): it is cut into P ~ degree/8 equal panels,
+each a degree-24 Chebyshev series, and each panel again into 20 equal
 sub-panels, each a degree-8 polynomial in the offset from its centre (the
-panel series' Chebyshev truncation, derived with + - * / only) and checked
-against the global series at every panel edge and every sub-panel edge,
-all when the table is built.  So a J value costs one gather of 9
-coefficients and 8 Horner steps.
+panel series' Chebyshev truncation, derived with + - * / only).  The
+sub-panels alone are checked against the global series, at every panel
+edge and every sub-panel edge, when the table is built: they stay within
+rounding of the panels, so a panel table that strays fails that check.
+So a J value costs one gather of 9 coefficients and 8 Horner steps.
 
 The spectral side is a multiplier-weighted mode sum and each deck image
 contributes the radial integral (2pi)^{-n} int m(r) r^{n-1} S_n(r |w|) dr.
@@ -184,38 +184,6 @@ def _sine_integrals(nus: np.ndarray, n_panels: int) -> np.ndarray:
     return out
 
 
-def _panel_eval(panel_coeffs: np.ndarray, nu0: float, nus: np.ndarray) -> np.ndarray:
-    """The panel Chebyshev series at nus in [0, nu0): each nu's panel is
-    floor(nu P / nu0), and one Clenshaw recurrence runs on all of them.
-
-    The coefficients of every step are gathered per panel in one take, in
-    column blocks of about _BLOCK_VALUES values, and the recurrence
-    b_k = c_k + 2x b_{k+1} - b_{k+2} then runs in place on the gathered
-    rows: each row becomes its b_k as (2x b_{k+1} + c_k) - b_{k+2}, which
-    has the bits of c_k + 2x b_{k+1} - b_{k+2} since IEEE addition is
-    commutative, so every value is that of the per-step gather."""
-    terms, n_panels = panel_coeffs.shape
-    scaled = nus * (n_panels / nu0)
-    panel = np.clip(np.floor(scaled), 0, n_panels - 1).astype(np.intp)
-    x = 2.0 * (scaled - panel) - 1.0
-    out = np.empty_like(x)
-    block = max(1, _BLOCK_VALUES // terms)
-    for lo in range(0, x.size, block):
-        rows = np.take(panel_coeffs, panel[lo:lo + block], axis=1)
-        xs = x[lo:lo + block]
-        x2 = 2.0 * xs
-        b1 = np.zeros_like(xs)
-        b2 = np.zeros_like(xs)
-        step = np.empty_like(xs)
-        for row in rows[:0:-1]:
-            row += np.multiply(x2, b1, out=step)
-            row -= b2
-            b1, b2 = row, b1
-        rows[0] += np.multiply(xs, b1, out=step)
-        np.subtract(rows[0], b2, out=out[lo:lo + block])
-    return out
-
-
 def _horner_eval(sub_coeffs: np.ndarray, nu0: float, nus: np.ndarray) -> np.ndarray:
     """The sub-panel polynomials at nus in [0, nu0): each nu's sub-panel is
     floor(nu S / nu0) for S sub-panels, and its polynomial, highest power
@@ -226,8 +194,8 @@ def _horner_eval(sub_coeffs: np.ndarray, nu0: float, nus: np.ndarray) -> np.ndar
     the same bits at any block size."""
     terms, n_sub = sub_coeffs.shape
     scaled = nus * (n_sub / nu0)
-    # truncation is floor on the clamped values, all >= 0
-    sub = np.minimum(np.maximum(scaled, 0.0), n_sub - 1).astype(np.intp)
+    # truncation is floor on nu >= 0 (-0.0 lands in sub-panel 0)
+    sub = np.minimum(scaled, n_sub - 1).astype(np.intp)
     u = scaled - sub
     u -= 0.5
     out = np.empty_like(u)
@@ -250,12 +218,12 @@ class SineIntegralTable:
 
     `coeffs` is the validated global Chebyshev series in 2 nu/nu0 - 1.
     `panel_coeffs` is a (panel degree + 1, P) table of low-degree Chebyshev
-    series on P equal panels of [0, nu0], derived from the global series
-    and checked against it (`panel_error`) when built.  Calls evaluate
-    `sub_coeffs`: a (sub-panel degree + 1, P * _SUB_PANELS) table of
-    polynomials, highest power first, on the panels cut into equal
-    sub-panels, derived from `panel_coeffs` and checked against the global
-    series (`sub_error`) when built.
+    series on P equal panels of [0, nu0], derived from the global series.
+    Calls evaluate `sub_coeffs`: a (sub-panel degree + 1, P * _SUB_PANELS)
+    table of polynomials, highest power first, on the panels cut into
+    equal sub-panels, derived from `panel_coeffs`.  Only `sub_coeffs` is
+    checked against the global series (`sub_error`), at a superset of the
+    panel edges, so a panel table that strays fails that one check.
     """
 
     nu0: float
@@ -265,7 +233,6 @@ class SineIntegralTable:
     trailing: float  # largest coefficient in the last eighth of the series
     tail: float  # max |J - pi/2| on probes in [nu0, 1.5 nu0)
     panel_coeffs: np.ndarray
-    panel_error: float  # max |panel form - global series| on edge probes
     sub_coeffs: np.ndarray
     sub_error: float  # max |sub-panel form - global series| on edge probes
 
@@ -313,25 +280,23 @@ def _panel_probes(nu0: float, count: int) -> np.ndarray:
                            np.nextafter(edges[1:], 0.0), edges + 0.5 * width])
 
 
-def _panel_table(nu0: float, coeffs: np.ndarray):
+def _panel_table(nu0: float, coeffs: np.ndarray) -> np.ndarray:
     """Per-panel Chebyshev coefficients of the global series `coeffs`: P
     equal panels of [0, nu0] for P ~ degree / _DEGREE_PER_PANEL, each a
     series of degree _PANEL_DEGREE from the global series at its
-    first-kind nodes.  Also returns the panel form's largest distance from
-    the global series on `_panel_probes`."""
+    first-kind nodes.  The table is checked only through the sub-panels
+    cut from it (`_sub_panel_table`)."""
     n_panels = int(np.ceil(coeffs.size / _DEGREE_PER_PANEL))
     n = _PANEL_DEGREE + 1
     width = nu0 / n_panels
     nodes = 0.5 * (1.0 + np.cos(np.pi * (np.arange(n) + 0.5) / n))
     edges = width * np.arange(n_panels)
-    probes = _panel_probes(nu0, n_panels)
-    nus = np.concatenate([(edges[:, None] + width * nodes).ravel(), probes])
+    nus = (edges[:, None] + width * nodes).ravel()
     values = _series_eval(coeffs, 2.0 * nus / nu0 - 1.0)
-    panel_coeffs = _chebyshev_coefficients(values[:-probes.size].reshape(n_panels, n))
+    panel_coeffs = _chebyshev_coefficients(values.reshape(n_panels, n))
     panel_coeffs = np.ascontiguousarray(panel_coeffs.T)
     panel_coeffs.flags.writeable = False  # every caller shares the cached table
-    error = np.max(np.abs(_panel_eval(panel_coeffs, nu0, probes) - values[-probes.size:]))
-    return panel_coeffs, float(error)
+    return panel_coeffs
 
 
 def _shifted_chebyshev(terms: int, centres: np.ndarray, scale: float) -> np.ndarray:
@@ -352,7 +317,7 @@ def _shifted_chebyshev(terms: int, centres: np.ndarray, scale: float) -> np.ndar
 def _series_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The Chebyshev series `coeffs` at x by Clenshaw's recurrence in three
     reused buffers: the one sum of the global series, for the panel
-    table's nodes and probes and for the sub-panel check.  Each step is
+    table's nodes and for the sub-panel check.  Each step is
     b_k = (c_k - b_{k+2}) + 2x b_{k+1} and the sum (c_0 - b_2) + x b_1, the
     order of numpy's chebval, so the values have chebval's bits, but
     chebval allocates at every step and took ~1.5 times as long on the
@@ -383,8 +348,8 @@ def _sub_panel_table(nu0: float, coeffs: np.ndarray, panel_coeffs: np.ndarray):
     are summed in a fixed order with elementwise products only, no BLAS,
     so a given panel table gives the same bits on every host.
 
-    Also returns the largest distance from the global series on the panel
-    table's probes and one ulp either side of every sub-panel edge e (nu0
+    Also returns the largest distance from the global series on
+    `_panel_probes` and one ulp either side of every sub-panel edge e (nu0
     from below and nu0 itself).  The series is summed at e alone: J moves
     by at most 2^-52 over one ulp of e, since J'(nu) = int rho_hat(u)
     cos(u nu) du = -int rho_hat'(u) sin(u nu) du / nu and rho_hat falls
@@ -422,11 +387,10 @@ def sine_integral_table() -> SineIntegralTable:
     accepted when the panel-doubling residual, the trailing coefficients
     and the distance from pi/2 past nu0 are all below 1e-13, else
     QuadratureError carries the diagnostics.  The accepted series is then
-    cut into panels, which must match it to 1e-13 as well, else
-    QuadratureError names the panel count, the panel degree and the
-    measured error.  The panels are cut into the sub-panels that calls
-    evaluate, which are held to the same 1e-13 against the global series,
-    else QuadratureError names the sub-panel count, degree and error.
+    cut into panels and the panels into the sub-panels that calls
+    evaluate, which are held to the same 1e-13 against the global series
+    (one check, of the form calls read), else QuadratureError names the
+    sub-panel count, degree and error.
     """
     n = _DEGREE + 1
     theta = np.pi * (np.arange(n) + 0.5) / n
@@ -447,12 +411,7 @@ def sine_integral_table() -> SineIntegralTable:
             "panel-doubling residual=%.3e trailing coefficients=%.3e "
             "|J - pi/2| past nu0=%.3e tolerance=%.0e"
             % (_DEGREE, _NU0, 2 * n_panels, residual, trailing, tail, _TABLE_TOL))
-    panel_coeffs, panel_error = _panel_table(_NU0, coeffs)
-    if panel_error > _TABLE_TOL:
-        raise QuadratureError(
-            "sine-integral panel table did not validate: panel count=%d panel degree=%d "
-            "|panel - global series|=%.3e tolerance=%.0e"
-            % (panel_coeffs.shape[1], panel_coeffs.shape[0] - 1, panel_error, _TABLE_TOL))
+    panel_coeffs = _panel_table(_NU0, coeffs)
     sub_coeffs, sub_error = _sub_panel_table(_NU0, coeffs, panel_coeffs)
     if sub_error > _TABLE_TOL:
         raise QuadratureError(
@@ -462,7 +421,7 @@ def sine_integral_table() -> SineIntegralTable:
     return SineIntegralTable(
         nu0=_NU0, coeffs=coeffs, panels=2 * n_panels, residual=residual,
         trailing=trailing, tail=tail, panel_coeffs=panel_coeffs,
-        panel_error=panel_error, sub_coeffs=sub_coeffs, sub_error=sub_error)
+        sub_coeffs=sub_coeffs, sub_error=sub_error)
 
 
 def multiplier_batch(spec: MollifierSpec, lam: float, A: float, taus) -> np.ndarray:

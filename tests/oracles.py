@@ -9,9 +9,9 @@ spectral sum, its weight box filled from whole balls (the half-ball fill
 replaced it) and its images side on a radial rule of any panel width,
 with the clamped width the band-limit rule replaced, a projector with a
 stretched spectral tail, the J-table quadrature in one block, the J
-panels' Clenshaw recurrence with one gather per step, the J sub-panels'
-polynomials from numpy's Chebyshev derivatives, and `bessel_ratio` with
-its recurrence run on the radii the series serves too."""
+panels' Clenshaw recurrence, the J sub-panels' polynomials from numpy's
+Chebyshev derivatives, and `bessel_ratio` with its recurrence run on the
+radii the series serves too."""
 
 import copy
 import itertools
@@ -355,8 +355,9 @@ def unblocked_sine_integrals(nus, n_panels):
 
 
 def per_step_panel_eval(panel_coeffs, nu0, nus):
-    """`smoothing._panel_eval` gathering each Clenshaw step's coefficients
-    per panel with its own take (one block gather replaced it)."""
+    """The J panel table's Chebyshev series at nus in [0, nu0): each nu's
+    panel is floor(nu P / nu0), and one Clenshaw recurrence runs on all of
+    them, each step's coefficients gathered per panel."""
     n_panels = panel_coeffs.shape[1]
     scaled = nus * (n_panels / nu0)
     panel = np.clip(np.floor(scaled), 0, n_panels - 1).astype(np.intp)

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import weyl_lab
 from oracles import cellwise_csv_bytes, record_passes
+from weyl_lab import smoothing
 from weyl_lab.cli import csv_bytes, main, parse_grid, parse_manifold
 from weyl_lab.errors import DomainError
 from weyl_lab.manifolds import FlatTorus, RoundSphere2
@@ -256,13 +257,20 @@ def test_replay_ignores_the_removed_tol_key(tmp_path):
         (out2 / "smooth-compare.csv").read_bytes()
 
 
-def test_smooth_compare_exits_1_when_the_sine_table_fails(tmp_path, monkeypatch):
-    import weyl_lab.smoothing as smoothing
+@pytest.fixture
+def fresh_sine_table():
+    """The J table's cache cleared before the test and again after it, so
+    a test builds its own table and no patched table outlives it."""
+    smoothing.sine_integral_table.cache_clear()
+    yield
+    smoothing.sine_integral_table.cache_clear()
 
+
+def test_smooth_compare_exits_1_when_the_sine_table_fails(tmp_path, monkeypatch,
+                                                          fresh_sine_table):
     # a rule whose value moves with the panel count never passes panel doubling
     monkeypatch.setattr(smoothing, "_sine_integrals",
                         lambda nus, n_panels: np.full(nus.size, 1.0 / n_panels))
-    smoothing.sine_integral_table.cache_clear()
     res = run_cli(["smooth-compare", "--manifold", "torus:2:square2pi",
                    "--lambda-grid", "3:3:1", "--A", "1.0", "--pairs", "2",
                    "--out", str(tmp_path)])
@@ -274,34 +282,30 @@ def test_smooth_compare_exits_1_when_the_sine_table_fails(tmp_path, monkeypatch)
     assert not (tmp_path / "smooth-compare.csv").exists()
 
 
-def test_smooth_compare_exits_1_when_the_panel_table_fails(tmp_path, monkeypatch):
-    import weyl_lab.smoothing as smoothing
-
-    # degree-6 panels cannot follow the global series to 1e-13
-    monkeypatch.setattr(smoothing, "_PANEL_DEGREE", 6)
-    smoothing.sine_integral_table.cache_clear()
+def test_smooth_compare_exits_1_when_the_panel_table_fails(tmp_path, monkeypatch,
+                                                           fresh_sine_table):
+    # degree-20 panels miss the global series by 2.6e-13, so the sub-panels
+    # cut from them miss it by 2.9e-13 and the one check refuses them
+    monkeypatch.setattr(smoothing, "_PANEL_DEGREE", 20)
     res = run_cli(["smooth-compare", "--manifold", "torus:2:square2pi",
                    "--lambda-grid", "3:3:1", "--A", "1.0", "--pairs", "2",
                    "--out", str(tmp_path)])
-    smoothing.sine_integral_table.cache_clear()
     assert res.exit_code == 1
-    assert res.stderr.startswith("numeric failure: sine-integral panel table did not validate")
-    assert "panel degree=6 " in res.stderr
-    for field in ("panel count=", "|panel - global series|=", "tolerance="):
+    assert res.stderr.startswith(
+        "numeric failure: sine-integral sub-panel table did not validate")
+    for field in ("sub-panel count=1540 ", "sub-panel degree=8 ",
+                  "|sub-panel - global series|=", "tolerance=1e-13"):
         assert field in res.stderr
     assert not (tmp_path / "smooth-compare.csv").exists()
 
 
-def test_smooth_compare_exits_1_when_the_sub_panel_table_fails(tmp_path, monkeypatch):
-    import weyl_lab.smoothing as smoothing
-
+def test_smooth_compare_exits_1_when_the_sub_panel_table_fails(tmp_path, monkeypatch,
+                                                               fresh_sine_table):
     # degree-3 sub-panels cannot follow the global series to 1e-13
     monkeypatch.setattr(smoothing, "_SUB_DEGREE", 3)
-    smoothing.sine_integral_table.cache_clear()
     res = run_cli(["smooth-compare", "--manifold", "torus:2:square2pi",
                    "--lambda-grid", "3:3:1", "--A", "1.0", "--pairs", "2",
                    "--out", str(tmp_path)])
-    smoothing.sine_integral_table.cache_clear()
     assert res.exit_code == 1
     assert res.stderr.startswith(
         "numeric failure: sine-integral sub-panel table did not validate")
