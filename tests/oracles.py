@@ -4,14 +4,15 @@ replaced, the settle of every slab that `slab_ends` narrowed to the slabs
 near its threshold, the per-level sphere loop, the per-point Weyl leading
 term and Bessel prediction with the per-pair candidate search of
 `torus_log`, its coefficient-box array search that the period-ball walk
-replaced, the cell-by-cell CSV writer, the smoothed projector's per-mode
-spectral sum, its weight box filled from whole balls (the half-ball fill
-replaced it) and its images side on a radial rule of any panel width,
-with the clamped width the band-limit rule replaced, a projector with a
-stretched spectral tail, the J-table quadrature in one block, the J
-panels' Clenshaw recurrence, the J sub-panels' polynomials from numpy's
-Chebyshev derivatives, and `bessel_ratio` with its recurrence run on the
-radii the series serves too."""
+replaced, the cell-by-cell CSV writer with its own per-type cell text,
+the smoothed projector's per-mode spectral sum, its weight box filled
+from whole balls (the half-ball fill replaced it) and its images side on
+a radial rule of any panel width, with the clamped width the band-limit
+rule replaced, a projector with a stretched spectral tail, the J-table
+quadrature in one block, the J panels' Clenshaw recurrence, the J
+sub-panels' polynomials from numpy's Chebyshev derivatives, and
+`bessel_ratio` with its recurrence run on the radii the series serves
+too."""
 
 import copy
 import itertools
@@ -230,13 +231,25 @@ def per_point_prediction(m, lam_mid, width, dists, d, direction=None):
             for r in dists]
 
 
-def cellwise_csv_bytes(header, rows):
-    """The CSV writer the cached row templates replaced: `fmt` per cell."""
-    from weyl_lab.cli import fmt
+def cell_text(value):
+    """One CSV cell as the writer wrote it before the %-format rule:
+    bools as True/False, integers in decimal, floats to 17 significant
+    digits, anything else as str writes it."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % float(value)
+    return str(value)
 
+
+def cellwise_csv_bytes(header, rows):
+    """The CSV writer the cached row templates replaced: `cell_text` per
+    cell."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        lines.append(",".join(cell_text(v) for v in row))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

@@ -12,9 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 import weyl_lab
-from oracles import cellwise_csv_bytes, record_passes
+from oracles import cell_text, cellwise_csv_bytes, record_passes
 from weyl_lab import smoothing
-from weyl_lab.cli import csv_bytes, main, parse_grid, parse_manifold
+from weyl_lab.cli import csv_bytes, fmt, main, parse_grid, parse_manifold
 from weyl_lab.errors import DomainError
 from weyl_lab.manifolds import FlatTorus, RoundSphere2
 from weyl_lab.projector import offdiagonal_scan
@@ -77,6 +77,7 @@ def test_csv_row_templates_match_the_cellwise_writer():
     rows += [tuple(values), [1, 2.0, "x", np.bool_(True)], (np.int64(1), 2.0)]
     header = ["a", "b", "c", "d"]
     assert csv_bytes(header, rows) == cellwise_csv_bytes(header, rows)
+    assert [fmt(v) for v in values] == [cell_text(v) for v in values]
     assert csv_bytes(header, []) == b"a,b,c,d\n"
     assert csv_bytes(["x"], [(True, 1, -0.0)]) == b"x\nTrue,1,-0\n"
 
