@@ -7,7 +7,8 @@ e^{i<k,x>} with k a dual point and eigenvalue |k|^2.  Every lattice search
 slabs: fixing every coefficient but the last, the ball meets the slab in
 an integer interval read off the quadratic form and settled on the exact
 row norms; the slabs come from a coefficient bounding box derived from
-operator norms.
+operator norms.  Rows come in walk order, lexicographic in the
+coefficients; a caller that needs them by norm sorts them itself.
 """
 
 from __future__ import annotations
@@ -230,23 +231,17 @@ def _lattice_vectors(generator_matrix: np.ndarray, radius: float, inner: float =
     coefficients; with `half`, only those of the canonical half c >= 0 in
     lexicographic order (the origin and one of each pair c, -c).
 
-    Returns (coeffs (N,d) int array, vectors (N,d), norms (N,)), sorted by
-    (norm, lexicographic coeffs).  Rows are generated slab by slab in
-    lexicographic order and stably sorted by norm; the cap bounds the row
-    count before the rows are allocated.
-
-    The coefficients are written column by column into one int64 array, in
-    integers, so exactly.  The norms are `_column_sum_norms`, bit for bit
-    np.linalg.norm(axis=1) of the vectors, so the stable sort sees the same
-    keys; np.take along the rows gathers the same elements as fancy
-    indexing, in fewer passes over memory, and each unsorted array is
-    freed once its sorted copy exists.
+    Returns (coeffs (N,d) int array, vectors (N,d), norms (N,)) in walk
+    order: slab by slab, ascending within a slab, which is lexicographic
+    coefficient order.  The cap bounds the row count before the rows are
+    allocated.  The coefficients are written column by column into one
+    int64 array, in integers, so exactly; the norms are
+    `_column_sum_norms`, bit for bit np.linalg.norm(axis=1) of the vectors.
 
     The half keeps the slabs whose prefix is lexicographically positive and
-    the zero-prefix slab from last coefficient 0 upward, and builds and
-    sorts their rows as the full call does: its result is the subsequence
-    of the full call's rows that lie in the half, in the same order and
-    with the same bits.
+    the zero-prefix slab from last coefficient 0 upward: its result is the
+    subsequence of the full call's rows that lie in the half, with the same
+    bits.
     """
     # the cells c + {sum t_i g_i : t in [0,1)^d} of the points c of a ball
     # of radius r cover the ball of radius r - D and lie in that of radius
@@ -286,17 +281,12 @@ def _lattice_vectors(generator_matrix: np.ndarray, radius: float, inner: float =
     coeffs[:, -1] = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     coeffs[:, -1] += np.arange(total)
     vectors = coeffs @ generator_matrix.T
-    norms = _column_sum_norms(vectors)
-    order = np.argsort(norms, kind="stable")
-    norms = np.take(norms, order)
-    coeffs = np.take(coeffs, order, axis=0)
-    vectors = np.take(vectors, order, axis=0)
-    return coeffs, vectors, norms
+    return coeffs, vectors, _column_sum_norms(vectors)
 
 
 def dual_vectors(lattice: Lattice, radius: float, inner: float = -1.0, half: bool = False):
     """All dual-lattice points with inner < norm <= radius as arrays
-    (coeffs, vectors, norms), sorted by (norm, lexicographic coeffs).  The
+    (coeffs, vectors, norms), in lexicographic coefficient order.  The
     default inner radius takes the whole ball; `half` keeps the points
     whose coefficients are lexicographically >= 0, as `_lattice_vectors`."""
     return _lattice_vectors(lattice.dual_basis, radius, inner, half)

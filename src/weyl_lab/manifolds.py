@@ -172,7 +172,8 @@ def spectral_window(m: ModelManifold, lo: float, hi: float) -> SpectralWindow:
 
     Membership is exact: a root exactly on hi is inside, a root one ulp
     above it is not.  Torus rows are `lattice.dual_vectors(hi, inner=lo)`,
-    the shell alone, in the (norm, coeffs) order of the whole ball, so
+    the shell alone, stably sorted by norm from its lexicographic walk
+    order, so in the (norm, coeffs) order of the whole ball and
     `spectral_window(m, lo, H).between(lo2, hi2)` with lo <= lo2 and
     hi2 <= H equals `spectral_window(m, lo2, hi2)`.  Sphere degrees are all
     candidates l with sqrt(l(l+1))/R <= hi*R + 1, cut the same way.
@@ -187,6 +188,11 @@ def spectral_window(m: ModelManifold, lo: float, hi: float) -> SpectralWindow:
         ball = SpectralWindow(np.sqrt(ls * (ls + 1.0)) / m.radius, 2 * ls + 1, degrees=ls)
     else:
         coeffs, vectors, norms = lat.dual_vectors(m.lattice, hi, inner=lo)
+        # np.take, faster than fancy indexing; each array freed once sorted
+        order = np.argsort(norms, kind="stable")
+        norms = np.take(norms, order)
+        coeffs = np.take(coeffs, order, axis=0)
+        vectors = np.take(vectors, order, axis=0)
         ball = SpectralWindow(norms, np.ones(norms.size, dtype=np.int64),
                               vectors=vectors, coeffs=coeffs)
     return ball.between(lo, hi)

@@ -144,6 +144,16 @@ def _window_mean_shell_radius(m: ModelManifold, lam: float, width: float) -> flo
     return float(np.mean(np.repeat(win.roots, win.mults)))
 
 
+def _unit_direction(dim: int, direction):
+    """`direction`, the first axis when None, scaled to unit length; a
+    direction of no length (zero or nan) is refused."""
+    direction = np.eye(dim)[0] if direction is None else np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(direction)
+    if not norm > 0.0:
+        raise DomainError("geodesic direction %s has no length" % direction)
+    return direction / norm
+
+
 def cluster_prediction(m: ModelManifold, lam: float, width: float, dist,
                        d: DerivIndex = ZERO_DERIV, direction=None):
     """width * (lam_mid^{n-1}/(2pi)^{n/2}) J_{(n-2)/2}(lam_mid d)/(lam_mid d)^{(n-2)/2},
@@ -154,8 +164,7 @@ def cluster_prediction(m: ModelManifold, lam: float, width: float, dist,
         raise DomainError("derivative predictions are torus-only")
     lam_mid = _window_mean_shell_radius(m, lam, width)
     dist = np.asarray(dist, dtype=float)
-    direction = np.eye(n)[0] if direction is None else np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    direction = _unit_direction(n, direction)
     alpha, gamma = _combined_gamma(m, d)
     base = width * lam_mid ** (n - 1) / (2.0 * np.pi) ** n
     scale = (-1.0) ** sum(alpha) * lam_mid ** int(sum(gamma))
@@ -176,12 +185,7 @@ def geodesic_points(m: ModelManifold, dists, x0=None, direction=None):
         raise DomainError("distances must be nonnegative")
     if isinstance(m, FlatTorus):
         x0 = np.zeros(m.dim) if x0 is None else np.asarray(x0, dtype=float)
-        direction = (np.eye(m.dim)[0] if direction is None
-                     else np.asarray(direction, dtype=float))
-        norm = np.linalg.norm(direction)
-        if not norm > 0.0:
-            raise DomainError("geodesic direction %s has no length" % direction)
-        direction = direction / norm
+        direction = _unit_direction(m.dim, direction)
         return x0, x0 + dists[:, None] * direction, direction
     north = m.radius * np.array([0.0, 0.0, 1.0])
     if direction is not None or (x0 is not None and not np.array_equal(x0, north)):

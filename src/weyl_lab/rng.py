@@ -1,8 +1,9 @@
 """Counter-based Gaussian generator.
 
 Each variate is a pure function of (seed, sample_index, mode_index) via
-SplitMix64-style mixing and Box-Muller, so the draw is independent of mode
-enumeration order, evaluation order, and any parallel schedule.
+SplitMix64-style mixing and Box-Muller, so the draw is independent of
+evaluation order and any parallel schedule; a wave still depends on which
+mode holds which index (the spectral window's order on a torus).
 """
 
 from __future__ import annotations

@@ -554,11 +554,10 @@ class SmoothedProjector:
         for outer in radii.tolist():
             coeffs, vectors, norms = lat.dual_vectors(m.lattice, outer, inner, half=True)
             del vectors  # the box needs only the coefficients and norms
-            # the norms come sorted, so each distinct norm is a run of equal values
-            starts = np.flatnonzero(np.concatenate([[True], norms[1:] != norms[:-1]]))
-            weights = np.repeat(multiplier_batch(spec, lam, A, norms[starts]),
-                                np.diff(np.append(starts, norms.size)))
+            distinct, inverse = np.unique(norms, return_inverse=True)
             del norms
+            weights = multiplier_batch(spec, lam, A, distinct)[inverse]
+            del inverse
             coeffs += self._half
             self._box[tuple(coeffs.T)] = weights
             # the box index of -c is 2 half - (c + half)

@@ -319,10 +319,9 @@ def full_ball_box(sp):
     inner = -1.0
     for outer in radii.tolist():
         coeffs, _, norms = dual_vectors(lattice, outer, inner)
-        starts = np.flatnonzero(np.concatenate([[True], norms[1:] != norms[:-1]]))
-        weights = multiplier_batch(sp.spec, sp.lam, sp.A, norms[starts])
-        box[tuple((coeffs + sp._half).T)] = np.repeat(
-            weights, np.diff(np.append(starts, norms.size)))
+        distinct, inverse = np.unique(norms, return_inverse=True)
+        box[tuple((coeffs + sp._half).T)] = multiplier_batch(
+            sp.spec, sp.lam, sp.A, distinct)[inverse]
         inner = outer
     return box
 

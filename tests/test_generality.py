@@ -7,8 +7,9 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from oracles import stretched_projector
-from weyl_lab.lattice import Lattice, deck_images, dual_vectors
-from weyl_lab.manifolds import DerivIndex, FlatTorus, eigenlevels, spectral_function
+from weyl_lab.lattice import Lattice, deck_images
+from weyl_lab.manifolds import (DerivIndex, FlatTorus, eigenlevels, spectral_function,
+                                spectral_window)
 from weyl_lab.projector import cluster_vs_bessel, leading_term
 from weyl_lab.smoothing import MollifierSpec, SmoothedProjector
 
@@ -19,7 +20,7 @@ TORUS3 = FlatTorus(Lattice.square(2.0 * np.pi, dim=3))
 
 def test_hexagonal_first_shell_multiplicity():
     # the hexagonal dual lattice has six shortest vectors
-    shortest = dual_vectors(HEX.lattice, 20.0)[2][1]
+    shortest = spectral_window(HEX, 0.0, 20.0).roots[0]
     levels = eigenlevels(HEX, 1.1 * shortest)
     assert levels[0].multiplicity == 1
     assert levels[1].multiplicity == 6

@@ -23,6 +23,7 @@ from weyl_lab.lattice import (
     torus_distance,
     torus_log,
 )
+from weyl_lab.manifolds import FlatTorus, spectral_window
 
 SQUARE2PI = Lattice.square(2.0 * np.pi)  # dual lattice = integer grid
 
@@ -38,20 +39,22 @@ def brute_count(radius, reach=None):
 
 
 def test_enumerate_dual_unit_radius():
+    # rows in walk order: slab by slab, ascending within a slab
     coeffs, _, norms = dual_vectors(SQUARE2PI, 1.0)
-    assert len(norms) == 5
-    assert tuple(coeffs[0]) == (0, 0) and norms[0] == 0.0
-    assert {tuple(c) for c in coeffs.tolist()} == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert coeffs.tolist() == [[-1, 0], [0, -1], [0, 0], [0, 1], [1, 0]]
+    assert norms.tolist() == [1.0, 1.0, 0.0, 1.0, 1.0]
 
 
 def test_enumerate_dual_radius_ten_against_brute_force():
     coeffs, _, norms = dual_vectors(SQUARE2PI, 10.0)
     assert len(norms) == brute_count(10.0) == 317
-    # complete and duplicate-free
-    assert len({tuple(c) for c in coeffs.tolist()}) == 317
-    # ordered by (norm, lexicographic coeffs)
-    keys = list(zip(norms.tolist(), map(tuple, coeffs.tolist())))
-    assert keys == sorted(keys)
+    # complete and duplicate-free, in lexicographic coefficient order
+    keys = list(map(tuple, coeffs.tolist()))
+    assert len(set(keys)) == 317 and keys == sorted(keys)
+    # the spectral window orders the same ball by (norm, lexicographic coeffs)
+    win = spectral_window(FlatTorus(SQUARE2PI), -1.0, 10.0)
+    keys = list(zip(win.roots.tolist(), map(tuple, win.coeffs.tolist())))
+    assert len(keys) == 317 and keys == sorted(keys)
 
 
 def test_enumerate_dual_small_radius():
@@ -101,9 +104,19 @@ ENUMERATION_LATTICES = {
 }
 
 
+def _lexicographic(rows):
+    """(coeffs, vectors, norms) reordered by lexicographic coefficients."""
+    order = np.lexsort(rows[0].T[::-1])
+    return tuple(a[order] for a in rows)
+
+
 @pytest.mark.parametrize("name", list(ENUMERATION_LATTICES))
 def test_dual_vectors_equal_the_box_enumerator(name):
+    # dual_vectors holds the box enumerator's rows in lexicographic
+    # coefficient order, and the spectral window holds them in the box's
+    # (norm, lexicographic) order, both bit for bit
     lattice = ENUMERATION_LATTICES[name]
+    torus = FlatTorus(lattice)
     for radius in (0.5, 3.3, 10.0, 24.0 if lattice.dim == 2 else 14.0):
         expected = box_lattice_vectors(lattice.dual_basis, radius)
         got = dual_vectors(lattice, radius)
@@ -121,9 +134,14 @@ def test_dual_vectors_equal_the_box_enumerator(name):
             cases.append((radius, lo, tuple(a[keep] for a in expected),
                           dual_vectors(lattice, radius, inner=lo)))
         for hi, lo, want, have in cases:
-            for a, b in zip(want, have):
+            for a, b in zip(_lexicographic(want), have):
                 assert a.dtype == b.dtype and a.shape == b.shape, (hi, lo)
                 assert a.tobytes() == b.tobytes(), (hi, lo)
+            # the box takes a 1e-15 relative slack past hi, the window none
+            win = spectral_window(torus, lo, hi)
+            inside = want[2] <= hi
+            for a, b in zip(want, (win.coeffs, win.vectors, win.roots)):
+                assert a[inside].tobytes() == b.tobytes(), (hi, lo)
 
 
 def _canonical_half(coeffs):
@@ -144,7 +162,7 @@ def test_half_ball_is_the_canonical_half_of_the_full_call(name):
     # balls past its length cut that slab, on a norm and one ulp off it
     edge = float(np.linalg.norm(lattice.dual_basis[:, -1]))
     radius = max(40.0, 6.0 * edge) if lattice.dim == 2 else 14.0
-    norms = dual_vectors(lattice, radius)[2]
+    norms = np.sort(dual_vectors(lattice, radius)[2])
     mid = float(norms[norms.size // 2])
     assert mid > 2.0 * edge
     cases = [(r, -1.0) for r in (0.5, edge, 3.3, radius)]
@@ -288,18 +306,20 @@ def test_torus_log_antisymmetry():
 
 def test_torus_log_cut_locus():
     # the edge midpoint of the square cell ties 2 representatives, its
-    # corner 4 and the corner of the cube 8; every one of them is listed
+    # corner 4 and the corner of the cube 8; every one of them is listed,
+    # and ties of exactly equal norm in the lexicographic order of their
+    # periods' coefficients, here that of the vectors: (-pi, 0) before
+    # (pi, 0), and (-pi, -pi) first at the corner
     square3 = Lattice.square(2.0 * np.pi, dim=3)
     for lattice, offset in ((SQUARE2PI, [np.pi, 0.0]), (SQUARE2PI, [np.pi, np.pi]),
                             (square3, [np.pi] * 3)):
         with pytest.raises(CutLocusError) as err:
             torus_log(lattice, np.zeros(lattice.dim), np.array(offset))
-        expected = {tuple(s * np.pi if o else 0.0 for s, o in zip(signs, offset))
-                    for signs in itertools.product((-1.0, 1.0), repeat=lattice.dim)}
+        expected = sorted({tuple(s * np.pi if o else 0.0 for s, o in zip(signs, offset))
+                           for signs in itertools.product((-1.0, 1.0), repeat=lattice.dim)})
         ties = err.value.ties
-        assert len(ties) == len(expected)
-        assert {tuple(np.round(w, 12) + 0.0) for w in ties} == {
-            tuple(np.round(w, 12) + 0.0) for w in expected}
+        assert [tuple(np.round(w, 12) + 0.0) for w in ties] == [
+            tuple(np.round(w, 12) + 0.0) for w in expected]
     # an array call names the first pair on the cut locus
     xs = np.array([[0.0, 0.0], [0.3, 0.1], [1.0, 1.0]])
     ys = xs + np.array([[1.0, 0.0], [np.pi, np.pi], [0.0, np.pi]])
@@ -401,10 +421,17 @@ def test_lattice_validation():
 
 
 def test_dual_vectors_sorted_deterministically():
-    c1, v1, n1 = dual_vectors(SQUARE2PI, 12.3)
-    c2, v2, n2 = dual_vectors(SQUARE2PI, 12.3)
-    assert np.array_equal(c1, c2) and np.array_equal(v1, v2)
-    assert np.all(np.diff(n1) >= -1e-15)
+    # walk order is a function of the call alone: strictly increasing
+    # lexicographic coefficients, the same bits on a repeated call, whole
+    # ball and shell alike
+    for inner in (-1.0, 7.5):
+        first = dual_vectors(SQUARE2PI, 12.3, inner=inner)
+        again = dual_vectors(SQUARE2PI, 12.3, inner=inner)
+        for a, b in zip(first, again):
+            assert a.tobytes() == b.tobytes()
+        steps = np.diff(first[0], axis=0)
+        first_change = steps[np.arange(steps.shape[0]), np.argmax(steps != 0, axis=1)]
+        assert np.all(first_change > 0)
 
 
 @pytest.mark.parametrize("name", ["square2pi", "hex", "3d-skew"])
@@ -451,12 +478,13 @@ def test_column_sum_norms_equal_linalg_norm_bit_for_bit():
             _column_sum_norms(huge)
 
 
-@pytest.mark.parametrize("dim, rows, bound", [(2, 47_441, 72), (3, 267_731, 96)])
+@pytest.mark.parametrize("dim, rows, bound", [(2, 47_441, 56), (3, 267_731, 80)])
 def test_lattice_vectors_peak_bytes_per_row(dim, rows, bound):
     # the enumeration's tracemalloc peak over its row count, returned rows
     # included (56 bytes a 3-D row, 40 a 2-D one): the build with
     # column_stack, np.linalg.norm and fancy-index gathers peaked at 137
-    # and 104 bytes a row on these two balls, this one at 89.4 and 64.3
+    # and 104 bytes a row on these two balls, with a stable norm sort and
+    # np.take gathers at 89.4 and 64.4, and in walk order at 73.4 and 48.4
     if dim == 2:  # the smoothed-projector benchmark item's tail ball
         G, radius = SQUARE2PI.dual_basis, 122.93639892984935
     else:

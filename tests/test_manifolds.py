@@ -9,7 +9,7 @@ from oracles import (box_lattice_vectors, full_slab_ends, level_loop_sum,
 from weyl_lab import lattice as lat
 from weyl_lab.cli import parse_manifold
 from weyl_lab.errors import DomainError, ResourceLimitError, SpectrumError
-from weyl_lab.lattice import Lattice, dual_vectors
+from weyl_lab.lattice import Lattice
 from weyl_lab.manifolds import (
     ON_SPECTRUM_TOL,
     ZERO_DERIV,
@@ -78,13 +78,15 @@ def test_sphere_window_matches_level_loop(radius, monkeypatch):
 
 
 def test_torus_window_is_the_enumeration_above_lo():
-    coeffs, vectors, norms = dual_vectors(TORUS.lattice, 9.0)
+    # the window holds the enumeration's rows above lo, sorted by (norm,
+    # lexicographic coeffs) as the box enumerator sorts them, bit for bit
+    coeffs, vectors, norms = box_lattice_vectors(TORUS.lattice.dual_basis, 9.0)
     for lo in (-1.0, 0.0, 5.0, np.sqrt(26.0)):
         win = spectral_window(TORUS, lo, 9.0)
-        keep = norms > lo
-        assert np.array_equal(win.roots, norms[keep])
-        assert np.array_equal(win.vectors, vectors[keep])
-        assert np.array_equal(win.coeffs, coeffs[keep])
+        keep = (norms > lo) & (norms <= 9.0)
+        assert win.roots.tobytes() == norms[keep].tobytes()
+        assert win.vectors.tobytes() == vectors[keep].tobytes()
+        assert win.coeffs.tobytes() == coeffs[keep].tobytes()
         assert np.array_equal(win.mults, np.ones(np.count_nonzero(keep)))
 
 

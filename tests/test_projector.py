@@ -187,6 +187,21 @@ def test_cluster_prediction_scalar_form():
     assert val == pytest.approx(lam_mid / (2.0 * np.pi), rel=1e-12)
 
 
+def test_cluster_prediction_refuses_a_direction_of_no_length():
+    # as geodesic_points does, rather than a nan prediction; a given
+    # direction is scaled to unit length, the first axis is the default
+    for direction in (np.zeros(2), np.array([np.nan, 1.0])):
+        for call in (lambda: cluster_prediction(TORUS, 30.0, 1.0, [0.0, 0.1],
+                                                direction=direction),
+                     lambda: geodesic_points(TORUS, [0.0, 0.1], direction=direction)):
+            with pytest.raises(DomainError, match="no length"):
+                call()
+    dists = [0.0, 0.05, 0.1]
+    default = cluster_prediction(TORUS, 30.0, 1.0, dists)
+    scaled = cluster_prediction(TORUS, 30.0, 1.0, dists, direction=np.array([3.0, 0.0]))
+    assert default[0].tobytes() == scaled[0].tobytes() and default[1] == scaled[1]
+
+
 def test_sphere_jump_matches_level_weight():
     # crossing lambda_l adds exactly (2l+1)/(4 pi R^2) on the diagonal
     north = np.array([0.0, 0.0, 1.0])

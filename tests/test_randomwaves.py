@@ -310,14 +310,16 @@ def test_covariance_report_draws_coefficients_once(monkeypatch):
 
 @pytest.mark.parametrize("basis", ["square2pi", "hex", "mat:1,0.3;0,1.2"])
 def test_canonical_half_matches_row_loop(basis):
+    from oracles import box_lattice_vectors
     from weyl_lab.cli import parse_manifold
-    from weyl_lab.lattice import dual_vectors
 
     m = parse_manifold("torus:2:" + basis)
     lam, width = 40.0, 3.0
-    # reference: the per-row scan for the first nonzero coefficient
-    coeffs, vectors, norms = dual_vectors(m.lattice, lam + width)
-    sel = norms > lam
+    # reference: the per-row scan for the first nonzero coefficient over the
+    # window's rows in its (norm, lexicographic coeffs) order, from the box
+    # enumerator (which takes a 1e-15 relative slack past its radius)
+    coeffs, vectors, norms = box_lattice_vectors(m.lattice.dual_basis, lam + width)
+    sel = (norms > lam) & (norms <= lam + width)
     coeffs, vectors = coeffs[sel], vectors[sel]
     canonical = np.zeros(coeffs.shape[0], dtype=bool)
     for i, c in enumerate(coeffs):
