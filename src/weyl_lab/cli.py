@@ -25,12 +25,11 @@ from .analysis import cluster_sup_scan, localized_integral, localized_sum
 from .errors import (
     DomainError,
     PreconditionError,
-    QuadratureError,
     ReplayError,
     ResourceLimitError,
     WeylLabError,
 )
-from .lattice import Lattice
+from .lattice import Lattice, check_cap
 from .manifolds import (
     ZERO_DERIV,
     DerivIndex,
@@ -136,15 +135,15 @@ def parse_grid(text: str) -> np.ndarray:
     count = _number(parts[2], text, int)
     if count < 1:
         raise DomainError("grid count must be >= 1")
+    check_cap(count, "the grid %r holds %d points" % (text, count))
+    log = len(parts) == 4
+    if log and parts[3] != "log":
+        raise DomainError("grid suffix must be 'log', got %r" % parts[3])
+    if log and not (lo > 0.0 and hi > 0.0):
+        raise DomainError("log grid %r needs lo > 0 and hi > 0" % text)
     if count == 1:
         return np.array([hi])
-    if len(parts) == 4:
-        if parts[3] != "log":
-            raise DomainError("grid suffix must be 'log', got %r" % parts[3])
-        if lo <= 0.0:
-            raise DomainError("log grid needs lo > 0")
-        return np.geomspace(lo, hi, count)
-    return np.linspace(lo, hi, count)
+    return np.geomspace(lo, hi, count) if log else np.linspace(lo, hi, count)
 
 
 def parse_deriv(text: str | None) -> DerivIndex:
@@ -195,10 +194,12 @@ def seeded_pairs(lattice: Lattice, count: int, seed: int, max_dist: float):
 
 
 def pair_count(config: dict) -> int:
-    """The --pairs of `config`; DomainError below 1."""
+    """The --pairs of `config`; DomainError below 1, ResourceLimitError
+    above the cap."""
     count = int(config["pairs"])
     if count < 1:
         raise DomainError("--pairs must be >= 1, got %d" % count)
+    check_cap(count, "--pairs asks for %d pairs" % count)
     return count
 
 
@@ -282,7 +283,7 @@ def guarded(fn):
         except ResourceLimitError as exc:
             click.echo("resource limit: %s" % exc, err=True)
             sys.exit(EXIT_RESOURCE)
-        except (QuadratureError, FloatingPointError, ArithmeticError) as exc:
+        except ArithmeticError as exc:
             click.echo("numeric failure: %s" % exc, err=True)
             sys.exit(EXIT_NUMERIC)
         except WeylLabError as exc:
@@ -523,6 +524,7 @@ def run_randomwave(config: dict):
     width = float(config["width"])
     seed = int(config["seed"])
     samples = int(config["samples"])
+    check_cap(samples, "--samples asks for %d samples" % samples)
     ens = RandomWaveEnsemble(m, lam, width, seed=seed, num_samples=samples)
     dists = parse_grid(config["dist_grid"])
     x0, points, _ = geodesic_points(m, dists, *_base_and_direction(config, m.dim))

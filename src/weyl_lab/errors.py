@@ -34,9 +34,5 @@ class ResourceLimitError(WeylLabError, RuntimeError):
     `lattice.check_cap` alone."""
 
 
-class QuadratureError(WeylLabError, ArithmeticError):
-    """A quadrature failed to converge; message carries diagnostics."""
-
-
 class ReplayError(WeylLabError):
     """A replayed manifest does not reproduce the CSV it recorded."""

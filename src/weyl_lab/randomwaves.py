@@ -9,7 +9,8 @@ sphere ensembles sample an explicit real orthonormal basis per level
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +78,6 @@ class RandomWaveEnsemble:
     width: float = 1.0
     seed: int = 0
     num_samples: int = 1
-    _mode_cache: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.lam <= 0.0 or self.width <= 0.0:
@@ -90,26 +90,24 @@ class RandomWaveEnsemble:
         n = self.manifold.dim
         return self.lam ** ((1 - n) / 2.0)
 
+    @functools.cached_property
     def _modes(self):
         """Torus: the canonical half of the window's dual points (first
         nonzero coefficient positive), each giving a cos/sin pair; sphere:
         the window's degrees."""
-        if self._mode_cache is None:
-            win = spectral_window(self.manifold, self.lam, self.lam + self.width)
-            if win.roots.size == 0:
-                raise DomainError("spectral window (%g, %g] holds no modes"
-                                  % (self.lam, self.lam + self.width))
-            if isinstance(self.manifold, FlatTorus):
-                c = win.coeffs
-                first_nonzero = c[np.arange(c.shape[0]), np.argmax(c != 0, axis=1)]
-                self._mode_cache = ("torus", win.vectors[first_nonzero > 0])
-            else:
-                self._mode_cache = ("sphere", win.degrees.tolist())
-        return self._mode_cache
+        win = spectral_window(self.manifold, self.lam, self.lam + self.width)
+        if win.roots.size == 0:
+            raise DomainError("spectral window (%g, %g] holds no modes"
+                              % (self.lam, self.lam + self.width))
+        if isinstance(self.manifold, FlatTorus):
+            c = win.coeffs
+            first_nonzero = c[np.arange(c.shape[0]), np.argmax(c != 0, axis=1)]
+            return "torus", win.vectors[first_nonzero > 0]
+        return "sphere", win.degrees.tolist()
 
     @property
     def mode_count(self) -> int:
-        kind, data = self._modes()
+        kind, data = self._modes
         if kind == "torus":
             return 2 * data.shape[0]
         return sum(2 * l + 1 for l in data)
@@ -118,7 +116,7 @@ class RandomWaveEnsemble:
         """Orthonormal eigenfunction values, shape (mode_count, n_points).
         Torus ordering: (cos, sin) per canonical dual point; sphere: levels
         ascending, m-blocks as in the level basis."""
-        kind, data = self._modes()
+        kind, data = self._modes
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if kind == "torus":
             covol = self.manifold.lattice.covolume

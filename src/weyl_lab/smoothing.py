@@ -12,18 +12,15 @@ with J(nu) = int_0^support rho_hat(u) sin(u nu)/u du (substitute u = At in
 the product-to-sum split).  J depends on neither lambda nor A.  Every
 cutoff has the same shape, plateau 5/9 of its support, so substituting
 u = support v gives J(nu) = J_ref(support nu), with J_ref the J of the
-reference cutoff of support 1.  The process holds one Chebyshev table of
-J_ref, built on first use, validated when it is built (panel doubling,
-trailing coefficients, distance from pi/2 past the table's end) and shared
-by every multiplier evaluation of every torus.  Calls do not sum that
-global series (degree 615): it is cut into P ~ degree/8 equal panels,
-each a degree-24 Chebyshev series, and each panel again into 20 equal
-sub-panels, each a degree-8 polynomial in the offset from its centre (the
-panel series' Chebyshev truncation, derived with + - * / only).  The
-sub-panels alone are checked against the global series, at every panel
-edge and every sub-panel edge, when the table is built: they stay within
-rounding of the panels, so a panel table that strays fails that check.
-So a J value costs one gather of 9 coefficients and 8 Horner steps.
+reference cutoff of support 1.  J_ref is a checked-in constant
+(`_jref_table`): on [0, nu0], nu0 = 945, 77 equal panels, each a degree-24
+Chebyshev series, cut from a degree-615 global series; past nu0 J_ref is
+pi/2 to about 1e-14.  The tests rebuild it by quadrature, DCT and global
+series and hold it to 1e-13.  The process loads it on first use and cuts
+each panel into 20 equal sub-panels, each a degree-8 polynomial in the
+offset from its centre (the panel series' Chebyshev truncation, derived
+with + - * / only, so J has the same bits on every host).  So a J value
+costs one gather of 9 coefficients and 8 Horner steps.
 
 The spectral side is a multiplier-weighted mode sum and each deck image
 contributes the radial integral (2pi)^{-n} int m(r) r^{n-1} S_n(r |w|) dr.
@@ -46,24 +43,20 @@ transform of g(t) = rho_hat(At) sin(t lambda)/(pi t), supported in
 panel of half-width h is then at most C_16 (2T h)^32 times h sup|f|, with
 C_16 = 2^33 (16!)^4 / (33 (32!)^3), so panels of width omega / T, where
 C_16 omega^32 = 2^-53 (omega = 7.834), keep it at rounding level.  The
-width does not depend on lambda; a panel holds 2.03 times the 16/13
-periods of the J-table build's panels.
+width does not depend on lambda.
 
 Images with |w| >= support/A vanish identically: the integrand's time
 support [|w|, inf) misses the cutoff's. Truncation radii are computed from
 fitted h-decay constants with a 2x safety factor.
 
-Memory stays bounded at any size.  The J-table quadrature and the images
-side's radial kernel are evaluated in row blocks of about _BLOCK_VALUES
-values; the J-table rows are rounded down to a power of two, which keeps
-BLAS's matrix-vector product on the bits of the unblocked one (blocks of
-6 or 22 rows moved J by 5e-15).  The weight box is filled from dual-lattice
-shells at radii R (k/K)^{1/n}, k = 1..K, K chosen so that a shell of the
-whole ball holds about _SHELL_ROWS rows (ball volume over covolume).  A
-shell enumerates only its canonical half, the c that are lexicographically
->= 0, so about _SHELL_ROWS / 2 rows, and each weight goes to W[c] and
-W[-c]: |G c| and |G (-c)| have the same bits, so the box has the bits of
-the whole ball's fill.  Besides the box only one half shell's rows are
+Memory stays bounded at any size.  J values and the images side's radial
+kernel are evaluated in blocks of about _BLOCK_VALUES values.  The weight
+box is filled from dual-lattice shells at radii R (k/K)^{1/n}, k = 1..K, K
+chosen so that a shell of the whole ball holds about _SHELL_ROWS rows (ball
+volume over covolume).  A shell enumerates only its canonical half, the c
+that are lexicographically >= 0, so about _SHELL_ROWS / 2 rows, and each
+weight goes to W[c] and W[-c]: |G c| and |G (-c)| have the same bits, so
+the box has the bits of the whole ball's fill.  Besides the box only one half shell's rows are
 held at a time.  A row within rounding of a shell edge may come in twice,
 with the same weight both times, so the box has the bits of a one-shell
 fill.
@@ -78,13 +71,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice as lat
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 from .manifolds import FlatTorus, ModelManifold, point_pairs
 from .specfun import sphere_fourier
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# the J-table build's 16-node panels hold 16/13 periods (~13 nodes a period)
-_PANEL_PERIODS = 16.0 / 13.0
 # the n-node Gauss-Legendre remainder on [-1, 1] is C_n f^(2n)(xi) with
 # C_n = 2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3); for f of exponential type w,
 # |f^(2n)| <= w^(2n) sup|f|, so panels of half-width h keep the remainder
@@ -93,18 +84,6 @@ _GL_REMAINDER = 2**33 * math.factorial(16) ** 4 / (33 * math.factorial(32) ** 3)
 _GL_REACH = (2.0**-53 / _GL_REMAINDER) ** (1.0 / 32.0)
 # the cutoff's plateau over its support: for_manifold's inj/2 over 0.9 inj
 _PLATEAU_RATIO = 5.0 / 9.0
-# J_ref is tabulated on [0, nu0] with nu0 (1 - 5/9) = 420; past that the
-# exp-bridge keeps |J_ref - pi/2| near 1e-14
-_NU0 = 945.0
-# J_ref' is band-limited to [-1, 1]; the Chebyshev coefficients reach the
-# rounding floor near degree 0.6 nu0
-_DEGREE = 615
-_TABLE_TOL = 1e-13
-# calls evaluate J panel by panel: one panel per 8 global coefficients,
-# each a series of degree 24 (truncation below the series' own ~2e-14
-# rounding; one panel per 11 coefficients already fails the 1e-13 check)
-_DEGREE_PER_PANEL = 8
-_PANEL_DEGREE = 24
 # calls evaluate J by Horner on each panel's 20 equal sub-panels, each a
 # degree-8 polynomial: 4.3e-15 from the panel form on square 2pi and hex
 # (12 sub-panels: 3.7e-13; 16: 2.9e-14; degree 7 on 25: 5.2e-14; degree 9
@@ -113,7 +92,7 @@ _SUB_PANELS = 20
 _SUB_DEGREE = 8
 # the spectral sum stops where the fitted h-decay puts |m| below this
 _TAIL_THRESHOLD = 1e-12
-# the values of one block of the J-table quadrature or of the images side
+# the values of one block of the J evaluation or of the images side
 _BLOCK_VALUES = 2**18
 # the rows of one dual-lattice shell of the weight box
 _SHELL_ROWS = 2**20
@@ -171,19 +150,6 @@ def _composite_gauss_legendre(T: float, n_panels: int):
     return nodes, weights
 
 
-def _sine_integrals(nus: np.ndarray, n_panels: int) -> np.ndarray:
-    """J_ref(nu) = int_0^1 rho_hat(u) sin(u nu)/u du, for the reference
-    cutoff of support 1, on a fixed rule."""
-    nodes, weights = _composite_gauss_legendre(1.0, n_panels)
-    base = rho_hat(MollifierSpec(support=1.0), nodes) * weights / nodes
-    out = np.empty(nus.size)
-    # a power-of-two row count keeps the products on the unblocked bits
-    rows = 1 << max((_BLOCK_VALUES // nodes.size).bit_length() - 1, 0)
-    for lo in range(0, nus.size, rows):
-        out[lo:lo + rows] = np.sin(np.outer(nus[lo:lo + rows], nodes)) @ base
-    return out
-
-
 def _horner_eval(sub_coeffs: np.ndarray, nu0: float, nus: np.ndarray) -> np.ndarray:
     """The sub-panel polynomials at nus in [0, nu0): each nu's sub-panel is
     floor(nu S / nu0) for S sub-panels, and its polynomial, highest power
@@ -213,32 +179,15 @@ def _horner_eval(sub_coeffs: np.ndarray, nu0: float, nus: np.ndarray) -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class SineIntegralTable:
-    """J_ref on [0, nu0] and pi/2 beyond, with the residuals it was
-    validated on.  A negative nu raises DomainError.
+    """J_ref on [0, nu0] and pi/2 beyond.  A negative nu raises DomainError.
 
-    `coeffs` is the validated global Chebyshev series in 2 nu/nu0 - 1.
-    `panel_coeffs` is a (panel degree + 1, P) table of low-degree Chebyshev
-    series on P equal panels of [0, nu0], derived from the global series.
     Calls evaluate `sub_coeffs`: a (sub-panel degree + 1, P * _SUB_PANELS)
-    table of polynomials, highest power first, on the panels cut into
-    equal sub-panels, derived from `panel_coeffs`.  Only `sub_coeffs` is
-    checked against the global series (`sub_error`), at a superset of the
-    panel edges, so a panel table that strays fails that one check.
+    table of polynomials, highest power first, on the checked-in panels
+    cut into equal sub-panels.
     """
 
     nu0: float
-    coeffs: np.ndarray
-    panels: int
-    residual: float  # panel-doubling residual at the nodes and probes
-    trailing: float  # largest coefficient in the last eighth of the series
-    tail: float  # max |J - pi/2| on probes in [nu0, 1.5 nu0)
-    panel_coeffs: np.ndarray
     sub_coeffs: np.ndarray
-    sub_error: float  # max |sub-panel form - global series| on edge probes
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
 
     def __call__(self, nus) -> np.ndarray:
         nus = np.asarray(nus, dtype=float)
@@ -252,51 +201,6 @@ class SineIntegralTable:
         out = np.full(nus.shape, 0.5 * np.pi)
         out[inside] = _horner_eval(self.sub_coeffs, self.nu0, nus[inside])
         return out
-
-
-def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients along the last axis of the series through
-    `values` at the first-kind nodes cos(pi (j + 1/2) / n): the DCT-II
-    2 sum_j x_j cos(pi k (2j + 1) / (2n)) over n, with c_0 halved.  Each
-    cosine is read at k (2j + 1) mod 4n, reduced in integers, from the
-    quarter wave cos(pi r / (2n)), r = 0..n, by exact symmetry.  Unreduced
-    angles moved J by 2.8e-13.  Reduced angles used directly are each short
-    by np.pi's relative error: the series then ends 7.5e-14 off pi/2, not 1e-14."""
-    n = values.shape[-1]
-    quarter = np.cos(np.pi * np.arange(n + 1) / (2 * n))
-    cycle = np.concatenate([quarter, -quarter[-2::-1], -quarter[1:], quarter[-2:0:-1]])
-    k = np.arange(n)
-    coeffs = 2.0 * (values @ cycle[np.outer(k, 2 * k + 1) % (4 * n)].T) / n
-    coeffs[..., 0] *= 0.5
-    return coeffs
-
-
-def _panel_probes(nu0: float, count: int) -> np.ndarray:
-    """Every edge of `count` equal panels of [0, nu0), one ulp either side
-    of it (nu0 excluded), then every panel's midpoint."""
-    width = nu0 / count
-    edges = width * np.arange(count)
-    return np.concatenate([edges, np.nextafter(edges, nu0),
-                           np.nextafter(edges[1:], 0.0), edges + 0.5 * width])
-
-
-def _panel_table(nu0: float, coeffs: np.ndarray) -> np.ndarray:
-    """Per-panel Chebyshev coefficients of the global series `coeffs`: P
-    equal panels of [0, nu0] for P ~ degree / _DEGREE_PER_PANEL, each a
-    series of degree _PANEL_DEGREE from the global series at its
-    first-kind nodes.  The table is checked only through the sub-panels
-    cut from it (`_sub_panel_table`)."""
-    n_panels = int(np.ceil(coeffs.size / _DEGREE_PER_PANEL))
-    n = _PANEL_DEGREE + 1
-    width = nu0 / n_panels
-    nodes = 0.5 * (1.0 + np.cos(np.pi * (np.arange(n) + 0.5) / n))
-    edges = width * np.arange(n_panels)
-    nus = (edges[:, None] + width * nodes).ravel()
-    values = _series_eval(coeffs, 2.0 * nus / nu0 - 1.0)
-    panel_coeffs = _chebyshev_coefficients(values.reshape(n_panels, n))
-    panel_coeffs = np.ascontiguousarray(panel_coeffs.T)
-    panel_coeffs.flags.writeable = False  # every caller shares the cached table
-    return panel_coeffs
 
 
 def _shifted_chebyshev(terms: int, centres: np.ndarray, scale: float) -> np.ndarray:
@@ -314,26 +218,7 @@ def _shifted_chebyshev(terms: int, centres: np.ndarray, scale: float) -> np.ndar
     return basis
 
 
-def _series_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The Chebyshev series `coeffs` at x by Clenshaw's recurrence in three
-    reused buffers: the one sum of the global series, for the panel
-    table's nodes and for the sub-panel check.  Each step is
-    b_k = (c_k - b_{k+2}) + 2x b_{k+1} and the sum (c_0 - b_2) + x b_1, the
-    order of numpy's chebval, so the values have chebval's bits, but
-    chebval allocates at every step and took ~1.5 times as long on the
-    ~1,850 probes of the sub-panel check.  (Summed as 2x b_{k+1} - b_{k+2}
-    + c_k, the series gave panels that read J_ref(0) = -1.8e-14, not
-    -1.3e-14.)"""
-    x2 = 2.0 * x
-    b1, b2, step = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
-    for c in coeffs[:0:-1]:
-        np.subtract(c, b2, out=b2)
-        b2 += np.multiply(x2, b1, out=step)
-        b1, b2 = b2, b1
-    return (coeffs[0] - b2) + x * b1
-
-
-def _sub_panel_table(nu0: float, coeffs: np.ndarray, panel_coeffs: np.ndarray):
+def _sub_panel_polynomials(panel_coeffs: np.ndarray) -> np.ndarray:
     """Each panel of `panel_coeffs` cut into _SUB_PANELS equal sub-panels,
     each a polynomial of degree _SUB_DEGREE, highest power first, in the
     offset u in [-1/2, 1/2] from the sub-panel's centre in units of its
@@ -346,15 +231,7 @@ def _sub_panel_table(nu0: float, coeffs: np.ndarray, panel_coeffs: np.ndarray):
     2^(2k-1) plus powers of degree k - 2 and below, so rewriting u^k by
     those powers drops the series' T_k(t) term and nothing else.  The c_n
     are summed in a fixed order with elementwise products only, no BLAS,
-    so a given panel table gives the same bits on every host.
-
-    Also returns the largest distance from the global series on
-    `_panel_probes` and one ulp either side of every sub-panel edge e (nu0
-    from below and nu0 itself).  The series is summed at e alone: J moves
-    by at most 2^-52 over one ulp of e, since J'(nu) = int rho_hat(u)
-    cos(u nu) du = -int rho_hat'(u) sin(u nu) du / nu and rho_hat falls
-    monotonically from 1 to 0, so |J'(nu)| <= 1/nu.  That halves the probes
-    of the series, whose sum is most of the check's cost."""
+    so a given panel table gives the same bits on every host."""
     terms, n_panels = panel_coeffs.shape
     centres = (2.0 * np.arange(_SUB_PANELS) + 1.0) / _SUB_PANELS - 1.0
     basis = _shifted_chebyshev(terms, centres, 2.0 / _SUB_PANELS)
@@ -367,61 +244,23 @@ def _sub_panel_table(nu0: float, coeffs: np.ndarray, panel_coeffs: np.ndarray):
         sub += b[:, None, :] * c[:, None]
     sub_coeffs = sub.reshape(_SUB_DEGREE + 1, -1)
     sub_coeffs.flags.writeable = False  # every caller shares the cached table
-    count = sub_coeffs.shape[1]
-    probes = _panel_probes(nu0, n_panels)
-    edges = np.append(nu0 / count * np.arange(1, count), nu0)
-    want = _series_eval(coeffs, 2.0 * np.concatenate([probes, edges]) / nu0 - 1.0)
-    want = np.concatenate([want, want[probes.size:]])
-    nus = np.concatenate([probes, np.nextafter(edges, 0.0), np.nextafter(edges, nu0)])
-    error = np.max(np.abs(_horner_eval(sub_coeffs, nu0, nus) - want))
-    return sub_coeffs, float(error)
+    return sub_coeffs
 
 
 @functools.cache
 def sine_integral_table() -> SineIntegralTable:
-    """The J_ref table of the reference cutoff (support 1), built on first
-    use and then shared by every spec: J(nu) = J_ref(support nu).
+    """The J_ref table of the reference cutoff (support 1), shared by every
+    spec: J(nu) = J_ref(support nu).
 
-    J_ref is sampled at first-kind Chebyshev nodes by the composite rule at
-    two panel counts; the global coefficients come from a DCT.  They are
-    accepted when the panel-doubling residual, the trailing coefficients
-    and the distance from pi/2 past nu0 are all below 1e-13, else
-    QuadratureError carries the diagnostics.  The accepted series is then
-    cut into panels and the panels into the sub-panels that calls
-    evaluate, which are held to the same 1e-13 against the global series
-    (one check, of the form calls read), else QuadratureError names the
-    sub-panel count, degree and error.
-    """
-    n = _DEGREE + 1
-    theta = np.pi * (np.arange(n) + 0.5) / n
-    probes = _NU0 * (1.0 + np.arange(16) / 32.0)
-    nus = np.concatenate([_NU0 * np.cos(0.5 * theta) ** 2, probes])
-    # each panel holds _PANEL_PERIODS periods of the fastest sine
-    n_panels = int(np.ceil(float(nus.max()) / (_PANEL_PERIODS * 2.0 * np.pi)))
-    coarse = _sine_integrals(nus, n_panels)
-    fine = _sine_integrals(nus, 2 * n_panels)
-    coeffs = _chebyshev_coefficients(fine[:n])
-    coeffs.flags.writeable = False  # every caller shares the cached table
-    residual = float(np.max(np.abs(fine - coarse)))
-    trailing = float(np.max(np.abs(coeffs[-(n // 8):])))
-    tail = float(np.max(np.abs(fine[n:] - 0.5 * np.pi)))
-    if max(residual, trailing, tail) > _TABLE_TOL:
-        raise QuadratureError(
-            "sine-integral table did not validate: degree=%d nu0=%.6g panels=%d "
-            "panel-doubling residual=%.3e trailing coefficients=%.3e "
-            "|J - pi/2| past nu0=%.3e tolerance=%.0e"
-            % (_DEGREE, _NU0, 2 * n_panels, residual, trailing, tail, _TABLE_TOL))
-    panel_coeffs = _panel_table(_NU0, coeffs)
-    sub_coeffs, sub_error = _sub_panel_table(_NU0, coeffs, panel_coeffs)
-    if sub_error > _TABLE_TOL:
-        raise QuadratureError(
-            "sine-integral sub-panel table did not validate: sub-panel count=%d "
-            "sub-panel degree=%d |sub-panel - global series|=%.3e tolerance=%.0e"
-            % (sub_coeffs.shape[1], sub_coeffs.shape[0] - 1, sub_error, _TABLE_TOL))
-    return SineIntegralTable(
-        nu0=_NU0, coeffs=coeffs, panels=2 * n_panels, residual=residual,
-        trailing=trailing, tail=tail, panel_coeffs=panel_coeffs,
-        sub_coeffs=sub_coeffs, sub_error=sub_error)
+    Its panel table is the constant in `_jref_table`, loaded at first use
+    (never at import); the sub-panels that calls evaluate are derived from
+    it with + - * / only, so J has the same bits on every host.  The tests
+    rebuild the panel table by quadrature and hold it, and the sub-panels,
+    to 1e-13 of the global series."""
+    from . import _jref_table
+
+    sub_coeffs = _sub_panel_polynomials(np.array(_jref_table.PANEL_COEFFS))
+    return SineIntegralTable(nu0=_jref_table.NU0, sub_coeffs=sub_coeffs)
 
 
 def multiplier_batch(spec: MollifierSpec, lam: float, A: float, taus) -> np.ndarray:
@@ -483,7 +322,7 @@ def fit_h_decay(spec: MollifierSpec, lam: float, A: float) -> tuple[float, float
     """
     s = np.arange(4.0, 30.1, 0.5)
     h = np.abs(h_error(spec, lam, A, lam + A * s))
-    keep = h > _TABLE_TOL  # stay above the J table's accuracy floor
+    keep = h > 1e-13  # stay above the J table's accuracy floor
     if np.count_nonzero(keep) < 4:
         return 1.0, 2.0  # conservative fallback: tail already below floor
     slope, _ = np.polyfit(np.sqrt(s[keep]), np.log(h[keep]), 1)

@@ -8,11 +8,12 @@ replaced, the cell-by-cell CSV writer with its own per-type cell text,
 the smoothed projector's per-mode spectral sum, its weight box filled
 from whole balls (the half-ball fill replaced it) and its images side on
 a radial rule of any panel width, with the clamped width the band-limit
-rule replaced, a projector with a stretched spectral tail, the J-table
-quadrature in one block, the J panels' Clenshaw recurrence, the J
-sub-panels' polynomials from numpy's Chebyshev derivatives, and
-`bessel_ratio` with its recurrence run on the radii the series serves
-too."""
+rule replaced, a projector with a stretched spectral tail, the J_ref
+table built by quadrature, DCT and global series (the route that wrote
+the checked-in `weyl_lab._jref_table`), its validation and the writer of
+that module, the J panels' Clenshaw recurrence, the J sub-panels'
+polynomials from numpy's Chebyshev derivatives, and `bessel_ratio` with
+its recurrence run on the radii the series serves too."""
 
 import copy
 import itertools
@@ -291,13 +292,16 @@ def stretched_projector(m, spec, lam, A, factor):
         smoothing.spectral_tail_radius = original
 
 
+# the J_ref quadrature's 16-node panels, and the clamped radial rule's,
+# hold 16/13 periods of the fastest sine (~13 nodes a period)
+PANEL_PERIODS = 16.0 / 13.0
+
+
 def clamped_panel(sp):
     """The radial panel width the band-limit rule replaced: 13 nodes per
     period of the fastest image oscillation (frequency support/A), clamped
     to A/2 to resolve the multiplier transition."""
-    from weyl_lab.smoothing import _PANEL_PERIODS
-
-    return min(_PANEL_PERIODS * 2.0 * np.pi / sp.image_radius, sp.A / 2.0)
+    return min(PANEL_PERIODS * 2.0 * np.pi / sp.image_radius, sp.A / 2.0)
 
 
 def full_ball_box(sp):
@@ -357,13 +361,154 @@ def images_rounding_scale(sp, x, y):
 
 
 def unblocked_sine_integrals(nus, n_panels):
-    """`smoothing._sine_integrals` as one sine block and one matrix-vector
-    product over every nu (the row blocks replaced it)."""
+    """J_ref(nu) = int_0^1 rho_hat(u) sin(u nu)/u du for the reference
+    cutoff of support 1, on the composite rule of n_panels 16-node panels,
+    as one sine block and one matrix-vector product over every nu."""
     from weyl_lab.smoothing import MollifierSpec, _composite_gauss_legendre, rho_hat
 
     nodes, weights = _composite_gauss_legendre(1.0, n_panels)
     base = rho_hat(MollifierSpec(support=1.0), nodes) * weights / nodes
     return np.sin(np.outer(nus, nodes)) @ base
+
+
+def chebyshev_coefficients(values):
+    """Chebyshev coefficients along the last axis of the series through
+    `values` at the first-kind nodes cos(pi (j + 1/2) / n): the DCT-II
+    2 sum_j x_j cos(pi k (2j + 1) / (2n)) over n, with c_0 halved.  Each
+    cosine is read at k (2j + 1) mod 4n, reduced in integers, from the
+    quarter wave cos(pi r / (2n)), r = 0..n, by exact symmetry.  Unreduced
+    angles moved J by 2.8e-13.  Reduced angles used directly are each short
+    by np.pi's relative error: the series then ends 7.5e-14 off pi/2, not 1e-14."""
+    n = values.shape[-1]
+    quarter = np.cos(np.pi * np.arange(n + 1) / (2 * n))
+    cycle = np.concatenate([quarter, -quarter[-2::-1], -quarter[1:], quarter[-2:0:-1]])
+    k = np.arange(n)
+    coeffs = 2.0 * (values @ cycle[np.outer(k, 2 * k + 1) % (4 * n)].T) / n
+    coeffs[..., 0] *= 0.5
+    return coeffs
+
+
+# J_ref' is band-limited to [-1, 1]; the Chebyshev coefficients of J_ref on
+# [0, nu0] reach the rounding floor near degree 0.6 nu0
+JREF_DEGREE = 615
+# the tolerance of every check of the J_ref table
+JREF_TOL = 1e-13
+# one panel per 8 global coefficients, each a series of degree 24
+# (truncation below the series' own ~2e-14 rounding; one panel per 11
+# coefficients already fails the 1e-13 check)
+_DEGREE_PER_PANEL = 8
+
+
+def reference_j_table(panel_degree=24):
+    """The J_ref table by quadrature, DCT and global series: (coeffs,
+    panel_coeffs, record).
+
+    J_ref is sampled at the JREF_DEGREE + 1 first-kind Chebyshev nodes of
+    [0, nu0] and at 16 probes in [nu0, 1.5 nu0) by the composite rule at two
+    panel counts, the finer with ~13 nodes a period of the fastest sine.
+    `coeffs` is the global Chebyshev series in 2 nu/nu0 - 1 from the DCT of
+    the finer samples.  `panel_coeffs` is a (panel_degree + 1, P) table of
+    Chebyshev series on P ~ degree / 8 equal panels of [0, nu0], each from
+    the global series (numpy's chebval) at its first-kind nodes.  `record`
+    holds the degree, the finer rule's panel count, the panel-doubling
+    residual at the nodes and probes, the largest coefficient in the last
+    eighth of the series, and max |J - pi/2| on the probes."""
+    from weyl_lab._jref_table import NU0
+
+    n = JREF_DEGREE + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    probes = NU0 * (1.0 + np.arange(16) / 32.0)
+    nus = np.concatenate([NU0 * np.cos(0.5 * theta) ** 2, probes])
+    n_panels = int(np.ceil(float(nus.max()) / (PANEL_PERIODS * 2.0 * np.pi)))
+    coarse = unblocked_sine_integrals(nus, n_panels)
+    fine = unblocked_sine_integrals(nus, 2 * n_panels)
+    coeffs = chebyshev_coefficients(fine[:n])
+    record = {"degree": JREF_DEGREE, "panels": 2 * n_panels,
+              "residual": float(np.max(np.abs(fine - coarse))),
+              "trailing": float(np.max(np.abs(coeffs[-(n // 8):]))),
+              "tail": float(np.max(np.abs(fine[n:] - 0.5 * np.pi)))}
+    count = int(np.ceil(coeffs.size / _DEGREE_PER_PANEL))
+    m = panel_degree + 1
+    width = NU0 / count
+    nodes = 0.5 * (1.0 + np.cos(np.pi * (np.arange(m) + 0.5) / m))
+    edges = width * np.arange(count)
+    nus = (edges[:, None] + width * nodes).ravel()
+    values = chebyshev.chebval(2.0 * nus / NU0 - 1.0, coeffs)
+    panel_coeffs = np.ascontiguousarray(chebyshev_coefficients(values.reshape(count, m)).T)
+    return coeffs, panel_coeffs, record
+
+
+def _panel_probes(nu0, count):
+    """Every edge of `count` equal panels of [0, nu0), one ulp either side
+    of it (nu0 excluded), then every panel's midpoint."""
+    width = nu0 / count
+    edges = width * np.arange(count)
+    return np.concatenate([edges, np.nextafter(edges, nu0),
+                           np.nextafter(edges[1:], 0.0), edges + 0.5 * width])
+
+
+def sub_panel_error(sub_coeffs, coeffs):
+    """The largest distance of the sub-panel polynomials `sub_coeffs` (as
+    `smoothing._horner_eval` reads them) from the global series `coeffs`
+    on `_panel_probes` of their panels and one ulp either side of every
+    sub-panel edge e (nu0 from below and nu0 itself).  The series is summed
+    at e alone: J moves by at most 2^-52 over one ulp of e, since
+    J'(nu) = -int rho_hat'(u) sin(u nu) du / nu and rho_hat falls
+    monotonically from 1 to 0, so |J'(nu)| <= 1/nu."""
+    from weyl_lab._jref_table import NU0
+    from weyl_lab.smoothing import _SUB_PANELS, _horner_eval
+
+    count = sub_coeffs.shape[1]
+    probes = _panel_probes(NU0, count // _SUB_PANELS)
+    edges = np.append(NU0 / count * np.arange(1, count), NU0)
+    want = chebyshev.chebval(2.0 * np.concatenate([probes, edges]) / NU0 - 1.0, coeffs)
+    want = np.concatenate([want, want[probes.size:]])
+    nus = np.concatenate([probes, np.nextafter(edges, 0.0), np.nextafter(edges, NU0)])
+    return float(np.max(np.abs(_horner_eval(sub_coeffs, NU0, nus) - want)))
+
+
+def jref_module_text(coeffs, panel_coeffs, record):
+    """The source of `weyl_lab._jref_table` for the output of
+    `reference_j_table()`: nu0, and the panel table as float literals
+    written with repr, which Python reads back with correct rounding, so
+    the table has the same bits on every host.  The header records the
+    validation results, with the error of the sub-panels the program
+    derives from the table; nothing reads them at run time."""
+    from weyl_lab._jref_table import NU0
+    from weyl_lab.smoothing import _sub_panel_polynomials
+
+    sub_error = sub_panel_error(_sub_panel_polynomials(panel_coeffs), coeffs)
+    terms, count = panel_coeffs.shape
+    lines = [
+        '"""The J_ref panel table: J_ref(nu) = int_0^1 rho_hat(u) sin(u nu)/u du',
+        "for the reference cutoff of support 1 (plateau 5/9), on [0, NU0], as",
+        "%d equal panels, each a degree-%d Chebyshev series in 2 (nu - edge) /"
+        % (count, terms - 1),
+        "width - 1: PANEL_COEFFS[k][p] is the coefficient of T_k on panel p."
+        '"""',
+        "",
+        "# Generated by jref_module_text(*reference_j_table()) in tests/oracles.py;",
+        "# rewrite it with `PYTHONPATH=src python tests/oracles.py` from the",
+        "# repository root.",
+        "# Validation, each against 1e-13: global series degree %d on %d"
+        % (record["degree"], record["panels"]),
+        "# quadrature panels, panel-doubling residual %.1e, trailing coefficients"
+        % record["residual"],
+        "# %.1e, |J - pi/2| past NU0 %.1e, sub-panel error %.1e."
+        % (record["trailing"], record["tail"], sub_error),
+        "",
+        "NU0 = %r" % float(NU0),
+        "",
+        "PANEL_COEFFS = (",
+    ]
+    for row in panel_coeffs:
+        lines.append("    (")
+        cells = [repr(float(v)) + "," for v in row]
+        for lo in range(0, len(cells), 4):
+            lines.append("        " + " ".join(cells[lo:lo + 4]))
+        lines.append("    ),")
+    lines.append(")")
+    return "\n".join(lines) + "\n"
 
 
 def per_step_panel_eval(panel_coeffs, nu0, nus):
@@ -383,7 +528,7 @@ def per_step_panel_eval(panel_coeffs, nu0, nus):
 
 
 def taylor_sub_panels(panel_coeffs, sub_panels, degree):
-    """`smoothing._sub_panel_table`'s coefficients by another route: the
+    """`smoothing._sub_panel_polynomials`'s coefficients by another route: the
     Taylor coefficients p^(k)(x_j) / (k! sub_panels^k) of each panel series
     p at every sub-panel centre x_j from numpy's chebder and chebval, in
     t in [-1, 1] across the sub-panel; t^k, k > degree, economized top down
@@ -414,3 +559,12 @@ def unseeded_bessel_ratio(nu, r):
         out = _ratio_upward(nu, ra)
     out[series] = _ratio_series(nu, ra[series])
     return out
+
+
+if __name__ == "__main__":
+    # rewrites the checked-in J_ref table (see jref_module_text)
+    import weyl_lab._jref_table
+
+    text = jref_module_text(*reference_j_table())
+    with open(weyl_lab._jref_table.__file__, "w") as module:
+        module.write(text)

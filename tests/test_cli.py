@@ -13,7 +13,6 @@ from click.testing import CliRunner
 
 import weyl_lab
 from oracles import cell_text, cellwise_csv_bytes, record_passes
-from weyl_lab import smoothing
 from weyl_lab.cli import csv_bytes, fmt, main, parse_grid, parse_manifold
 from weyl_lab.errors import DomainError
 from weyl_lab.manifolds import FlatTorus, RoundSphere2
@@ -64,6 +63,9 @@ def test_parse_grid_variants():
         parse_grid("1:2")
     with pytest.raises(DomainError):
         parse_grid("0:2:5:log")
+    # a one-point grid still checks its suffix
+    with pytest.raises(DomainError, match="grid suffix must be 'log'"):
+        parse_grid("1:2:1:foo")
 
 
 def test_csv_row_templates_match_the_cellwise_writer():
@@ -123,6 +125,38 @@ def test_resource_cap_exits_3(tmp_path):
     res = run_cli(["eigens", "--manifold", "torus:2:square2pi",
                    "--lambda-grid", "0:1000000:1", "--out", str(tmp_path)])
     assert res.exit_code == 3
+
+
+HUGE = str(10**15)
+
+
+@pytest.mark.parametrize("args,named", [
+    (["eigens", *TORUS_ARGS, "--lambda-grid", "1:2:" + HUGE],
+     "the grid '1:2:%s' holds %s points" % (HUGE, HUGE)),
+    (["kernel", *TORUS_ARGS, "--lambda", "10", "--dist-grid", "0:1:" + HUGE],
+     "the grid '0:1:%s' holds %s points" % (HUGE, HUGE)),
+    (["remainder-scan", *TORUS_ARGS, "--lambda-grid", "30.3:60.3:4:log", "--pairs", HUGE],
+     "--pairs asks for %s pairs" % HUGE),
+    (["randomwave", *TORUS_ARGS, "--mode", "sample", "--lambda", "10", "--samples", HUGE],
+     "--samples asks for %s samples" % HUGE),
+], ids=["eigens-grid", "kernel-dist-grid", "remainder-scan-pairs", "randomwave-samples"])
+def test_oversized_count_exits_3_without_files(tmp_path, args, named):
+    # 10^15 grid points, pairs or samples would ask for 7.1 PiB: the one cap
+    # refuses the count before anything of that size is allocated
+    out = tmp_path / "nothing"
+    res = run_cli(args + ["--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert res.stderr == "resource limit: %s, exceeding the cap 100000000\n" % named
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["1:0:3:log", "1:-5:3:log", "-3:0:1:log"])
+def test_log_grid_with_an_end_at_or_below_zero_exits_2(tmp_path, grid):
+    out = tmp_path / "nothing"
+    res = run_cli(["eigens", *TORUS_ARGS, "--lambda-grid", grid, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "config error: log grid %r needs lo > 0 and hi > 0\n" % grid
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -256,65 +290,6 @@ def test_replay_ignores_the_removed_tol_key(tmp_path):
     assert res.exit_code == 0, res.output
     assert (out1 / "smooth-compare.csv").read_bytes() == \
         (out2 / "smooth-compare.csv").read_bytes()
-
-
-@pytest.fixture
-def fresh_sine_table():
-    """The J table's cache cleared before the test and again after it, so
-    a test builds its own table and no patched table outlives it."""
-    smoothing.sine_integral_table.cache_clear()
-    yield
-    smoothing.sine_integral_table.cache_clear()
-
-
-def test_smooth_compare_exits_1_when_the_sine_table_fails(tmp_path, monkeypatch,
-                                                          fresh_sine_table):
-    # a rule whose value moves with the panel count never passes panel doubling
-    monkeypatch.setattr(smoothing, "_sine_integrals",
-                        lambda nus, n_panels: np.full(nus.size, 1.0 / n_panels))
-    res = run_cli(["smooth-compare", "--manifold", "torus:2:square2pi",
-                   "--lambda-grid", "3:3:1", "--A", "1.0", "--pairs", "2",
-                   "--out", str(tmp_path)])
-    assert res.exit_code == 1
-    assert res.stderr.startswith("numeric failure: sine-integral table did not validate")
-    for field in ("degree=", "nu0=", "panel-doubling residual=",
-                  "trailing coefficients=", "past nu0="):
-        assert field in res.stderr
-    assert not (tmp_path / "smooth-compare.csv").exists()
-
-
-def test_smooth_compare_exits_1_when_the_panel_table_fails(tmp_path, monkeypatch,
-                                                           fresh_sine_table):
-    # degree-20 panels miss the global series by 2.6e-13, so the sub-panels
-    # cut from them miss it by 2.9e-13 and the one check refuses them
-    monkeypatch.setattr(smoothing, "_PANEL_DEGREE", 20)
-    res = run_cli(["smooth-compare", "--manifold", "torus:2:square2pi",
-                   "--lambda-grid", "3:3:1", "--A", "1.0", "--pairs", "2",
-                   "--out", str(tmp_path)])
-    assert res.exit_code == 1
-    assert res.stderr.startswith(
-        "numeric failure: sine-integral sub-panel table did not validate")
-    for field in ("sub-panel count=1540 ", "sub-panel degree=8 ",
-                  "|sub-panel - global series|=", "tolerance=1e-13"):
-        assert field in res.stderr
-    assert not (tmp_path / "smooth-compare.csv").exists()
-
-
-def test_smooth_compare_exits_1_when_the_sub_panel_table_fails(tmp_path, monkeypatch,
-                                                               fresh_sine_table):
-    # degree-3 sub-panels cannot follow the global series to 1e-13
-    monkeypatch.setattr(smoothing, "_SUB_DEGREE", 3)
-    res = run_cli(["smooth-compare", "--manifold", "torus:2:square2pi",
-                   "--lambda-grid", "3:3:1", "--A", "1.0", "--pairs", "2",
-                   "--out", str(tmp_path)])
-    assert res.exit_code == 1
-    assert res.stderr.startswith(
-        "numeric failure: sine-integral sub-panel table did not validate")
-    assert "sub-panel count=1540 " in res.stderr
-    assert "sub-panel degree=3 " in res.stderr
-    for field in ("|sub-panel - global series|=", "tolerance=1e-13"):
-        assert field in res.stderr
-    assert not (tmp_path / "smooth-compare.csv").exists()
 
 
 def test_smooth_compare_with_a_radial_rule_past_the_cap_exits_3(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -14,21 +15,26 @@ from numpy.testing import assert_allclose
 
 import weyl_lab
 from oracles import (
+    JREF_TOL,
+    chebyshev_coefficients,
     clamped_panel,
     full_ball_box,
     images_on_panel,
     images_rounding_scale,
+    jref_module_text,
     mode_sum_projector,
     per_step_panel_eval,
     record_passes,
+    reference_j_table,
     stretched_projector,
+    sub_panel_error,
     taylor_sub_panels,
-    unblocked_sine_integrals,
 )
+from weyl_lab import _jref_table
 from weyl_lab import lattice as lat
 from weyl_lab import smoothing
 from weyl_lab.cli import parse_manifold
-from weyl_lab.errors import DomainError, QuadratureError, ResourceLimitError
+from weyl_lab.errors import DomainError, ResourceLimitError
 from weyl_lab.lattice import Lattice, deck_images, dual_vectors
 from weyl_lab.manifolds import FlatTorus, spectral_function
 from weyl_lab.smoothing import (
@@ -38,10 +44,8 @@ from weyl_lab.smoothing import (
     _SUB_PANELS,
     MollifierSpec,
     SmoothedProjector,
-    _chebyshev_coefficients,
     _composite_gauss_legendre,
     _horner_eval,
-    _series_eval,
     fit_h_constant,
     fit_h_decay,
     h_error,
@@ -57,6 +61,8 @@ SPEC = MollifierSpec.for_manifold(TORUS)  # plateau = pi/2, support = 0.9 pi
 HEX_SPEC = MollifierSpec.for_manifold(FlatTorus(Lattice.hexagonal(1.0)))
 SKEW_SPEC = MollifierSpec.for_manifold(parse_manifold("torus:2:mat:1,0.9;0,0.2"))
 DIAG_SPEC = MollifierSpec.for_manifold(parse_manifold("torus:3:diag:6.283,7.1,8.86"))
+# the checked-in J_ref panel table: (25, 77)
+PANELS = np.array(_jref_table.PANEL_COEFFS)
 
 
 def _quadrature_multiplier(spec, lam, A, taus):
@@ -225,6 +231,47 @@ def test_sine_integral_table_against_a_dense_reference(spec):
     assert abs(float(reference[171] - np.longdouble(mp.nstr(want, 25)))) <= 3e-15
 
 
+@pytest.fixture(scope="module")
+def reference():
+    """The J_ref table rebuilt by quadrature, DCT and global series:
+    (coeffs, panel_coeffs, record)."""
+    return reference_j_table()
+
+
+def test_checked_in_panel_table_matches_the_quadrature_rebuild(reference):
+    # bit equality with a rebuild is not portable (BLAS and libm move the
+    # rebuild's last bits across hosts), so the gap is held to the 1e-13
+    # validation tolerance: measured 0 on x86-64 with numpy 2.4 and OpenBLAS
+    coeffs, panels, record = reference
+    assert _jref_table.NU0 == 945.0
+    assert PANELS.shape == panels.shape == (25, 77)
+    assert np.max(np.abs(PANELS - panels)) <= JREF_TOL
+    # the writer's float literals read back with the rebuild's bits
+    written = {}
+    exec(jref_module_text(coeffs, panels, record), written)
+    assert written["NU0"] == _jref_table.NU0
+    assert np.array(written["PANEL_COEFFS"]).tobytes() == panels.tobytes()
+
+
+def test_reference_build_validates(reference):
+    # panel doubling, trailing coefficients and |J - pi/2| past nu0:
+    # measured 4.7e-15, 2.1e-16 and 1.1e-14
+    coeffs, _, record = reference
+    assert record["degree"] == coeffs.size - 1 == 615
+    assert record["degree"] >= 0.6 * _jref_table.NU0
+    assert record["panels"] == 360
+    assert max(record["residual"], record["trailing"], record["tail"]) <= JREF_TOL
+
+
+def test_sub_coeffs_bits_are_pinned():
+    # the sub-panels come from the checked-in table by elementwise + - * /
+    # alone, so J has these bits on every host
+    sub = sine_integral_table().sub_coeffs
+    assert sub.shape == (_SUB_DEGREE + 1, _SUB_PANELS * PANELS.shape[1]) == (9, 1540)
+    digest = hashlib.sha256(sub.astype("<f8").tobytes()).hexdigest()
+    assert digest == "3585a5d37c517c57ec06f97b60ea086ef109b0fc8695d7875ba79b799d7020c0"
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is float64 here")
 def test_chebyshev_coefficients_against_the_dct_sum():
     # the DCT-II's defining sum over n, c_0 halved, with the angles and the
@@ -239,27 +286,26 @@ def test_chebyshev_coefficients_against_the_dct_sum():
         cosines = np.cos(pi * np.multiply.outer(k, 2 * k + 1).astype(np.longdouble) / (2 * n))
         want = 2 * (values.astype(np.longdouble) @ cosines.T) / n
         want[..., 0] /= 2
-        got = _chebyshev_coefficients(values)
+        got = chebyshev_coefficients(values)
         assert got.shape == values.shape, n
         assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want)), n
 
 
 @pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
-def test_panel_table_at_panel_edges(spec):
+def test_panel_table_at_panel_edges(reference, spec):
     # every panel edge and one ulp either side, 0, nu0 - 1 ulp and nu0:
     # within 1e-12 of the spec's quadrature oracle at nu / support and
     # 1e-13 of the global series
     table = sine_integral_table()
-    n_panels = table.panel_coeffs.shape[1]
+    n_panels = PANELS.shape[1]
     edges = table.nu0 * np.arange(1, n_panels) / n_panels
     nus = np.concatenate([[0.0, np.nextafter(table.nu0, 0.0), table.nu0], edges,
                           np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
     got = table(nus)
     want = _quadrature_sine_integral(spec, nus / spec.support)
     assert_allclose(got, want, rtol=0, atol=1e-12)
-    assert np.max(np.abs(got - chebval(2.0 * nus / table.nu0 - 1.0, table.coeffs))) <= 1e-13
+    assert np.max(np.abs(got - chebval(2.0 * nus / table.nu0 - 1.0, reference[0]))) <= 1e-13
     assert got[2] == np.pi / 2
-    assert not table.panel_coeffs.flags.writeable
 
 
 def _sub_panel_probes(table, rng, spec):
@@ -279,25 +325,21 @@ def test_sub_panel_table_against_the_panel_oracle(spec):
     # the Horner sub-panels follow the Clenshaw panels they are cut from:
     # measured 4.0e-15 on both
     table = sine_integral_table()
-    n_panels = table.panel_coeffs.shape[1]
-    assert table.sub_coeffs.shape == (_SUB_DEGREE + 1, _SUB_PANELS * n_panels)
     nus = _sub_panel_probes(table, np.random.default_rng(41), spec)
-    want = per_step_panel_eval(table.panel_coeffs, table.nu0, nus)
+    want = per_step_panel_eval(PANELS, table.nu0, nus)
     assert np.max(np.abs(table(nus) - want)) <= 1e-14
-    assert table.sub_error <= 1e-13
     assert not table.sub_coeffs.flags.writeable
     with pytest.raises(ValueError):
         table.sub_coeffs[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("degree", [9, 12, 16])
-def test_sub_panel_check_catches_a_bad_panel_table(monkeypatch, degree):
+def test_sub_panel_check_catches_a_bad_panel_table(degree):
     # the sub-panels stay within rounding of the panels they are cut from,
     # so panels too short to follow the global series fail the one check:
     # 2.6e-4, 9.2e-7 and 7.9e-10 from it at degrees 9, 12 and 16 (measured)
-    monkeypatch.setattr(smoothing, "_PANEL_DEGREE", degree)
-    with pytest.raises(QuadratureError, match="sub-panel table did not validate"):
-        sine_integral_table.__wrapped__()
+    coeffs, panels, _ = reference_j_table(panel_degree=degree)
+    assert sub_panel_error(smoothing._sub_panel_polynomials(panels), coeffs) > JREF_TOL
 
 
 @pytest.mark.parametrize("spec", [SPEC, HEX_SPEC], ids=["square", "hex"])
@@ -306,7 +348,7 @@ def test_sub_panel_table_against_the_taylor_oracle(spec):
     # chebval at the sub-panel centres and cheb2poly's economization:
     # coefficients and values within 1.1e-15 on both (measured)
     table = sine_integral_table()
-    oracle = taylor_sub_panels(table.panel_coeffs, _SUB_PANELS, _SUB_DEGREE)
+    oracle = taylor_sub_panels(PANELS, _SUB_PANELS, _SUB_DEGREE)
     assert np.max(np.abs(table.sub_coeffs - oracle)) <= 4e-15
     nus = _sub_panel_probes(table, np.random.default_rng(43), spec)
     assert np.max(np.abs(table(nus) - _horner_eval(oracle, table.nu0, nus))) <= 4e-15
@@ -351,18 +393,11 @@ def test_table_refuses_negative_nu():
     assert table(-0.0) == table(0.0)
 
 
-def test_series_eval_has_chebval_bits():
-    # the global series' one Clenshaw sum runs chebval's order of operations
-    table = sine_integral_table()
-    x = np.concatenate([np.linspace(-1.0, 1.0, 4001), [np.nextafter(-1.0, 0.0)]])
-    assert _series_eval(table.coeffs, x).tobytes() == chebval(x, table.coeffs).tobytes()
-
-
 def test_table_scalar_and_array_calls_agree_bitwise():
     table = sine_integral_table()
     rng = np.random.default_rng(11)
     nus = np.concatenate([rng.uniform(0.0, 1.2 * table.nu0, 300),
-                          table.nu0 * np.arange(8) / table.panel_coeffs.shape[1]])
+                          table.nu0 * np.arange(8) / PANELS.shape[1]])
     got = table(nus)
     assert np.array_equal([float(table(nu)) for nu in nus], got)
     assert np.array_equal(table(nus.reshape(4, -1)).ravel(), got)
@@ -371,20 +406,24 @@ def test_table_scalar_and_array_calls_agree_bitwise():
     assert np.array_equal([multiplier(SPEC, 12.5, 0.4, t) for t in taus], batch)
 
 
-def test_sine_integral_table_is_shared_and_validated():
-    # multipliers on square, hex and 3-D tori read one table
+def test_sine_integral_table_is_shared_and_validated(reference):
+    # multipliers on square, hex and 3-D tori read one table, whose
+    # sub-panels stay within 1e-13 of the global series on the panel edges,
+    # midpoints and one ulp either side of every sub-panel edge (measured
+    # 2.1e-14)
     for name in ("torus:2:square2pi", "torus:2:hex", "torus:3:square2pi"):
         multiplier(MollifierSpec.for_manifold(parse_manifold(name)), 10.0, 0.5, 3.0)
     assert sine_integral_table.cache_info().currsize == 1
     table = sine_integral_table()
     assert sine_integral_table() is table
-    assert max(table.residual, table.trailing, table.tail) <= 1e-13
-    assert table.degree >= 0.6 * table.nu0
+    assert sub_panel_error(table.sub_coeffs, reference[0]) <= JREF_TOL
 
 
 def test_sine_integral_table_not_built_at_import():
-    code = ("import weyl_lab.cli, weyl_lab.smoothing as s; "
-            "assert s.sine_integral_table.cache_info().currsize == 0")
+    # nor is the checked-in table's module imported
+    code = ("import sys, weyl_lab.cli, weyl_lab.smoothing as s; "
+            "assert s.sine_integral_table.cache_info().currsize == 0; "
+            "assert 'weyl_lab._jref_table' not in sys.modules")
     src = os.path.dirname(os.path.dirname(weyl_lab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -395,44 +434,18 @@ TABLE_MANIFOLDS = ["torus:2:square2pi", "torus:2:hex", "torus:2:mat:1,0.9;0,0.2"
                    "torus:3:square2pi"]
 
 
-@pytest.fixture(scope="module")
-def unblocked_table():
-    """The J_ref table built from the one-block quadrature."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(smoothing, "_sine_integrals", unblocked_sine_integrals)
-        return sine_integral_table.__wrapped__()
-
-
 @pytest.mark.parametrize("name", TABLE_MANIFOLDS)
-def test_blocked_sine_integral_table_equals_the_unblocked_build(unblocked_table, name):
-    # power-of-two row blocks keep every row's matrix-vector product on the
-    # bits of the one-block quadrature, and the manifold's multipliers read
-    # that table at (lambda +- tau) support / A
-    table, oracle = sine_integral_table(), unblocked_table
-    assert table.coeffs.tobytes() == oracle.coeffs.tobytes()
-    assert table.panel_coeffs.tobytes() == oracle.panel_coeffs.tobytes()
-    assert table.sub_coeffs.tobytes() == oracle.sub_coeffs.tobytes()
-    assert ((table.residual, table.trailing, table.tail, table.sub_error)
-            == (oracle.residual, oracle.trailing, oracle.tail, oracle.sub_error))
+def test_blocked_sine_integral_table_equals_the_unblocked_build(name):
+    # the manifold's multipliers read the one J_ref table at
+    # (lambda +- tau) support / A, bit for bit
+    table = sine_integral_table()
     spec = MollifierSpec.for_manifold(parse_manifold(name))
     lam, A = 10.0, 0.5
     taus = np.linspace(0.0, 3.0 * lam, 301)
     scale = spec.support / A
-    want = (oracle((lam + taus) * scale)
-            + np.sign(lam - taus) * oracle(np.abs(lam - taus) * scale)) / np.pi
+    want = (table((lam + taus) * scale)
+            + np.sign(lam - taus) * table(np.abs(lam - taus) * scale)) / np.pi
     assert multiplier_batch(spec, lam, A, taus).tobytes() == want.tobytes()
-
-
-def test_sine_integral_table_build_memory():
-    # the one-block quadrature peaked at 55.7 MiB (its 632 x 5760 sine
-    # block and the block's outer product); in row blocks it peaks at 5.8 MiB
-    tracemalloc.start()
-    try:
-        sine_integral_table.__wrapped__()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
 
 
 def test_radial_rule_refusal_allocates_nothing():
