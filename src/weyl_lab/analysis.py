@@ -17,7 +17,6 @@ class FitResult:
     slope: float
     intercept: float
     max_abs_residual: float
-    grid_size: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +48,7 @@ def loglog_fit(xs, ys) -> FitResult:
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
-    return FitResult(float(slope), float(intercept), float(np.max(np.abs(resid))), xs.size)
+    return FitResult(float(slope), float(intercept), float(np.max(np.abs(resid))))
 
 
 def scan_report(lambda_grid, values, normalized=None) -> ScanReport:

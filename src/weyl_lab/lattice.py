@@ -8,13 +8,15 @@ slabs: fixing every coefficient but the last, the ball meets the slab in
 an integer interval read off the quadratic form and settled on the exact
 row norms; the slabs come from a coefficient bounding box derived from
 operator norms.  Rows come in walk order, lexicographic in the
-coefficients; a caller that needs them by norm sorts them itself.
+coefficients; a caller that needs them by norm sorts them itself.  Dual
+enumerations hold only the canonical half, the coefficients that are
+lexicographically >= 0; the period-ball walks take whole balls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,38 +35,32 @@ ON_SPECTRUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Lattice:
-    """An n-dimensional period lattice with its dual (n in {2, 3})."""
+    """An n-dimensional period lattice with its dual (n in {2, 3}), all
+    derived from `basis`, whose columns are period vectors."""
 
-    dim: int
-    basis: np.ndarray        # columns are period vectors
-    dual_basis: np.ndarray   # columns are dual generators, <b_i, b*_j> = 2 pi delta_ij
-    covolume: float
+    basis: np.ndarray
+    dim: int = field(init=False)
+    # columns are dual generators, <b_i, b*_j> = 2 pi delta_ij
+    dual_basis: np.ndarray = field(init=False)
+    covolume: float = field(init=False)
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise DomainError("lattice dim must be 2 or 3, got %r" % (self.dim,))
         b = np.asarray(self.basis, dtype=float)
-        if b.shape != (self.dim, self.dim):
-            raise DomainError("basis must be %dx%d" % (self.dim, self.dim))
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise DomainError("basis must be a square matrix")
+        if b.shape[0] not in (2, 3):
+            raise DomainError("lattice dim must be 2 or 3, got %r" % (b.shape[0],))
         det = np.linalg.det(b)
         if abs(det) < 1e-12:
             raise DomainError("basis is singular")
-        expected_dual = 2.0 * np.pi * np.linalg.inv(b).T
-        if not np.allclose(self.dual_basis, expected_dual, rtol=1e-12, atol=1e-12):
-            raise DomainError("dual_basis is not 2*pi*inv(basis).T")
-        if not np.isclose(self.covolume, abs(det), rtol=1e-12):
-            raise DomainError("covolume does not match |det basis|")
+        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "dim", b.shape[0])
+        object.__setattr__(self, "dual_basis", 2.0 * np.pi * np.linalg.inv(b).T)
+        object.__setattr__(self, "covolume", float(abs(det)))
 
     @classmethod
     def from_basis(cls, basis) -> "Lattice":
-        b = np.asarray(basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise DomainError("basis must be a square matrix")
-        if abs(np.linalg.det(b)) < 1e-12:
-            raise DomainError("basis is singular")
-        dual = 2.0 * np.pi * np.linalg.inv(b).T
-        return cls(dim=b.shape[0], basis=b, dual_basis=dual,
-                   covolume=float(abs(np.linalg.det(b))))
+        return cls(basis)
 
     @classmethod
     def square(cls, period: float, dim: int = 2) -> "Lattice":
@@ -284,12 +280,16 @@ def _lattice_vectors(generator_matrix: np.ndarray, radius: float, inner: float =
     return coeffs, vectors, _column_sum_norms(vectors)
 
 
-def dual_vectors(lattice: Lattice, radius: float, inner: float = -1.0, half: bool = False):
-    """All dual-lattice points with inner < norm <= radius as arrays
-    (coeffs, vectors, norms), in lexicographic coefficient order.  The
-    default inner radius takes the whole ball; `half` keeps the points
-    whose coefficients are lexicographically >= 0, as `_lattice_vectors`."""
-    return _lattice_vectors(lattice.dual_basis, radius, inner, half)
+def dual_vectors(lattice: Lattice, radius: float, inner: float = -1.0):
+    """The canonical half of the dual-lattice points with
+    inner < norm <= radius: the points whose coefficients are
+    lexicographically >= 0, so the origin and one of each pair k, -k, as
+    arrays (coeffs, vectors, norms) in lexicographic coefficient order.
+    The default inner radius takes the whole ball.  k and -k have norms of
+    the same bits, and every use of the dual lattice in this package (real
+    kernels, cos/sin mode pairs, weights W[c] = W[-c]) counts them
+    together."""
+    return _lattice_vectors(lattice.dual_basis, radius, inner, half=True)
 
 
 def injectivity_radius(lattice: Lattice) -> float:

@@ -142,24 +142,25 @@ class EigenLevel:
 
 @dataclass(frozen=True, eq=False)
 class SpectralWindow:
-    """Sqrt-eigenvalues in a window (lo, hi], ascending, with multiplicities
-    and mode data.
+    """Sqrt-eigenvalues in a window (lo, hi], ascending, one row per real
+    eigenspace block, with its dimension as the multiplicity and its mode
+    data.
 
-    Torus: one row per dual point, multiplicity 1, with its dual vector and
-    integer coefficients.  Sphere: one row per degree l, multiplicity 2l+1.
+    Torus: one row per pair of dual points k, -k (the cos/sin pair of
+    e^{+-i<k,x>}), multiplicity 2, with the vector of the canonical half;
+    the origin alone, multiplicity 1.  Sphere: one row per degree l,
+    multiplicity 2l+1.
     """
 
     roots: np.ndarray
     mults: np.ndarray
     degrees: np.ndarray | None = None   # sphere
     vectors: np.ndarray | None = None   # torus
-    coeffs: np.ndarray | None = None    # torus
 
     def __getitem__(self, rows) -> "SpectralWindow":
         """The rows selected by a slice (views, no copy)."""
         return SpectralWindow(*(None if a is None else a[rows] for a in
-                                (self.roots, self.mults, self.degrees,
-                                 self.vectors, self.coeffs)))
+                                (self.roots, self.mults, self.degrees, self.vectors)))
 
     def between(self, lo: float, hi: float) -> "SpectralWindow":
         """The rows with lo < root <= hi (views, found by binary search)."""
@@ -172,9 +173,9 @@ def spectral_window(m: ModelManifold, lo: float, hi: float) -> SpectralWindow:
 
     Membership is exact: a root exactly on hi is inside, a root one ulp
     above it is not.  Torus rows are `lattice.dual_vectors(hi, inner=lo)`,
-    the shell alone, stably sorted by norm from its lexicographic walk
-    order, so in the (norm, coeffs) order of the whole ball and
-    `spectral_window(m, lo, H).between(lo2, hi2)` with lo <= lo2 and
+    the canonical half of the shell alone, stably sorted by norm from its
+    lexicographic walk order, so in the (norm, coeffs) order of the half
+    ball and `spectral_window(m, lo, H).between(lo2, hi2)` with lo <= lo2 and
     hi2 <= H equals `spectral_window(m, lo2, hi2)`.  Sphere degrees are all
     candidates l with sqrt(l(l+1))/R <= hi*R + 1, cut the same way.
     """
@@ -187,33 +188,34 @@ def spectral_window(m: ModelManifold, lo: float, hi: float) -> SpectralWindow:
         ls = np.arange(int(n_candidates))
         ball = SpectralWindow(np.sqrt(ls * (ls + 1.0)) / m.radius, 2 * ls + 1, degrees=ls)
     else:
-        coeffs, vectors, norms = lat.dual_vectors(m.lattice, hi, inner=lo)
+        _, vectors, norms = lat.dual_vectors(m.lattice, hi, inner=lo)
         # np.take, faster than fancy indexing; each array freed once sorted
         order = np.argsort(norms, kind="stable")
         norms = np.take(norms, order)
-        coeffs = np.take(coeffs, order, axis=0)
         vectors = np.take(vectors, order, axis=0)
-        ball = SpectralWindow(norms, np.ones(norms.size, dtype=np.int64),
-                              vectors=vectors, coeffs=coeffs)
+        # only the origin has norm 0, and it has no partner -k
+        ball = SpectralWindow(norms, np.where(norms > 0.0, 2, 1), vectors=vectors)
     return ball.between(lo, hi)
 
 
 def eigenlevels(m: ModelManifold, lambda_max: float):
     """All eigenvalue levels with sqrt-eigenvalue <= lambda_max, ascending.
 
-    Torus dual points join one level while each norm exceeds the previous
-    one by at most ON_SPECTRUM_TOL * (1 + norm).
+    A level's multiplicity is the sum of its window rows'.  Each sphere
+    degree is a level; torus rows join one level while each norm exceeds
+    the previous one by at most ON_SPECTRUM_TOL * (1 + norm).
     """
     if lambda_max <= 0.0:
         raise DomainError("lambda_max must be positive")
     win = spectral_window(m, -1.0, lambda_max)
-    if isinstance(m, RoundSphere2):
-        return [EigenLevel(r, k) for r, k in zip(win.roots.tolist(), win.mults.tolist())]
     norms = win.roots
-    breaks = np.diff(norms) > ON_SPECTRUM_TOL * (1.0 + norms[1:])
-    starts = np.flatnonzero(np.concatenate(([True], breaks)))
-    stops = np.append(starts[1:], norms.size)
-    return [EigenLevel(float(norms[a]), int(b - a)) for a, b in zip(starts, stops)]
+    if isinstance(m, RoundSphere2):
+        starts = np.arange(norms.size)  # a level per degree
+    else:
+        breaks = np.diff(norms) > ON_SPECTRUM_TOL * (1.0 + norms[1:])
+        starts = np.flatnonzero(np.concatenate(([True], breaks)))
+    mults = np.add.reduceat(win.mults, starts)
+    return [EigenLevel(r, k) for r, k in zip(norms[starts].tolist(), mults.tolist())]
 
 
 def sphere_angle(m: RoundSphere2, x, y):
@@ -367,18 +369,16 @@ def _slab_window_sums(m: FlatTorus, phases, runs, d: DerivIndex):
     return (-1.0) ** sum(alpha) * np.sum(terms, axis=1) / m.lattice.covolume
 
 
-def _sphere_window_sums(m: RoundSphere2, windows, xs, ys) -> np.ndarray:
+def _sphere_window_sums(m: RoundSphere2, first, stop, xs, ys) -> np.ndarray:
     """Level sums sum_l (2l+1)/vol P_l(cos angle) over each window's
-    degrees, shape (L, P).  One ascent of legendre_p's recurrence serves
-    every window: it starts from P_1 = legendre_p(1, .) on |cos angle| and
-    takes one `legendre_step` per degree, the odd degrees taking the sign
-    of the cosine, so every P_l is legendre_p(l, .) bit for bit at O(1)
-    cost.  Each window accumulates its own degrees from 0.0 in ascending
+    degrees first[i] <= l < stop[i], shape (L, P).  One ascent of
+    legendre_p's recurrence serves every window: it starts from
+    P_1 = legendre_p(1, .) on |cos angle| and takes one `legendre_step`
+    per degree, the odd degrees taking the sign of the cosine, so every P_l
+    is legendre_p(l, .) bit for bit at O(1) cost.  Each window accumulates its own degrees from 0.0 in ascending
     order, exactly as a per-window loop."""
     cosines, sign = legendre_fold(np.cos(sphere_angle(m, xs, ys)))
-    first = np.array([w.degrees[0] if w.degrees.size else 0 for w in windows])
-    stop = np.array([w.degrees[-1] + 1 if w.degrees.size else 0 for w in windows])
-    totals = np.zeros((len(windows), cosines.size))
+    totals = np.zeros((first.size, cosines.size))
     p = legendre_p(1, cosines)
     d = p - 1.0
     for l in range(int(stop.max())):
@@ -431,8 +431,11 @@ def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam:
             near = np.minimum(np.abs(ball.roots[right] - highs),
                               np.abs(ball.roots[np.maximum(right - 1, 0)] - highs))
             _check_off_spectrum(highs, near)
-        values = _sphere_window_sums(
-            m, [ball.between(lo, hi) for lo, hi in zip(lows, highs)], xs, ys)
+        # the ball's rows are the degrees 0, 1, ..., so each window's
+        # degrees are the rows lo < root <= hi, as `between` finds them
+        first, stop = (np.searchsorted(ball.roots, ends, side="right")
+                       for ends in (lows, highs))
+        values = _sphere_window_sums(m, first, stop, xs, ys)
     else:
         G = m.lattice.dual_basis
         prefixes = lat.slab_prefixes(G, reach)

@@ -2,9 +2,10 @@
 ensembles, empirical vs exact covariance, and the universal Bessel limit of
 the rescaled covariance.
 
-Torus ensembles sample cos/sin mode pairs over the window's dual points;
-sphere ensembles sample an explicit real orthonormal basis per level
-(spherical-harmonic-normalized associated Legendre functions).
+Torus ensembles sample a cos/sin mode pair per window row, one row per
+pair of dual points k, -k; sphere ensembles sample an explicit real
+orthonormal basis per level (spherical-harmonic-normalized associated
+Legendre functions).
 """
 
 from __future__ import annotations
@@ -91,42 +92,35 @@ class RandomWaveEnsemble:
         return self.lam ** ((1 - n) / 2.0)
 
     @functools.cached_property
-    def _modes(self):
-        """Torus: the canonical half of the window's dual points (first
-        nonzero coefficient positive), each giving a cos/sin pair; sphere:
-        the window's degrees."""
+    def _window(self):
+        """The window's rows, each a real eigenspace block: a torus row is
+        a cos/sin pair of its canonical dual point, a sphere row a level."""
         win = spectral_window(self.manifold, self.lam, self.lam + self.width)
         if win.roots.size == 0:
             raise DomainError("spectral window (%g, %g] holds no modes"
                               % (self.lam, self.lam + self.width))
-        if isinstance(self.manifold, FlatTorus):
-            c = win.coeffs
-            first_nonzero = c[np.arange(c.shape[0]), np.argmax(c != 0, axis=1)]
-            return "torus", win.vectors[first_nonzero > 0]
-        return "sphere", win.degrees.tolist()
+        return win
 
     @property
     def mode_count(self) -> int:
-        kind, data = self._modes
-        if kind == "torus":
-            return 2 * data.shape[0]
-        return sum(2 * l + 1 for l in data)
+        return int(self._window.mults.sum())
 
     def mode_values(self, points) -> np.ndarray:
         """Orthonormal eigenfunction values, shape (mode_count, n_points).
         Torus ordering: (cos, sin) per canonical dual point; sphere: levels
         ascending, m-blocks as in the level basis."""
-        kind, data = self._modes
+        win = self._window
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if kind == "torus":
+        if isinstance(self.manifold, FlatTorus):
             covol = self.manifold.lattice.covolume
-            phases = data @ pts.T
+            phases = win.vectors @ pts.T
             amp = np.sqrt(2.0 / covol)
-            vals = np.empty((2 * data.shape[0], pts.shape[0]))
+            vals = np.empty((2 * win.vectors.shape[0], pts.shape[0]))
             vals[0::2] = amp * np.cos(phases)
             vals[1::2] = amp * np.sin(phases)
             return vals
-        blocks = [_sphere_level_basis_values(l, self.manifold.radius, pts) for l in data]
+        blocks = [_sphere_level_basis_values(l, self.manifold.radius, pts)
+                  for l in win.degrees.tolist()]
         return np.vstack(blocks)
 
     def coefficients(self, sample_indices) -> np.ndarray:

@@ -27,13 +27,16 @@ contributes the radial integral (2pi)^{-n} int m(r) r^{n-1} S_n(r |w|) dr.
 Their equality is Poisson summation (exact on flat tori by finite
 propagation speed), which the tests exercise as an oracle.  The mode sum is
 separable: a dual point is k = G c with c an integer vector, so
-<k, y - x> = <c, theta> with theta = G^T (y - x).  The weights m(|G c|) are
-kept on the coefficient box of the tail ball (zero outside the ball) and
-contracted one axis at a time with per-axis tables exp(i c_j theta_j) for
-every pair at once, which takes O(n M P) trig evaluations for box
-half-width M and P pairs instead of one cosine per mode and pair.  The
-images side enumerates the period lattice once per call and evaluates the
-radial kernel of every image of every pair in one pass.
+<k, y - x> = <c, theta> with theta = G^T (y - x).  |G c| and |G (-c)| have
+the same bits, so the weights W[c] = m(|G c|) are kept on the canonical
+half of the tail ball, the c that are lexicographically >= 0, in a half box
+c_1 >= 0 (zero elsewhere), and the sum is twice the real part of the half
+sum less the origin's weight.  The box is contracted one axis at a time
+with per-axis tables exp(i c_j theta_j) for every pair at once, which takes
+O(n M P) trig evaluations for box half-width M and P pairs instead of one
+cosine per mode and pair.  The images side enumerates the period lattice
+once per call and evaluates the radial kernel of every image of every pair
+in one pass.
 
 The radial rule is sized by band limit: m(r) = int g(t) e^{itr} dt is the
 transform of g(t) = rho_hat(At) sin(t lambda)/(pi t), supported in
@@ -53,13 +56,10 @@ Memory stays bounded at any size.  J values and the images side's radial
 kernel are evaluated in blocks of about _BLOCK_VALUES values.  The weight
 box is filled from dual-lattice shells at radii R (k/K)^{1/n}, k = 1..K, K
 chosen so that a shell of the whole ball holds about _SHELL_ROWS rows (ball
-volume over covolume).  A shell enumerates only its canonical half, the c
-that are lexicographically >= 0, so about _SHELL_ROWS / 2 rows, and each
-weight goes to W[c] and W[-c]: |G c| and |G (-c)| have the same bits, so
-the box has the bits of the whole ball's fill.  Besides the box only one half shell's rows are
-held at a time.  A row within rounding of a shell edge may come in twice,
-with the same weight both times, so the box has the bits of a one-shell
-fill.
+volume over covolume), so its canonical half about _SHELL_ROWS / 2.
+Besides the box only one half shell's rows are held at a time.  A row
+within rounding of a shell edge may come in twice, with the same weight
+both times, so the box has the bits of a one-shell fill.
 """
 
 from __future__ import annotations
@@ -369,18 +369,21 @@ class SmoothedProjector:
         lat.check_cap(nodes, "the radial rule of the images side (A=%g, image radius %.6g) "
                       "holds %.12g nodes" % (A, self.image_radius, nodes))
 
-        # spectral side: W[c] = m(|G c|) on the coefficient box of the tail
-        # ball, 0 outside the ball, with one multiplier evaluation per
-        # distinct dual norm of each shell.  |G c| and |G (-c)| have the same
-        # bits, so each shell enumerates only its half c >= 0 and writes
-        # every weight to W[c] and W[-c].  The box is checked against the
-        # cap before anything is enumerated or allocated.
+        # spectral side: W[c] = m(|G c|) on the canonical half of the tail
+        # ball, 0 elsewhere, with one multiplier evaluation per distinct
+        # dual norm of each shell, in the half box 0 <= c_1 <= M_1,
+        # |c_j| <= M_j.  The box is checked against the cap before anything
+        # is enumerated or allocated.
         half = lat.coefficient_box(m.lattice.dual_basis, self.tail_radius)
-        size = lat.box_size(half)
-        lat.check_cap(size, "the weight box of the spectral tail ball (radius %.6g, lambda=%g, "
-                      "A=%g) holds %.12g coefficients" % (self.tail_radius, lam, A, size))
+        with np.errstate(over="ignore"):
+            size = (half[0] + 1.0) * lat.box_size(half[1:])
+        lat.check_cap(size, "the weight box of the spectral tail ball's half (radius %.6g, "
+                      "lambda=%g, A=%g) holds %.12g coefficients"
+                      % (self.tail_radius, lam, A, size))
         self._half = half.astype(np.int64)
-        self._box = np.zeros(tuple(2 * self._half + 1))
+        # the box index of c is c + offset
+        self._offset = np.concatenate([[0], self._half[1:]])
+        self._box = np.zeros(tuple(self._half + self._offset + 1))
         # about _SHELL_ROWS rows a shell of the whole ball (so half of them
         # enumerated), the ball's rows predicted as its volume over the dual
         # covolume
@@ -391,16 +394,13 @@ class SmoothedProjector:
         radii[-1] = self.tail_radius
         inner = -1.0  # the first shell is the ball of radius radii[0]
         for outer in radii.tolist():
-            coeffs, vectors, norms = lat.dual_vectors(m.lattice, outer, inner, half=True)
+            coeffs, vectors, norms = lat.dual_vectors(m.lattice, outer, inner)
             del vectors  # the box needs only the coefficients and norms
             distinct, inverse = np.unique(norms, return_inverse=True)
             del norms
             weights = multiplier_batch(spec, lam, A, distinct)[inverse]
             del inverse
-            coeffs += self._half
-            self._box[tuple(coeffs.T)] = weights
-            # the box index of -c is 2 half - (c + half)
-            np.subtract(2 * self._half, coeffs, out=coeffs)
+            coeffs += self._offset
             self._box[tuple(coeffs.T)] = weights
             del coeffs, weights
             inner = outer
@@ -411,23 +411,25 @@ class SmoothedProjector:
     def spectral(self, x, y):
         """Multiplier-weighted mode sum (1/covol) sum m(|k|) cos<k, y-x>.
 
-        With k = G c and theta = G^T (y - x), <k, y - x> = <c, theta>, so the
-        sum is Re sum_c W[c] prod_j exp(i c_j theta_j).  The weight box is
-        contracted one axis at a time, last axis first, with per-axis phase
-        tables for every pair at once: one matrix product on the last axis,
-        then one weighted sum per remaining axis.
+        With k = G c and theta = G^T (y - x), <k, y - x> = <c, theta>, and
+        W[c] = W[-c], so the sum is 2 Re S - W[0] with S the half box's
+        sum_c W[c] prod_j exp(i c_j theta_j).  The half box is contracted
+        one axis at a time, last axis first, with per-axis phase tables for
+        every pair at once: one matrix product on the last axis, then one
+        weighted sum per remaining axis.
         """
         xs, ys, many = point_pairs(x, y)
         thetas = (ys - xs) @ self.manifold.lattice.dual_basis
-        tables = [np.exp(1j * np.multiply.outer(np.arange(-h, h + 1), theta))
-                  for h, theta in zip(self._half, thetas.T)]
+        tables = [np.exp(1j * np.multiply.outer(np.arange(-low, h + 1), theta))
+                  for low, h, theta in zip(self._offset, self._half, thetas.T)]
         last = tables[-1]
         flat = self._box.reshape(-1, last.shape[0]) @ np.hstack([last.real, last.imag])
         p = thetas.shape[0]
         acc = (flat[:, :p] + 1j * flat[:, p:]).reshape(self._box.shape[:-1] + (p,))
         for table in reversed(tables[:-1]):
             acc = np.einsum("...jp,jp->...p", acc, table)
-        values = acc.real / self.manifold.lattice.covolume
+        origin = self._box[tuple(self._offset)]
+        values = (2.0 * acc.real - origin) / self.manifold.lattice.covolume
         return values if many else float(values[0])
 
     def images(self, x, y):

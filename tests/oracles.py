@@ -5,9 +5,10 @@ near its threshold, the per-level sphere loop, the per-point Weyl leading
 term and Bessel prediction with the per-pair candidate search of
 `torus_log`, its coefficient-box array search that the period-ball walk
 replaced, the cell-by-cell CSV writer with its own per-type cell text,
-the smoothed projector's per-mode spectral sum, its weight box filled
-from whole balls (the half-ball fill replaced it) and its images side on
-a radial rule of any panel width, with the clamped width the band-limit
+the smoothed projector's per-mode spectral sum, the canonical half of its
+weight box filled from whole balls (the half-ball fill replaced it) and
+its images side on a radial rule of any panel width, with the clamped
+width the band-limit
 rule replaced, a projector with a stretched spectral tail, the J_ref
 table built by quadrature, DCT and global series (the route that wrote
 the checked-in `weyl_lab._jref_table`), its validation and the writer of
@@ -46,6 +47,13 @@ def box_lattice_vectors(generator_matrix, radius):
     order = np.lexsort(tuple(coeffs[:, j] for j in range(coeffs.shape[1] - 1, -1, -1))
                        + (norms,))
     return coeffs[order], vectors[order], norms[order]
+
+
+def canonical_half(coeffs):
+    """Which rows of an (N, d) coefficient array lie in the canonical half:
+    the origin and the rows whose first nonzero coefficient is positive."""
+    first = coeffs[np.arange(coeffs.shape[0]), np.argmax(coeffs != 0, axis=1)]
+    return first >= 0
 
 
 def full_slab_ends(generator_matrix, prefixes, threshold, form=None):
@@ -257,13 +265,12 @@ def cellwise_csv_bytes(header, rows):
 def mode_sum_projector(sp, x, y):
     """The smoothed projector's spectral side as the per-mode sum the weight
     box replaced: (1/covol) sum_k m(|k|) cos<k, y - x> over the dual points
-    of the tail ball, one weight per mode from `np.unique` of the norms.
-    Also returns (1/covol) sum |m|, the scale its rounding is measured
-    against."""
-    from weyl_lab.lattice import dual_vectors
+    of the tail ball, enumerated whole from its coefficient box, one weight
+    per mode from `np.unique` of the norms.  Also returns
+    (1/covol) sum |m|, the scale its rounding is measured against."""
     from weyl_lab.smoothing import multiplier_batch
 
-    _, vectors, norms = dual_vectors(sp.manifold.lattice, sp.tail_radius)
+    _, vectors, norms = box_lattice_vectors(sp.manifold.lattice.dual_basis, sp.tail_radius)
     uniq, inverse = np.unique(norms, return_inverse=True)
     weights = multiplier_batch(sp.spec, sp.lam, sp.A, uniq)[inverse]
     phases = vectors @ (np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
@@ -305,13 +312,15 @@ def clamped_panel(sp):
 
 
 def full_ball_box(sp):
-    """The weight box of `sp` filled from the whole ball of each shell (the
-    half-ball fill replaced it): the shells of the build, every row of a
-    shell enumerated, one multiplier evaluation per distinct norm, and each
-    weight written to its own row's coefficients."""
+    """The canonical half of the whole weight box of `sp` filled from the
+    whole ball of each shell (the half-ball fill replaced it): the shells
+    of the build, every row of a shell enumerated by the whole-ball walk,
+    one multiplier evaluation per distinct norm, and each weight written to
+    its own row's coefficients; then the part c_1 >= 0 with the plane
+    c_1 = 0 cut to its c lexicographically >= 0."""
     import math
 
-    from weyl_lab.lattice import dual_vectors
+    from weyl_lab.lattice import _lattice_vectors
     from weyl_lab.smoothing import _SHELL_ROWS, multiplier_batch
 
     lattice, n = sp.manifold.lattice, sp.manifold.dim
@@ -319,15 +328,20 @@ def full_ball_box(sp):
     shells = math.ceil(ball / abs(np.linalg.det(lattice.dual_basis)) / _SHELL_ROWS)
     radii = sp.tail_radius * (np.arange(1, shells + 1) / shells) ** (1.0 / n)
     radii[-1] = sp.tail_radius
-    box = np.zeros_like(sp._box)
+    box = np.zeros(tuple(2 * sp._half + 1))
     inner = -1.0
     for outer in radii.tolist():
-        coeffs, _, norms = dual_vectors(lattice, outer, inner)
+        coeffs, _, norms = _lattice_vectors(lattice.dual_basis, outer, inner)
         distinct, inverse = np.unique(norms, return_inverse=True)
         box[tuple((coeffs + sp._half).T)] = multiplier_batch(
             sp.spec, sp.lam, sp.A, distinct)[inverse]
         inner = outer
-    return box
+    half = box[sp._half[0]:].copy()
+    # the plane c_1 = 0 in row-major order is lexicographic, the origin in
+    # its middle
+    plane = half[0].reshape(-1)
+    plane[:plane.size // 2] = 0.0
+    return half
 
 
 def images_on_panel(sp, x, y, panel):

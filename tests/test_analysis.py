@@ -249,7 +249,8 @@ def per_lambda_cluster_sup(m, grid, A_rule, d=DerivIndex()):
             values.append(np.cumsum(win.mults / m.volume)[-1])
         else:
             alpha, _ = d.padded(m.dim)
-            mono = np.ones(win.roots.size)
+            # k and -k (a row of multiplicity 2) add the same even monomial
+            mono = win.mults.astype(float)
             for j, a in enumerate(alpha):
                 if a:
                     mono = mono * win.vectors[:, j] ** (2 * a)

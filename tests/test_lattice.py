@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import box_lattice_vectors, box_torus_log, full_slab_ends, per_pair_torus_log
+from oracles import (box_lattice_vectors, box_torus_log, canonical_half, full_slab_ends,
+                     per_pair_torus_log)
 from weyl_lab.cli import parse_manifold
 from weyl_lab.errors import CutLocusError, DomainError, ResourceLimitError
 from weyl_lab.lattice import (
@@ -39,22 +40,27 @@ def brute_count(radius, reach=None):
 
 
 def test_enumerate_dual_unit_radius():
-    # rows in walk order: slab by slab, ascending within a slab
+    # the canonical half in walk order: slab by slab, ascending within a slab
     coeffs, _, norms = dual_vectors(SQUARE2PI, 1.0)
-    assert coeffs.tolist() == [[-1, 0], [0, -1], [0, 0], [0, 1], [1, 0]]
-    assert norms.tolist() == [1.0, 1.0, 0.0, 1.0, 1.0]
+    assert coeffs.tolist() == [[0, 0], [0, 1], [1, 0]]
+    assert norms.tolist() == [0.0, 1.0, 1.0]
 
 
 def test_enumerate_dual_radius_ten_against_brute_force():
     coeffs, _, norms = dual_vectors(SQUARE2PI, 10.0)
-    assert len(norms) == brute_count(10.0) == 317
-    # complete and duplicate-free, in lexicographic coefficient order
+    assert 2 * len(norms) - 1 == brute_count(10.0) == 317
+    # complete and duplicate-free, in lexicographic coefficient order, and
+    # the canonical half: every other ball point is the negative of one
     keys = list(map(tuple, coeffs.tolist()))
-    assert len(set(keys)) == 317 and keys == sorted(keys)
-    # the spectral window orders the same ball by (norm, lexicographic coeffs)
+    assert len(set(keys)) == 159 and keys == sorted(keys)
+    assert {(-a, -b) for a, b in keys} & set(keys) == {(0, 0)}
+    # the spectral window orders the same rows by (norm, lexicographic
+    # coeffs), which on the integer grid are the vectors, each row a pair
+    # k, -k but the origin
     win = spectral_window(FlatTorus(SQUARE2PI), -1.0, 10.0)
-    keys = list(zip(win.roots.tolist(), map(tuple, win.coeffs.tolist())))
-    assert len(keys) == 317 and keys == sorted(keys)
+    keys = list(zip(win.roots.tolist(), map(tuple, win.vectors.tolist())))
+    assert len(keys) == 159 and keys == sorted(keys)
+    assert win.mults.tolist() == [1] + [2] * 158
 
 
 def test_enumerate_dual_small_radius():
@@ -67,15 +73,15 @@ def test_enumeration_cap(monkeypatch):
     monkeypatch.setattr(lat, "ENUM_CAP", 100)
     with pytest.raises(ResourceLimitError):
         dual_vectors(SQUARE2PI, 50.0)
-    # the cap counts the rows returned (317 in the ball, 64 in the shell),
-    # not a bounding box of candidates
-    monkeypatch.setattr(lat, "ENUM_CAP", 317)
-    assert dual_vectors(SQUARE2PI, 10.0)[2].size == 317
-    monkeypatch.setattr(lat, "ENUM_CAP", 316)
-    with pytest.raises(ResourceLimitError, match="317 lattice points, exceeding the cap 316"):
+    # the cap counts the rows returned (159 in the half ball, 32 in the
+    # half shell), not a bounding box of candidates
+    monkeypatch.setattr(lat, "ENUM_CAP", 159)
+    assert dual_vectors(SQUARE2PI, 10.0)[2].size == 159
+    monkeypatch.setattr(lat, "ENUM_CAP", 158)
+    with pytest.raises(ResourceLimitError, match="159 lattice points, exceeding the cap 158"):
         dual_vectors(SQUARE2PI, 10.0)
-    monkeypatch.setattr(lat, "ENUM_CAP", 64)
-    assert dual_vectors(SQUARE2PI, 10.0, inner=9.0)[2].size == 64
+    monkeypatch.setattr(lat, "ENUM_CAP", 32)
+    assert dual_vectors(SQUARE2PI, 10.0, inner=9.0)[2].size == 32
     # torus_log's candidates count too: 3 pairs, each against the 5 periods
     # of the ball of radius 2 |(3, 3)| (plus the tie allowance) they share
     monkeypatch.setattr(lat, "ENUM_CAP", 15)
@@ -85,8 +91,9 @@ def test_enumeration_cap(monkeypatch):
         torus_log(SQUARE2PI, np.zeros((3, 2)), np.full((3, 2), 3.0))
     monkeypatch.undo()
     # far over the cap, a lower bound on the rows refuses before any slab
-    # is built (3-D radius 4000 would need 6.4e7 slabs for the count)
-    with pytest.raises(ResourceLimitError, match=r"at least 2\.675e\+11 lattice points"):
+    # is built (3-D radius 4000 would need 6.4e7 slabs for the count): half
+    # of the 2.675e11 points the cells of the whole ball bound
+    with pytest.raises(ResourceLimitError, match=r"at least 1\.337e\+11 lattice points"):
         dual_vectors(Lattice.square(2.0 * np.pi, dim=3), 4000.0)
     # inner and outer volumes both overflow: the bound is inf - inf = nan
     with pytest.raises(ResourceLimitError, match="at least nan lattice points"):
@@ -112,42 +119,39 @@ def _lexicographic(rows):
 
 @pytest.mark.parametrize("name", list(ENUMERATION_LATTICES))
 def test_dual_vectors_equal_the_box_enumerator(name):
-    # dual_vectors holds the box enumerator's rows in lexicographic
-    # coefficient order, and the spectral window holds them in the box's
-    # (norm, lexicographic) order, both bit for bit
+    # the whole-ball walk holds the box enumerator's rows in lexicographic
+    # coefficient order, dual_vectors their canonical half, and the
+    # spectral window that half in the box's (norm, lexicographic) order
+    # with multiplicity 2 a row but the origin's 1, all bit for bit
     lattice = ENUMERATION_LATTICES[name]
     torus = FlatTorus(lattice)
+    G = lattice.dual_basis
     for radius in (0.5, 3.3, 10.0, 24.0 if lattice.dim == 2 else 14.0):
-        expected = box_lattice_vectors(lattice.dual_basis, radius)
-        got = dual_vectors(lattice, radius)
+        expected = box_lattice_vectors(G, radius)
         norms = expected[2]
         # radii on the largest root and one ulp to either side, and shells
         # whose inner radius sits on a root or beside it
         top, inner = float(norms[-1]), float(norms[norms.size // 2])
-        cases = [(radius, -1.0, expected, got)]
+        cases = [(radius, -1.0, expected)]
         for hi in (top, np.nextafter(top, 0.0), np.nextafter(top, np.inf)):
             if hi > 0.0:
-                cases.append((hi, -1.0, box_lattice_vectors(lattice.dual_basis, hi),
-                              dual_vectors(lattice, hi)))
+                cases.append((hi, -1.0, box_lattice_vectors(G, hi)))
         for lo in (inner, np.nextafter(inner, 0.0), np.nextafter(inner, np.inf)):
             keep = norms > lo
-            cases.append((radius, lo, tuple(a[keep] for a in expected),
-                          dual_vectors(lattice, radius, inner=lo)))
-        for hi, lo, want, have in cases:
-            for a, b in zip(_lexicographic(want), have):
-                assert a.dtype == b.dtype and a.shape == b.shape, (hi, lo)
-                assert a.tobytes() == b.tobytes(), (hi, lo)
+            cases.append((radius, lo, tuple(a[keep] for a in expected)))
+        for hi, lo, want in cases:
+            half = canonical_half(want[0])
+            for rows, have in ((want, _lattice_vectors(G, hi, lo)),
+                               (tuple(a[half] for a in want), dual_vectors(lattice, hi, lo))):
+                for a, b in zip(_lexicographic(rows), have):
+                    assert a.dtype == b.dtype and a.shape == b.shape, (hi, lo)
+                    assert a.tobytes() == b.tobytes(), (hi, lo)
             # the box takes a 1e-15 relative slack past hi, the window none
             win = spectral_window(torus, lo, hi)
-            inside = want[2] <= hi
-            for a, b in zip(want, (win.coeffs, win.vectors, win.roots)):
-                assert a[inside].tobytes() == b.tobytes(), (hi, lo)
-
-
-def _canonical_half(coeffs):
-    """Rows whose first nonzero coefficient is positive, and the origin."""
-    first = coeffs[np.arange(coeffs.shape[0]), np.argmax(coeffs != 0, axis=1)]
-    return first >= 0
+            inside = half & (want[2] <= hi)
+            assert want[1][inside].tobytes() == win.vectors.tobytes(), (hi, lo)
+            assert want[2][inside].tobytes() == win.roots.tobytes(), (hi, lo)
+            assert win.mults.tolist() == [2 if c.any() else 1 for c in want[0][inside]]
 
 
 HALF_LATTICES = {"square2pi": SQUARE2PI, "hex": Lattice.hexagonal(1.0),
@@ -157,21 +161,24 @@ HALF_LATTICES = {"square2pi": SQUARE2PI, "hex": Lattice.hexagonal(1.0),
 
 @pytest.mark.parametrize("name", list(HALF_LATTICES))
 def test_half_ball_is_the_canonical_half_of_the_full_call(name):
+    # the canonical half of the box enumerator's ball, bit for bit
     lattice = HALF_LATTICES[name]
+    G = lattice.dual_basis
     # the zero slab holds the multiples of the last dual generator: inner
     # balls past its length cut that slab, on a norm and one ulp off it
-    edge = float(np.linalg.norm(lattice.dual_basis[:, -1]))
+    edge = float(np.linalg.norm(G[:, -1]))
     radius = max(40.0, 6.0 * edge) if lattice.dim == 2 else 14.0
-    norms = np.sort(dual_vectors(lattice, radius)[2])
+    norms = np.sort(box_lattice_vectors(G, radius)[2])
     mid = float(norms[norms.size // 2])
     assert mid > 2.0 * edge
     cases = [(r, -1.0) for r in (0.5, edge, 3.3, radius)]
     cases += [(radius, lo) for lo in (0.0, edge, np.nextafter(edge, 0.0), 2.5 * edge, mid,
                                       np.nextafter(mid, np.inf))]
     for hi, lo in cases:
-        full = dual_vectors(lattice, hi, inner=lo)
-        half = dual_vectors(lattice, hi, inner=lo, half=True)
-        keep = _canonical_half(full[0])
+        ball = box_lattice_vectors(G, hi)
+        full = _lexicographic(tuple(a[ball[2] > lo] for a in ball))
+        half = dual_vectors(lattice, hi, inner=lo)
+        keep = canonical_half(full[0])
         for want, have in zip(full, half):
             assert want.dtype == have.dtype, (hi, lo)
             assert want[keep].tobytes() == have.tobytes(), (hi, lo)
@@ -187,12 +194,12 @@ def test_half_ball_cap_counts_half_the_rows(monkeypatch):
     # volume bound on the whole ball is pi 8^2 = 201.1 rows, past a cap that
     # the half stays within
     monkeypatch.setattr(lat, "ENUM_CAP", 159)
-    assert dual_vectors(SQUARE2PI, 10.0, half=True)[2].size == 159
+    assert dual_vectors(SQUARE2PI, 10.0)[2].size == 159
     with pytest.raises(ResourceLimitError, match=r"at least 201\.1 lattice points"):
-        dual_vectors(SQUARE2PI, 10.0)
+        _lattice_vectors(SQUARE2PI.dual_basis, 10.0)
     monkeypatch.setattr(lat, "ENUM_CAP", 158)
     with pytest.raises(ResourceLimitError, match="holds 159 lattice points, exceeding the cap 158"):
-        dual_vectors(SQUARE2PI, 10.0, half=True)
+        dual_vectors(SQUARE2PI, 10.0)
 
 
 @pytest.mark.parametrize("name", list(ENUMERATION_LATTICES))
@@ -254,9 +261,8 @@ def test_slab_ends_from_one_form_equal_fresh_calls(name):
 
 
 def shell_count(lattice, lo, hi):
-    # dual points with lo < norm <= hi, read off the enumeration
-    norms = dual_vectors(lattice, hi)[2]
-    return int(np.count_nonzero(norms > lo))
+    # dual points with lo < norm <= hi, the multiplicities of the window
+    return int(spectral_window(FlatTorus(lattice), lo, hi).mults.sum())
 
 
 def test_shell_count_values():
@@ -272,7 +278,7 @@ def test_gauss_count_consistency():
 
 def test_weyl_count_within_five_percent():
     lam = 200.0
-    n = len(dual_vectors(SQUARE2PI, lam)[2])
+    n = shell_count(SQUARE2PI, -1.0, lam)
     continuum = np.pi * lam**2 * SQUARE2PI.covolume / (2.0 * np.pi) ** 2
     assert abs(n / continuum - 1.0) < 0.05
 

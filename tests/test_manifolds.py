@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import (box_lattice_vectors, full_slab_ends, level_loop_sum,
+from oracles import (box_lattice_vectors, canonical_half, full_slab_ends, level_loop_sum,
                      materialised_window_sum)
 from weyl_lab import lattice as lat
 from weyl_lab.cli import parse_manifold
@@ -78,16 +78,19 @@ def test_sphere_window_matches_level_loop(radius, monkeypatch):
 
 
 def test_torus_window_is_the_enumeration_above_lo():
-    # the window holds the enumeration's rows above lo, sorted by (norm,
-    # lexicographic coeffs) as the box enumerator sorts them, bit for bit
+    # the window holds the canonical half of the ball's rows above lo (the
+    # origin, and of each pair k, -k the one whose first nonzero coefficient
+    # is positive), sorted by (norm, lexicographic coeffs) as the box
+    # enumerator sorts them, bit for bit; a pair's row has multiplicity 2
     coeffs, vectors, norms = box_lattice_vectors(TORUS.lattice.dual_basis, 9.0)
     for lo in (-1.0, 0.0, 5.0, np.sqrt(26.0)):
         win = spectral_window(TORUS, lo, 9.0)
         keep = (norms > lo) & (norms <= 9.0)
-        assert win.roots.tobytes() == norms[keep].tobytes()
-        assert win.vectors.tobytes() == vectors[keep].tobytes()
-        assert win.coeffs.tobytes() == coeffs[keep].tobytes()
-        assert np.array_equal(win.mults, np.ones(np.count_nonzero(keep)))
+        half = keep & canonical_half(coeffs)
+        assert win.roots.tobytes() == norms[half].tobytes()
+        assert win.vectors.tobytes() == vectors[half].tobytes()
+        assert win.mults.tolist() == [2 if c.any() else 1 for c in coeffs[half]]
+        assert win.mults.sum() == np.count_nonzero(keep)
 
 
 def test_spectral_function_constant_mode_only():
@@ -349,7 +352,7 @@ def test_window_sliced_from_a_larger_ball_equals_a_fresh_window(case):
     for lo, hi in bounds:
         fresh = spectral_window(m, lo, hi)
         sliced = big.between(lo, hi)
-        for name in ("roots", "mults", "degrees", "vectors", "coeffs"):
+        for name in ("roots", "mults", "degrees", "vectors"):
             a, b = getattr(sliced, name), getattr(fresh, name)
             assert (a is None) == (b is None)
             if a is not None:
@@ -372,7 +375,9 @@ def test_square_torus_window_stops_below_an_integer_norm():
     # not take them in through a relative slack
     win = spectral_window(TORUS, 4.5, np.nextafter(5.0, 0.0))
     assert win.roots.size == 0
-    assert spectral_window(TORUS, 4.5, 5.0).roots.tolist() == [5.0] * 12
+    # the 12 points of norm 5 are 6 rows k, -k
+    at_five = spectral_window(TORUS, 4.5, 5.0)
+    assert at_five.roots.tolist() == [5.0] * 6 and at_five.mults.tolist() == [2] * 6
 
 
 def test_on_spectrum_lambda_inside_a_grid_is_named():

@@ -16,6 +16,8 @@ from numpy.testing import assert_allclose
 import weyl_lab
 from oracles import (
     JREF_TOL,
+    box_lattice_vectors,
+    canonical_half,
     chebyshev_coefficients,
     clamped_panel,
     full_ball_box,
@@ -35,7 +37,7 @@ from weyl_lab import lattice as lat
 from weyl_lab import smoothing
 from weyl_lab.cli import parse_manifold
 from weyl_lab.errors import DomainError, ResourceLimitError
-from weyl_lab.lattice import Lattice, deck_images, dual_vectors
+from weyl_lab.lattice import Lattice, deck_images
 from weyl_lab.manifolds import FlatTorus, spectral_function
 from weyl_lab.smoothing import (
     _GL_NODES,
@@ -525,11 +527,15 @@ def test_multiplier_table_build():
     # deep-inside values are near 1, far-outside near 0
     assert abs(values[0] - 1.0) < 1e-3
     assert abs(values[-1]) < 1e-3
-    # the projector keeps its weights on the coefficient box of the tail
-    # ball: W[c] = m(|G c|) on every ball coefficient, 0 elsewhere
+    # the projector keeps its weights on the half box of the tail ball:
+    # W[c] = m(|G c|) on every coefficient of the ball's canonical half
+    # (the origin and the c whose first nonzero entry is positive), 0
+    # elsewhere, at box index (c_1, c_2 + M_2)
     sp = SmoothedProjector(TORUS, SPEC, 10.0, 0.5)
-    coeffs, _, norms = dual_vectors(TORUS.lattice, sp.tail_radius)
-    index = tuple((coeffs + sp._half).T)
+    coeffs, _, norms = box_lattice_vectors(TORUS.lattice.dual_basis, sp.tail_radius)
+    half = canonical_half(coeffs)
+    coeffs, norms = coeffs[half], norms[half]
+    index = (coeffs[:, 0], coeffs[:, 1] + sp._half[1])
     assert np.array_equal(sp._box[index], multiplier_batch(SPEC, 10.0, 0.5, norms))
     outside = np.ones(sp._box.shape, dtype=bool)
     outside[index] = False
@@ -584,7 +590,9 @@ def test_array_calls_equal_scalar_calls(case):
     for value, x, y in zip(images, xs, ys):
         single = sp.images(x, y)
         assert isinstance(single, float) and value == single
-    scale = float(np.sum(np.abs(sp._box))) / m.lattice.covolume
+    # the sum of |m| over the ball: twice the half box's, less the origin's
+    origin = abs(sp._box[(0, *sp._half[1:])])
+    scale = (2.0 * float(np.sum(np.abs(sp._box))) - origin) / m.lattice.covolume
     spectral = sp.spectral(xs, ys)
     for value, x, y in zip(spectral, xs, ys):
         single = sp.spectral(x, y)
@@ -597,15 +605,16 @@ def test_array_calls_equal_scalar_calls(case):
 
 
 def test_weight_box_over_cap_raises_before_enumerating(monkeypatch):
-    # the box of the lambda 10, A 0.5 tail ball holds (2 * 120 + 1)^2 weights
+    # the half box of the lambda 10, A 0.5 tail ball holds (120 + 1)
+    # (2 * 120 + 1) weights, half the whole box's 58081 rounded up
     passes = record_passes(monkeypatch, TORUS.lattice.dual_basis)
-    monkeypatch.setattr(lat, "ENUM_CAP", 58080)
-    with pytest.raises(ResourceLimitError, match="holds 58081 coefficients"):
+    monkeypatch.setattr(lat, "ENUM_CAP", 29160)
+    with pytest.raises(ResourceLimitError, match="half .* holds 29161 coefficients"):
         SmoothedProjector(TORUS, SPEC, 10.0, 0.5)
     assert passes["dual_vectors"] == []
     assert passes["slabs"] == []
-    monkeypatch.setattr(lat, "ENUM_CAP", 58081)
-    assert SmoothedProjector(TORUS, SPEC, 10.0, 0.5)._box.size == 58081
+    monkeypatch.setattr(lat, "ENUM_CAP", 29161)
+    assert SmoothedProjector(TORUS, SPEC, 10.0, 0.5)._box.size == 29161
 
 
 # (manifold, lambda, A, tail factor of `stretched_projector`), each ball
@@ -650,7 +659,7 @@ def test_shelled_build_memory(monkeypatch):
 
 
 def test_3d_build_peak_over_the_box():
-    # square 2 pi, lambda 6.5, A 0.5 (seven half shells, a 94 MiB box):
+    # square 2 pi, lambda 6.5, A 0.5 (seven half shells, a 47 MiB box):
     # measured 34.6 MiB over the box with the shells' rows in walk order,
     # 41.8 MiB when every shell was sorted by norm and its rows gathered
     m = parse_manifold("torus:3:square2pi")
@@ -666,22 +675,30 @@ def test_3d_build_peak_over_the_box():
 
 
 def test_3d_smooth_compare_peak_rss(tmp_path):
-    # the child's own peak resident set (ru_maxrss from wait4): 258 MiB
-    # with shells, 916 MiB when the whole tail ball was enumerated at once
+    # the child's own peak resident set, the VmHWM of the memory it maps
+    # once exec'd: 128 MiB with the half box, 182 MiB with the whole box,
+    # 258 MiB with whole shells, 916 MiB when the whole tail ball was
+    # enumerated at once.  wait4's ru_maxrss cannot tell: the exec carries
+    # over the spawning process's peak, pytest's own in a full run (290 MiB)
     src = os.path.dirname(os.path.dirname(weyl_lab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    with open(tmp_path / "stderr", "w+") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "weyl_lab.cli", "smooth-compare",
-             "--manifold", "torus:3:square2pi", "--lambda-grid", "6.5:6.5:1", "--A", "0.5",
-             "--pairs", "3", "--out", str(tmp_path / "out")],
-            env=env, stdout=subprocess.DEVNULL, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        err.seek(0)
-        assert proc.returncode == 0, err.read()
-    assert usage.ru_maxrss < 350 * 1024  # KiB on Linux
+    status = tmp_path / "status"
+    # the CLI run as `python -m` runs it, its /proc status kept on the way out
+    wrapper = ("import runpy\n"
+               "try:\n"
+               "    runpy.run_module('weyl_lab.cli', run_name='__main__', alter_sys=True)\n"
+               "finally:\n"
+               "    with open('/proc/self/status') as f, open(%r, 'w') as out:\n"
+               "        out.write(f.read())\n" % str(status))
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, "smooth-compare",
+         "--manifold", "torus:3:square2pi", "--lambda-grid", "6.5:6.5:1", "--A", "0.5",
+         "--pairs", "3", "--out", str(tmp_path / "out")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+    fields = dict(line.split(":", 1) for line in status.read_text().splitlines())
+    assert int(fields["VmHWM"].split()[0]) < 160 * 1024  # kB
 
 
 def test_smoothed_projector_below_first_eigenvalue():
@@ -811,9 +828,18 @@ def test_gauss_legendre_integrates_cos_at_its_reach():
 
 def test_half_ball_box_equals_the_full_ball_fill(rule_case):
     # W[c] = W[-c]: the box filled from the half balls has the bits of the
-    # fill from the whole balls, shell by shell
+    # canonical half of the fill from the whole balls, shell by shell
     sp = rule_case[0]
     assert sp._box.tobytes() == full_ball_box(sp).tobytes()
+
+
+def test_weight_box_is_the_half_box(rule_case):
+    # c_1 runs over [0, M_1] and every other c_j over [-M_j, M_j], M the
+    # coefficient box of the tail ball, so the box is half the whole box
+    sp = rule_case[0]
+    bounds = lat.coefficient_box(sp.manifold.lattice.dual_basis, sp.tail_radius)
+    bounds = bounds.astype(int).tolist()
+    assert sp._box.shape == (bounds[0] + 1, *(2 * b + 1 for b in bounds[1:]))
 
 
 def test_truncation_validated_by_doubling():
