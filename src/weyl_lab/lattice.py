@@ -7,10 +7,12 @@ e^{i<k,x>} with k a dual point and eigenvalue |k|^2.  Every lattice search
 slabs: fixing every coefficient but the last, the ball meets the slab in
 an integer interval read off the quadratic form and settled on the exact
 row norms; the slabs come from a coefficient bounding box derived from
-operator norms.  Rows come in walk order, lexicographic in the
-coefficients; a caller that needs them by norm sorts them itself.  Dual
-enumerations hold only the canonical half, the coefficients that are
-lexicographically >= 0; the period-ball walks take whole balls.
+operator norms; `slab_windows`, the one entry point of that settle, turns
+windows (lo, hi] into runs of rows.  Rows come in walk order,
+lexicographic in the coefficients; a caller that needs them by norm sorts
+them itself.  Dual enumerations hold only the canonical half, the
+coefficients that are lexicographically >= 0; the period-ball walks take
+whole balls.
 """
 
 from __future__ import annotations
@@ -133,8 +135,9 @@ def slab_row_norms(generator_matrix: np.ndarray, prefixes: np.ndarray, last,
     """|G c| for c = (prefix, last + step) per slab and step, a
     (len(steps), S) array, computed exactly as the enumeration computes its
     norms (the same matrix product and `_column_sum_norms`), so the two
-    agree bit for bit.  One coefficient array serves every step."""
-    coeffs = np.empty((prefixes.shape[0], prefixes.shape[1] + 1), dtype=np.int64)
+    agree bit for bit.  One float coefficient array (exact below 2^53; an
+    int64 one is cast in slow buffered chunks) serves every step."""
+    coeffs = np.empty((prefixes.shape[0], prefixes.shape[1] + 1))
     coeffs[:, :-1] = prefixes
     norms = np.empty((len(steps), prefixes.shape[0]))
     for out, step in zip(norms, steps):
@@ -143,10 +146,10 @@ def slab_row_norms(generator_matrix: np.ndarray, prefixes: np.ndarray, last,
     return norms
 
 
-def slab_form(generator_matrix: np.ndarray, prefixes: np.ndarray):
+def _slab_form(generator_matrix: np.ndarray, prefixes: np.ndarray):
     """The prefix-only terms of |G (prefix, t)|^2 = q t^2 + 2 cross t + const
     per slab, as (q, const, vertex) with vertex = -cross / q.  They do not
-    depend on the threshold, so one form serves every `slab_ends` call on
+    depend on the threshold, so one form serves every `_slab_ends` call on
     the same prefixes."""
     q_form = generator_matrix.T @ generator_matrix
     q = q_form[-1, -1]
@@ -155,12 +158,12 @@ def slab_form(generator_matrix: np.ndarray, prefixes: np.ndarray):
     return q, const, -cross / q
 
 
-def slab_ends(generator_matrix: np.ndarray, prefixes: np.ndarray, threshold: float,
-              form=None):
+def _slab_ends(generator_matrix: np.ndarray, prefixes: np.ndarray, threshold: float, form):
     """Per slab, the last coefficients t with |G (prefix, t)| <= threshold:
     the integer interval [a, b], as two int arrays, and the distance from
     threshold to the nearest row norm, exact wherever it is below
-    ON_SPECTRUM_TOL (elsewhere it may be larger).
+    ON_SPECTRUM_TOL (elsewhere it may be larger).  `form` is the prefixes'
+    `_slab_form`.
 
     Only the slabs whose line passes within threshold + ON_SPECTRUM_TOL are
     settled (on the line |G (prefix, t)|^2 >= const - q vertex^2, taken with
@@ -172,10 +175,8 @@ def slab_ends(generator_matrix: np.ndarray, prefixes: np.ndarray, threshold: flo
     rows: by convexity the nearest norm is among the rows a - 1, a, b and
     b + 1, and each of them is a candidate or lies a step beyond an end
     that rounding put next to the threshold, so is never the nearest.
-    `form` is the prefixes' `slab_form`, computed here when not given; a
-    caller with many thresholds passes it once computed.
     """
-    q, const, vertex = slab_form(generator_matrix, prefixes) if form is None else form
+    q, const, vertex = form
     reach2 = (threshold + ON_SPECTRUM_TOL) ** 2
     near = np.flatnonzero(const - q * vertex**2 <= reach2 + 1e-9 * (const + reach2))
     ends_a = np.floor(vertex).astype(np.int64) + 1
@@ -202,23 +203,30 @@ def slab_ends(generator_matrix: np.ndarray, prefixes: np.ndarray, threshold: flo
     return ends_a, ends_b, gap
 
 
-def slab_runs(ends, inner_ends=None):
-    """The rows of each slab inside the ball given by `ends` (the result of
-    `slab_ends`) and, with `inner_ends`, outside that inner ball: runs of
-    consecutive last coefficients, one per slab or two either side of the
-    inner ball.  Returns (slab, start, stop) int arrays of the nonempty
-    runs, in slab order and ascending within a slab (lexicographic order
-    of the rows)."""
-    a, b = ends[:2]
-    # only the slabs with rows in the ball can hold runs
-    slabs = np.flatnonzero(b >= a)
-    if inner_ends is None:
-        return slabs, a[slabs], b[slabs]
-    a_in, b_in = inner_ends[0][slabs], inner_ends[1][slabs]
-    starts = np.stack([a[slabs], b_in + 1], axis=1).ravel()
-    stops = np.stack([a_in - 1, b[slabs]], axis=1).ravel()
-    keep = stops >= starts
-    return np.repeat(slabs, 2)[keep], starts[keep], stops[keep]
+def slab_windows(generator_matrix: np.ndarray, prefixes: np.ndarray, lows, highs):
+    """The runs of every window lows[i] < |G c| <= highs[i] (a low below 0
+    takes the whole ball) on the slabs of `prefixes`, and an (L,) array of
+    each high's distance to the nearest row norm, exact below
+    ON_SPECTRUM_TOL (the on-spectrum guard's).  A window's runs are
+    (slab, start, stop) int arrays of consecutive last coefficients, one
+    run per slab or two either side of the inner ball, in lexicographic
+    row order.  The slab form is built once and each window end settled
+    alone by `_slab_ends`, so a window does not depend on the others."""
+    form = _slab_form(generator_matrix, prefixes)
+    windows, gaps = [], np.empty(len(highs))
+    for i, (low, high) in enumerate(zip(lows, highs)):
+        a, b, gaps[i] = _slab_ends(generator_matrix, prefixes, high, form)
+        # only the slabs with rows in the ball can hold runs
+        slabs = np.flatnonzero(b >= a)
+        if low < 0.0:
+            windows.append((slabs, a[slabs], b[slabs]))
+            continue
+        a_in, b_in, _ = _slab_ends(generator_matrix, prefixes, low, form)
+        starts = np.stack([a[slabs], b_in[slabs] + 1], axis=1).ravel()
+        stops = np.stack([a_in[slabs] - 1, b[slabs]], axis=1).ravel()
+        keep = stops >= starts
+        windows.append((np.repeat(slabs, 2)[keep], starts[keep], stops[keep]))
+    return windows, gaps
 
 
 def _lattice_vectors(generator_matrix: np.ndarray, radius: float, inner: float = -1.0,
@@ -257,10 +265,8 @@ def _lattice_vectors(generator_matrix: np.ndarray, radius: float, inner: float =
         # the prefix box is symmetric and in lexicographic order, so p and
         # -p sit mirrored about the zero prefix in the middle
         prefixes = prefixes[prefixes.shape[0] // 2:]
-    form = slab_form(generator_matrix, prefixes)
-    slab, starts, stops = slab_runs(
-        slab_ends(generator_matrix, prefixes, radius * (1.0 + 1e-15), form),
-        slab_ends(generator_matrix, prefixes, inner, form) if inner >= 0.0 else None)
+    windows, _ = slab_windows(generator_matrix, prefixes, [inner], [radius * (1.0 + 1e-15)])
+    slab, starts, stops = windows[0]
     if half:
         # the zero slab (the first) keeps its last coefficients from 0 upward
         starts[slab == 0] = np.maximum(starts[slab == 0], 0)

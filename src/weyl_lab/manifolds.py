@@ -12,13 +12,13 @@ the values of separate scalar calls bit for bit.  On tori they never
 materialise the dual lattice: fixing every dual coefficient but the last
 splits a window into runs of consecutive points, and each run's sum is a
 Dirichlet kernel (with its beta-derivatives for derivative factors), so a
-(lambda, pair) costs O(lambda^{n-1}) slabs: within a grid each lambda
-settles only the slabs its own ball meets (`lattice.slab_ends`, which also
-gives the on-spectrum guard its distance), and the slab phases are built
-once per call.  These sums match the materialised mode sum to within
-1e-12 of the sum of the mode terms' moduli.  On the sphere one pass over
-the degrees serves every window, on |cos angle| with the odd degrees'
-signs, so antipodal pairs sum the exact P_l(-1) = (-1)^l.
+(lambda, pair) costs O(lambda^{n-1}) slabs: `lattice.slab_windows` turns
+a call's windows into runs, each window end settling only the slabs its
+own ball meets, and gives the on-spectrum guard its distances; the slab
+phases are built once per call.  These sums match the materialised mode
+sum to within 1e-12 of the sum of the mode terms' moduli.  On the sphere
+one pass over the degrees serves every window, on |cos angle| with the
+odd degrees' signs, so antipodal pairs sum the exact P_l(-1) = (-1)^l.
 
 Each model carries its own `dim`, `volume`, `injectivity_radius` and
 `distance(x, y)` (for points or point arrays, as the kernels take them).
@@ -334,8 +334,8 @@ def _slab_phases(m: FlatTorus, prefixes: np.ndarray, xs, ys):
 def _slab_window_sums(m: FlatTorus, phases, runs, d: DerivIndex):
     """The windowed mode sum of d_x^alpha d_y^beta phi_k(x) phi_k(y) for
     every pair, over runs of dual points: `phases` is the `_slab_phases`
-    of the slabs and pairs, `runs` the (slab, start, stop) of
-    `lattice.slab_runs`, and a run holds the points u + t g for
+    of the slabs and pairs, `runs` one window's (slab, start, stop) from
+    `lattice.slab_windows`, and a run holds the points u + t g for
     start <= t <= stop, u the part of its slab's prefix and g the last
     dual generator.
 
@@ -411,9 +411,9 @@ def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam:
     """The exact mode sum over every window (lows[i], highs[i]] and pair: a
     float, or an array of shape (L,), (P,) or (L, P) as the lambda and
     point arguments ask.  One set of slabs (one ball of degrees) out to the
-    largest high serves every window; on tori each window end settles only
-    the slabs whose line passes within it (`lattice.slab_ends`), and the
-    slab phases are built once.
+    largest high serves every window; on tori `lattice.slab_windows` gives
+    each window's runs and the guard's distances, and the slab phases are
+    built once.
 
     With `guard`, every high (a lambda) must be at least ON_SPECTRUM_TOL
     from the spectrum, else SpectrumError names the first that is not; the
@@ -439,16 +439,9 @@ def _window_sums(m: ModelManifold, lows, highs, x, y, d: DerivIndex, scalar_lam:
     else:
         G = m.lattice.dual_basis
         prefixes = lat.slab_prefixes(G, reach)
-        form = lat.slab_form(G, prefixes)
-        # each window keeps its runs, which hold only its nonempty slabs
-        windows, gaps = [], []
-        for lo, hi in zip(lows, highs):
-            outer = lat.slab_ends(G, prefixes, hi, form)
-            inner = lat.slab_ends(G, prefixes, lo, form) if lo >= 0.0 else None
-            windows.append(lat.slab_runs(outer, inner))
-            gaps.append(outer[2])
+        windows, gaps = lat.slab_windows(G, prefixes, lows, highs)
         if guard:
-            _check_off_spectrum(highs, np.array(gaps))
+            _check_off_spectrum(highs, gaps)
         phases = _slab_phases(m, prefixes, xs, ys)
         values = np.array([_slab_window_sums(m, phases, runs, d) for runs in windows])
     if not many:

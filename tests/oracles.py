@@ -1,20 +1,21 @@
 """Slow reference paths kept for the tests: the bounding-box dual-lattice
 enumerator and the materialised torus mode sum that the slab-wise code
-replaced, the settle of every slab that `slab_ends` narrowed to the slabs
-near its threshold, the per-level sphere loop, the per-point Weyl leading
-term and Bessel prediction with the per-pair candidate search of
-`torus_log`, its coefficient-box array search that the period-ball walk
-replaced, the cell-by-cell CSV writer with its own per-type cell text,
-the smoothed projector's per-mode spectral sum, the canonical half of its
-weight box filled from whole balls (the half-ball fill replaced it) and
-its images side on a radial rule of any panel width, with the clamped
-width the band-limit
-rule replaced, a projector with a stretched spectral tail, the J_ref
-table built by quadrature, DCT and global series (the route that wrote
-the checked-in `weyl_lab._jref_table`), its validation and the writer of
-that module, the J panels' Clenshaw recurrence, the J sub-panels'
-polynomials from numpy's Chebyshev derivatives, and `bessel_ratio` with
-its recurrence run on the radii the series serves too."""
+replaced, the settle of every slab that `slab_windows` narrowed to the
+slabs near each threshold, with runs stitched from its ends, the
+per-level sphere loop, the per-point Weyl leading term and Bessel
+prediction with the per-pair candidate search of `torus_log`, its
+coefficient-box array search that the period-ball walk replaced, the
+cell-by-cell CSV writer with its own per-type cell text, the smoothed
+projector's per-mode spectral sum, the canonical half of its weight box
+filled from whole balls (the half-ball fill replaced it) and its images
+side on a radial rule of any panel width, with the clamped width the
+band-limit rule replaced, a projector with a stretched spectral tail, the
+J_ref table built by quadrature, DCT and global series (the route that
+wrote the checked-in `weyl_lab._jref_table`), its validation and the
+writer of that module, the J panels' Clenshaw recurrence, the J
+sub-panels' polynomials from numpy's Chebyshev derivatives, and
+`bessel_ratio` with its recurrence run on the radii the series serves
+too."""
 
 import copy
 import itertools
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from weyl_lab.errors import DomainError
-from weyl_lab.lattice import check_cap, point_pairs, row_norms, slab_form, slab_row_norms
+from weyl_lab.lattice import _slab_form, check_cap, point_pairs, row_norms, slab_row_norms
 from weyl_lab.specfun import (RADIAL_SERIES_SWITCH, _order, _ratio_series, _ratio_upward,
                               bessel_ratio)
 
@@ -57,10 +58,10 @@ def canonical_half(coeffs):
 
 
 def full_slab_ends(generator_matrix, prefixes, threshold, form=None):
-    """`lattice.slab_ends` settled on every slab: (a, b, gap) with the ends
+    """`lattice._slab_ends` settled on every slab: (a, b, gap) with the ends
     of each slab and the exact distance from threshold to the nearest row
     norm, read off the rows a - 1, a, b and b + 1 of every slab."""
-    q, const, vertex = slab_form(generator_matrix, prefixes) if form is None else form
+    q, const, vertex = _slab_form(generator_matrix, prefixes) if form is None else form
     half = np.sqrt(np.maximum(vertex**2 - (const - threshold**2) / q, 0.0))
     lo = np.ceil(vertex - half).astype(np.int64)
     hi = np.floor(vertex + half).astype(np.int64)
@@ -84,6 +85,30 @@ def full_slab_ends(generator_matrix, prefixes, threshold, form=None):
     return a, b, gap
 
 
+def full_slab_windows(generator_matrix, prefixes, lows, highs):
+    """`lattice.slab_windows` settled on every slab by `full_slab_ends`:
+    per window (lows[i], highs[i]] its runs (slab, start, stop), taken as
+    the nonempty ones of the candidates [a, b] (a whole ball) or
+    [a, a_in - 1] and [b_in + 1, b] of every slab, sorted by slab and
+    start, and the exact distance at each high."""
+    form = _slab_form(generator_matrix, prefixes)
+    slabs = np.arange(prefixes.shape[0])
+    windows, gaps = [], []
+    for low, high in zip(lows, highs):
+        a, b, gap = full_slab_ends(generator_matrix, prefixes, high, form)
+        pieces = [(slabs, a, b)]
+        if low >= 0.0:
+            a_in, b_in, _ = full_slab_ends(generator_matrix, prefixes, low, form)
+            pieces = [(slabs, a, a_in - 1), (slabs, b_in + 1, b)]
+        slab, starts, stops = (np.concatenate(column) for column in zip(*pieces))
+        keep = stops >= starts
+        slab, starts, stops = slab[keep], starts[keep], stops[keep]
+        order = np.lexsort((starts, slab))
+        windows.append((slab[order], starts[order], stops[order]))
+        gaps.append(gap)
+    return windows, np.array(gaps)
+
+
 def materialised_window_sum(m, lo, hi, x, y, d):
     """The torus mode sum of d_x^alpha d_y^beta phi_k(x) phi_k(y) over the
     dual points with lo < |k| <= hi, term by term, and the sum of the
@@ -105,15 +130,16 @@ def record_passes(monkeypatch, dual_basis):
     "dual_vectors" lists the radii of the enumerations, "slabs" the radius
     of every `slab_prefixes` call on `dual_basis` (each slab-wise kernel or
     count pass, and each enumeration, which runs on slabs too), and
-    "settles" the (threshold, slab count) of every `slab_ends` call on
-    `dual_basis`: how many slabs each window end settles, counted as the
-    slabs its `slab_row_norms` calls take.  Callers assert the keys they
-    are about, so a new key leaves them unchanged."""
+    "settles" the (threshold, slab count) of every `_slab_ends` call on
+    `dual_basis`, which `slab_windows` makes once per window end: how many
+    slabs each end settles, counted as the slabs its `slab_row_norms`
+    calls take.  Callers assert the keys they are about, so a new key
+    leaves them unchanged."""
     import weyl_lab.lattice as lattice
 
     passes = {"dual_vectors": [], "slabs": [], "settles": []}
     dual_vectors, slab_prefixes, slab_ends = (lattice.dual_vectors, lattice.slab_prefixes,
-                                              lattice.slab_ends)
+                                              lattice._slab_ends)
     settled = []
 
     def record_enumeration(*a, **k):
@@ -138,7 +164,7 @@ def record_passes(monkeypatch, dual_basis):
 
     monkeypatch.setattr(lattice, "dual_vectors", record_enumeration)
     monkeypatch.setattr(lattice, "slab_prefixes", record_slabs)
-    monkeypatch.setattr(lattice, "slab_ends", record_settle)
+    monkeypatch.setattr(lattice, "_slab_ends", record_settle)
     monkeypatch.setattr(lattice, "slab_row_norms", record_row_norms)
     return passes
 

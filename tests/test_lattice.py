@@ -14,13 +14,14 @@ from weyl_lab.lattice import (
     Lattice,
     _column_sum_norms,
     _lattice_vectors,
+    _slab_ends,
+    _slab_form,
     deck_images,
     dual_vectors,
     injectivity_radius,
-    slab_ends,
-    slab_form,
     slab_prefixes,
     slab_row_norms,
+    slab_windows,
     torus_distance,
     torus_log,
 )
@@ -204,10 +205,10 @@ def test_half_ball_cap_counts_half_the_rows(monkeypatch):
 
 @pytest.mark.parametrize("name", list(ENUMERATION_LATTICES))
 def test_slab_ends_gap_is_the_nearest_edge_row_norm(name):
-    # the on-spectrum guard reads the gap off slab_ends.  Settled on every
+    # the on-spectrum guard reads the gap off _slab_ends.  Settled on every
     # slab (the oracle), the gap is the nearest of the norms slab_row_norms
     # gives rows a - 1, a, b, b + 1, slab by slab (a whole symmetric box
-    # would hide a wrong hi side).  slab_ends settles only the slabs that
+    # would hide a wrong hi side).  _slab_ends settles only the slabs that
     # come within ON_SPECTRUM_TOL of the threshold: its ends must be the
     # oracle's, and its gap never below the exact one and equal to it below
     # ON_SPECTRUM_TOL, for thresholds on a root, an ulp either side of it,
@@ -215,13 +216,14 @@ def test_slab_ends_gap_is_the_nearest_edge_row_norm(name):
     G = ENUMERATION_LATTICES[name].dual_basis
     radius = 12.0 if G.shape[0] == 2 else 7.0
     prefixes = slab_prefixes(G, radius)
+    form = _slab_form(G, prefixes)
     roots = box_lattice_vectors(G, radius)[2]
     thresholds = [0.0, 0.3, 2.71, radius]
     for root in roots[[1, roots.size // 3, -1]]:
         thresholds += [root, np.nextafter(root, 0.0), np.nextafter(root, np.inf),
                        root - 5e-10, root + 5e-10]
     for threshold in thresholds:
-        a, b, gap = slab_ends(G, prefixes, threshold)
+        a, b, gap = _slab_ends(G, prefixes, threshold, form)
         full_a, full_b, exact = full_slab_ends(G, prefixes, threshold)
         assert a.tobytes() == full_a.tobytes() and b.tobytes() == full_b.tobytes(), threshold
         rows = np.stack([a - 1, a, b, b + 1])
@@ -231,33 +233,61 @@ def test_slab_ends_gap_is_the_nearest_edge_row_norm(name):
         assert np.all(norms[[1, 2]][:, a <= b] <= threshold)
         assert np.all(norms[[0, 3]] > threshold)
         for s in range(prefixes.shape[0]):
-            single = slab_ends(G, prefixes[s:s + 1], threshold)
+            one = prefixes[s:s + 1]
+            single = _slab_ends(G, one, threshold, _slab_form(G, one))
             assert (single[0][0], single[1][0]) == (a[s], b[s])
             nearest = np.min(np.abs(norms[:, s] - threshold))
             assert single[2] >= nearest, (threshold, s)
             assert single[2] == nearest or nearest >= ON_SPECTRUM_TOL, (threshold, s)
-    assert slab_ends(G, prefixes, roots[-1])[2] == 0.0
+    assert _slab_ends(G, prefixes, roots[-1], form)[2] == 0.0
 
 
 @pytest.mark.parametrize("name", list(ENUMERATION_LATTICES))
-def test_slab_ends_from_one_form_equal_fresh_calls(name):
-    # a lambda grid computes the prefix-only terms of the quadratic form
-    # once; every threshold's ends and gap must be those of a call that
-    # computes them itself
+def test_slab_windows_equal_each_window_settled_alone(name):
+    # a grid builds the slab form once and settles every window end on it;
+    # each window's runs and gap must have the bytes of that window settled
+    # by a call of its own, whatever the order of the grid: thresholds
+    # unsorted and repeated, on a root and an ulp either side, an empty
+    # window (lo = hi), lows of -1 (whole balls) mixed with lows >= 0
     G = ENUMERATION_LATTICES[name].dual_basis
     radius = 12.0 if G.shape[0] == 2 else 7.0
     prefixes = slab_prefixes(G, radius)
-    form = slab_form(G, prefixes)
     roots = box_lattice_vectors(G, radius)[2]
-    thresholds = list(np.linspace(0.0, radius, 9)) + [
+    thresholds = np.concatenate((np.linspace(0.0, radius, 9), [
         t for root in roots[[1, roots.size // 2, -1]]
-        for t in (root, np.nextafter(root, 0.0), np.nextafter(root, np.inf))]
-    for threshold in thresholds:
-        shared = slab_ends(G, prefixes, threshold, form)
-        fresh = slab_ends(G, prefixes, threshold)
-        assert shared[0].tobytes() == fresh[0].tobytes(), threshold
-        assert shared[1].tobytes() == fresh[1].tobytes(), threshold
-        assert shared[2] == fresh[2], threshold
+        for t in (root, np.nextafter(root, 0.0), np.nextafter(root, np.inf))]))
+    rng = np.random.default_rng(32)
+    highs = rng.permutation(np.concatenate((thresholds, thresholds[[3, 9, 9]])))
+    lows = highs * rng.uniform(0.0, 1.0, highs.size)
+    lows[::3] = -1.0
+    lows[1], lows[2] = highs[1], 0.0
+    windows, gaps = slab_windows(G, prefixes, lows, highs)
+    assert len(windows) == highs.size and gaps.shape == highs.shape
+    assert windows[1][0].size == 0
+    for low, high, runs, gap in zip(lows, highs, windows, gaps):
+        alone, alone_gap = slab_windows(G, prefixes, [low], [high])
+        assert [r.tobytes() for r in runs] == [r.tobytes() for r in alone[0]], (low, high)
+        assert gap.tobytes() == alone_gap[0].tobytes(), (low, high)
+
+
+@pytest.mark.parametrize("spec, radius", [("torus:3:square2pi", 59.5),
+                                          ("torus:3:diag:6.283,7.1,8.86", 59.5),
+                                          ("torus:2:mat:1,0.9;0,0.2", 1e5)])
+def test_slab_row_norms_equal_the_int64_product(spec, radius):
+    # slab_row_norms multiplies float coefficient rows, where the
+    # enumeration multiplies int64 ones: on these slab sets (above numpy's
+    # 8,192-row cast buffer) the products and norms have the same bits
+    G = parse_manifold(spec).lattice.dual_basis
+    prefixes = slab_prefixes(G, radius)
+    assert prefixes.shape[0] > 8192
+    last = np.floor(_slab_form(G, prefixes)[2]).astype(np.int64)
+    steps = (-2, 0, 1, 7)
+    got = slab_row_norms(G, prefixes, last, steps)
+    coeffs = np.empty((prefixes.shape[0], G.shape[0]), dtype=np.int64)
+    coeffs[:, :-1] = prefixes
+    for row, step in zip(got, steps):
+        coeffs[:, -1] = last + step
+        assert row.tobytes() == _column_sum_norms(coeffs @ G.T).tobytes(), step
 
 
 def shell_count(lattice, lo, hi):

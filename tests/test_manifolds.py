@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import (box_lattice_vectors, canonical_half, full_slab_ends, level_loop_sum,
+from oracles import (box_lattice_vectors, canonical_half, full_slab_windows, level_loop_sum,
                      materialised_window_sum)
 from weyl_lab import lattice as lat
 from weyl_lab.cli import parse_manifold
@@ -554,16 +555,8 @@ SETTLE_TORI = {
 }
 
 
-def _full_runs(G, prefixes, form, lo, hi):
-    """`lattice.slab_runs` of (lo, hi] settled on every slab (the oracle),
-    and the guard's exact distance at hi."""
-    outer = full_slab_ends(G, prefixes, hi, form)
-    inner = None if lo < 0.0 else full_slab_ends(G, prefixes, lo, form)
-    return lat.slab_runs(outer, inner), outer[2]
-
-
 def _assert_pruned_settle_is_the_full_settle(G, prefixes, thresholds):
-    form = lat.slab_form(G, prefixes)
+    form = lat._slab_form(G, prefixes)
     # per slab, its smallest row norm less the guard's distance, raised by
     # ulps until the gap is below it: settled alone, the slab must report
     # that gap, which it can only do if the margin on const - q vertex^2
@@ -576,17 +569,16 @@ def _assert_pruned_settle_is_the_full_settle(G, prefixes, thresholds):
         below[up] = np.nextafter(below[up], np.inf)
     for s in np.flatnonzero(below > 0.0):
         one = (form[0], form[1][s:s + 1], form[2][s:s + 1])
-        assert lat.slab_ends(G, prefixes[s:s + 1], below[s], one)[2] < ON_SPECTRUM_TOL, s
-    thresholds = np.sort(thresholds)
-    for lo, hi in zip(np.concatenate(([-1.0], thresholds[:-1])), thresholds):
-        for low in (-1.0, lo):
-            (slab, starts, stops), exact = _full_runs(G, prefixes, form, low, hi)
-            outer = lat.slab_ends(G, prefixes, hi, form)
-            inner = None if low < 0.0 else lat.slab_ends(G, prefixes, low, form)
-            got = lat.slab_runs(outer, inner)
-            assert [r.tobytes() for r in got] == [slab.tobytes(), starts.tobytes(),
-                                                  stops.tobytes()], (low, hi)
-            assert (outer[2] < ON_SPECTRUM_TOL) == (exact < ON_SPECTRUM_TOL), hi
+        assert lat._slab_ends(G, prefixes[s:s + 1], below[s], one)[2] < ON_SPECTRUM_TOL, s
+    # every window (lo, hi] of consecutive thresholds, and every ball,
+    # settled as one grid against the oracle that settles every slab
+    highs = np.sort(thresholds)
+    for lows in (np.full(highs.size, -1.0), np.concatenate(([-1.0], highs[:-1]))):
+        windows, gaps = lat.slab_windows(G, prefixes, lows, highs)
+        expected, exact = full_slab_windows(G, prefixes, lows, highs)
+        for low, hi, got, want in zip(lows, highs, windows, expected):
+            assert [r.tobytes() for r in got] == [r.tobytes() for r in want], (low, hi)
+        assert np.array_equal(gaps < ON_SPECTRUM_TOL, exact < ON_SPECTRUM_TOL)
 
 
 @pytest.mark.parametrize("case", list(SETTLE_TORI))
@@ -646,6 +638,21 @@ def test_settles_touch_only_each_lambdas_own_slabs(monkeypatch):
         assert count <= np.count_nonzero(line <= reach2 + 1e-9 * (line + reach2)), lam
     # against 14,161 slabs of lambda_max's ball for every lambda
     assert sum(count for _, count in settles) < 0.4 * 4 * 14161
+
+
+def test_scan_memory_peak():
+    # the tracemalloc peak of a 3-D remainder grid's kernel, out to the
+    # 14,161 slabs of lambda 59.5, measured at 2.80 MiB; settling every
+    # threshold at once on an (L, S) near-slab mask peaked at 5.36 MiB
+    grid = np.geomspace(20.5, 59.5, 4)
+    x = np.zeros(3)
+    tracemalloc.start()
+    try:
+        spectral_function(TORUS3, grid, x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20
 
 
 @pytest.mark.parametrize("order", [0, 2])
